@@ -82,6 +82,64 @@ def _subsets(items, limit):
     return [s for s in out if s]
 
 
+_BLOCK_REGS = (0, 3, 4, 5, 7, 8, 9)     # r6 holds the packet, r1/r2 args
+_BLOCK_ALU = ("+=", "-=", "*=", "&=", "|=", "^=", "<<=", ">>=", "s>>=")
+
+
+def straight_line_source(rng: random.Random, size: int) -> str:
+    """Assembly of one basic block of exactly ``size`` instructions with
+    register ALU work and packet, stack and map accesses (two maps, helper
+    calls, loads and stores through a looked-up value pointer)."""
+    head = [".map 1 hash 8 8 64", ".map 2 array 4 8 16",
+            "  r6 = *(u32 *)(r1 + 0)"]
+    tail = ["  r0 = 2", "  exit"]
+    body: list[str] = []
+    slots: list[int] = []
+    while len(body) < size - 3:
+        d = rng.choice(_BLOCK_REGS)
+        s = rng.choice(_BLOCK_REGS)
+        roll = rng.random()
+        if roll < 0.10:
+            body.append(f"  r{d} = {rng.randint(-2**31, 2**31 - 1)}")
+        elif roll < 0.18:
+            body.append(f"  r{d} = r{s}")
+        elif roll < 0.45:
+            w = "w" if rng.random() < 0.25 else "r"
+            op = rng.choice(_BLOCK_ALU)
+            arg = rng.randrange(32) if "<" in op or ">" in op else \
+                (f"{w}{s}" if rng.random() < 0.5 else rng.randint(-512, 511))
+            body.append(f"  {w}{d} {op} {arg}")
+        elif roll < 0.57:
+            width = rng.choice((8, 16, 32, 64))
+            body.append(f"  r{d} = *(u{width} *)(r6 + {rng.randrange(0, 56)})")
+        elif roll < 0.65:
+            width = rng.choice((8, 16, 32, 64))
+            body.append(f"  *(u{width} *)(r6 + {rng.randrange(0, 56)}) = r{s}")
+        elif roll < 0.75:
+            off = 8 * rng.randint(1, 24)
+            body.append(f"  *(u64 *)(r10 - {off}) = r{s}")
+            slots.append(off)
+        elif roll < 0.82 and slots:
+            body.append(f"  r{d} = *(u64 *)(r10 - {rng.choice(slots)})")
+        elif roll < 0.85:
+            body += [f"  r{d} = r10", f"  r{d} += -{8 * rng.randint(1, 24)}",
+                     f"  r{s} = *(u64 *)(r{d} + 0)"]
+        elif roll < 0.92:
+            m = rng.randint(1, 2)
+            body += [f"  r1 = map[{m}]", "  r2 = r10",
+                     f"  r2 += -{8 * rng.randint(1, 24)}", "  call map_lookup"]
+            if rng.random() < 0.5:
+                body.append(f"  r{rng.choice(_BLOCK_REGS[1:])} = *(u64 *)(r0 + 0)")
+            else:
+                body.append(f"  *(u64 *)(r0 + 0) = r{rng.choice(_BLOCK_REGS[1:])}")
+        elif roll < 0.95:
+            body += ["  r1 = map[1]", "  r2 = r10", "  r2 += -8", "  r3 = r10",
+                     "  r3 += -16", "  r4 = 0", "  call map_update"]
+        else:                                  # fusable mov + add pair
+            body += [f"  r{d} = r{s}", f"  r{d} += {rng.randint(1, 255)}"]
+    return "\n".join(head + body[:size - 3] + tail) + "\n"
+
+
 def rfc1071_sum16(data: bytes, seed: int = 0) -> int:
     """Reference internet checksum accumulator (16-bit ones' complement)."""
     if len(data) % 2:

@@ -23,8 +23,12 @@ from xvliw.analysis import (
     liveness,
     n_checks,
 )
+from conftest import straight_line_source
 from xvliw.asm import parse_asm
-from xvliw.isa import Instruction, Kind, io_sets, reg
+from xvliw.corpus import CORPUS, names
+from xvliw.fuzz import case_seed, generate_case
+from xvliw.isa import Instruction, Kind, io_sets, reg, sets_conflict
+from xvliw.peephole import peephole
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
 DIAMOND = """
@@ -375,6 +379,53 @@ def _topo_orders(nodes, ddg, rng):
             order.append(pick)
             remaining.discard(pick)
         yield order
+
+
+def pairwise_ddg_edges(block, program):
+    """Reference oracle: the Bernstein conflicts of every ordered pair of
+    a block's instructions, tested pair by pair in program order."""
+    nodes = list(block.indices())
+    ios = {i: io_sets(program[i]) for i in nodes}
+    edges = {}
+    for a, i in enumerate(nodes):
+        for j in nodes[a + 1:]:
+            kinds = set()
+            if sets_conflict(ios[i].outputs, ios[j].inputs):
+                kinds.add("RAW")
+            if sets_conflict(ios[i].inputs, ios[j].outputs):
+                kinds.add("WAR")
+            if sets_conflict(ios[i].outputs, ios[j].outputs):
+                kinds.add("WAW")
+            if kinds:
+                edges[(i, j)] = frozenset(kinds)
+    return list(edges.items())
+
+
+class TestDDGMatchesPairwise:
+    """``build_ddg`` equals the pairwise oracle, edge order included."""
+
+    @staticmethod
+    def assert_blocks_match(program):
+        for blk in build_program_cfg(program).blocks:
+            assert list(build_ddg(blk, program).edges.items()) == \
+                pairwise_ddg_edges(blk, program), blk
+
+    @pytest.mark.parametrize("name", names())
+    def test_corpus_before_and_after_peephole(self, name):
+        prog = parse_asm(CORPUS[name].source)
+        self.assert_blocks_match(prog)
+        self.assert_blocks_match(peephole(prog)[0])
+
+    def test_fuzz_cases_before_and_after_peephole(self):
+        for i in range(200):
+            prog = parse_asm(generate_case(case_seed(20260810, i)).program_text)
+            self.assert_blocks_match(prog)
+            self.assert_blocks_match(peephole(prog)[0])
+
+    def test_large_block_with_memory_and_maps(self):
+        prog = parse_asm(straight_line_source(random.Random(300), 300))
+        assert len(build_program_cfg(prog).blocks) == 1
+        self.assert_blocks_match(prog)
 
 
 class TestBernstein:
