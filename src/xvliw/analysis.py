@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction
 from .errors import ProgramError
-from .isa import Instruction, Kind, Program, io_sets, sets_conflict
+from .isa import (Instruction, Kind, Program, io_sets, sets_conflict,
+                  symbols_overlap)
 
 _EXITV = -1
 
@@ -287,38 +288,71 @@ class DataDependenceGraph:
     block_id: int
     nodes: list[int]                              # absolute instruction indices
     edges: dict[tuple[int, int], frozenset]       # (from, to) -> {RAW, WAR, WAW}
-    preds: dict[int, set] = field(default_factory=dict)
-    succs: dict[int, set] = field(default_factory=dict)
+    preds: dict[int, set] = field(init=False)
+    succs: dict[int, set] = field(init=False)
+    raw: dict[int, set] = field(init=False)       # RAW predecessors only
 
     def __post_init__(self):
-        if not self.preds:
-            self.preds = {n: set() for n in self.nodes}
-            self.succs = {n: set() for n in self.nodes}
-            for (i, j) in self.edges:
-                self.succs[i].add(j)
-                self.preds[j].add(i)
+        self.preds = {n: set() for n in self.nodes}
+        self.succs = {n: set() for n in self.nodes}
+        self.raw = {n: set() for n in self.nodes}
+        for (i, j), kinds in self.edges.items():
+            self.succs[i].add(j)
+            self.preds[j].add(i)
+            if "RAW" in kinds:
+                self.raw[j].add(i)
 
     def raw_preds(self, j: int) -> set:
-        return {i for i in self.preds[j] if "RAW" in self.edges[(i, j)]}
+        return self.raw[j]
+
+
+def _earlier(index: dict, memory: list, sym) -> list:
+    """Nodes in ``index`` under a symbol overlapping ``sym``: a register
+    overlaps only itself, a memory symbol is tested against each distinct
+    memory symbol seen so far."""
+    if sym[0] == "reg":
+        return index.get(sym, [])
+    found = []
+    for m in memory:
+        if m in index and symbols_overlap(m, sym):
+            found += index[m]
+    return found
 
 
 def build_ddg(block: BasicBlock, program: Program,
               liveness_info: LivenessInfo | None = None) -> DataDependenceGraph:
-    """RAW/WAR/WAW edges between a block's instructions, in program order."""
+    """RAW/WAR/WAW edges between a block's instructions, in program order.
+
+    The edges equal the pairwise Bernstein conflicts: (i, j), i before j,
+    carries RAW when an output of i overlaps an input of j (``sets_conflict``),
+    WAR for inputs of i against outputs of j and WAW for outputs against
+    outputs, and the dict holds them in sorted (i, j) order. They are found
+    through an index from each symbol to the earlier nodes reading or
+    writing it, so the work follows the edges rather than the pairs."""
     nodes = list(block.indices())
-    ios = {i: io_sets(program[i]) for i in nodes}
-    edges: dict[tuple[int, int], frozenset] = {}
-    for a, i in enumerate(nodes):
-        for j in nodes[a + 1:]:
-            kinds = set()
-            if sets_conflict(ios[i].outputs, ios[j].inputs):
-                kinds.add("RAW")
-            if sets_conflict(ios[i].inputs, ios[j].outputs):
-                kinds.add("WAR")
-            if sets_conflict(ios[i].outputs, ios[j].outputs):
-                kinds.add("WAW")
-            if kinds:
-                edges[(i, j)] = frozenset(kinds)
+    readers: dict = {}                  # symbol -> earlier nodes reading it
+    writers: dict = {}                  # symbol -> earlier nodes writing it
+    memory: list = []                   # distinct non-register symbols seen
+    out: dict[int, list] = {i: [] for i in nodes}   # i -> [(j, kinds)]
+    for j in nodes:
+        io = io_sets(program[j])
+        kinds: dict[int, set] = {}
+        for sym in io.inputs:
+            for i in _earlier(writers, memory, sym):
+                kinds.setdefault(i, set()).add("RAW")
+        for sym in io.outputs:
+            for i in _earlier(readers, memory, sym):
+                kinds.setdefault(i, set()).add("WAR")
+            for i in _earlier(writers, memory, sym):
+                kinds.setdefault(i, set()).add("WAW")
+        for i, k in kinds.items():
+            out[i].append((j, frozenset(k)))
+        for index, syms in ((readers, io.inputs), (writers, io.outputs)):
+            for sym in syms:
+                if sym[0] != "reg" and sym not in readers and sym not in writers:
+                    memory.append(sym)
+                index.setdefault(sym, []).append(j)
+    edges = {(i, j): k for i in nodes for j, k in out[i]}
     return DataDependenceGraph(block.id, nodes, edges)
 
 

@@ -6,17 +6,21 @@ the two hardware rules: back-to-back dependents share a lane, and a
 row's branches occupy ascending lanes in original program order (lane
 index is taken-branch priority).
 
-Row feasibility during structural scheduling mirrors the hardware checks:
-no dependence edge inside a row, at most one helper call, and every
-instruction has at most one producer in the immediately previous row
-(two producers would demand two lanes at once); two consumers of the
-same previous-row producer cannot share a row either. When nothing fits,
-a new row is opened.
+Structural scheduling keeps a ready list (Gibbons & Muchnick, SIGPLAN
+'86): a count of unplaced DDG predecessors per instruction, and the
+instructions whose count is zero, ordered by critical path. Each row is
+one pass over that list. Row feasibility mirrors the hardware checks: at
+most one helper call, and every instruction has at most one producer in
+the immediately previous row (two producers would demand two lanes at
+once); two consumers of the same previous-row producer cannot share a row
+either. No dependence edge can join two instructions of one row, because
+an instruction is ready only once all its predecessors sit in earlier
+rows. When nothing fits, a new row is opened.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 
 from .analysis import (
@@ -26,8 +30,8 @@ from .analysis import (
     candidate_blocks,
     control_equivalent,
 )
-from .isa import (Instruction, Kind, Program, io_sets, reg,
-                  sets_conflict, written_register)
+from .isa import (Instruction, Kind, Program, io_sets, sets_conflict,
+                  written_register)
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -47,66 +51,70 @@ def _critical_path(ddg: DataDependenceGraph) -> dict[int, int]:
     return cp
 
 
-def _schedule_structural(nodes, ddg, program, budget, helpers_per_row):
+def _schedule_structural(ddg, cp, program, budget, helpers_per_row):
     """Greedy row construction at a given lane budget. Returns row lists of
-    node indices. Critical-path priority, original order breaking ties."""
-    cp = _critical_path(ddg)
-    control = [n for n in nodes if program[n].is_control]
-    work = [n for n in nodes if not program[n].is_control]
+    node indices. Critical-path priority, original order breaking ties.
+
+    Row r is one pass over the ready list, taking each node that fits.
+    Nodes made ready by row r's placements join the list from row r + 1.
+    One pass is enough: a node is turned away for a full row, a helper
+    count at its limit, a previous-row producer already forwarding to this
+    row, or two producers in the previous row, and each of these only gets
+    more binding as the row fills. The block's control instruction, its
+    last, then joins or follows the last row."""
+    preds, succs, raw = ddg.preds, ddg.succs, ddg.raw
+    control = [n for n in ddg.nodes if program[n].is_control]
+    calls = {n for n in ddg.nodes if program[n].kind is Kind.CALL}
+    unplaced = {n: len(preds[n]) for n in ddg.nodes}
+    ready = [(-cp[n], n) for n in ddg.nodes
+             if not unplaced[n] and not program[n].is_control]
+    heapify(ready)
     placed_row: dict[int, int] = {}
     rows: list[list[int]] = []
-    remaining = set(work)
+    remaining = len(ddg.nodes) - len(control)
 
     while remaining:
         r = len(rows)
         row: list[int] = []
         used_producers: set[int] = set()
         helpers = 0
-        while True:
-            best = None
-            for n in sorted(remaining, key=lambda n: (-cp[n], n)):
-                if any(placed_row[p] >= r for p in ddg.preds[n] if p in placed_row):
-                    continue
-                if any(p not in placed_row for p in ddg.preds[n]):
-                    continue
-                prev_raw = {p for p in ddg.raw_preds(n) if placed_row[p] == r - 1}
-                if len(prev_raw) > 1 or (prev_raw & used_producers):
-                    continue
-                if program[n].kind is Kind.CALL and helpers >= helpers_per_row:
-                    continue
-                if any(((m, n) in ddg.edges or (n, m) in ddg.edges) for m in row):
-                    continue
-                if len(row) >= budget:
-                    continue
-                best = (n, prev_raw)
-                break
-            if best is None:
-                break
-            n, prev_raw = best
+        turned_away = []
+        while ready and len(row) < budget:
+            entry = heappop(ready)
+            n = entry[1]
+            prev_raw = {p for p in raw[n] if placed_row[p] == r - 1}
+            if len(prev_raw) > 1 or (prev_raw & used_producers) or \
+                    (n in calls and helpers >= helpers_per_row):
+                turned_away.append(entry)
+                continue
             row.append(n)
             used_producers |= prev_raw
             placed_row[n] = r
-            remaining.discard(n)
-            if program[n].kind is Kind.CALL:
+            if n in calls:
                 helpers += 1
+        for entry in turned_away:
+            heappush(ready, entry)
+        for n in row:
+            for s in succs[n]:
+                unplaced[s] -= 1
+                if not unplaced[s] and not program[s].is_control:
+                    heappush(ready, (-cp[s], s))
+        remaining -= len(row)
         rows.append(row)     # may be empty when all ready nodes need distance 2
 
-    # control instruction joins or follows the last row
+    # control instruction joins or follows the last row; it has no
+    # successor in the block and its predecessors sit before ``earliest``
     for n in control:
-        earliest = max((placed_row[p] + 1 for p in ddg.preds[n]), default=0)
-        prev_raw = lambda r: {p for p in ddg.raw_preds(n) if placed_row[p] == r - 1}
+        earliest = max((placed_row[p] + 1 for p in preds[n]), default=0)
         target = max(earliest, len(rows) - 1 if rows else 0)
         while True:
-            row = rows[target] if target < len(rows) else None
-            if row is None:
+            if target == len(rows):
                 rows.append([])
-                row = rows[-1]
-            conflict = any(((m, n) in ddg.edges or (n, m) in ddg.edges) for m in row)
-            producers = prev_raw(target)
-            taken = {p for m in row for p in ddg.raw_preds(m)
-                     if placed_row.get(p) == target - 1}
-            if conflict or len(row) >= budget or len(producers) > 1 or \
-                    (producers & taken):
+            row = rows[target]
+            producers = {p for p in raw[n] if placed_row[p] == target - 1}
+            taken = {p for m in row for p in raw[m]
+                     if placed_row[p] == target - 1}
+            if len(row) >= budget or len(producers) > 1 or (producers & taken):
                 target += 1
                 continue
             row.append(n)
@@ -122,16 +130,14 @@ def list_schedule(block, ddg: DataDependenceGraph, constraints: LaneConstraints,
     """Schedule one block. Every lane budget up to the configured width is
     tried and the fewest-rows result kept, so row counts cannot grow when
     lanes are added."""
-    nodes = list(ddg.nodes)
-    if not nodes:
+    if not ddg.nodes:
         return BlockSchedule(block.id, [])
+    cp = _critical_path(ddg)
     best = None
     for budget in range(1, constraints.lanes + 1):
-        rows = _schedule_structural(nodes, ddg, program, budget,
+        rows = _schedule_structural(ddg, cp, program, budget,
                                     constraints.helpers_per_row)
-        if best is None or len(rows) < len(best):
-            best = rows
-        elif len(rows) == len(best):
+        if best is None or len(rows) <= len(best):
             best = rows                      # prefer the widest budget on ties
     slot_rows = [[Slot(program[n], block.id, n) for n in row] for row in best]
     return BlockSchedule(block.id, slot_rows)
@@ -230,7 +236,6 @@ def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int] | None:
                 work.append(t)
     back = {s}
     work = [s]
-    preds_reach = set()
     while work:
         x = work.pop()
         for t in cfg.blocks[x].predecessors:
@@ -238,16 +243,6 @@ def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int] | None:
                 back.add(t)
                 work.append(t)
     return (fwd & back) - {b, s}
-
-
-def _block_io(program, cfg, bid):
-    ins_syms: set = set()
-    out_syms: set = set()
-    for i in cfg.blocks[bid].indices():
-        io = io_sets(program[i])
-        ins_syms |= io.inputs
-        out_syms |= io.outputs
-    return ins_syms, out_syms
 
 
 class CodeMotion:
