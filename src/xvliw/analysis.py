@@ -290,20 +290,17 @@ class DataDependenceGraph:
     edges: dict[tuple[int, int], frozenset]       # (from, to) -> {RAW, WAR, WAW}
     preds: dict[int, set] = field(init=False)
     succs: dict[int, set] = field(init=False)
-    raw: dict[int, set] = field(init=False)       # RAW predecessors only
+    raw_preds: dict[int, set] = field(init=False)  # RAW predecessors only
 
     def __post_init__(self):
         self.preds = {n: set() for n in self.nodes}
         self.succs = {n: set() for n in self.nodes}
-        self.raw = {n: set() for n in self.nodes}
+        self.raw_preds = {n: set() for n in self.nodes}
         for (i, j), kinds in self.edges.items():
             self.succs[i].add(j)
             self.preds[j].add(i)
             if "RAW" in kinds:
-                self.raw[j].add(i)
-
-    def raw_preds(self, j: int) -> set:
-        return self.raw[j]
+                self.raw_preds[j].add(i)
 
 
 def _earlier(index: dict, memory: list, sym) -> list:

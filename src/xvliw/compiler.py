@@ -20,7 +20,7 @@ from .scheduler import code_motion, list_schedule
 @dataclass
 class CompileReport:
     original_count: int
-    after_reduction_count: int
+    after_reduction_count: int      # reachable instructions of the reduced program
     vliw_rows: int
     static_ipc: float
     pass_deltas: dict[str, int] = field(default_factory=dict)
@@ -98,7 +98,7 @@ def compile_program(program: Program,
                  if reduced[idx].kind.value == "branch")
     report = CompileReport(
         original_count=original_count,
-        after_reduction_count=len(reduced),
+        after_reduction_count=len(reachable_instructions(reduced)),
         vliw_rows=vliw.row_count,
         static_ipc=vliw.static_ipc,
         pass_deltas=stats.as_dict(),

@@ -59,10 +59,10 @@ def _schedule_structural(ddg, cp, program, budget, helpers_per_row):
     Nodes made ready by row r's placements join the list from row r + 1.
     One pass is enough: a node is turned away for a full row, a helper
     count at its limit, a previous-row producer already forwarding to this
-    row, or two producers in the previous row, and each of these only gets
-    more binding as the row fills. The block's control instruction, its
-    last, then joins or follows the last row."""
-    preds, succs, raw = ddg.preds, ddg.succs, ddg.raw
+    row, or two producers in the previous row, and none of these can lift
+    as the row fills. The block's control instruction, its last, then
+    joins or follows the last row."""
+    preds, succs, raw = ddg.preds, ddg.succs, ddg.raw_preds
     control = [n for n in ddg.nodes if program[n].is_control]
     calls = {n for n in ddg.nodes if program[n].kind is Kind.CALL}
     unplaced = {n: len(preds[n]) for n in ddg.nodes}

@@ -69,6 +69,7 @@ def test_tx_mac_swap_packet_bytes():
     prog = parse_asm(entry.source)
     vliw, report = compile_program(prog)
     assert report.pass_deltas["load_store_6b"] == 4      # two fused idioms
+    assert report.after_reduction_count == 7             # reachable only
     data, port = entry.packet_bytes()[0]
     r, _ = exec_vliw(vliw, PacketContext(data, 64, port), MapStore())
     assert r.result.packet_out[:6] == data[6:12]

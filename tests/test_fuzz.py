@@ -89,6 +89,20 @@ def test_known_divergent_seed_replays_equal(seed):
     assert ok, f"seed {seed}: {detail}"
 
 
+def test_reduced_count_excludes_unreachable_instructions():
+    # boundary-check removal leaves `abort:`'s early_exit unreachable; the
+    # report counts only the 12 reachable instructions, all scheduled
+    from xvliw.asm import parse_asm
+    from xvliw.compiler import compile_program
+    from xvliw.schedule import LaneConstraints
+
+    program = parse_asm(generate_case(82473490673826).program_text)
+    vliw, report = compile_program(program, LaneConstraints(lanes=4))
+    assert report.after_reduction_count == 12
+    assert report.after_reduction_count == vliw.instruction_count
+    assert report.after_reduction_count <= vliw.row_count * 4
+
+
 def test_replay_is_identical():
     case = generate_case(case_seed(9, 17))
     ok1, d1 = run_case(case)
