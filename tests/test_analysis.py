@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from conftest import straight_line_source
 from xvliw.analysis import (
     bernstein_ok,
     build_cfg,
@@ -23,7 +24,6 @@ from xvliw.analysis import (
     liveness,
     n_checks,
 )
-from conftest import straight_line_source
 from xvliw.asm import parse_asm
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, generate_case
