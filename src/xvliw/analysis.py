@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction
 from .errors import ProgramError
-from .isa import (Instruction, Kind, Program, io_sets, sets_conflict,
-                  symbols_overlap)
+from .isa import (Instruction, Program, io_sets, reachable_instructions,
+                  sets_conflict, successors, symbols_overlap)
 
 _EXITV = -1
 
@@ -37,27 +37,6 @@ class BasicBlock:
         return self.end - self.start + 1
 
 
-def reachable_instructions(program: Program) -> set[int]:
-    seen: set[int] = set()
-    work = [0]
-    n = len(program)
-    while work:
-        i = work.pop()
-        if i in seen or not 0 <= i < n:
-            continue
-        seen.add(i)
-        ins = program[i]
-        if ins.kind in (Kind.EXIT, Kind.EARLY_EXIT):
-            continue
-        if ins.kind is Kind.JUMP_ALWAYS:
-            work.append(ins.target)
-        elif ins.kind is Kind.BRANCH:
-            work.extend((ins.target, i + 1))
-        else:
-            work.append(i + 1)
-    return seen
-
-
 def find_basic_blocks(program: Program) -> list[BasicBlock]:
     """Partition the reachable instructions into maximal blocks.
 
@@ -68,11 +47,8 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
     reach = reachable_instructions(program)
     leaders = {0}
     for i in sorted(reach):
-        ins = program[i]
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
-            leaders.add(ins.target)
-            leaders.add(i + 1)
-        elif ins.kind in (Kind.EXIT, Kind.EARLY_EXIT):
+        if program[i].is_control:
+            leaders.update(successors(program[i], i))
             leaders.add(i + 1)
     leaders = sorted(x for x in leaders if x in reach)
 
@@ -80,9 +56,7 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
     for bi, start in enumerate(leaders):
         end = start
         nxt = leaders[bi + 1] if bi + 1 < len(leaders) else len(program)
-        while end + 1 < nxt and end + 1 in reach and \
-                program[end].kind not in (Kind.BRANCH, Kind.JUMP_ALWAYS,
-                                          Kind.EXIT, Kind.EARLY_EXIT):
+        while end + 1 < nxt and end + 1 in reach and not program[end].is_control:
             end += 1
         spans.append((start, end))
 
@@ -90,17 +64,7 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
     succs: list[list[int]] = [[] for _ in spans]
     preds: list[list[int]] = [[] for _ in spans]
     for bid, (start, end) in enumerate(spans):
-        last = program[end]
-        targets = []
-        if last.kind is Kind.JUMP_ALWAYS:
-            targets = [last.target]
-        elif last.kind is Kind.BRANCH:
-            targets = [last.target, end + 1]
-        elif last.kind in (Kind.EXIT, Kind.EARLY_EXIT):
-            targets = []
-        else:
-            targets = [end + 1]
-        for t in targets:
+        for t in successors(program[end], end):
             if t not in id_of_leader:
                 raise ProgramError(f"block {bid}: control flows to non-leader {t}")
             succs[bid].append(id_of_leader[t])
@@ -178,6 +142,25 @@ def build_cfg(blocks: list[BasicBlock]) -> ControlFlowGraph:
 
 def build_program_cfg(program: Program) -> ControlFlowGraph:
     return build_cfg(find_basic_blocks(program))
+
+
+def walk_blocks(cfg: ControlFlowGraph, start: int, forward: bool = True,
+                stop=()) -> set[int]:
+    """Blocks reached from ``start`` in one or more steps along CFG
+    successors (predecessors when ``forward`` is false). A block in
+    ``stop`` is reached but not walked through. ``start`` itself is in the
+    result only if a cycle avoiding ``stop`` leads back to it."""
+    seen: set[int] = set()
+    work = [start]
+    while work:
+        x = work.pop()
+        blk = cfg.blocks[x]
+        for t in blk.successors if forward else blk.predecessors:
+            if t not in seen:
+                seen.add(t)
+                if t not in stop:
+                    work.append(t)
+    return seen
 
 
 def control_equivalent(cfg: ControlFlowGraph, b: int) -> set[int]:
@@ -316,8 +299,7 @@ def _earlier(index: dict, memory: list, sym) -> list:
     return found
 
 
-def build_ddg(block: BasicBlock, program: Program,
-              liveness_info: LivenessInfo | None = None) -> DataDependenceGraph:
+def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
     """RAW/WAR/WAW edges between a block's instructions, in program order.
 
     The edges equal the pairwise Bernstein conflicts: (i, j), i before j,

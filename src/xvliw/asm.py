@@ -23,6 +23,7 @@ import re
 from dataclasses import replace
 
 from .errors import AsmSyntaxError, UndefinedLabel, UnknownMnemonic
+from .helpers import HELPER_IDS, HELPERS
 from .isa import (
     ALU3_OPS,
     Instruction,
@@ -46,10 +47,6 @@ _INFIX_FOR = {v: k for k, v in ALU_INFIX.items()}
 _CMP_FOR = {v: k for k, v in CMP_SYMS.items()}
 WIDTH_NAMES = {"u8": 1, "u16": 2, "u32": 4, "u48": 6, "u64": 8}
 _WIDTH_FOR = {v: k for k, v in WIDTH_NAMES.items()}
-
-HELPER_NAMES = {"map_lookup": 1, "map_update": 2, "map_delete": 3,
-                "csum_diff": 28, "adjust_head": 44, "redirect_map": 51}
-_HELPER_FOR = {v: k for k, v in HELPER_NAMES.items()}
 
 _REG = r"([rw])(\d+)"
 _IMM = r"(-?(?:0x[0-9a-fA-F]+|\d+))"
@@ -154,9 +151,9 @@ def _parse_instruction(line, line_no):
         name = m.group(1)
         if name.isdigit():
             return Instruction(Kind.CALL, imm=int(name)), None
-        if name not in HELPER_NAMES:
+        if name not in HELPER_IDS:
             raise UnknownMnemonic(line_no, f"unknown helper {name!r}")
-        return Instruction(Kind.CALL, imm=HELPER_NAMES[name]), None
+        return Instruction(Kind.CALL, imm=HELPER_IDS[name]), None
     m = _re_branch.match(line)
     if m:
         lcls, lreg, op, rcls, rreg, imm, target = m.groups()
@@ -269,7 +266,8 @@ def format_instruction(ins: Instruction, target_text=None) -> str:
     if k is Kind.JUMP_ALWAYS:
         return f"goto {target_text or f'@{ins.target}'}"
     if k is Kind.CALL:
-        return f"call {_HELPER_FOR.get(ins.imm, ins.imm)}"
+        helper = HELPERS.get(ins.imm)
+        return f"call {helper.name if helper else ins.imm}"
     if k is Kind.BRANCH:
         rhs = f"r{ins.src}" if ins.src is not None else str(ins.imm)
         return (f"if r{ins.dst} {_CMP_FOR[ins.op]} {rhs} "

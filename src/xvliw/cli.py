@@ -13,7 +13,7 @@ from .compiler import compile_program
 from .corpus import CORPUS
 from .errors import XvliwError
 from .formats import load_packets, parse_map_config
-from .fuzz import fuzz
+from .fuzz import compare_results, fuzz
 from .isa import Program, decode, encode
 from .peephole import PASS_NAMES
 from .reports import reduction_table_json, reduction_table_text, report_reduction
@@ -146,7 +146,6 @@ def cmd_run(args) -> int:
                 for t in rep.trace_lines:
                     print(t)
         if args.engine == "both":
-            from .fuzz import compare_results
             ok, detail = compare_results(o, v)
             line["equivalent"] = ok
             line["detail"] = detail

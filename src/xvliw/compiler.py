@@ -13,7 +13,7 @@ from .analysis import build_ddg, build_program_cfg, liveness, reachable_instruct
 from .isa import Program
 from .peephole import PASS_NAMES, peephole
 from .regalloc import RenameContext, assign_registers
-from .schedule import LaneConstraints, VliwProgram
+from .schedule import LaneConstraints
 from .scheduler import code_motion, list_schedule
 
 
@@ -81,7 +81,7 @@ def compile_program(program: Program,
 
     cfg = build_program_cfg(reduced)
     live = liveness(cfg, reduced)
-    ddgs = {blk.id: build_ddg(blk, reduced, live) for blk in cfg.blocks}
+    ddgs = {blk.id: build_ddg(blk, reduced) for blk in cfg.blocks}
     schedules = {blk.id: list_schedule(blk, ddgs[blk.id], constraints, reduced)
                  for blk in cfg.blocks}
 

@@ -9,7 +9,7 @@ trap-free on its packet set through both engines.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -259,10 +259,6 @@ _add(CorpusEntry(
     map_init=((2, "00000000", "01000000"), (2, "01000000", "00000000")),
     expected_actions=("REDIRECT", "REDIRECT"),
 ))
-
-
-def entry(name: str) -> CorpusEntry:
-    return CORPUS[name]
 
 
 def names():

@@ -16,6 +16,7 @@ A case is fully reproducible from its integer seed.
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .errors import XvliwError
 from .formats import parse_map_config
 from .isa import MapDef
 from .schedule import LaneConstraints
-from .vliwsim import exec_vliw  # hazard_check imported lazily (import cycle)
+from .vliwsim import exec_vliw, hazard_check
 from .vm import Limits, MapStore, PacketContext, exec_sequential
 
 MIN_PKT = 64
@@ -349,8 +350,6 @@ def run_case(case: FuzzCase, lanes: int = 4, passes=None,
              enable_code_motion: bool = True, limits: Limits | None = None):
     """Compile and run one case through both engines; the compiled output
     is also statically hazard-checked. Returns (ok, detail)."""
-    from .vliwsim import hazard_check
-
     limits = limits or Limits(max_instructions=200_000)
     program = parse_asm(case.program_text)
     vliw, _report = compile_program(
@@ -426,7 +425,6 @@ def _failure_class(case: FuzzCase, lanes, passes, motion):
     """None when the case passes; 'diverged' or the toolchain error shape
     (type plus message with indices blanked, so renumbering after a line
     deletion still matches)."""
-    import re
     try:
         ok, _ = run_case(case, lanes, passes, motion)
         return None if ok else "diverged"

@@ -39,6 +39,7 @@ from .errors import (
     UnknownOpcode,
     UnreachableTarget,
 )
+from .helpers import HELPERS
 
 NUM_REGS = 11
 FRAME_REG = 10          # r10: frame pointer, read-only
@@ -205,29 +206,38 @@ def validate_instructions(instrs):
         if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
             if ins.target is None or not 0 <= ins.target < n:
                 raise ProgramError(f"instruction {i}: branch target out of range")
-    if not any(p.kind in (Kind.EXIT, Kind.EARLY_EXIT) for p in _reachable(instrs)):
+    if not any(instrs[i].kind in (Kind.EXIT, Kind.EARLY_EXIT)
+               for i in reachable_instructions(instrs)):
         raise ProgramError("no exit reachable from entry")
 
 
-def _reachable(instrs):
-    seen = set()
+def successors(ins: Instruction, i: int) -> tuple[int, ...]:
+    """Indices control may pass to after ``ins``, the instruction at index
+    ``i``: none after an exit, the target of a jump, the target then the
+    fall-through of a conditional branch, else the fall-through (which is
+    one past the end when ``ins`` is last)."""
+    k = ins.kind
+    if k is Kind.EXIT or k is Kind.EARLY_EXIT:
+        return ()
+    if k is Kind.JUMP_ALWAYS:
+        return (ins.target,)
+    if k is Kind.BRANCH:
+        return (ins.target, i + 1)
+    return (i + 1,)
+
+
+def reachable_instructions(instrs) -> set[int]:
+    """Indices of the instructions reachable from the entry."""
+    seen: set[int] = set()
     work = [0]
+    n = len(instrs)
     while work:
         i = work.pop()
-        if i in seen or i >= len(instrs):
+        if i in seen or not 0 <= i < n:
             continue
         seen.add(i)
-        ins = instrs[i]
-        if ins.kind in (Kind.EXIT, Kind.EARLY_EXIT):
-            continue
-        if ins.kind is Kind.JUMP_ALWAYS:
-            work.append(ins.target)
-        elif ins.kind is Kind.BRANCH:
-            work.append(ins.target)
-            work.append(i + 1)
-        else:
-            work.append(i + 1)
-    return [instrs[i] for i in sorted(seen)]
+        work.extend(successors(instrs[i], i))
+    return seen
 
 
 def written_register(ins: Instruction):
@@ -505,24 +515,7 @@ def provenance_states(instrs):
     base, everything else zero. Joins at control-flow merges widen to the
     unknown region, which io_sets treats as whole-memory.
     """
-    from .vm import HELPERS  # effect table (cycle-free: vm imports only errors/isa consts)
-
     n = len(instrs)
-    preds: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, ins in enumerate(instrs):
-        succs = []
-        if ins.kind is Kind.JUMP_ALWAYS:
-            succs = [ins.target]
-        elif ins.kind is Kind.BRANCH:
-            succs = [ins.target, i + 1]
-        elif ins.kind in (Kind.EXIT, Kind.EARLY_EXIT):
-            succs = []
-        else:
-            succs = [i + 1]
-        for s in succs:
-            if s < n:
-                preds[s].append(i)
-
     entry = {r: _NUM for r in range(NUM_REGS)}
     entry[1] = ("ctx",)
     entry[10] = ("stack", 0)
@@ -535,15 +528,11 @@ def provenance_states(instrs):
         st = state_in.get(i)
         if st is None:
             continue
-        out = _transfer(instrs[i], dict(st), HELPERS)
+        out = _transfer(instrs[i], dict(st))
         if out_cache.get(i) == out:
             continue
         out_cache[i] = out
-        ins = instrs[i]
-        succs = ([ins.target] if ins.kind is Kind.JUMP_ALWAYS else
-                 [ins.target, i + 1] if ins.kind is Kind.BRANCH else
-                 [] if ins.kind in (Kind.EXIT, Kind.EARLY_EXIT) else [i + 1])
-        for s in succs:
+        for s in successors(instrs[i], i):
             if s >= n:
                 continue
             cur = state_in.get(s)
@@ -586,7 +575,7 @@ def annotate_addr_spaces(instrs):
     return annotated
 
 
-def _transfer(ins: Instruction, st: dict, helpers) -> dict:
+def _transfer(ins: Instruction, st: dict) -> dict:
     k = ins.kind
     if k is Kind.MOV_REG:
         st[ins.dst] = st.get(ins.src, _ANY) if ins.width == 64 else _NUM
@@ -612,7 +601,7 @@ def _transfer(ins: Instruction, st: dict, helpers) -> dict:
         else:
             st[ins.dst] = _NUM
     elif k is Kind.CALL:
-        helper = helpers.get(ins.imm)
+        helper = HELPERS.get(ins.imm)
         if helper is not None and helper.returns == "value_ptr":
             p = st.get(1)
             st[0] = ("mapval", p[1] if p and p[0] == "mapfd" else None)
@@ -730,8 +719,6 @@ def _mem_symbol(ins: Instruction):
 
 def io_sets(ins: Instruction) -> IoSets:
     """Complete input/output symbol sets, memory regions included."""
-    from .vm import HELPERS
-
     k = ins.kind
     if k is Kind.ALU_BINARY:
         ins_set = {reg(ins.dst)}

@@ -63,10 +63,6 @@ def _rebuild(program: Program, items: list[tuple[int, Instruction]]) -> Program:
     return build_program(out, program.maps)
 
 
-def _leaders(program: Program) -> set[int]:
-    return {b.start for b in find_basic_blocks(program)}
-
-
 def _blocks_by_index(program: Program):
     blocks = find_basic_blocks(program)
     owner = {}

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import ControlFlowGraph, LivenessInfo
+from .analysis import ControlFlowGraph, LivenessInfo, walk_blocks
 from .errors import CompileError, RegisterPressureExceeded
 from .isa import (Instruction, Kind, Program, io_sets, reg,
                   sets_conflict, written_register)
-from .schedule import BlockSchedule, LaneConstraints, Slot, VliwProgram
+from .schedule import (BlockSchedule, LaneConstraints, Slot, VliwProgram,
+                       cross_lane_violations)
 from .scheduler import assign_lanes
 
 RENAME_POOL = (6, 7, 8, 9, 5, 4, 3, 2)
@@ -177,23 +178,12 @@ def plan_rename(program: Program, cfg: ControlFlowGraph, live: LivenessInfo,
 
 
 def _path_blocks(cfg, a, b):
-    fwd = {a}
-    work = [a]
-    while work:
-        x = work.pop()
-        for t in cfg.blocks[x].successors:
-            if t not in fwd:
-                fwd.add(t)
-                work.append(t)
-    back = {b}
-    work = [b]
-    while work:
-        x = work.pop()
-        for t in cfg.blocks[x].predecessors:
-            if t not in back:
-                back.add(t)
-                work.append(t)
-    return (fwd & back) | {a, b}
+    """Blocks on some path a -> b, both endpoints included. Unlike
+    ``scheduler._blocks_between`` the forward walk goes on past b, so a
+    loop through b is in the result: a renamed value read in b may stay
+    live round that loop, and its register must be free there too. That
+    is conservative, and the rename region needs it."""
+    return (walk_blocks(cfg, a) & walk_blocks(cfg, b, forward=False)) | {a, b}
 
 
 def _pick_free_register(d: int, region: frozenset, cfg, live, schedules,
@@ -313,38 +303,6 @@ def _assemble(laned, schedules, cfg, constraints, program, maps):
                        row_block=row_block, maps=maps)
 
 
-def _cross_edge_violations(vliw: VliwProgram):
-    """Cross-lane back-to-back read-after-write pairs over every runtime
-    row transition: (from_row, to_row, reader, reader_lane, producer_lane).
-    Only block-boundary transitions can violate; intra-block lanes are
-    assigned consistently."""
-    out = []
-    for r, row in enumerate(vliw.rows):
-        nexts = set()
-        slots = vliw.row_slots(r)
-        has_ja = any(s.instr.kind is Kind.JUMP_ALWAYS for s in slots)
-        has_exit = any(s.instr.kind in (Kind.EXIT, Kind.EARLY_EXIT)
-                       for s in slots)
-        for s in slots:
-            if s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
-                nexts.add(s.instr.target)
-        if not has_ja and not has_exit and r + 1 < len(vliw.rows):
-            nexts.add(r + 1)
-        for nr in nexts:
-            if nr >= len(vliw.rows):
-                continue
-            for lane_r, producer in enumerate(vliw.rows[r]):
-                if producer is None:
-                    continue
-                pouts = io_sets(producer.instr).outputs
-                for lane_n, reader in enumerate(vliw.rows[nr]):
-                    if reader is None or lane_n == lane_r:
-                        continue
-                    if sets_conflict(pouts, io_sets(reader.instr).inputs):
-                        out.append((r, nr, reader, lane_n, lane_r))
-    return out
-
-
 def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
                      constraints: LaneConstraints, program: Program,
                      cfg: ControlFlowGraph, ctx: RenameContext, maps=()):
@@ -381,7 +339,7 @@ def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
             _pad_block(schedules, entry_pins, padded, failed_block)
             continue
         vliw = _assemble(laned, schedules, cfg, constraints, program, maps)
-        violations = _cross_edge_violations(vliw)
+        violations = cross_lane_violations(vliw)
         if not violations:
             return vliw
         for _, to_row, reader, _, prod_lane in violations:
@@ -401,7 +359,7 @@ def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
             _pad_block(schedules, entry_pins, padded, failed_block)
             continue
         vliw = _assemble(laned, schedules, cfg, constraints, program, maps)
-        violations = _cross_edge_violations(vliw)
+        violations = cross_lane_violations(vliw)
         if not violations:
             return vliw
         for _, to_row, _, _, _ in violations:

@@ -4,7 +4,10 @@
 ``VliwProgram`` is the assembled whole-program artifact the simulator
 executes. Both obey the same row invariants (pairwise parallelizability,
 branch ordering, one helper per row, per-lane forwarding); the simulator
-revalidates on load.
+revalidates on load. One helper per row needs no rule of its own in the
+compiler: every call writes r0, so two calls never pass the pairwise
+test. ``cross_lane_violations`` states the per-lane forwarding rule for
+both the register assigner and the simulator's hazard check.
 
 In a ``VliwProgram`` branch targets are row indices; the dump format
 writes them as ``@row``. One row per line::
@@ -18,19 +21,16 @@ instructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
 from .errors import AsmSyntaxError
-from .isa import Instruction, Kind
+from .isa import Instruction, Kind, io_sets, sets_conflict
 
 
 @dataclass(frozen=True)
 class LaneConstraints:
     lanes: int = 4
-    branch_lane_priority: bool = True
-    helpers_per_row: int = 1
-    forwarding: str = "per-lane"     # back-to-back dependents share a lane
 
     def __post_init__(self):
         if not 1 <= self.lanes <= 8:
@@ -141,5 +141,34 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
                        row_block=[-1] * len(rows), maps=tuple(maps))
 
 
-def retarget(ins: Instruction, row: int) -> Instruction:
-    return replace(ins, target=row)
+def cross_lane_violations(vliw: VliwProgram):
+    """Cross-lane back-to-back read-after-write pairs over every runtime
+    row transition: (from_row, to_row, reader, reader_lane, producer_lane).
+    Per-lane forwarding lets a row read what the previous row wrote only
+    on the lane that wrote it. Compiler output can break this only at
+    block boundaries; lanes inside a block are assigned consistently."""
+    out = []
+    for r, row in enumerate(vliw.rows):
+        nexts = set()
+        slots = vliw.row_slots(r)
+        has_ja = any(s.instr.kind is Kind.JUMP_ALWAYS for s in slots)
+        has_exit = any(s.instr.kind in (Kind.EXIT, Kind.EARLY_EXIT)
+                       for s in slots)
+        for s in slots:
+            if s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+                nexts.add(s.instr.target)
+        if not has_ja and not has_exit and r + 1 < len(vliw.rows):
+            nexts.add(r + 1)
+        for nr in nexts:
+            if nr >= len(vliw.rows):
+                continue
+            for lane_r, producer in enumerate(row):
+                if producer is None:
+                    continue
+                pouts = io_sets(producer.instr).outputs
+                for lane_n, reader in enumerate(vliw.rows[nr]):
+                    if reader is None or lane_n == lane_r:
+                        continue
+                    if sets_conflict(pouts, io_sets(reader.instr).inputs):
+                        out.append((r, nr, reader, lane_n, lane_r))
+    return out

@@ -9,13 +9,14 @@ index is taken-branch priority).
 Structural scheduling keeps a ready list (Gibbons & Muchnick, SIGPLAN
 '86): a count of unplaced DDG predecessors per instruction, and the
 instructions whose count is zero, ordered by critical path. Each row is
-one pass over that list. Row feasibility mirrors the hardware checks: at
-most one helper call, and every instruction has at most one producer in
-the immediately previous row (two producers would demand two lanes at
-once); two consumers of the same previous-row producer cannot share a row
-either. No dependence edge can join two instructions of one row, because
-an instruction is ready only once all its predecessors sit in earlier
-rows. When nothing fits, a new row is opened.
+one pass over that list. Row feasibility mirrors the hardware's forwarding
+check: every instruction has at most one producer in the immediately
+previous row (two producers would demand two lanes at once), and two
+consumers of the same previous-row producer cannot share a row either. No
+dependence edge can join two instructions of one row, because an
+instruction is ready only once all its predecessors sit in earlier rows;
+that alone keeps helper calls one per row, since every call writes r0.
+When nothing fits, a new row is opened.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .analysis import (
     LivenessInfo,
     candidate_blocks,
     control_equivalent,
+    walk_blocks,
 )
 from .isa import (Instruction, Kind, Program, io_sets, sets_conflict,
                   written_register)
@@ -51,20 +53,18 @@ def _critical_path(ddg: DataDependenceGraph) -> dict[int, int]:
     return cp
 
 
-def _schedule_structural(ddg, cp, program, budget, helpers_per_row):
+def _schedule_structural(ddg, cp, program, budget):
     """Greedy row construction at a given lane budget. Returns row lists of
     node indices. Critical-path priority, original order breaking ties.
 
     Row r is one pass over the ready list, taking each node that fits.
     Nodes made ready by row r's placements join the list from row r + 1.
-    One pass is enough: a node is turned away for a full row, a helper
-    count at its limit, a previous-row producer already forwarding to this
-    row, or two producers in the previous row, and none of these can lift
-    as the row fills. The block's control instruction, its last, then
-    joins or follows the last row."""
+    One pass is enough: a node is turned away for a full row, a previous-row
+    producer already forwarding to this row, or two producers in the
+    previous row, and none of these can lift as the row fills. The block's
+    control instruction, its last, then joins or follows the last row."""
     preds, succs, raw = ddg.preds, ddg.succs, ddg.raw_preds
     control = [n for n in ddg.nodes if program[n].is_control]
-    calls = {n for n in ddg.nodes if program[n].kind is Kind.CALL}
     unplaced = {n: len(preds[n]) for n in ddg.nodes}
     ready = [(-cp[n], n) for n in ddg.nodes
              if not unplaced[n] and not program[n].is_control]
@@ -77,21 +77,17 @@ def _schedule_structural(ddg, cp, program, budget, helpers_per_row):
         r = len(rows)
         row: list[int] = []
         used_producers: set[int] = set()
-        helpers = 0
         turned_away = []
         while ready and len(row) < budget:
             entry = heappop(ready)
             n = entry[1]
             prev_raw = {p for p in raw[n] if placed_row[p] == r - 1}
-            if len(prev_raw) > 1 or (prev_raw & used_producers) or \
-                    (n in calls and helpers >= helpers_per_row):
+            if len(prev_raw) > 1 or (prev_raw & used_producers):
                 turned_away.append(entry)
                 continue
             row.append(n)
             used_producers |= prev_raw
             placed_row[n] = r
-            if n in calls:
-                helpers += 1
         for entry in turned_away:
             heappush(ready, entry)
         for n in row:
@@ -135,8 +131,7 @@ def list_schedule(block, ddg: DataDependenceGraph, constraints: LaneConstraints,
     cp = _critical_path(ddg)
     best = None
     for budget in range(1, constraints.lanes + 1):
-        rows = _schedule_structural(ddg, cp, program, budget,
-                                    constraints.helpers_per_row)
+        rows = _schedule_structural(ddg, cp, program, budget)
         if best is None or len(rows) <= len(best):
             best = rows                      # prefer the widest budget on ties
     slot_rows = [[Slot(program[n], block.id, n) for n in row] for row in best]
@@ -224,25 +219,15 @@ def _pick_lanes(slots, pins, lanes):
 # upward code motion
 # ---------------------------------------------------------------------------
 
-def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int] | None:
-    """Blocks on some path b -> s, both endpoints excluded."""
-    fwd = {b}
-    work = [b]
-    while work:
-        x = work.pop()
-        for t in cfg.blocks[x].successors:
-            if t not in fwd and t != s:
-                fwd.add(t)
-                work.append(t)
-    back = {s}
-    work = [s]
-    while work:
-        x = work.pop()
-        for t in cfg.blocks[x].predecessors:
-            if t not in back:
-                back.add(t)
-                work.append(t)
-    return (fwd & back) - {b, s}
+def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int]:
+    """Blocks an instruction moved from s up into b crosses: those on a
+    path b -> s, both endpoints excluded. The forward walk does not go on
+    past s. When b and s share a loop, a block reached only that way (s ->
+    ... -> b) runs before the instruction both before and after the move,
+    so it is not crossed. ``regalloc._path_blocks`` walks on past its end
+    block instead: a renamed value lives on round such a loop."""
+    return (walk_blocks(cfg, b, stop={s}) & walk_blocks(cfg, s, forward=False)) \
+        - {b, s}
 
 
 class CodeMotion:
@@ -278,6 +263,11 @@ class CodeMotion:
             if not self.cfg.dominates(b, cand):
                 continue
             if not self.schedules[cand].rows:
+                continue
+            # neither b nor the source may sit in a loop the other is not
+            # in, or the moved instruction would run more or fewer times
+            if cand in walk_blocks(self.cfg, cand, stop={b}) or \
+                    b in walk_blocks(self.cfg, b, stop={cand}):
                 continue
             between = _blocks_between(self.cfg, b, cand)
             self._move_from(b, cand, cand in ctrl_eq, between)
@@ -404,10 +394,6 @@ class CodeMotion:
             row = bs.rows[r]
             if len(row) >= lanes:
                 continue
-            if slot.instr.kind is Kind.CALL and \
-                    sum(1 for s in row if s.instr.kind is Kind.CALL) >= \
-                    self.constraints.helpers_per_row:
-                continue
             bad = False
             for other in row:
                 oio = _slot_io(other)
@@ -503,14 +489,11 @@ class CodeMotion:
 
 
 def code_motion(schedules, cfg, live: LivenessInfo, constraints: LaneConstraints,
-                program: Program, ddgs, renames=None):
+                program: Program, ddgs, renames):
     """Move ready instructions upward from candidate blocks; pull trailing
     single-branch blocks up for parallel branching. Renames go through
-    ``renames``, the compilation's RenameContext (a fresh one if None).
-    Returns (schedules, moved_log)."""
-    if renames is None:
-        from .regalloc import RenameContext    # regalloc imports this module
-        renames = RenameContext()
+    ``renames``, the compilation's RenameContext. Returns (schedules,
+    moved_log)."""
     cm = CodeMotion(schedules, cfg, live, constraints, program, ddgs, renames)
     cm.run()
     return schedules, cm.moved_log

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from .analysis import bernstein_ok
 from .asm import format_instruction
 from .errors import RowConflict, VmTrap
-from .isa import Kind, io_sets, sets_conflict
-from .regalloc import _cross_edge_violations
-from .schedule import VliwProgram
+from .isa import Kind
+from .schedule import VliwProgram, cross_lane_violations
 from .vm import (
     Limits,
     MachineState,
@@ -39,8 +38,6 @@ from .vm import (
 @dataclass(frozen=True)
 class CycleModel:
     pipeline_depth: int = 4          # fetch, decode, execute, commit
-    early_exit_savings: int = 3
-    branch_penalty: int = 0
 
 
 @dataclass
@@ -95,7 +92,7 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
         for lane, s in branches:
             if s.instr.target is None or not 0 <= s.instr.target < len(vliw.rows):
                 out.append(f"row {r}: lane {lane} branch target out of range")
-    for frm, to, reader, lane_n, lane_r in _cross_edge_violations(vliw):
+    for frm, to, reader, lane_n, lane_r in cross_lane_violations(vliw):
         out.append(f"rows {frm}->{to}: cross-lane back-to-back dependence "
                    f"(write on lane {lane_r}, read on lane {lane_n})")
     return out
@@ -110,7 +107,6 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
     state = MachineState(packet=packet, maps=maps)
     rows_executed = 0
     instructions = 0
-    taken_branches = 0
     recent_writes: list[set] = []           # per executed row, registers written
     trace: list[str] = []
     rp = 0
@@ -177,15 +173,13 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
                         savings = not any(0 in w for w in window)
                 else:
                     taken_lane = lane
-                    taken_branches += 1
                     next_rp = ctl[1]
                 break
             trace.append(_trace_line(rows_executed, rp, row, taken_lane))
             rp = next_rp
     except VmTrap as exc:
         rows_executed = max(rows_executed, 1)
-        cycles = rows_executed + model.pipeline_depth - 1 + \
-            model.branch_penalty * taken_branches
+        cycles = rows_executed + model.pipeline_depth - 1
         report = RunReport(final_result(trapped=True, trap=str(exc)),
                            rows_executed, instructions, cycles,
                            instructions / rows_executed,
@@ -193,7 +187,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
                            trace)
         return report, state
 
-    cycles = rows_executed + model.branch_penalty * taken_branches
+    cycles = rows_executed
     if not savings:
         cycles += model.pipeline_depth - 1
     report = RunReport(final_result(), rows_executed, instructions, cycles,

@@ -23,7 +23,6 @@ memory regions; r1-r5 and r6-r9 are preserved.
 
 from __future__ import annotations
 
-import importlib.resources
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ from .errors import (
     UnknownHelper,
     VmTrap,
 )
+from .helpers import HELPERS
 from .isa import FRAME_REG, Instruction, Kind, MapDef, NUM_REGS, STACK_SIZE, Program
 
 MASK64 = (1 << 64) - 1
@@ -72,38 +72,6 @@ def sx32(v: int) -> int:
     if v >= (1 << 31):
         v -= 1 << 32
     return v & MASK64
-
-
-# ---------------------------------------------------------------------------
-# helper interface table (shipped as a config file)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HelperDef:
-    id: int
-    name: str
-    arity: int
-    reads: tuple[str, ...]
-    writes: tuple[str, ...]
-    returns: str
-
-
-def _load_helper_table() -> dict[int, HelperDef]:
-    text = (importlib.resources.files(__package__) / "helper_table.cfg").read_text()
-    table = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        hid, name, arity, reads, writes, returns = line.split()
-        parse = lambda s: () if s == "-" else tuple(s.split(","))
-        table[int(hid)] = HelperDef(int(hid), name, int(arity),
-                                    parse(reads), parse(writes), returns)
-    return table
-
-
-HELPERS = _load_helper_table()
-HELPER_IDS = {h.name: h.id for h in HELPERS.values()}
 
 
 # ---------------------------------------------------------------------------

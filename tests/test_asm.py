@@ -1,9 +1,12 @@
 """Assembly front end: the listing sugar, round trips, error reporting."""
 
+from pathlib import Path
+
 import pytest
 
-from xvliw.asm import format_asm, parse_asm, parse_instruction
-from xvliw.errors import AsmSyntaxError, UndefinedLabel, UnknownMnemonic
+import xvliw
+from xvliw.asm import format_asm, format_instruction, parse_asm, parse_instruction
+from xvliw.errors import AsmSyntaxError, UndefinedLabel, UnknownMnemonic, XvliwError
 from xvliw.isa import Kind
 
 
@@ -68,6 +71,26 @@ def test_helpers_maps_and_lddw():
     assert prog[2].kind is Kind.CALL and prog[2].imm == 1
     assert prog[3].imm == 51
     assert prog[4].kind is Kind.EARLY_EXIT and prog[4].imm == 2
+
+
+def _helper_table_rows():
+    """(id, name) of every row of the shipped helper table, read from the
+    file itself."""
+    text = (Path(xvliw.__file__).parent / "helper_table.cfg").read_text()
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    return [(int(row[0]), row[1]) for row in rows if row]
+
+
+@pytest.mark.parametrize("hid,name", _helper_table_rows())
+def test_helper_names_come_from_the_table(hid, name):
+    prog = parse_asm(f"call {name}\nexit")
+    assert prog[0].kind is Kind.CALL and prog[0].imm == hid
+    assert format_instruction(prog[0]) == f"call {name}"
+
+
+def test_unknown_helper_name_is_an_xvliw_error():
+    with pytest.raises(XvliwError):
+        parse_asm("call map_lookup_elem\nexit")
 
 
 def test_alu32_forms():

@@ -107,7 +107,7 @@ def test_plan_rename_rejects_fixed_register_consumers():
     cfg = build_program_cfg(prog)
     live = liveness(cfg, prog)
     cons = LaneConstraints()
-    schedules = {b.id: list_schedule(b, build_ddg(b, prog, live), cons, prog)
+    schedules = {b.id: list_schedule(b, build_ddg(b, prog), cons, prog)
                  for b in cfg.blocks}
     slot = next(s for bs in schedules.values() for row in bs.rows for s in row
                 if s.instr.kind is Kind.MOV_IMM and s.instr.dst == 2)
@@ -132,7 +132,7 @@ def test_plan_rename_exhausts_pool():
     cfg = build_program_cfg(prog)
     live = liveness(cfg, prog)
     cons = LaneConstraints()
-    schedules = {b.id: list_schedule(b, build_ddg(b, prog, live), cons, prog)
+    schedules = {b.id: list_schedule(b, build_ddg(b, prog), cons, prog)
                  for b in cfg.blocks}
     slot = next(s for bs in schedules.values() for row in bs.rows for s in row
                 if s.instr.kind is Kind.MOV_IMM)
@@ -217,7 +217,7 @@ def test_plan_rename_consults_context():
     cfg = build_program_cfg(prog)
     live = liveness(cfg, prog)
     cons = LaneConstraints(lanes=4)
-    schedules = {b.id: list_schedule(b, build_ddg(b, prog, live), cons, prog)
+    schedules = {b.id: list_schedule(b, build_ddg(b, prog), cons, prog)
                  for b in cfg.blocks}
     slots = [s for bs in schedules.values() for row in bs.rows for s in row]
     load = next(s for s in slots if s.instr.kind is Kind.LOAD

@@ -7,6 +7,7 @@ from xvliw.analysis import build_ddg, build_program_cfg, liveness
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.isa import Kind
+from xvliw.regalloc import RenameContext
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import assign_lanes, code_motion, list_schedule
 from xvliw.vliwsim import exec_vliw, hazard_check
@@ -149,10 +150,11 @@ class TestCodeMotion:
         cfg = build_program_cfg(prog)
         cons = LaneConstraints(lanes=lanes)
         live = liveness(cfg, prog)
-        ddgs = {b.id: build_ddg(b, prog, live) for b in cfg.blocks}
+        ddgs = {b.id: build_ddg(b, prog) for b in cfg.blocks}
         schedules = {b.id: list_schedule(b, ddgs[b.id], cons, prog)
                      for b in cfg.blocks}
-        moved = code_motion(schedules, cfg, live, cons, prog, ddgs)[1]
+        moved = code_motion(schedules, cfg, live, cons, prog, ddgs,
+                            RenameContext())[1]
         return prog, cfg, schedules, moved
 
     def test_no_candidates_unchanged(self):
@@ -284,6 +286,67 @@ class TestCodeMotion:
             r, _ = exec_vliw(vliw, PacketContext(pkt), MapStore())
             o, _ = exec_sequential(prog, PacketContext(pkt), MapStore())
             assert (r.result.action, r.result.code) == (o.action, o.code)
+
+    # Code motion between blocks that run different numbers of times. In
+    # "header" and "single_block" the loop's "r2 = 7" was hoisted into the
+    # entry block and ran once instead of once per iteration; in
+    # "after_loop" the exit block's "r3 = r6" was hoisted into the loop and
+    # reached "r5 = r3" on the next iteration.
+    LOOPS = {
+        "header": ("""
+          r1 = 3
+          r3 = 5
+        top:
+          r2 = 7
+          r4 = r2
+          if r1 == 0 goto out
+          r2 += 1
+          r1 += -1
+          goto top
+        out:
+          r0 = r2
+          exit
+        """, 7),
+        "single_block": ("""
+          r1 = 3
+          r3 = 5
+        top:
+          r2 = 7
+          r2 += 1
+          r0 = r2
+          r1 += -1
+          if r1 > 0 goto top
+          r0 += r3
+          exit
+        """, 13),
+        "after_loop": ("""
+          r9 = 3
+        top:
+          *(u64 *)(r10 - 8) = r3
+          r5 = *(u64 *)(r10 - 8)
+          r6 = 1
+          r9 += -1
+          if r9 == 0 goto out
+          goto top
+        out:
+          r3 = r6
+          r0 = r5
+          r0 += 2
+          exit
+        """, 2),
+    }
+
+    @pytest.mark.parametrize("lanes", range(1, 9))
+    @pytest.mark.parametrize("name", sorted(LOOPS))
+    def test_nothing_hoisted_out_of_a_loop(self, name, lanes):
+        src, expected = self.LOOPS[name]
+        prog = parse_asm(src)
+        vliw, _ = compile_program(prog, LaneConstraints(lanes=lanes))
+        assert hazard_check(vliw) == []
+        r, _ = exec_vliw(vliw, PacketContext(bytes(64)), MapStore())
+        o, _ = exec_sequential(prog, PacketContext(bytes(64)), MapStore())
+        assert o.code == expected
+        assert (r.result.action, r.result.code) == (o.action, o.code)
 
 
 class TestMicroOptimality:

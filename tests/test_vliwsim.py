@@ -94,7 +94,7 @@ class TestExecution:
         v2 = vliw_of([row(Instruction(Kind.EARLY_EXIT, imm=2))])
         rep2, _ = run(v2, model=model)
         assert rep2.cycles == 1
-        assert rep.cycles - rep2.cycles == model.early_exit_savings + 1
+        assert rep.cycles - rep2.cycles == model.pipeline_depth
         # a bare exit with r0 written long before also stops at fetch
         filler = [row(Instruction(Kind.ALU_BINARY, op="add", width=64,
                                   dst=3, imm=1)) for _ in range(4)]
