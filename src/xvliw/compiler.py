@@ -27,6 +27,7 @@ class CompileReport:
     moved_instructions: int = 0
     pulled_branches: int = 0
     renames: list = field(default_factory=list)
+    padding_rows: int = 0           # leading empty rows lane assignment added
     unreachable_dropped: list = field(default_factory=list)
     lanes: int = 4
 
@@ -41,11 +42,11 @@ class CompileReport:
             "moved_instructions": self.moved_instructions,
             "pulled_branches": self.pulled_branches,
             "renames": [list(r) for r in self.renames],
+            "padding_rows": self.padding_rows,
             "unreachable_dropped": list(self.unreachable_dropped),
         }
 
     def text(self) -> str:
-        d = self.as_dict()
         lines = [
             f"instructions: {self.original_count} -> "
             f"{self.after_reduction_count} after reduction",
@@ -59,7 +60,8 @@ class CompileReport:
         lines.append(f"code motion: {self.moved_instructions} moved "
                      f"({self.pulled_branches} parallel branches), "
                      f"{len(self.renames)} renames")
-        lines.append(f"rows: {self.vliw_rows} at {self.lanes} lanes, "
+        lines.append(f"rows: {self.vliw_rows} at {self.lanes} lanes "
+                     f"({self.padding_rows} padding), "
                      f"static IPC {self.static_ipc:.2f}")
         if self.unreachable_dropped:
             lines.append(f"dropped unreachable instructions: "
@@ -93,6 +95,9 @@ def compile_program(program: Program,
 
     vliw = assign_registers(schedules, live, constraints, reduced, cfg,
                             renames, maps=reduced.maps)
+    # list scheduling fills each block's first row and code motion drops
+    # empty rows at a block's start: a block starting empty was padded
+    padding = sum(1 for bs in schedules.values() if bs.rows and not bs.rows[0])
 
     pulled = sum(1 for (idx, _frm, _to) in moved_log
                  if reduced[idx].kind.value == "branch")
@@ -105,6 +110,7 @@ def compile_program(program: Program,
         moved_instructions=len(moved_log),
         pulled_branches=pulled,
         renames=renames.log,
+        padding_rows=padding,
         unreachable_dropped=unreachable,
         lanes=constraints.lanes,
     )

@@ -1,5 +1,6 @@
 """Physical register assignment: fixed-register discipline, same-row
-output-conflict detection, and renaming with propagation.
+output-conflict detection, renaming with propagation, and program-wide
+lane assignment.
 
 Registers arrive physical (the source ISA's), and the fixed-semantic ones
 keep their roles: r0 exit code, r1-r5 helper arguments, r10 frame
@@ -24,6 +25,14 @@ register across an overlapping region. Liveness is computed once, on the
 program before any rename, so the third count is what keeps two renames
 from sharing a register; every rename of one compilation, during code
 motion and after it, goes through a single ``RenameContext``.
+
+Lanes are assigned last, in one pass over the whole program: blocks' rows
+are laid out in block order, and each slot is pinned to the lane of its
+producer in every runtime predecessor row already laid out (the core
+forwards a result only along the lane that produced it). A back edge
+cannot be pinned ahead of time; when one forwards across lanes, or a
+row's pins cannot all be met, the block gets one leading empty row and
+the pass runs again.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from .errors import CompileError, RegisterPressureExceeded
 from .isa import (Instruction, Kind, Program, io_sets, reg,
                   sets_conflict, written_register)
 from .schedule import (BlockSchedule, LaneConstraints, Slot, VliwProgram,
-                       cross_lane_violations)
-from .scheduler import assign_lanes
+                       cross_lane_violations, row_successors)
+from .scheduler import lane_row
 
 RENAME_POOL = (6, 7, 8, 9, 5, 4, 3, 2)
 ENTRY_DEF = -1
@@ -252,55 +261,43 @@ def _rename_reads(ins: Instruction, old: int, new: int,
 
 
 # ---------------------------------------------------------------------------
-# assembly with cross-block lane fixups
+# assembly with program-wide lane assignment
 # ---------------------------------------------------------------------------
 
-def _lane_rows(schedules, cfg, constraints, entry_pins):
-    laned = {}
-    for blk in cfg.blocks:
-        rows = schedules[blk.id].rows
-        res = assign_lanes(rows, constraints.lanes, entry_pins.get(blk.id))
-        if res is None and entry_pins.get(blk.id):
-            return None, blk.id
-        if res is None:
-            raise CompileError(f"block {blk.id}: no valid lane assignment")
-        laned[blk.id] = res
-    return laned, None
-
-
-def _row_layout(schedules, cfg):
-    start_row = {}
-    total = 0
-    for blk in cfg.blocks:
-        start_row[blk.id] = total
-        total += len(schedules[blk.id].rows)
-    return start_row, total
-
-
-def _assemble(laned, schedules, cfg, constraints, program, maps):
-    start_row, _ = _row_layout(schedules, cfg)
-
-    def target_row(instr_index):
-        bid = cfg.block_of(instr_index)
-        return start_row[bid]
-
-    rows: list[list[Slot | None]] = []
+def _lay_out(schedules, cfg, lanes, maps):
+    """One lane-assignment pass over the assembled program. Blocks' rows
+    are laid out in block order with branch targets as row indices, and
+    rows are laned in layout order, each slot pinned to the lane of its
+    producer in every runtime predecessor row laid out before it. Returns
+    the program and the blocks that need a leading empty row: the block
+    of the first row with no valid assignment under its pins, or else
+    every block whose first row a back edge reaches across lanes."""
+    start: dict[int, int] = {}
     row_block: list[int] = []
     for blk in cfg.blocks:
-        for row in laned[blk.id]:
-            out_row: list[Slot | None] = []
-            for s in row:
-                if s is None:
-                    out_row.append(None)
-                    continue
-                ins = s.instr
-                if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
-                    ins = replace(ins, target=target_row(ins.target))
-                out_row.append(Slot(ins, s.src_block, s.src_index, s.moved))
-            rows.append(out_row)
-            row_block.append(blk.id)
-    return VliwProgram(lane_count=constraints.lanes, rows=rows,
+        start[blk.id] = len(row_block)
+        row_block += [blk.id] * len(schedules[blk.id].rows)
+
+    def placed(s: Slot) -> Slot:
+        ins = s.instr
+        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+            ins = replace(ins, target=start[cfg.block_of(ins.target)])
+        return Slot(ins, s.src_block, s.src_index, s.moved)
+
+    vliw = VliwProgram(lane_count=lanes, rows=[[None] * lanes] * len(row_block),
                        row_block=row_block, maps=maps)
+    preds: list[list[int]] = [[] for _ in row_block]
+    slot_rows = (row for blk in cfg.blocks for row in schedules[blk.id].rows)
+    for r, slots in enumerate(slot_rows):
+        row = lane_row([placed(s) for s in slots],
+                       [vliw.rows[p] for p in preds[r]], lanes)
+        if row is None:
+            return vliw, {row_block[r]}
+        vliw.rows[r] = row
+        for n in row_successors(vliw, r):
+            if n > r:
+                preds[n].append(r)
+    return vliw, {row_block[to] for _, to, *_ in cross_lane_violations(vliw)}
 
 
 def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
@@ -308,7 +305,12 @@ def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
                      cfg: ControlFlowGraph, ctx: RenameContext, maps=()):
     """Fix any residual same-row output conflict by renaming through
     ``ctx`` (which already holds the renames code motion applied), then
-    assemble the final program with globally consistent lanes."""
+    assemble the final program with globally consistent lanes.
+
+    A block gets one leading empty row, which no value forwards across,
+    when one of its rows has no valid lane assignment, or when a back
+    edge into its first row, which the pass cannot pin ahead of time,
+    is cross-lane. Every retry pads a block not padded before."""
     for blk in cfg.blocks:
         for row in schedules[blk.id].rows:
             for i, a in enumerate(row):
@@ -328,55 +330,14 @@ def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
                             f"no free register to rename r{ra} "
                             f"in block {blk.id}")
 
-    # lanes: intra-block first, then iterate cross-edge forwarding fixups by
-    # pinning edge readers to their producers' lanes; unresolvable blocks get
-    # an empty leading row, which breaks the back-to-back adjacency for good
-    entry_pins: dict[int, dict[int, int]] = {}
     padded: set[int] = set()
-    for _ in range(8):
-        laned, failed_block = _lane_rows(schedules, cfg, constraints, entry_pins)
-        if laned is None:
-            _pad_block(schedules, entry_pins, padded, failed_block)
-            continue
-        vliw = _assemble(laned, schedules, cfg, constraints, program, maps)
-        violations = cross_lane_violations(vliw)
-        if not violations:
+    while True:
+        vliw, pad = _lay_out(schedules, cfg, constraints.lanes, maps)
+        if not pad:
             return vliw
-        for _, to_row, reader, _, prod_lane in violations:
-            bid = vliw.row_block[to_row]
-            target_slot = _find_home_slot(schedules[bid], reader)
-            if target_slot is None or bid in padded:
-                continue
-            pins = entry_pins.setdefault(bid, {})
-            if pins.get(id(target_slot), prod_lane) != prod_lane:
-                _pad_block(schedules, entry_pins, padded, bid)
-            else:
-                pins[id(target_slot)] = prod_lane
-    # guaranteed fallback: pad every remaining violation target
-    for _ in range(len(cfg.blocks) + 1):
-        laned, failed_block = _lane_rows(schedules, cfg, constraints, entry_pins)
-        if laned is None:
-            _pad_block(schedules, entry_pins, padded, failed_block)
-            continue
-        vliw = _assemble(laned, schedules, cfg, constraints, program, maps)
-        violations = cross_lane_violations(vliw)
-        if not violations:
-            return vliw
-        for _, to_row, _, _, _ in violations:
-            _pad_block(schedules, entry_pins, padded, vliw.row_block[to_row])
-    raise CompileError("could not establish per-lane forwarding discipline")
-
-
-def _pad_block(schedules, entry_pins, padded, bid):
-    if bid not in padded:
-        schedules[bid].rows.insert(0, [])
-        padded.add(bid)
-    entry_pins.pop(bid, None)
-
-
-def _find_home_slot(bs: BlockSchedule, slot: Slot):
-    for row in bs.rows:
-        for s in row:
-            if s.src_index == slot.src_index and s.src_block == slot.src_block:
-                return s
-    return None
+        if pad <= padded:
+            raise CompileError(f"blocks {sorted(pad)}: no valid lane "
+                               f"assignment")
+        for bid in pad - padded:
+            schedules[bid].rows.insert(0, [])
+        padded |= pad

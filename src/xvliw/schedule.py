@@ -6,8 +6,10 @@ executes. Both obey the same row invariants (pairwise parallelizability,
 branch ordering, one helper per row, per-lane forwarding); the simulator
 revalidates on load. One helper per row needs no rule of its own in the
 compiler: every call writes r0, so two calls never pass the pairwise
-test. ``cross_lane_violations`` states the per-lane forwarding rule for
-both the register assigner and the simulator's hazard check.
+test. ``row_successors`` states which rows can run right after a row;
+``cross_lane_violations`` states the per-lane forwarding rule over those
+transitions for both the register assigner and the simulator's hazard
+check.
 
 In a ``VliwProgram`` branch targets are row indices; the dump format
 writes them as ``@row``. One row per line::
@@ -141,6 +143,18 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
                        row_block=[-1] * len(rows), maps=tuple(maps))
 
 
+def row_successors(vliw: VliwProgram, r: int) -> list[int]:
+    """Rows that can run right after row r: its branch targets, and r + 1
+    unless the row jumps unconditionally or ends execution."""
+    slots = vliw.row_slots(r)
+    nexts = {s.instr.target for s in slots
+             if s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS)}
+    if not any(s.instr.kind in (Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
+               for s in slots):
+        nexts.add(r + 1)
+    return sorted(n for n in nexts if 0 <= n < len(vliw.rows))
+
+
 def cross_lane_violations(vliw: VliwProgram):
     """Cross-lane back-to-back read-after-write pairs over every runtime
     row transition: (from_row, to_row, reader, reader_lane, producer_lane).
@@ -149,19 +163,7 @@ def cross_lane_violations(vliw: VliwProgram):
     block boundaries; lanes inside a block are assigned consistently."""
     out = []
     for r, row in enumerate(vliw.rows):
-        nexts = set()
-        slots = vliw.row_slots(r)
-        has_ja = any(s.instr.kind is Kind.JUMP_ALWAYS for s in slots)
-        has_exit = any(s.instr.kind in (Kind.EXIT, Kind.EARLY_EXIT)
-                       for s in slots)
-        for s in slots:
-            if s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
-                nexts.add(s.instr.target)
-        if not has_ja and not has_exit and r + 1 < len(vliw.rows):
-            nexts.add(r + 1)
-        for nr in nexts:
-            if nr >= len(vliw.rows):
-                continue
+        for nr in row_successors(vliw, r):
             for lane_r, producer in enumerate(row):
                 if producer is None:
                     continue

@@ -1,10 +1,12 @@
 """List scheduling and upward code motion.
 
-Scheduling is structural first (which instructions share a row), then
-lanes are assigned per block by a small permutation search that honours
+Scheduling is structural first (which instructions share a row). A row
+takes its lanes in ``lane_row``, a small permutation search that honours
 the two hardware rules: back-to-back dependents share a lane, and a
 row's branches occupy ascending lanes in original program order (lane
-index is taken-branch priority).
+index is taken-branch priority). Code motion checks a block on its own
+with ``assign_lanes``; the final lanes come from one pass over the whole
+program (``regalloc.assign_registers``), with the same per-row step.
 
 Structural scheduling keeps a ready list (Gibbons & Muchnick, SIGPLAN
 '86): a count of unplaced DDG predecessors per instruction, and the
@@ -152,67 +154,50 @@ def _raw_sources(slot: Slot, prev_slots):
     return [p for p in prev_slots if sets_conflict(_slot_io(p).outputs, ins)]
 
 
-def assign_lanes(rows: list[list[Slot]], lanes: int,
-                 entry_pins: dict[int, int] | None = None):
-    """Assign a lane to every slot, row by row. ``entry_pins`` maps id(slot)
-    of first-row slots to required lanes (cross-block forwarding). Returns
-    lane-indexed rows or None when some row has no valid assignment."""
-    entry_pins = entry_pins or {}
-    out: list[list[Slot | None]] = []
-    prev_assign: dict[int, int] = {}        # id(slot) -> lane
-    prev_slots: list[Slot] = []
-    for r, slots in enumerate(rows):
-        pins: dict[int, int] = {}
-        for s in slots:
-            wanted = set()
-            if r == 0 and id(s) in entry_pins:
-                wanted.add(entry_pins[id(s)])
-            for p in _raw_sources(s, prev_slots):
-                wanted.add(prev_assign[id(p)])
-            if len(wanted) > 1:
-                return None
-            if wanted:
-                pins[id(s)] = wanted.pop()
-        assignment = _pick_lanes(slots, pins, lanes)
-        if assignment is None:
-            return None
-        row: list[Slot | None] = [None] * lanes
-        for s, lane in assignment:
-            row[lane] = s
-        out.append(row)
-        prev_assign = {id(s): lane for s, lane in assignment}
-        prev_slots = slots
-    return out
-
-
-def _pick_lanes(slots, pins, lanes):
-    """First valid lane assignment; branches tried lowest-lane first so a
-    lone unpinned branch lands on lane 0 and pulled branch groups come out
-    ascending in original order."""
+def lane_row(slots: list[Slot], pred_rows, lanes: int):
+    """Lane-indexed row for ``slots``, or None when no assignment exists.
+    ``pred_rows`` are the lane-indexed rows that can run right before this
+    one; each slot is pinned to the lane of its read-after-write producer
+    in every one of them (two producers on different lanes cannot both
+    forward to it). The first valid permutation is taken, branches tried
+    lowest-lane first, so a lone unpinned branch lands on lane 0 and
+    pulled branch groups come out ascending in original order."""
     if len(slots) > lanes:
         return None
-    branches = sorted((s for s in slots if s.instr.kind in
-                       (Kind.BRANCH, Kind.JUMP_ALWAYS)), key=lambda s: s.src_index)
-    branch_ids = {id(s) for s in branches}
-    others = sorted((s for s in slots if id(s) not in branch_ids),
-                    key=lambda s: s.src_index)
-    order = branches + others
-
-    def ok(assign):
-        for s in order:
-            want = pins.get(id(s))
-            if want is not None and assign[id(s)] != want:
-                return False
-        lanes_of = [assign[id(b)] for b in branches]
-        if lanes_of != sorted(lanes_of):
-            return False
-        return True
-
+    branch = (Kind.BRANCH, Kind.JUMP_ALWAYS)
+    order = sorted(slots, key=lambda s: (s.instr.kind not in branch,
+                                         s.src_index))
+    branches = sum(s.instr.kind in branch for s in slots)
+    pins = []
+    for s in order:
+        inputs = _slot_io(s).inputs
+        wanted = {lane for prev in pred_rows for lane, p in enumerate(prev)
+                  if p is not None
+                  and sets_conflict(_slot_io(p).outputs, inputs)}
+        if len(wanted) > 1:
+            return None
+        pins.append(wanted.pop() if wanted else None)
     for perm in permutations(range(lanes), len(order)):
-        assign = {id(s): lane for s, lane in zip(order, perm)}
-        if ok(assign):
-            return list(zip(order, perm))
+        if all(pin is None or pin == lane for pin, lane in zip(pins, perm)) \
+                and list(perm[:branches]) == sorted(perm[:branches]):
+            row: list[Slot | None] = [None] * lanes
+            for s, lane in zip(order, perm):
+                row[lane] = s
+            return row
     return None
+
+
+def assign_lanes(rows: list[list[Slot]], lanes: int):
+    """Lane-indexed rows for one block on its own, each row's only
+    predecessor being the row before it; None when some row has no valid
+    assignment."""
+    out: list[list[Slot | None]] = []
+    for slots in rows:
+        row = lane_row(slots, out[-1:], lanes)
+        if row is None:
+            return None
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,24 @@ def test_compile_json_report(capsys, listing):
     data = json.loads(out)
     assert data["original_count"] == 4
     assert data["after_reduction_count"] == 2
+    assert data["padding_rows"] == 0
     assert data["hazard_violations"] == []
+
+
+def test_compile_json_report_counts_padding(capsys, tmp_path):
+    # the latch writes r2 on another lane than the header reads it from,
+    # so lane assignment pads the loop header with one empty row
+    loop = tmp_path / "loop.s"
+    loop.write_text("r2 = 5\nr1 = 1\ntop:\nr0 += r2\nr1 += 1\nr2 = r1\n"
+                    "if r0 < 20 goto top\nexit\n")
+    rc, out, _ = invoke(capsys, "compile", str(loop), "--report", "json")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["padding_rows"] == 1
+    assert data["hazard_violations"] == []
+    rc, out, _ = invoke(capsys, "compile", str(loop))
+    assert rc == 0
+    assert "(1 padding)" in out
 
 
 def test_lane_flag_rows_non_increasing(capsys):

@@ -5,7 +5,7 @@ import pytest
 from xvliw.analysis import build_ddg, build_program_cfg, liveness
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
-from xvliw.fuzz import FuzzCase, generate_case, run_case
+from xvliw.fuzz import FuzzCase, case_seed, generate_case, run_case
 from xvliw.isa import Kind
 from xvliw.peephole import peephole
 from xvliw.regalloc import RenameContext, plan_rename
@@ -239,3 +239,52 @@ def test_plan_rename_consults_context():
     assert second is not None
     assert second.new_reg != 8
     assert mov_home in second.region
+
+
+def _compile_and_run(src, lanes):
+    prog = parse_asm(src)
+    vliw, rep = compile_program(prog, LaneConstraints(lanes=lanes))
+    assert hazard_check(vliw) == []
+    v, _ = exec_vliw(vliw, PacketContext(bytes(64)), MapStore())
+    o, _ = exec_sequential(prog, PacketContext(bytes(64)), MapStore())
+    assert (v.result.action, v.result.code) == (o.action, o.code)
+    return vliw, rep, o.code
+
+
+def test_lanes_pad_only_when_they_must():
+    # the former pin-and-pad loop padded one block here (27 rows); every
+    # cross-block read can be pinned to its producer's lane
+    case = generate_case(case_seed(20260810, 12))
+    vliw, rep = compile_program(parse_asm(case.program_text),
+                                LaneConstraints(lanes=4))
+    assert hazard_check(vliw) == []
+    assert run_case(case, lanes=4) == (True, "equal")
+    assert vliw.row_count == 26
+    assert not [row for row in vliw.rows if all(s is None for s in row)]
+    assert rep.padding_rows == 0
+
+
+# the header's "r0 += r2" is pinned to "r2 = 5"'s lane in the entry block;
+# the latch's "r2 = r1" writes r2 on another lane in the row that branches
+# back, so the header must start with an empty row
+BACK_EDGE = """
+  r2 = 5
+  r1 = 1
+top:
+  r0 += r2
+  r1 += 1
+  r2 = r1
+  if r0 < 20 goto top
+  exit
+"""
+
+
+@pytest.mark.parametrize("lanes", range(1, 9))
+def test_cross_lane_back_edge_pads_loop_header(lanes):
+    vliw, rep, code = _compile_and_run(BACK_EDGE, lanes)
+    assert code == 25
+    header = vliw.row_block.index(1)
+    # with one lane nothing can forward across lanes, so nothing is padded
+    padded = lanes > 1
+    assert all(s is None for s in vliw.rows[header]) == padded
+    assert rep.padding_rows == int(padded)
