@@ -20,11 +20,12 @@ The region of a rename is the new home block plus every block on a path
 from it to a renamed use or definition. A candidate register is picked
 only if it is free there on three counts: no slot in the region's rows
 reads or writes it; it is not live into a successor outside the region;
-and no earlier rename of the same compilation put its value in that
-register across an overlapping region. Liveness is computed once, on the
-program before any rename, so the third count is what keeps two renames
-from sharing a register; every rename of one compilation, during code
-motion and after it, goes through a single ``RenameContext``.
+and no earlier rename or unrenamed code-motion move of the same
+compilation put its value in that register across an overlapping region.
+Liveness is computed once, on the program before any motion, so the third
+count is what keeps a rename off a value moved or renamed earlier. Every
+rename of one compilation, during code motion and after it, goes through
+a single ``RenameContext``, which also records every unrenamed move.
 
 Lanes are assigned last, in one pass over the whole program: blocks' rows
 are laid out in block order, and each slot is pinned to the lane of its
@@ -101,13 +102,14 @@ class RenamePlan:
 
 
 class RenameContext:
-    """The renames applied during one compilation, in order.
+    """The renames applied during one compilation, in order, and the
+    registers code motion carried across blocks without a rename.
 
-    Liveness is computed on the pre-rename program, so a register that an
-    earlier rename made live through a block is invisible to it, and the
-    block's rows show the register only where it is read or written.
-    Recording (register, region) pairs keeps later picks off values
-    already flowing through a block. ``log`` holds one
+    Liveness is computed on the pre-motion program, so a register that an
+    earlier rename or move made live through a block is invisible to it,
+    and the block's rows show the register only where it is read or
+    written. Recording (register, region) pairs keeps later picks off
+    values already flowing through a block. ``log`` holds one
     (src_index, old_reg, new_reg) tuple per rename."""
 
     def __init__(self):
@@ -117,6 +119,11 @@ class RenameContext:
     def conflicts(self, reg_no: int, region: frozenset) -> bool:
         return any(reg_no == r and (blocks & region)
                    for r, blocks in self.taken)
+
+    def hold(self, reg_no: int, region: frozenset):
+        """Keep later picks off ``reg_no`` over ``region``, the blocks a
+        value moved by code motion without a rename now flows through."""
+        self.taken.append((reg_no, region))
 
     def record(self, plan: RenamePlan):
         self.taken.append((plan.new_reg, plan.region))

@@ -289,6 +289,9 @@ class CodeMotion:
                         continue
                     row.remove(slot)
                     slot.moved = True
+                    if not needs_rename:
+                        self.renames.hold(written_register(slot.instr),
+                                          frozenset(between | {b, cand}))
                     moved_nodes.add(node)
                     self.moved_log.append((node, cand, b))
                     progressed = True

@@ -241,6 +241,26 @@ def test_plan_rename_consults_context():
     assert mov_home in second.region
 
 
+# "r3 = r2" moves from the exit block up into block 0, across the loop,
+# unrenamed; the later rename of the dead "r7 = 7" inside the loop took r3
+# and clobbered it, returning 7 at lanes 3-8
+PLAIN_MOVE = """
+  r9 = 1
+top:
+  r7 ^= r8
+  if r5 > 8 goto skip0
+skip0:
+  r7 = 7
+  r7 = r6
+  r9 += -1
+  if r9 > 0 goto top
+  r3 = r2
+  r0 ^= r3
+  r0 ^= r4
+  exit
+"""
+
+
 def _compile_and_run(src, lanes):
     prog = parse_asm(src)
     vliw, rep = compile_program(prog, LaneConstraints(lanes=lanes))
@@ -249,6 +269,12 @@ def _compile_and_run(src, lanes):
     o, _ = exec_sequential(prog, PacketContext(bytes(64)), MapStore())
     assert (v.result.action, v.result.code) == (o.action, o.code)
     return vliw, rep, o.code
+
+
+@pytest.mark.parametrize("lanes", range(1, 9))
+def test_rename_keeps_clear_of_plainly_moved_value(lanes):
+    _, _, code = _compile_and_run(PLAIN_MOVE, lanes)
+    assert code == 0
 
 
 def test_lanes_pad_only_when_they_must():
