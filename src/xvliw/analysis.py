@@ -251,15 +251,28 @@ def liveness(cfg: ControlFlowGraph, program: Program) -> LivenessInfo:
                         {b: frozenset(live_out[b]) for b in live_out})
 
 
+def _live_across(live, ins: Instruction) -> frozenset:
+    """Symbols live before ``ins``, given those live after it."""
+    io = io_sets(ins)
+    return frozenset(_kill(live, io.outputs) | io.inputs)
+
+
+def live_after(info: LivenessInfo, program: Program,
+               block_id: int) -> dict[int, frozenset]:
+    """Symbols live immediately after each instruction of a block, from
+    one backward walk."""
+    blk = info.cfg.blocks[block_id]
+    out = {blk.end: info.live_out[block_id]}
+    for i in range(blk.end, blk.start, -1):
+        out[i - 1] = _live_across(out[i], program[i])
+    return out
+
+
 def live_before(info: LivenessInfo, program: Program, block_id: int,
                 index: int) -> frozenset:
     """Symbols live immediately before instruction ``index`` of a block."""
-    blk = info.cfg.blocks[block_id]
-    live = set(info.live_out[block_id])
-    for i in range(blk.end, index - 1, -1):
-        io = io_sets(program[i])
-        live = _kill(live, io.outputs) | set(io.inputs)
-    return frozenset(live)
+    return _live_across(live_after(info, program, block_id)[index],
+                        program[index])
 
 
 # ---------------------------------------------------------------------------

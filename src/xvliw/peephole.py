@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from .analysis import (
     build_program_cfg,
     find_basic_blocks,
-    live_before,
+    live_after,
     liveness,
 )
 from .isa import (
@@ -176,6 +176,7 @@ def remove_zeroing(program: Program):
 
     removed = []
     for blk in cfg.blocks:
+        after = None                 # live after each instruction, on demand
         for i in blk.indices():
             ins = program[i]
             target = _zeroing_target(ins)
@@ -184,9 +185,8 @@ def remove_zeroing(program: Program):
             virgin = touched[i] is not None and \
                 not sets_conflict({target}, touched[i])
             if not virgin:
-                after = (live.live_out[blk.id] if i == blk.end else
-                         live_before(live, program, blk.id, i + 1))
-                if sets_conflict({target}, after):
+                after = after or live_after(live, program, blk.id)
+                if sets_conflict({target}, after[i]):
                     continue
             removed.append(i)
     if not removed:
@@ -300,6 +300,7 @@ def fuse_load_store_6b(program: Program) -> Program:
     rewrites: dict[int, Instruction] = {}
 
     for blk in cfg.blocks:
+        after = None                 # live after each instruction, on demand
         for i in blk.indices():
             if i in consumed or i + 1 > blk.end:
                 continue
@@ -307,10 +308,14 @@ def fuse_load_store_6b(program: Program) -> Program:
             if lp is None:
                 continue
             a_reg, c_reg, base, off = lp
-            match = _find_store_pair(program, blk, live, i, a_reg, c_reg)
+            match = _find_store_pair(program, blk, i, a_reg, c_reg)
             if match is None:
                 continue
             j, d_base, p_off = match
+            # the fused form changes both scratch registers' contents
+            after = after or live_after(live, program, blk.id)
+            if sets_conflict({reg(a_reg), reg(c_reg)}, after[j + 1]):
+                continue
             consumed.update((i, i + 1, j, j + 1))
             rewrites[i] = Instruction(Kind.LOAD48, width=6, dst=a_reg,
                                       src=base, offset=off)
@@ -340,11 +345,11 @@ def _match_load_pair(program, blk, i):
     return a.dst, b.dst, a.src, a.offset
 
 
-def _find_store_pair(program, blk, live, load_idx, a_reg, c_reg):
+def _find_store_pair(program, blk, load_idx, a_reg, c_reg):
     """Scan forward for the adjacent stores of (a_reg, c_reg) with matching
     widths and contiguous offsets. Any intervening instruction touching
-    either scratch register, or liveness of a scratch past the stores,
-    rejects the idiom (the fused form changes their contents)."""
+    either scratch register rejects the idiom; the caller also rejects it
+    when a scratch is live past the stores."""
     a_w = program[load_idx].width
     c_w = program[load_idx + 1].width
     for j in range(load_idx + 2, blk.end):      # j+1 must stay inside the block
@@ -353,10 +358,6 @@ def _find_store_pair(program, blk, live, load_idx, a_reg, c_reg):
                 and s1.width == a_w and s2.width == c_w
                 and s1.dst == s2.dst and s1.dst not in (a_reg, c_reg)
                 and s2.offset == s1.offset + a_w):
-            after = (live.live_out[blk.id] if j + 1 == blk.end else
-                     live_before(live, program, blk.id, j + 2))
-            if sets_conflict({reg(a_reg), reg(c_reg)}, after):
-                return None
             return j, s1.dst, s1.offset
         if _touches_regs(program[j], {a_reg, c_reg}):
             return None

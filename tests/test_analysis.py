@@ -20,6 +20,7 @@ from xvliw.analysis import (
     control_equivalent,
     ddg_to_dot,
     find_basic_blocks,
+    live_after,
     live_before,
     liveness,
     n_checks,
@@ -295,6 +296,18 @@ class TestLiveness:
         info = liveness(cfg, prog)
         assert reg(3) in live_before(info, prog, 0, 1)
         assert reg(3) not in live_before(info, prog, 0, 2)
+
+    @pytest.mark.parametrize("name", names())
+    def test_live_after_is_live_before_the_next(self, name):
+        prog = parse_asm(CORPUS[name].source)
+        cfg = build_program_cfg(prog)
+        info = liveness(cfg, prog)
+        for blk in cfg.blocks:
+            after = live_after(info, prog, blk.id)
+            assert sorted(after) == list(blk.indices())
+            assert after[blk.end] == info.live_out[blk.id]
+            for i in range(blk.start, blk.end):
+                assert after[i] == live_before(info, prog, blk.id, i + 1)
 
 
 class TestDDG:
