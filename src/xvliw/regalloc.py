@@ -291,7 +291,7 @@ def _lay_out(schedules, cfg, lanes, maps):
             ins = replace(ins, target=start[cfg.block_of(ins.target)])
         return Slot(ins, s.src_block, s.src_index, s.moved)
 
-    vliw = VliwProgram(lane_count=lanes, rows=[[None] * lanes] * len(row_block),
+    vliw = VliwProgram(lane_count=lanes, rows=[[None] * lanes for _ in row_block],
                        row_block=row_block, maps=maps)
     preds: list[list[int]] = [[] for _ in row_block]
     slot_rows = (row for blk in cfg.blocks for row in schedules[blk.id].rows)
@@ -312,12 +312,10 @@ def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
                      cfg: ControlFlowGraph, ctx: RenameContext, maps=()):
     """Fix any residual same-row output conflict by renaming through
     ``ctx`` (which already holds the renames code motion applied), then
-    assemble the final program with globally consistent lanes.
-
-    A block gets one leading empty row, which no value forwards across,
-    when one of its rows has no valid lane assignment, or when a back
-    edge into its first row, which the pass cannot pin ahead of time,
-    is cross-lane. Every retry pads a block not padded before."""
+    assemble the final program with globally consistent lanes. A block
+    gets one leading empty row, which no value forwards across, only where
+    ``_lay_out`` finds it needs one; every retry pads a block not padded
+    before."""
     for blk in cfg.blocks:
         for row in schedules[blk.id].rows:
             for i, a in enumerate(row):
