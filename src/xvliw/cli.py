@@ -115,9 +115,12 @@ def cmd_run(args) -> int:
     if vliw is not None:
         violations = hazard_check(vliw)
         if violations:
-            print("hazard violations:")
-            for v in violations:
-                print(f"  {v}")
+            if args.report == "json":
+                print(json.dumps({"hazard_violations": violations}))
+            else:
+                print("hazard violations:")
+                for v in violations:
+                    print(f"  {v}")
             if is_dump:
                 return 2
 

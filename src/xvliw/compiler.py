@@ -93,11 +93,8 @@ def compile_program(program: Program,
         schedules, moved_log = code_motion(
             schedules, cfg, live, constraints, reduced, ddgs, renames)
 
-    vliw = assign_registers(schedules, live, constraints, reduced, cfg,
-                            renames, maps=reduced.maps)
-    # list scheduling fills each block's first row and code motion drops
-    # empty rows at a block's start: a block starting empty was padded
-    padding = sum(1 for bs in schedules.values() if bs.rows and not bs.rows[0])
+    vliw, padding = assign_registers(schedules, cfg, constraints.lanes,
+                                     reduced.maps)
 
     pulled = sum(1 for (idx, _frm, _to) in moved_log
                  if reduced[idx].kind.value == "branch")

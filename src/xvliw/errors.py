@@ -104,7 +104,3 @@ class RowConflict(VmTrap):
 
 class CompileError(XvliwError):
     pass
-
-
-class RegisterPressureExceeded(CompileError):
-    pass

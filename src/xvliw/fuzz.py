@@ -397,7 +397,9 @@ def fuzz(iterations: int, seed: int = 0, lanes: int = 4, passes=None,
          enable_code_motion: bool = True, minimize_failures: bool = True,
          progress=None) -> FuzzSummary:
     """Run the differential loop. Deterministic for a given seed: case i
-    always uses case_seed(seed, i)."""
+    always uses case_seed(seed, i). A bad lane count raises before any case
+    runs, not as a toolchain error in every case."""
+    LaneConstraints(lanes=lanes)
     t0 = time.monotonic()
     summary = FuzzSummary(iterations)
     for i in range(iterations):

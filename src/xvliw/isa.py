@@ -132,14 +132,6 @@ class Instruction:
     def is_map_ref(self) -> bool:
         return self.kind is Kind.LOAD_IMM64 and self.src == PSEUDO_MAP_FD
 
-    @property
-    def reads_memory(self) -> bool:
-        return self.kind in (Kind.LOAD, Kind.LOAD48)
-
-    @property
-    def writes_memory(self) -> bool:
-        return self.kind in (Kind.STORE, Kind.STORE48)
-
 
 @dataclass(frozen=True)
 class MapDef:
@@ -175,20 +167,12 @@ class Program:
     def __getitem__(self, i):
         return self.instructions[i]
 
-    def map_by_id(self, map_id):
-        for m in self.maps:
-            if m.id == map_id:
-                return m
-        return None
 
-
-def build_program(instructions, maps=(), annotate=True) -> Program:
+def build_program(instructions, maps=()) -> Program:
     """Validate instructions, run the provenance scan, wrap in a Program."""
     instrs = list(instructions)
     validate_instructions(instrs)
-    if annotate:
-        instrs = annotate_addr_spaces(instrs)
-    return Program(tuple(instrs), tuple(maps))
+    return Program(tuple(annotate_addr_spaces(instrs)), tuple(maps))
 
 
 def validate_instructions(instrs):
@@ -684,18 +668,6 @@ def sets_conflict(sa, sb) -> bool:
             if symbols_overlap(a, b):
                 return True
     return False
-
-
-def format_symbol(sym) -> str:
-    if sym[0] == "reg":
-        return f"r{sym[1]}"
-    if sym[0] == "stack":
-        if len(sym) == 3:
-            return f"stack[{sym[1] - STACK_SIZE}..{sym[2] - STACK_SIZE}]"
-        return "stack"
-    if sym[0] == "map":
-        return f"map:{sym[1]}"
-    return sym[0]
 
 
 def _mem_symbol(ins: Instruction):

@@ -42,18 +42,32 @@ from .isa import (
 )
 
 COMMUTATIVE = ("add", "mul", "and", "or", "xor")
-PASS_NAMES = ("boundary_checks", "zeroing", "three_operand", "load_store_6b",
-              "early_exit")
+MAX_ROUNDS = 10
+# Each pass as program -> program, in the order ``peephole`` runs them.
+# The lambdas look the pass functions up by module global at call time,
+# so a wrapper bound over one is reached.
+_PASSES = {
+    "boundary_checks": lambda p: remove_boundary_checks(p)[0],
+    "zeroing": lambda p: remove_zeroing(p)[0],
+    "three_operand": lambda p: fuse_three_operand(p),
+    "load_store_6b": lambda p: fuse_load_store_6b(p),
+    "early_exit": lambda p: fuse_early_exit(p),
+}
+PASS_NAMES = tuple(_PASSES)
 
 
-def _rebuild(program: Program, items: list[tuple[int, Instruction]]) -> Program:
-    """Rebuild a program from (old_anchor, instruction) pairs, remapping
-    branch targets. A deleted old index maps to the next surviving one."""
-    anchors = [a for a, _ in items]
+def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program:
+    """``program`` with ``rewrites`` applied: each index maps to its
+    replacement instruction, or to None for a deletion. Branch targets are
+    remapped; a deleted old index maps to the next surviving one."""
+    if not rewrites:
+        return program
+    items = [(i, rewrites.get(i, ins)) for i, ins in enumerate(program.instructions)]
+    items = [(i, ins) for i, ins in items if ins is not None]
+    anchors = [i for i, _ in items]
 
     def new_of(old: int) -> int:
-        idx = bisect_left(anchors, old)
-        return min(idx, len(items) - 1)
+        return min(bisect_left(anchors, old), len(items) - 1)
 
     out = []
     for _, ins in items:
@@ -63,13 +77,23 @@ def _rebuild(program: Program, items: list[tuple[int, Instruction]]) -> Program:
     return build_program(out, program.maps)
 
 
-def _blocks_by_index(program: Program):
-    blocks = find_basic_blocks(program)
-    owner = {}
-    for b in blocks:
-        for i in b.indices():
-            owner[i] = b
-    return blocks, owner
+def _fuse_pairs(program: Program, fuse) -> Program:
+    """Rewrite each adjacent pair (a, b) of one block, scanning forward,
+    to ``fuse(a, b)`` where that is an instruction and not None. Fused
+    pairs do not overlap."""
+    block_of = {i: b.id for b in find_basic_blocks(program) for i in b.indices()}
+    rewrites: dict[int, Instruction | None] = {}
+    i = 0
+    while i + 1 < len(program):
+        fused = None
+        if block_of.get(i) == block_of.get(i + 1):
+            fused = fuse(program[i], program[i + 1])
+        if fused is None:
+            i += 1
+        else:
+            rewrites[i], rewrites[i + 1] = fused, None
+            i += 2
+    return _apply(program, rewrites)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +151,7 @@ def remove_boundary_checks(program: Program):
             consumed.update(window)
             removed.append(window)
             i = branch_idx + 1
-    if not removed:
-        return program, []
-    items = [(i, ins) for i, ins in enumerate(program.instructions)
-             if i not in consumed]
-    return _rebuild(program, items), removed
+    return _apply(program, dict.fromkeys(consumed)), removed
 
 
 def _match_check(program, states, blk, i):
@@ -189,12 +209,7 @@ def remove_zeroing(program: Program):
                 if sets_conflict({target}, after[i]):
                     continue
             removed.append(i)
-    if not removed:
-        return program, []
-    dropped = set(removed)
-    items = [(i, ins) for i, ins in enumerate(program.instructions)
-             if i not in dropped]
-    return _rebuild(program, items), removed
+    return _apply(program, dict.fromkeys(removed)), removed
 
 
 def _zeroing_target(ins: Instruction):
@@ -248,30 +263,13 @@ def _touched_before(program: Program, cfg):
 def fuse_three_operand(program: Program) -> Program:
     """(mov d, s ; alu d, x) and commutative (mov d, imm ; alu d, x)
     rewrite to one three-operand instruction."""
-    _, owner = _blocks_by_index(program)
-    items: list[tuple[int, Instruction]] = []
-    i = 0
-    n = len(program)
-    while i < n:
-        a = program[i]
-        fused = None
-        if i + 1 < n and owner.get(i) is owner.get(i + 1):
-            b = program[i + 1]
-            if (b.kind is Kind.ALU_BINARY and b.width == 64
-                    and b.op in ALU3_OPS and b.dst is not None):
-                fused = _try_fuse_pair(a, b)
-        if fused is not None:
-            items.append((i, fused))
-            i += 2
-        else:
-            items.append((i, a))
-            i += 1
-    if len(items) == n:
-        return program
-    return _rebuild(program, items)
+    return _fuse_pairs(program, _three_operand_of)
 
 
-def _try_fuse_pair(a: Instruction, b: Instruction):
+def _three_operand_of(a: Instruction, b: Instruction):
+    if b.kind is not Kind.ALU_BINARY or b.width != 64 \
+            or b.op not in ALU3_OPS or b.dst is None:
+        return None
     if a.kind is Kind.MOV_REG and a.width == 64 and b.dst == a.dst:
         if b.src is None:
             return Instruction(Kind.ALU_THREE_OP, op=b.op, width=64,
@@ -296,13 +294,12 @@ def fuse_load_store_6b(program: Program) -> Program:
     load48 + store48, eliminating the second scratch register."""
     cfg = build_program_cfg(program)
     live = liveness(cfg, program)
-    consumed: set[int] = set()
-    rewrites: dict[int, Instruction] = {}
+    rewrites: dict[int, Instruction | None] = {}
 
     for blk in cfg.blocks:
         after = None                 # live after each instruction, on demand
         for i in blk.indices():
-            if i in consumed or i + 1 > blk.end:
+            if i in rewrites or i + 1 > blk.end:
                 continue
             lp = _match_load_pair(program, blk, i)
             if lp is None:
@@ -316,20 +313,12 @@ def fuse_load_store_6b(program: Program) -> Program:
             after = after or live_after(live, program, blk.id)
             if sets_conflict({reg(a_reg), reg(c_reg)}, after[j + 1]):
                 continue
-            consumed.update((i, i + 1, j, j + 1))
             rewrites[i] = Instruction(Kind.LOAD48, width=6, dst=a_reg,
                                       src=base, offset=off)
             rewrites[j] = Instruction(Kind.STORE48, width=6, dst=d_base,
                                       src=a_reg, offset=p_off)
-    if not rewrites:
-        return program
-    items = []
-    for i, ins in enumerate(program.instructions):
-        if i in rewrites:
-            items.append((i, rewrites[i]))
-        elif i not in consumed:
-            items.append((i, ins))
-    return _rebuild(program, items)
+            rewrites[i + 1] = rewrites[j + 1] = None
+    return _apply(program, rewrites)
 
 
 def _match_load_pair(program, blk, i):
@@ -380,24 +369,14 @@ def _touches_regs(ins, regs_set):
 
 def fuse_early_exit(program: Program) -> Program:
     """(mov r0, imm ; exit) pairs rewrite to a parametrized exit."""
-    _, owner = _blocks_by_index(program)
-    items: list[tuple[int, Instruction]] = []
-    i = 0
-    n = len(program)
-    while i < n:
-        a = program[i]
-        if (i + 1 < n and owner.get(i) is owner.get(i + 1)
-                and a.kind is Kind.MOV_IMM and a.dst == 0
-                and (a.width == 64 or a.imm >= 0)
-                and program[i + 1].kind is Kind.EXIT):
-            items.append((i, Instruction(Kind.EARLY_EXIT, imm=a.imm)))
-            i += 2
-        else:
-            items.append((i, a))
-            i += 1
-    if len(items) == n:
-        return program
-    return _rebuild(program, items)
+    return _fuse_pairs(program, _early_exit_of)
+
+
+def _early_exit_of(a: Instruction, b: Instruction):
+    if a.kind is Kind.MOV_IMM and a.dst == 0 and (a.width == 64 or a.imm >= 0) \
+            and b.kind is Kind.EXIT:
+        return Instruction(Kind.EARLY_EXIT, imm=a.imm)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -420,35 +399,19 @@ class PeepholeStats:
         return sum(self.as_dict().values())
 
 
-def peephole(program: Program, enabled: dict[str, bool] | None = None,
-             max_rounds: int = 10):
+def peephole(program: Program, enabled: dict[str, bool] | None = None):
     """Run all enabled passes to a fixed point. Returns (program, stats)."""
     on = {name: True for name in PASS_NAMES}
     if enabled:
         on.update(enabled)
     stats = PeepholeStats()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         before_round = len(program)
-        if on["boundary_checks"]:
-            n = len(program)
-            program, _removed = remove_boundary_checks(program)
-            stats.boundary_checks += n - len(program)
-        if on["zeroing"]:
-            n = len(program)
-            program, _removed = remove_zeroing(program)
-            stats.zeroing += n - len(program)
-        if on["three_operand"]:
-            n = len(program)
-            program = fuse_three_operand(program)
-            stats.three_operand += n - len(program)
-        if on["load_store_6b"]:
-            n = len(program)
-            program = fuse_load_store_6b(program)
-            stats.load_store_6b += n - len(program)
-        if on["early_exit"]:
-            n = len(program)
-            program = fuse_early_exit(program)
-            stats.early_exit += n - len(program)
+        for name in PASS_NAMES:
+            if on[name]:
+                n = len(program)
+                program = _PASSES[name](program)
+                setattr(stats, name, getattr(stats, name) + n - len(program))
         if len(program) == before_round:
             break
     return program, stats

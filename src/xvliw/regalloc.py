@@ -1,14 +1,16 @@
-"""Physical register assignment: fixed-register discipline, same-row
-output-conflict detection, renaming with propagation, and program-wide
-lane assignment.
+"""Register renaming with propagation, and program-wide lane assignment.
 
 Registers arrive physical (the source ISA's), and the fixed-semantic ones
 keep their roles: r0 exit code, r1-r5 helper arguments, r10 frame
-pointer. What remains is enforcing the third parallelizability condition
-per row: after code motion two instructions in one row may write the same
-register; one of them (the moved one) is renamed to a free register and
-the rename is propagated to every dependent use - within the block for
-temporaries, across blocks when the value is live beyond it.
+pointer. What remains is the third parallelizability condition per row:
+no two instructions of one row write the same register. The DDG's
+write-after-write edges keep a block's own writers of one register in
+different rows, so only code motion can break it. When code motion
+would put a mover in a row with such a writer, or with a reader of its
+output, it renames the mover to a free register through this module's
+``RenameContext``, and the rename is propagated to every dependent use -
+within the block for temporaries, across blocks when the value is live
+beyond it.
 
 Propagation follows CFG successors until a redefinition. Read-modify-
 write consumers become renamed definitions themselves and propagation
@@ -24,8 +26,8 @@ and no earlier rename or unrenamed code-motion move of the same
 compilation put its value in that register across an overlapping region.
 Liveness is computed once, on the program before any motion, so the third
 count is what keeps a rename off a value moved or renamed earlier. Every
-rename of one compilation, during code motion and after it, goes through
-a single ``RenameContext``, which also records every unrenamed move.
+rename of one compilation goes through a single ``RenameContext``, which
+also records every unrenamed move.
 
 Lanes are assigned last, in one pass over the whole program: blocks' rows
 are laid out in block order, and each slot is pinned to the lane of its
@@ -41,11 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .analysis import ControlFlowGraph, LivenessInfo, walk_blocks
-from .errors import CompileError, RegisterPressureExceeded
+from .errors import CompileError
 from .isa import (Instruction, Kind, Program, io_sets, reg,
                   sets_conflict, written_register)
-from .schedule import (BlockSchedule, LaneConstraints, Slot, VliwProgram,
-                       cross_lane_violations, row_successors)
+from .schedule import (BlockSchedule, Slot, VliwProgram, cross_lane_violations,
+                       row_successors)
 from .scheduler import lane_row
 
 RENAME_POOL = (6, 7, 8, 9, 5, 4, 3, 2)
@@ -307,39 +309,21 @@ def _lay_out(schedules, cfg, lanes, maps):
     return vliw, {row_block[to] for _, to, *_ in cross_lane_violations(vliw)}
 
 
-def assign_registers(schedules: dict[int, BlockSchedule], live: LivenessInfo,
-                     constraints: LaneConstraints, program: Program,
-                     cfg: ControlFlowGraph, ctx: RenameContext, maps=()):
-    """Fix any residual same-row output conflict by renaming through
-    ``ctx`` (which already holds the renames code motion applied), then
-    assemble the final program with globally consistent lanes. A block
-    gets one leading empty row, which no value forwards across, only where
-    ``_lay_out`` finds it needs one; every retry pads a block not padded
-    before."""
-    for blk in cfg.blocks:
-        for row in schedules[blk.id].rows:
-            for i, a in enumerate(row):
-                for b in row[i + 1:]:
-                    ra = written_register(a.instr)
-                    rb = written_register(b.instr)
-                    if ra is None or ra != rb:
-                        continue
-                    victim = b if b.moved else a
-                    if not victim.moved:
-                        raise CompileError(
-                            f"block {blk.id}: unexpected same-row output "
-                            f"conflict between unmoved instructions")
-                    if ctx.rename(program, cfg, live, schedules, victim,
-                                  blk.id) is None:
-                        raise RegisterPressureExceeded(
-                            f"no free register to rename r{ra} "
-                            f"in block {blk.id}")
+def assign_registers(schedules: dict[int, BlockSchedule],
+                     cfg: ControlFlowGraph, lanes: int, maps=()):
+    """Assemble the final program with globally consistent lanes. Returns
+    (program, padding rows). A block gets one leading empty row, which no
+    value forwards across, only where ``_lay_out`` finds it needs one;
+    every retry pads a block not padded before.
 
+    Registers need no work here: code motion renames every mover that
+    would share a row with another writer of its register, and the DDG
+    keeps a block's own writers of one register in different rows."""
     padded: set[int] = set()
     while True:
-        vliw, pad = _lay_out(schedules, cfg, constraints.lanes, maps)
+        vliw, pad = _lay_out(schedules, cfg, lanes, maps)
         if not pad:
-            return vliw
+            return vliw, len(padded)
         if pad <= padded:
             raise CompileError(f"blocks {sorted(pad)}: no valid lane "
                                f"assignment")

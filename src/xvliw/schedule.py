@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
-from .errors import AsmSyntaxError
+from .errors import AsmSyntaxError, CompileError
 from .isa import Instruction, Kind, io_sets, sets_conflict
 
 
@@ -36,7 +36,7 @@ class LaneConstraints:
 
     def __post_init__(self):
         if not 1 <= self.lanes <= 8:
-            raise ValueError("lane count must be in [1, 8]")
+            raise CompileError(f"lane count {self.lanes} is not in [1, 8]")
 
 
 @dataclass
@@ -105,7 +105,11 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
             continue
         if line.startswith("#"):
             if "lanes=" in line and lanes is None:
-                lanes = int(line.split("lanes=")[1].split()[0])
+                try:
+                    lanes = int(line.split("lanes=")[1].split()[0])
+                except (ValueError, IndexError):
+                    raise AsmSyntaxError(
+                        line_no, f"bad lane count in {line!r}") from None
             continue
         body, _, comment = line.partition("#")
         cells = [c.strip() for c in body.split("|")]

@@ -47,7 +47,6 @@ class RunReport:
     instructions_executed: int
     cycles: int
     dynamic_ipc: float
-    hazard_violations: list = field(default_factory=list)
     trace_lines: list = field(default_factory=list)
 
     def as_dict(self):
@@ -57,7 +56,6 @@ class RunReport:
             "instructions_executed": self.instructions_executed,
             "cycles": self.cycles,
             "dynamic_ipc": round(self.dynamic_ipc, 4),
-            "hazard_violations": list(self.hazard_violations),
         }
 
 
@@ -99,8 +97,7 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
 
 
 def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
-              limits: Limits | None = None, cycle_model: CycleModel | None = None,
-              hazards: list | None = None):
+              limits: Limits | None = None, cycle_model: CycleModel | None = None):
     """Execute a program. Returns (RunReport, MachineState)."""
     limits = limits or Limits()
     model = cycle_model or CycleModel()
@@ -182,9 +179,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
         cycles = rows_executed + model.pipeline_depth - 1
         report = RunReport(final_result(trapped=True, trap=str(exc)),
                            rows_executed, instructions, cycles,
-                           instructions / rows_executed,
-                           hazards if hazards is not None else [],
-                           trace)
+                           instructions / rows_executed, trace)
         return report, state
 
     cycles = rows_executed
@@ -192,7 +187,6 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
         cycles += model.pipeline_depth - 1
     report = RunReport(final_result(), rows_executed, instructions, cycles,
                        instructions / rows_executed if rows_executed else 0.0,
-                       hazards if hazards is not None else [],
                        trace)
     return report, state
 

@@ -30,6 +30,7 @@ from .errors import (
     BadHelperArgs,
     InstructionLimitExceeded,
     MemoryTrap,
+    ProgramError,
     UnknownHelper,
     VmTrap,
 )
@@ -207,9 +208,15 @@ class MapStore:
         return self.maps.get(handle - MAPFD_BASE)
 
     def init_entry(self, map_id: int, key: bytes, value: bytes):
-        m = self.maps[map_id]
+        m = self.maps.get(map_id)
+        if m is None:
+            raise ProgramError(f"init entry for map {map_id}, which no map "
+                               f"defines")
         if len(key) != m.mdef.key_size or len(value) != m.mdef.value_size:
-            raise ValueError(f"map {map_id}: bad init entry sizes")
+            raise ProgramError(
+                f"map {map_id}: init entry has a {len(key)}-byte key and a "
+                f"{len(value)}-byte value, the map takes {m.mdef.key_size} "
+                f"and {m.mdef.value_size}")
         m.update(key, value, 0)
 
     def snapshot(self) -> dict[int, dict[bytes, bytes]]:

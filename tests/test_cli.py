@@ -159,3 +159,46 @@ def test_trace_output(capsys, tmp_path):
                         str(pkts), "--engine", "vliw", "--trace")
     assert rc == 0
     assert "cycle " in out and "row " in out
+
+
+@pytest.mark.parametrize("argv", [("compile", "corpus:drop_all", "--lanes", "9"),
+                                  ("run", "corpus:drop_all", "--lanes", "0"),
+                                  ("fuzz", "--iterations", "2", "--lanes", "9")])
+def test_lane_count_out_of_range_fails(capsys, argv):
+    rc, _, err = invoke(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("error: lane count")
+
+
+def test_run_dump_with_bad_lane_header_fails(capsys, tmp_path):
+    dump = tmp_path / "bad.vliw"
+    dump.write_text("# xvliw schedule lanes=abc\nexit | ---\n")
+    rc, _, err = invoke(capsys, "run", str(dump), "--engine", "vliw")
+    assert rc == 1
+    assert err.startswith("error: line 1: bad lane count")
+
+
+@pytest.mark.parametrize("config, message", [
+    ("map 0 hash 4 8 16\ninit 0 0102 03040506\n", "2-byte key"),
+    ("init 7 01020304 0102030405060708\n", "no map defines"),
+])
+def test_run_bad_map_init_fails(capsys, tmp_path, config, message):
+    maps = tmp_path / "maps.cfg"
+    maps.write_text(config)
+    rc, _, err = invoke(capsys, "run", "corpus:drop_all", "--maps", str(maps))
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_run_json_report_stays_json(capsys, tmp_path):
+    dump = tmp_path / "bad.vliw"
+    dump.write_text("# xvliw schedule lanes=4\n"
+                    "r2 = 1 | --- | --- | ---\n"
+                    "--- | r3 = r2 | --- | ---\n"
+                    "exit | --- | --- | ---\n")
+    rc, out, _ = invoke(capsys, "run", str(dump), "--engine", "vliw",
+                        "--report", "json")
+    assert rc == 2
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 1
+    assert any("cross-lane" in v for v in lines[0]["hazard_violations"])

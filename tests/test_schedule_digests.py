@@ -7,6 +7,13 @@ alone. A change that moves schedules on purpose regenerates the file with
     PYTHONPATH=src python tests/test_schedule_digests.py --write
 
 and says in its description which entries moved and why.
+
+    PYTHONPATH=src python tests/test_schedule_digests.py --wide
+
+prints ``name sha256`` lines over a wider set (the corpus at lanes 1-8,
+fuzz cases 0-299 at lanes 1, 2, 3, 4 and 8, and straight-line blocks of
+seeds 4242 and 901 at those lanes). ``diff`` of its output from two
+commits proves a byte-identical claim beyond the golden entries.
 """
 
 import hashlib
@@ -27,6 +34,9 @@ FUZZ_CASES = 100
 FUZZ_LANES = (2, 4)
 BLOCK_SEED = 4242
 BLOCK_SIZES = (200, 400)
+WIDE_FUZZ_CASES = 300
+WIDE_LANES = (1, 2, 3, 4, 8)
+WIDE_BLOCK_SEEDS = (BLOCK_SEED, 901)
 
 
 def _digest(source: str, lanes: int) -> str:
@@ -34,20 +44,31 @@ def _digest(source: str, lanes: int) -> str:
     return hashlib.sha256(vliw.dump().encode()).hexdigest()
 
 
-def schedule_digests() -> dict[str, str]:
+def _digests(fuzz_cases: int, fuzz_lanes, block_seeds,
+             block_lanes) -> dict[str, str]:
     out = {}
     for name in names():
         for lanes in range(1, 9):
             out[f"corpus/{name}/lanes{lanes}"] = _digest(CORPUS[name].source, lanes)
-    for i in range(FUZZ_CASES):
+    for i in range(fuzz_cases):
         text = generate_case(case_seed(FUZZ_RUN_SEED, i)).program_text
-        for lanes in FUZZ_LANES:
+        for lanes in fuzz_lanes:
             out[f"fuzz/{FUZZ_RUN_SEED}/{i}/lanes{lanes}"] = _digest(text, lanes)
-    rng = random.Random(BLOCK_SEED)
-    for size in BLOCK_SIZES:
-        out[f"block/{BLOCK_SEED}/{size}/lanes4"] = _digest(
-            straight_line_source(rng, size), 4)
+    for seed in block_seeds:
+        rng = random.Random(seed)
+        for size in BLOCK_SIZES:
+            text = straight_line_source(rng, size)
+            for lanes in block_lanes:
+                out[f"block/{seed}/{size}/lanes{lanes}"] = _digest(text, lanes)
     return out
+
+
+def schedule_digests() -> dict[str, str]:
+    return _digests(FUZZ_CASES, FUZZ_LANES, (BLOCK_SEED,), (4,))
+
+
+def wide_digests() -> dict[str, str]:
+    return _digests(WIDE_FUZZ_CASES, WIDE_LANES, WIDE_BLOCK_SEEDS, WIDE_LANES)
 
 
 def _read_golden() -> dict[str, str]:
@@ -63,8 +84,14 @@ def test_schedule_digests_match_golden():
     assert not moved, f"{len(moved)} schedules changed: {moved[:10]}"
 
 
+def _listing(digests: dict[str, str]) -> str:
+    return "".join(f"{name} {sha}\n" for name, sha in digests.items())
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_schedule_digests.py --write")
-    GOLDEN.write_text("".join(f"{name} {sha}\n"
-                              for name, sha in schedule_digests().items()))
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(_listing(schedule_digests()))
+    elif sys.argv[1:] == ["--wide"]:
+        print(_listing(wide_digests()), end="")
+    else:
+        sys.exit("usage: test_schedule_digests.py --write | --wide")

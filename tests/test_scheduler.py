@@ -6,7 +6,8 @@ from conftest import brute_force_min_rows
 from xvliw.analysis import build_ddg, build_program_cfg, liveness
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
-from xvliw.isa import Kind
+from xvliw.fuzz import case_seed, generate_case
+from xvliw.isa import Kind, written_register
 from xvliw.regalloc import RenameContext
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import assign_lanes, code_motion, list_schedule
@@ -347,6 +348,30 @@ class TestCodeMotion:
         o, _ = exec_sequential(prog, PacketContext(bytes(64)), MapStore())
         assert o.code == expected
         assert (r.result.action, r.result.code) == (o.action, o.code)
+
+    @pytest.mark.parametrize("lanes", range(1, 9))
+    def test_no_row_holds_two_writers_of_a_register(self, lanes, monkeypatch):
+        """Code motion renames every mover that would share a row with a
+        writer of its register, so the rows it hands on need no rename."""
+        import xvliw.compiler as compiler
+        real = compiler.assign_registers
+        clashes = []
+
+        def checked(schedules, cfg, lanes, maps=()):
+            for bs in schedules.values():
+                for row in bs.rows:
+                    written = [written_register(s.instr) for s in row]
+                    written = [r for r in written if r is not None]
+                    if len(written) != len(set(written)):
+                        clashes.append((text, [s.instr for s in row]))
+            return real(schedules, cfg, lanes, maps)
+
+        monkeypatch.setattr(compiler, "assign_registers", checked)
+        sources = [generate_case(case_seed(20260810, i)).program_text
+                   for i in range(300)]
+        for text in sources + [src for src, _ in self.LOOPS.values()]:
+            compile_program(parse_asm(text), LaneConstraints(lanes=lanes))
+        assert not clashes, clashes[:3]
 
 
 class TestMicroOptimality:
