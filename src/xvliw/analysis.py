@@ -12,6 +12,7 @@ post-dominator sets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .asm import format_instruction
@@ -213,17 +214,28 @@ class LivenessInfo:
     live_out: dict[int, frozenset]
 
 
-def liveness(cfg: ControlFlowGraph, program: Program) -> LivenessInfo:
-    """Backward dataflow to the least fixed point. Memory-region symbols
-    participate like registers; only register writes and exact stack
-    ranges kill (anything else is an over-approximation kept live)."""
+def block_code(cfg: ControlFlowGraph, program: Program) -> dict[int, list]:
+    """Each block's instructions in program order, as ``liveness`` takes
+    them."""
+    return {blk.id: [program[i] for i in blk.indices()] for blk in cfg.blocks}
+
+
+def liveness(cfg: ControlFlowGraph,
+             code: dict[int, Sequence[Instruction]]) -> LivenessInfo:
+    """Backward dataflow to the least fixed point over ``code``, each
+    block's instructions in execution order: a program's (``block_code``)
+    or a schedule's rows flattened in order. Instructions sharing a row
+    pass the pairwise Bernstein test, so their order within the row does
+    not matter. Memory-region symbols participate like registers; only
+    register writes and exact stack ranges kill (anything else is an
+    over-approximation kept live)."""
     use: dict[int, set] = {}
     defs: dict[int, set] = {}
     for blk in cfg.blocks:
         u: set = set()
         d: set = set()
-        for i in blk.indices():
-            io = io_sets(program[i])
+        for ins in code[blk.id]:
+            io = io_sets(ins)
             u |= {s for s in io.inputs if not any(_covers(x, s) for x in d)}
             d |= io.outputs
         use[blk.id] = u

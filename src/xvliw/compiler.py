@@ -1,18 +1,20 @@
 """The five-step compilation pipeline.
 
 peephole reduction -> per-block data-dependence graphs -> list scheduling
--> upward code motion -> physical register assignment, producing the
-final multi-lane program plus a per-pass report.
+-> upward code motion -> program-wide lane assignment, producing the
+final multi-lane program plus a per-pass report. Registers stay as the
+source wrote them: code motion never renames, and judges a speculative
+move by the liveness of the schedules as it has transformed them so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import build_ddg, build_program_cfg, liveness, reachable_instructions
+from .analysis import build_ddg, build_program_cfg, reachable_instructions
 from .isa import Program
 from .peephole import PASS_NAMES, peephole
-from .regalloc import RenameContext, assign_registers
+from .regalloc import assign_registers
 from .schedule import LaneConstraints
 from .scheduler import code_motion, list_schedule
 
@@ -26,6 +28,8 @@ class CompileReport:
     pass_deltas: dict[str, int] = field(default_factory=dict)
     moved_instructions: int = 0
     pulled_branches: int = 0
+    # always empty: nothing is renamed, but external readers of the
+    # report (the benchmark's compile hook) still count this list
     renames: list = field(default_factory=list)
     padding_rows: int = 0           # leading empty rows lane assignment added
     unreachable_dropped: list = field(default_factory=list)
@@ -58,8 +62,7 @@ class CompileReport:
                      f"early-exit, {self.pass_deltas.get('load_store_6b', 0) // 2} "
                      f"6-byte pairs")
         lines.append(f"code motion: {self.moved_instructions} moved "
-                     f"({self.pulled_branches} parallel branches), "
-                     f"{len(self.renames)} renames")
+                     f"({self.pulled_branches} parallel branches)")
         lines.append(f"rows: {self.vliw_rows} at {self.lanes} lanes "
                      f"({self.padding_rows} padding), "
                      f"static IPC {self.static_ipc:.2f}")
@@ -82,16 +85,14 @@ def compile_program(program: Program,
     reduced, stats = peephole(program, passes)
 
     cfg = build_program_cfg(reduced)
-    live = liveness(cfg, reduced)
     ddgs = {blk.id: build_ddg(blk, reduced) for blk in cfg.blocks}
     schedules = {blk.id: list_schedule(blk, ddgs[blk.id], constraints, reduced)
                  for blk in cfg.blocks}
 
-    renames = RenameContext()
     moved_log: list = []
     if enable_code_motion:
-        schedules, moved_log = code_motion(
-            schedules, cfg, live, constraints, reduced, ddgs, renames)
+        schedules, moved_log = code_motion(schedules, cfg, constraints,
+                                           reduced, ddgs)
 
     vliw, padding = assign_registers(schedules, cfg, constraints.lanes,
                                      reduced.maps)
@@ -106,7 +107,6 @@ def compile_program(program: Program,
         pass_deltas=stats.as_dict(),
         moved_instructions=len(moved_log),
         pulled_branches=pulled,
-        renames=renames.log,
         padding_rows=padding,
         unreachable_dropped=unreachable,
         lanes=constraints.lanes,

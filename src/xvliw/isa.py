@@ -71,7 +71,6 @@ OP_LOAD48 = 0x56
 OP_STORE48 = 0x5e
 OP_EARLY_EXIT = 0x9d
 OP_LDDW = 0x18
-EXTENDED_OPCODES = (OP_ALU3_REG, OP_ALU3_IMM, OP_LOAD48, OP_STORE48, OP_EARLY_EXIT)
 
 PSEUDO_MAP_FD = 1       # lddw src nibble marking a map reference
 

@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .analysis import (
+    block_code,
     build_program_cfg,
     find_basic_blocks,
     live_after,
@@ -121,7 +122,7 @@ def remove_boundary_checks(program: Program):
     """
     cfg = build_program_cfg(program)
     states = provenance_states(program.instructions)
-    live = liveness(cfg, program)
+    live = liveness(cfg, block_code(cfg, program))
     block_of = {i: b for b in cfg.blocks for i in b.indices()}
 
     removed: list[tuple[int, ...]] = []
@@ -191,7 +192,7 @@ def remove_zeroing(program: Program):
     zero-initialised state (never read or written before on any path) or
     dead stores (target not live afterwards). Returns (program, removed)."""
     cfg = build_program_cfg(program)
-    live = liveness(cfg, program)
+    live = liveness(cfg, block_code(cfg, program))
     touched = _touched_before(program, cfg)
 
     removed = []
@@ -293,7 +294,7 @@ def fuse_load_store_6b(program: Program) -> Program:
     (4B+2B or 2B+4B) plus the matching adjacent store pair rewrite to
     load48 + store48, eliminating the second scratch register."""
     cfg = build_program_cfg(program)
-    live = liveness(cfg, program)
+    live = liveness(cfg, block_code(cfg, program))
     rewrites: dict[int, Instruction | None] = {}
 
     for blk in cfg.blocks:

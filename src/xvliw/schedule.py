@@ -110,12 +110,14 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
                 except (ValueError, IndexError):
                     raise AsmSyntaxError(
                         line_no, f"bad lane count in {line!r}") from None
+                _check_lane_count(lanes, line_no)
             continue
         body, _, comment = line.partition("#")
         cells = [c.strip() for c in body.split("|")]
         prov = comment.split() if comment else []
         if lanes is None:
             lanes = len(cells)
+            _check_lane_count(lanes, line_no)
         if len(cells) != lanes:
             raise AsmSyntaxError(line_no, f"expected {lanes} lanes, got {len(cells)}")
         row: list[Slot | None] = []
@@ -145,6 +147,14 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
                     raise AsmSyntaxError(r + 1, "branch row target out of range")
     return VliwProgram(lane_count=lanes, rows=rows,
                        row_block=[-1] * len(rows), maps=tuple(maps))
+
+
+def _check_lane_count(lanes: int, line_no: int):
+    """A dump's lane count must be one ``LaneConstraints`` accepts."""
+    try:
+        LaneConstraints(lanes)
+    except CompileError as exc:
+        raise AsmSyntaxError(line_no, str(exc)) from None
 
 
 def row_successors(vliw: VliwProgram, r: int) -> list[int]:

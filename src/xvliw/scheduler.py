@@ -20,6 +20,15 @@ join two instructions of one row, because an instruction is ready only
 once all its predecessors sit in earlier rows; that alone keeps helper
 calls one per row, since every call writes r0. When nothing fits, a new
 row is opened.
+
+Upward code motion then fills empty slots from later blocks. A mover keeps
+its registers: it goes into the earliest row of its new block that
+follows every slot it fails the pairwise Bernstein test against, so no
+row ever holds two writers of one register and nothing is renamed. A
+speculative mover (one from a block that does not always run when its new
+block does) must write nothing that is live into a block where control
+leaves the path to its source, judged by the liveness of the schedules as
+code motion has transformed them so far.
 """
 
 from __future__ import annotations
@@ -30,13 +39,13 @@ from itertools import permutations
 from .analysis import (
     ControlFlowGraph,
     DataDependenceGraph,
-    LivenessInfo,
+    bernstein_ok,
     candidate_blocks,
     control_equivalent,
+    liveness,
     walk_blocks,
 )
-from .isa import (Instruction, Kind, Program, io_sets, sets_conflict,
-                  written_register)
+from .isa import Instruction, Kind, Program, io_sets, sets_conflict
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -210,8 +219,7 @@ def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int]:
     path b -> s, both endpoints excluded. The forward walk does not go on
     past s. When b and s share a loop, a block reached only that way (s ->
     ... -> b) runs before the instruction both before and after the move,
-    so it is not crossed. ``regalloc._path_blocks`` walks on past its end
-    block instead: a renamed value lives on round such a loop."""
+    so it is not crossed."""
     return (walk_blocks(cfg, b, stop={s}) & walk_blocks(cfg, s, forward=False)) \
         - {b, s}
 
@@ -219,16 +227,14 @@ def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int]:
 class CodeMotion:
     """Moves ready instructions from candidate blocks into empty slots."""
 
-    def __init__(self, schedules, cfg, live, constraints, program, ddgs,
-                 renames):
+    def __init__(self, schedules, cfg, constraints, program, ddgs):
         self.schedules: dict[int, BlockSchedule] = schedules
         self.cfg = cfg
-        self.live = live
         self.constraints = constraints
         self.program = program
         self.ddgs = ddgs
         self.moved_log: list[tuple[int, int, int]] = []   # (src_index, from, to)
-        self.renames = renames                # the compilation's RenameContext
+        self._live_in = None       # of the current schedules; None when stale
 
     def run(self):
         for blk in self.cfg.blocks:
@@ -278,11 +284,8 @@ class CodeMotion:
                     if not self._interference_free(slot, b, cand, between,
                                                    is_ctrl_eq):
                         continue
-                    placement = self._find_slot(bs, slot)
-                    if placement is None:
-                        continue
-                    r, needs_rename = placement
-                    if needs_rename and not self._rename_now(slot, b):
+                    r = self._find_slot(bs, slot)
+                    if r is None:
                         continue
                     bs.rows[r].append(slot)
                     if assign_lanes(bs.rows, self.constraints.lanes) is None:
@@ -290,9 +293,7 @@ class CodeMotion:
                         continue
                     row.remove(slot)
                     slot.moved = True
-                    if not needs_rename:
-                        self.renames.hold(written_register(slot.instr),
-                                          frozenset(between | {b, cand}))
+                    self._live_in = None
                     moved_nodes.add(node)
                     self.moved_log.append((node, cand, b))
                     progressed = True
@@ -331,14 +332,26 @@ class CodeMotion:
         # instructions still in the source block ahead of the mover are its
         # DDG predecessors (already required to have moved); nothing to check.
         if not is_ctrl_eq:
+            # a speculative mover's output must be dead on every path that
+            # leaves the region without reaching the source, in the program
+            # as transformed so far (Bernstein & Rodeh, PLDI 1991)
+            live_in = self._current_live_in()
             region = set(between) | {b}
             inside = region | {cand}
             for e in region:
                 for t in self.cfg.blocks[e].successors:
-                    if t not in inside and sets_conflict(
-                            io.outputs, self.live.live_in[t]):
+                    if t not in inside and sets_conflict(io.outputs, live_in[t]):
                         return False
         return True
+
+    def _current_live_in(self):
+        """Live-in sets of the current schedules, each block's rows
+        flattened in order, recomputed after a move or branch pull."""
+        if self._live_in is None:
+            code = {bid: [s.instr for row in bs.rows for s in row]
+                    for bid, bs in self.schedules.items()}
+            self._live_in = liveness(self.cfg, code).live_in
+        return self._live_in
 
     def _current_block_io(self, bid):
         ins_syms: set = set()
@@ -351,57 +364,23 @@ class CodeMotion:
         return ins_syms, out_syms
 
     def _find_slot(self, bs: BlockSchedule, slot: Slot):
-        """Earliest row of b with capacity where dependences, forwarding
-        feasibility and the row invariants hold.
-
-        A mover whose output register gets renamed is only ordered by its
-        data sources (writers of its inputs); read-after and write-after
-        conflicts against b concern the old register and disappear with
-        the rename. Placements at or past ``plain`` need no rename."""
-        io = _slot_io(slot)
+        """Earliest row of b with capacity and feasible forwarding that
+        follows every slot of b the mover conflicts with, no later than
+        b's control instruction; None if there is none."""
         lanes = self.constraints.lanes
-        raw_only = 0
-        plain = 0
+        earliest = 0
         last_control = None
         for r, row in enumerate(bs.rows):
             for other in row:
-                oio = _slot_io(other)
-                if sets_conflict(oio.outputs, io.inputs):
-                    raw_only = max(raw_only, r + 1)
-                    plain = max(plain, r + 1)
-                if sets_conflict(oio.inputs, io.outputs) or \
-                   sets_conflict(oio.outputs, io.outputs):
-                    plain = max(plain, r + 1)
+                if not bernstein_ok(other.instr, slot.instr):
+                    earliest = r + 1
                 if other.instr.is_control:
                     last_control = r
         limit = last_control if last_control is not None else len(bs.rows) - 1
-        renameable = written_register(slot.instr) is not None
-        for r in range(raw_only, limit + 1):
-            needs_rename = r < plain
-            if needs_rename and not renameable:
-                continue
+        for r in range(earliest, limit + 1):
             row = bs.rows[r]
-            if len(row) >= lanes:
-                continue
-            bad = False
-            for other in row:
-                oio = _slot_io(other)
-                if sets_conflict(oio.outputs, io.inputs) or \
-                        sets_conflict(io.inputs, oio.outputs):
-                    bad = True
-                    break
-                if not needs_rename and (
-                        sets_conflict(oio.inputs, io.outputs) or
-                        sets_conflict(oio.outputs, io.outputs)):
-                    needs_rename = True
-                    if not renameable:
-                        bad = True
-                        break
-            if bad:
-                continue
-            if not self._forwarding_feasible(bs, r, row, slot):
-                continue
-            return r, needs_rename
+            if len(row) < lanes and self._forwarding_feasible(bs, r, row, slot):
+                return r
         return None
 
     def _forwarding_feasible(self, bs, r, row, slot):
@@ -415,13 +394,6 @@ class CodeMotion:
                 if p in _raw_sources(other, prev):
                     return False
         return True
-
-    def _rename_now(self, slot, b) -> bool:
-        """Rename the mover's output so it can share rows with conflicting
-        writers. Applied immediately: a valid rename is semantically a
-        no-op, so a later placement failure leaves a correct program."""
-        return self.renames.rename(self.program, self.cfg, self.live,
-                                   self.schedules, slot, b) is not None
 
     # -- parallel branching -------------------------------------------------
 
@@ -474,15 +446,15 @@ class CodeMotion:
                 return
             fslot.moved = True
             self.schedules[fb].rows = []
+            self._live_in = None
             self.moved_log.append((fslot.src_index, fb, b))
 
 
-def code_motion(schedules, cfg, live: LivenessInfo, constraints: LaneConstraints,
-                program: Program, ddgs, renames):
+def code_motion(schedules, cfg, constraints: LaneConstraints,
+                program: Program, ddgs):
     """Move ready instructions upward from candidate blocks; pull trailing
-    single-branch blocks up for parallel branching. Renames go through
-    ``renames``, the compilation's RenameContext. Returns (schedules,
+    single-branch blocks up for parallel branching. Returns (schedules,
     moved_log)."""
-    cm = CodeMotion(schedules, cfg, live, constraints, program, ddgs, renames)
+    cm = CodeMotion(schedules, cfg, constraints, program, ddgs)
     cm.run()
     return schedules, cm.moved_log

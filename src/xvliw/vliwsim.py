@@ -35,9 +35,7 @@ from .vm import (
 )
 
 
-@dataclass(frozen=True)
-class CycleModel:
-    pipeline_depth: int = 4          # fetch, decode, execute, commit
+PIPELINE_DEPTH = 4                   # fetch, decode, execute, commit
 
 
 @dataclass
@@ -97,10 +95,9 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
 
 
 def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
-              limits: Limits | None = None, cycle_model: CycleModel | None = None):
+              limits: Limits | None = None):
     """Execute a program. Returns (RunReport, MachineState)."""
     limits = limits or Limits()
-    model = cycle_model or CycleModel()
     state = MachineState(packet=packet, maps=maps)
     rows_executed = 0
     instructions = 0
@@ -166,7 +163,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
                     if term.kind is Kind.EARLY_EXIT:
                         savings = True
                     else:
-                        window = recent_writes[-model.pipeline_depth:]
+                        window = recent_writes[-PIPELINE_DEPTH:]
                         savings = not any(0 in w for w in window)
                 else:
                     taken_lane = lane
@@ -176,7 +173,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
             rp = next_rp
     except VmTrap as exc:
         rows_executed = max(rows_executed, 1)
-        cycles = rows_executed + model.pipeline_depth - 1
+        cycles = rows_executed + PIPELINE_DEPTH - 1
         report = RunReport(final_result(trapped=True, trap=str(exc)),
                            rows_executed, instructions, cycles,
                            instructions / rows_executed, trace)
@@ -184,7 +181,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
 
     cycles = rows_executed
     if not savings:
-        cycles += model.pipeline_depth - 1
+        cycles += PIPELINE_DEPTH - 1
     report = RunReport(final_result(), rows_executed, instructions, cycles,
                        instructions / rows_executed if rows_executed else 0.0,
                        trace)

@@ -87,6 +87,8 @@ class PacketContext:
     ingress_port: int = 0
 
     def __post_init__(self):
+        if self.head_room < 0:
+            raise ProgramError(f"head room {self.head_room} is negative")
         self.buf = bytearray(self.head_room) + bytearray(self.data)
         self.start = self.head_room
         self.end = len(self.buf)
@@ -404,7 +406,6 @@ class Effects:
     reg_writes: dict[int, int] = field(default_factory=dict)
     mem_writes: list[tuple[int, bytes]] = field(default_factory=list)
     control: tuple | None = None
-    is_helper: bool = False
 
 
 def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Effects:
@@ -460,7 +461,6 @@ def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Eff
         e.reg_writes[0] = sx32(ins.imm)
         e.control = ("exit",)
     elif k is Kind.CALL:
-        e.is_helper = True
         helper_call(ins.imm, state, pc=pc, effects=e)
     else:
         raise AssertionError(f"unhandled kind {k}")

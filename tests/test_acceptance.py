@@ -19,7 +19,7 @@ from xvliw.fuzz import case_seed, fuzz, generate_case, run_case
 from xvliw.isa import Instruction, Kind, expand_extended
 from xvliw.peephole import remove_boundary_checks
 from xvliw.schedule import LaneConstraints
-from xvliw.vliwsim import CycleModel, exec_vliw, hazard_check, measure_ipc
+from xvliw.vliwsim import exec_vliw, hazard_check, measure_ipc
 from xvliw.vm import MapStore, PacketContext, apply_effects, eval_instruction
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import straight_line_source
 from xvliw.analysis import (
     bernstein_ok,
+    block_code,
     build_cfg,
     build_ddg,
     build_program_cfg,
@@ -251,14 +252,14 @@ class TestLiveness:
     def test_dead_after_exit(self):
         prog = parse_asm("r4 = 7\nexit\n")
         cfg = build_program_cfg(prog)
-        info = liveness(cfg, prog)
+        info = liveness(cfg, block_code(cfg, prog))
         assert reg(4) not in info.live_out[0]
 
     def test_diamond_flow(self):
         # B defines r3 used only in D
         prog = parse_asm(DIAMOND)
         cfg = build_program_cfg(prog)
-        info = liveness(cfg, prog)
+        info = liveness(cfg, block_code(cfg, prog))
         assert reg(3) in info.live_out[1]
         assert reg(3) in info.live_in[3]
         assert reg(3) not in info.live_in[0]
@@ -274,7 +275,7 @@ class TestLiveness:
           exit
         """)
         cfg = build_program_cfg(prog)
-        info = liveness(cfg, prog)
+        info = liveness(cfg, block_code(cfg, prog))
         body = cfg.block_of(1)
         assert reg(6) in info.live_in[body]
         assert reg(6) in info.live_out[body]
@@ -283,7 +284,7 @@ class TestLiveness:
         # one more backward iteration changes nothing
         prog = parse_asm(DIAMOND)
         cfg = build_program_cfg(prog)
-        info = liveness(cfg, prog)
+        info = liveness(cfg, block_code(cfg, prog))
         for blk in cfg.blocks:
             out = set()
             for s in blk.successors:
@@ -293,7 +294,7 @@ class TestLiveness:
     def test_live_before(self):
         prog = parse_asm("r3 = 1\nr4 = r3\nr0 = r4\nexit\n")
         cfg = build_program_cfg(prog)
-        info = liveness(cfg, prog)
+        info = liveness(cfg, block_code(cfg, prog))
         assert reg(3) in live_before(info, prog, 0, 1)
         assert reg(3) not in live_before(info, prog, 0, 2)
 
@@ -301,7 +302,7 @@ class TestLiveness:
     def test_live_after_is_live_before_the_next(self, name):
         prog = parse_asm(CORPUS[name].source)
         cfg = build_program_cfg(prog)
-        info = liveness(cfg, prog)
+        info = liveness(cfg, block_code(cfg, prog))
         for blk in cfg.blocks:
             after = live_after(info, prog, blk.id)
             assert sorted(after) == list(blk.indices())

@@ -161,6 +161,12 @@ def test_trace_output(capsys, tmp_path):
     assert "cycle " in out and "row " in out
 
 
+def test_run_negative_head_room_fails(capsys):
+    rc, _, err = invoke(capsys, "run", "corpus:drop_all", "--head-room", "-5")
+    assert rc == 1
+    assert err.startswith("error: head room -5 is negative")
+
+
 @pytest.mark.parametrize("argv", [("compile", "corpus:drop_all", "--lanes", "9"),
                                   ("run", "corpus:drop_all", "--lanes", "0"),
                                   ("fuzz", "--iterations", "2", "--lanes", "9")])
@@ -172,10 +178,15 @@ def test_lane_count_out_of_range_fails(capsys, argv):
 
 def test_run_dump_with_bad_lane_header_fails(capsys, tmp_path):
     dump = tmp_path / "bad.vliw"
-    dump.write_text("# xvliw schedule lanes=abc\nexit | ---\n")
-    rc, _, err = invoke(capsys, "run", str(dump), "--engine", "vliw")
-    assert rc == 1
-    assert err.startswith("error: line 1: bad lane count")
+    nine = " | ".join(["exit"] + ["---"] * 8)
+    for text, message in [
+            ("# xvliw schedule lanes=abc\nexit | ---\n", "bad lane count"),
+            (f"# xvliw schedule lanes=9\n{nine}\n", "lane count 9 is not in"),
+            (f"{nine}\n", "lane count 9 is not in")]:
+        dump.write_text(text)
+        rc, _, err = invoke(capsys, "run", str(dump), "--engine", "vliw")
+        assert rc == 1
+        assert err.startswith(f"error: line 1: {message}")
 
 
 @pytest.mark.parametrize("config, message", [

@@ -76,17 +76,20 @@ def test_sweep_two_lanes():
     assert summary.ok
 
 
-# Case seeds that once diverged at 4 lanes; every newly found divergence
-# joins this list so the fast suite replays it.
+# Case seeds that once diverged; every newly found divergence joins this
+# list so the fast suite replays it, at every lane count.
 KNOWN_DIVERGENT_SEEDS = (
     2882299465595,    # run seed 20260810: two renames picked the same register
+    17337180854795,   # run seed 20260810: both arms of a diamond hoisted a
+                      # write of r9 above the branch (lanes 2-8)
 )
 
 
+@pytest.mark.parametrize("lanes", range(1, 9))
 @pytest.mark.parametrize("seed", KNOWN_DIVERGENT_SEEDS)
-def test_known_divergent_seed_replays_equal(seed):
-    ok, detail = run_case(generate_case(seed), lanes=4)
-    assert ok, f"seed {seed}: {detail}"
+def test_known_divergent_seed_replays_equal(seed, lanes):
+    ok, detail = run_case(generate_case(seed), lanes=lanes)
+    assert ok, f"seed {seed} at {lanes} lanes: {detail}"
 
 
 def test_reduced_count_excludes_unreachable_instructions():

@@ -3,12 +3,11 @@
 import pytest
 
 from conftest import brute_force_min_rows
-from xvliw.analysis import build_ddg, build_program_cfg, liveness
+from xvliw.analysis import build_ddg, build_program_cfg
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
-from xvliw.fuzz import case_seed, generate_case
+from xvliw.fuzz import case_seed, compare_results, generate_case
 from xvliw.isa import Kind, written_register
-from xvliw.regalloc import RenameContext
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import assign_lanes, code_motion, list_schedule
 from xvliw.vliwsim import exec_vliw, hazard_check
@@ -150,12 +149,10 @@ class TestCodeMotion:
         prog = parse_asm(src)
         cfg = build_program_cfg(prog)
         cons = LaneConstraints(lanes=lanes)
-        live = liveness(cfg, prog)
         ddgs = {b.id: build_ddg(b, prog) for b in cfg.blocks}
         schedules = {b.id: list_schedule(b, ddgs[b.id], cons, prog)
                      for b in cfg.blocks}
-        moved = code_motion(schedules, cfg, live, cons, prog, ddgs,
-                            RenameContext())[1]
+        moved = code_motion(schedules, cfg, cons, prog, ddgs)[1]
         return prog, cfg, schedules, moved
 
     def test_no_candidates_unchanged(self):
@@ -197,6 +194,32 @@ class TestCodeMotion:
         assert then_block not in hoisted_from
         assert else_block not in hoisted_from
 
+    # Fuzz case 17337180854795 (run seed 20260810), minimized. Both arms
+    # of the diamond write r9. Once one arm's write is hoisted above the
+    # branch, r9 is live into that arm, so the other arm's write may not
+    # follow it; judged by pre-motion liveness it did, and the stored
+    # bytes came out wrong at lanes 2-8.
+    SPECULATIVE_CLOBBER = """
+      r6 = r1
+      r7 = 420060456
+      r5 = be64 r5
+      r7 ^= r5
+      if r0 != 0 goto L3
+    L3:
+      call adjust_head
+      if r0 != 0 goto L4
+    L4:
+      r2 = *(u32 *)(r6 + 0)
+      if r5 s> {bound} goto L5
+      r9 = r7
+      goto L6
+    L5:
+      r9 = r5
+    L6:
+      *(u48 *)(r2 + 44) = r9
+      exit
+    """
+
     def test_motion_equivalence(self):
         src = """
           r2 = *(u32 *)(r1 + 0)
@@ -210,15 +233,21 @@ class TestCodeMotion:
           r0 = 2
           exit
         """
-        prog = parse_asm(src)
-        for motion in (False, True):
-            vliw, rep = compile_program(prog, enable_code_motion=motion)
-            assert hazard_check(vliw) == []
-            res, st = exec_vliw(vliw, PacketContext(bytes(range(64))),
-                                MapStore())
-            o, os = exec_sequential(prog, PacketContext(bytes(range(64))),
-                                    MapStore())
-            assert res.result.action == o.action
+        clobbers = [self.SPECULATIVE_CLOBBER.format(bound=bound)
+                    for bound in (-22, 22)]
+        for text in [src] + clobbers:
+            prog = parse_asm(text)
+            for lanes in range(1, 9):
+                for motion in (False, True):
+                    vliw, _ = compile_program(prog, LaneConstraints(lanes=lanes),
+                                              enable_code_motion=motion)
+                    assert hazard_check(vliw) == []
+                    res, _ = exec_vliw(vliw, PacketContext(bytes(range(64))),
+                                       MapStore())
+                    o, _ = exec_sequential(prog, PacketContext(bytes(range(64))),
+                                           MapStore())
+                    assert compare_results(o, res.result) == (True, "equal"), \
+                        (text, lanes, motion)
 
     def test_speculative_load_not_hoisted(self):
         # the load in block "risky" is guarded; hoisting it above the branch
@@ -351,8 +380,9 @@ class TestCodeMotion:
 
     @pytest.mark.parametrize("lanes", range(1, 9))
     def test_no_row_holds_two_writers_of_a_register(self, lanes, monkeypatch):
-        """Code motion renames every mover that would share a row with a
-        writer of its register, so the rows it hands on need no rename."""
+        """Code motion places a mover only after every slot of its new
+        block that it conflicts with, so no row it hands on holds two
+        writers of a register."""
         import xvliw.compiler as compiler
         real = compiler.assign_registers
         clashes = []

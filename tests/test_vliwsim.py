@@ -7,7 +7,7 @@ from xvliw.compiler import compile_program
 from xvliw.errors import RowConflict
 from xvliw.isa import Instruction, Kind
 from xvliw.schedule import Slot, VliwProgram, parse_dump
-from xvliw.vliwsim import CycleModel, exec_vliw, hazard_check, measure_ipc
+from xvliw.vliwsim import PIPELINE_DEPTH, exec_vliw, hazard_check, measure_ipc
 from xvliw.vm import (
     MapStore,
     PacketContext,
@@ -30,9 +30,8 @@ def vliw_of(rows, lanes=4):
                        row_block=[0] * len(rows))
 
 
-def run(vliw, packet=b"\x00" * 64, maps=None, model=None):
-    return exec_vliw(vliw, PacketContext(packet), maps or MapStore(),
-                     cycle_model=model)
+def run(vliw, packet=b"\x00" * 64, maps=None):
+    return exec_vliw(vliw, PacketContext(packet), maps or MapStore())
 
 
 class TestExecution:
@@ -84,23 +83,22 @@ class TestExecution:
         assert rep2.rows_executed == rep1.rows_executed + 1
 
     def test_drain_cycles_and_early_recognition(self):
-        model = CycleModel()
         # mov r0 immediately before a bare exit: full drain
         v = vliw_of([row(Instruction(Kind.MOV_IMM, width=64, dst=0, imm=2)),
                      row(Instruction(Kind.EXIT))])
-        rep, _ = run(v, model=model)
-        assert rep.cycles == 2 + model.pipeline_depth - 1
+        rep, _ = run(v)
+        assert rep.cycles == 2 + PIPELINE_DEPTH - 1
         # the fused form saves the drain and the mov row
         v2 = vliw_of([row(Instruction(Kind.EARLY_EXIT, imm=2))])
-        rep2, _ = run(v2, model=model)
+        rep2, _ = run(v2)
         assert rep2.cycles == 1
-        assert rep.cycles - rep2.cycles == model.pipeline_depth
+        assert rep.cycles - rep2.cycles == PIPELINE_DEPTH
         # a bare exit with r0 written long before also stops at fetch
         filler = [row(Instruction(Kind.ALU_BINARY, op="add", width=64,
                                   dst=3, imm=1)) for _ in range(4)]
         v3 = vliw_of([row(Instruction(Kind.MOV_IMM, width=64, dst=0, imm=2))]
                      + filler + [row(Instruction(Kind.EXIT))])
-        rep3, _ = run(v3, model=model)
+        rep3, _ = run(v3)
         assert rep3.cycles == rep3.rows_executed
 
     def test_differential_against_oracle_on_corpus(self):
