@@ -234,10 +234,18 @@ def liveness(cfg: ControlFlowGraph,
     for blk in cfg.blocks:
         u: set = set()
         d: set = set()
+        stack_defs: list = []
         for ins in code[blk.id]:
             io = io_sets(ins)
-            u |= {s for s in io.inputs if not any(_covers(x, s) for x in d)}
+            for s in io.inputs:
+                if s[0] == "reg":               # covered only by itself
+                    covered = s in d
+                else:
+                    covered = any(_covers(x, s) for x in stack_defs)
+                if not covered:
+                    u.add(s)
             d |= io.outputs
+            stack_defs += [x for x in io.outputs if x[0] == "stack"]
         use[blk.id] = u
         defs[blk.id] = d
 

@@ -142,7 +142,7 @@ def cmd_run(args) -> int:
         if args.engine in ("vliw", "both"):
             rep, _ = exec_vliw(vliw, PacketContext(data, args.head_room,
                                                    args.port),
-                               maps_vliw, limits)
+                               maps_vliw, limits, trace=args.trace)
             v = rep.result
             line["vliw"] = rep.as_dict()
             if args.trace:

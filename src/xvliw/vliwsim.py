@@ -11,11 +11,15 @@ terminating instruction is a parametrized exit, or a bare exit whose
 action register was not written in the previous in-flight rows - those
 are the cases the fetch stage can recognise and stop early, saving the
 three remaining cycles.
+
+Per-row trace lines are built only when a caller asks for them
+(``exec_vliw(..., trace=True)``); formatting them costs more than
+executing the row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import bernstein_ok
 from .asm import format_instruction
@@ -45,7 +49,7 @@ class RunReport:
     instructions_executed: int
     cycles: int
     dynamic_ipc: float
-    trace_lines: list = field(default_factory=list)
+    trace_lines: list[str] | None = None    # one line per row, when asked for
 
     def as_dict(self):
         return {
@@ -95,14 +99,17 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
 
 
 def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
-              limits: Limits | None = None):
-    """Execute a program. Returns (RunReport, MachineState)."""
+              limits: Limits | None = None, *, trace: bool = False):
+    """Execute a program. Returns (RunReport, MachineState); the report
+    holds per-row trace lines only when ``trace`` is set."""
     limits = limits or Limits()
     state = MachineState(packet=packet, maps=maps)
+    rows = vliw.rows
+    budget = limits.max_instructions
     rows_executed = 0
     instructions = 0
-    recent_writes: list[set] = []           # per executed row, registers written
-    trace: list[str] = []
+    last_r0_row = -PIPELINE_DEPTH           # last executed row that wrote r0
+    lines: list[str] | None = [] if trace else None
     rp = 0
     finished = False
     savings = False
@@ -116,67 +123,60 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
 
     try:
         while not finished:
-            if rows_executed >= limits.max_instructions or \
-                    instructions >= limits.max_instructions:
-                raise VmTrap(f"row budget {limits.max_instructions} exhausted")
-            if not 0 <= rp < len(vliw.rows):
+            if rows_executed >= budget or instructions >= budget:
+                raise VmTrap(f"row budget {budget} exhausted")
+            if not 0 <= rp < len(rows):
                 raise VmTrap(f"row pointer {rp} outside program")
-            row = vliw.rows[rp]
-            slots = [(lane, s) for lane, s in enumerate(row) if s is not None]
+            row = rows[rp]
+            effects = [(lane, s, eval_instruction(state, s.instr, rp))
+                       for lane, s in enumerate(row) if s is not None]
 
-            effects = []
-            for lane, s in slots:
-                effects.append((lane, s, eval_instruction(state, s.instr, rp)))
-
-            writes: dict[int, int] = {}
+            writes: set[int] = set()
             mem_spans: list[tuple[int, int]] = []
-            for lane, s, e in effects:
-                for r_i in e.reg_writes:
-                    if r_i in writes:
+            for _, _, e in effects:
+                if e.reg is not None:
+                    if e.reg in writes:
                         raise RowConflict(
-                            f"row {rp}: two lanes write r{r_i}")
-                    writes[r_i] = lane
-                for addr, data in e.mem_writes:
+                            f"row {rp}: two lanes write r{e.reg}")
+                    writes.add(e.reg)
+                if e.mem is not None:
+                    addr, data = e.mem
                     for lo, hi in mem_spans:
                         if addr < hi and lo < addr + len(data):
                             raise RowConflict(
                                 f"row {rp}: overlapping memory writes")
                     mem_spans.append((addr, addr + len(data)))
-            for lane, s, e in effects:
+            for _, _, e in effects:
                 apply_effects(state, e, rp)
 
             rows_executed += 1
-            instructions += len(slots)
-            recent_writes.append({r_i for _, _, e in effects
-                                  for r_i in e.reg_writes})
+            instructions += len(effects)
+            if 0 in writes:
+                last_r0_row = rows_executed
 
-            controls = [(lane, s, e.control) for lane, s, e in effects
-                        if e.control is not None]
-            controls.sort(key=lambda t: t[0])
+            # lanes run in index order, so the first control wins
             taken_lane = None
             next_rp = rp + 1
-            for lane, s, ctl in controls:
-                if ctl[0] == "exit":
+            for lane, s, e in effects:
+                if e.control is None:
+                    continue
+                taken_lane = lane
+                if e.control[0] == "exit":
                     finished = True
-                    taken_lane = lane
-                    term = s.instr
-                    if term.kind is Kind.EARLY_EXIT:
-                        savings = True
-                    else:
-                        window = recent_writes[-PIPELINE_DEPTH:]
-                        savings = not any(0 in w for w in window)
+                    savings = (s.instr.kind is Kind.EARLY_EXIT
+                               or rows_executed - last_r0_row >= PIPELINE_DEPTH)
                 else:
-                    taken_lane = lane
-                    next_rp = ctl[1]
+                    next_rp = e.control[1]
                 break
-            trace.append(_trace_line(rows_executed, rp, row, taken_lane))
+            if lines is not None:
+                lines.append(_trace_line(rows_executed, rp, row, taken_lane))
             rp = next_rp
     except VmTrap as exc:
         rows_executed = max(rows_executed, 1)
         cycles = rows_executed + PIPELINE_DEPTH - 1
         report = RunReport(final_result(trapped=True, trap=str(exc)),
                            rows_executed, instructions, cycles,
-                           instructions / rows_executed, trace)
+                           instructions / rows_executed, lines)
         return report, state
 
     cycles = rows_executed
@@ -184,7 +184,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
         cycles += PIPELINE_DEPTH - 1
     report = RunReport(final_result(), rows_executed, instructions, cycles,
                        instructions / rows_executed if rows_executed else 0.0,
-                       trace)
+                       lines)
     return report, state
 
 
@@ -193,23 +193,3 @@ def _trace_line(cycle, row_index, row, taken_lane):
              for s in row]
     taken = f" taken=lane{taken_lane}" if taken_lane is not None else ""
     return f"cycle {cycle:4d} row {row_index:4d}: {' | '.join(cells)}{taken}"
-
-
-def measure_ipc(vliw: VliwProgram, workload, maps: MapStore | None = None,
-                head_room: int = 64, limits: Limits | None = None):
-    """(static_ipc, mean dynamic_ipc) over a packet workload. Maps persist
-    across the workload's packets, as they do across real executions."""
-    maps = maps if maps is not None else MapStore(vliw.maps)
-    dyn: list[float] = []
-    for item in workload:
-        if isinstance(item, PacketContext):
-            pkt = item
-        elif isinstance(item, tuple):
-            data, port = item
-            pkt = PacketContext(data, head_room=head_room, ingress_port=port)
-        else:
-            pkt = PacketContext(item, head_room=head_room)
-        report, _ = exec_vliw(vliw, pkt, maps, limits)
-        dyn.append(report.dynamic_ipc)
-    dynamic = sum(dyn) / len(dyn) if dyn else 0.0
-    return vliw.static_ipc, dynamic

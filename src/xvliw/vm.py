@@ -19,10 +19,17 @@ Every access runs through ``hardware_bounds_guard``; the guard is what
 makes boundary-check removal in the optimizer sound. Division and modulo
 by zero yield 0 and continue. Helpers modify only r0 plus their declared
 memory regions; r1-r5 and r6-r9 are preserved.
+
+A result's map snapshot (``MapStore.snapshot``) holds, per map id, each
+allocated key's value bytes: every index of an array map, every live key
+of a hash or LRU map. Each map keeps that table current as its storage is
+written, so a snapshot is a copy of it. Its order is unspecified; compare
+snapshots by equality.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -51,17 +58,6 @@ MAP_STRIDE = 0x40_0000
 XDP_ABORTED, XDP_DROP, XDP_PASS, XDP_TX, XDP_REDIRECT = range(5)
 ACTION_NAMES = {XDP_ABORTED: "ABORTED", XDP_DROP: "DROP", XDP_PASS: "PASS",
                 XDP_TX: "TX", XDP_REDIRECT: "REDIRECT"}
-
-FNV_SEED = 0x811C9DC5    # documented seed for the hash-map hash function
-
-
-def fnv1a32(data: bytes, seed: int = FNV_SEED) -> int:
-    h = seed
-    for b in data:
-        h ^= b
-        h = (h * 0x01000193) & MASK32
-    return h
-
 
 def s64(v: int) -> int:
     return v - (1 << 64) if v >= (1 << 63) else v
@@ -104,24 +100,35 @@ class PacketContext:
     def visible(self) -> bytes:
         return bytes(self.buf[self.start:self.end])
 
-    def ctx_bytes(self) -> bytes:
-        out = bytearray()
-        for v in (self.data_addr, self.data_end_addr, self.data_addr,
-                  self.ingress_port):
-            out += (v & MASK32).to_bytes(4, "little")
-        return bytes(out)
+    def ctx_word(self, index: int) -> int:
+        """Word ``index`` of the context record: data, data_end, data_meta
+        (equal to data) or ingress port."""
+        if index == 1:
+            return self.data_end_addr
+        if index == 3:
+            return self.ingress_port
+        return self.data_addr
+
+
+_array_key = struct.Struct("<I").pack      # array index -> its 4-byte key
 
 
 class Map:
-    """One map instance: backing storage plus key->slot directory."""
+    """One map instance: backing storage, the key->slot directory of a hash
+    map with its slot->key table, and the key->value table that
+    ``snapshot`` copies. Every write to storage refreshes the value table."""
 
     def __init__(self, mdef: MapDef):
         self.mdef = mdef
         self.storage = bytearray(mdef.max_entries * mdef.value_size)
         if mdef.kind == "array":
             self.entries = None
+            self.values = dict.fromkeys(
+                map(_array_key, range(mdef.max_entries)), bytes(mdef.value_size))
         else:
             self.entries: OrderedDict[bytes, int] = OrderedDict()
+            self.slot_keys: dict[int, bytes] = {}
+            self.values: dict[bytes, bytes] = {}
             self.free = list(range(mdef.max_entries - 1, -1, -1))
 
     def base_addr(self) -> int:
@@ -146,12 +153,12 @@ class Map:
 
     def update(self, key: bytes, value: bytes, flags: int) -> int:
         kind = self.mdef.kind
+        vs = self.mdef.value_size
         if kind == "array":
             idx = int.from_bytes(key, "little")
             if idx >= self.mdef.max_entries or flags == 1:
                 return -1
-            off = idx * self.mdef.value_size
-            self.storage[off:off + self.mdef.value_size] = value
+            self.write(idx * vs, value)
             return 0
         exists = key in self.entries
         if (flags == 1 and exists) or (flags == 2 and not exists):
@@ -161,15 +168,15 @@ class Map:
                 if kind != "lru_hash":
                     return -1
                 oldest, slot = self.entries.popitem(last=False)
-                self.free.append(slot)
+                self._release(oldest, slot)
             slot = self.free.pop()
             self.entries[key] = slot
+            self.slot_keys[slot] = key
         else:
             slot = self.entries[key]
             if kind == "lru_hash":
                 self.entries.move_to_end(key)
-        off = slot * self.mdef.value_size
-        self.storage[off:off + self.mdef.value_size] = value
+        self.write(slot * vs, value)
         return 0
 
     def delete(self, key: bytes) -> int:
@@ -178,23 +185,35 @@ class Map:
         slot = self.entries.pop(key, None)
         if slot is None:
             return -1
-        off = slot * self.mdef.value_size
-        self.storage[off:off + self.mdef.value_size] = bytes(self.mdef.value_size)
-        self.free.append(slot)
+        vs = self.mdef.value_size
+        self.storage[slot * vs:(slot + 1) * vs] = bytes(vs)
+        self._release(key, slot)
         return 0
 
+    def write(self, offset: int, data: bytes):
+        """Store ``data`` at ``offset`` of storage, inside one allocated
+        value."""
+        self.storage[offset:offset + len(data)] = data
+        self._refresh(offset // self.mdef.value_size)
+
+    def _refresh(self, slot: int):
+        vs = self.mdef.value_size
+        key = _array_key(slot) if self.entries is None else self.slot_keys[slot]
+        self.values[key] = bytes(self.storage[slot * vs:(slot + 1) * vs])
+
+    def _release(self, key: bytes, slot: int):
+        """Forget a deleted or evicted entry and free its slot."""
+        del self.slot_keys[slot]
+        del self.values[key]
+        self.free.append(slot)
+
     def slot_allocated(self, slot: int) -> bool:
-        if self.mdef.kind == "array":
+        if self.entries is None:
             return slot < self.mdef.max_entries
-        return slot in self.entries.values()
+        return slot in self.slot_keys
 
     def snapshot(self) -> dict[bytes, bytes]:
-        vs = self.mdef.value_size
-        if self.mdef.kind == "array":
-            return {i.to_bytes(4, "little"): bytes(self.storage[i * vs:(i + 1) * vs])
-                    for i in range(self.mdef.max_entries)}
-        items = sorted(self.entries.items(), key=lambda kv: (fnv1a32(kv[0]), kv[0]))
-        return {k: bytes(self.storage[s * vs:(s + 1) * vs]) for k, s in items}
+        return dict(self.values)
 
 
 class MapStore:
@@ -222,7 +241,7 @@ class MapStore:
         m.update(key, value, 0)
 
     def snapshot(self) -> dict[int, dict[bytes, bytes]]:
-        return {mid: m.snapshot() for mid, m in sorted(self.maps.items())}
+        return {mid: m.snapshot() for mid, m in self.maps.items()}
 
 
 @dataclass
@@ -243,9 +262,6 @@ class MachineState:
         # zero-initialised state, then the two live-in registers
         self.regs[1] = CTX_BASE
         self.regs[FRAME_REG] = STACK_BASE + STACK_SIZE
-
-    def set_reg(self, i: int, v: int):
-        self.regs[i] = v & MASK64
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +312,10 @@ def read_mem(state: MachineState, addr: int, width: int, pc: int = -1) -> bytes:
     region = hardware_bounds_guard(state, addr, width, write=False, pc=pc)
     if region == "ctx":
         off = addr - CTX_BASE
-        return state.packet.ctx_bytes()[off:off + width]
+        first, rest = divmod(off, 4)
+        words = b"".join((state.packet.ctx_word(i) & MASK32).to_bytes(4, "little")
+                         for i in range(first, (off + width + 3) // 4))
+        return words[rest:rest + width]
     if region == "pkt":
         idx = addr - PKT_BASE
         return bytes(state.packet.buf[idx:idx + width])
@@ -318,45 +337,36 @@ def write_mem(state: MachineState, addr: int, data: bytes, pc: int = -1):
         off = addr - STACK_BASE
         state.stack[off:off + len(data)] = data
     else:
-        rel = addr - MAPVAL_BASE
-        m = state.maps.get(rel // MAP_STRIDE)
-        inner = rel % MAP_STRIDE
-        m.storage[inner:inner + len(data)] = data
+        map_id, inner = divmod(addr - MAPVAL_BASE, MAP_STRIDE)
+        state.maps.get(map_id).write(inner, data)
 
 
 # ---------------------------------------------------------------------------
 # ALU / branch semantics
 # ---------------------------------------------------------------------------
 
+# op -> f(a, b, mask, top): operands already masked to the width, ``top``
+# the index of its sign bit (also the shift-count mask)
+_ALU_OPS = {
+    "add": lambda a, b, mask, top: (a + b) & mask,
+    "sub": lambda a, b, mask, top: (a - b) & mask,
+    "mul": lambda a, b, mask, top: (a * b) & mask,
+    "div": lambda a, b, mask, top: a // b if b else 0,
+    "mod": lambda a, b, mask, top: a % b if b else 0,
+    "or": lambda a, b, mask, top: a | b,
+    "and": lambda a, b, mask, top: a & b,
+    "xor": lambda a, b, mask, top: a ^ b,
+    "lsh": lambda a, b, mask, top: (a << (b & top)) & mask,
+    "rsh": lambda a, b, mask, top: a >> (b & top),
+    "arsh": lambda a, b, mask, top: ((a - (mask + 1) if a >> top else a)
+                                     >> (b & top)) & mask,
+}
+
+
 def alu_compute(op: str, width: int, a: int, b: int) -> int:
-    mask = MASK64 if width == 64 else MASK32
-    bits = 64 if width == 64 else 32
-    a &= mask
-    b &= mask
-    if op == "add":
-        return (a + b) & mask
-    if op == "sub":
-        return (a - b) & mask
-    if op == "mul":
-        return (a * b) & mask
-    if op == "div":
-        return (a // b) & mask if b else 0
-    if op == "mod":
-        return (a % b) & mask if b else 0
-    if op == "or":
-        return a | b
-    if op == "and":
-        return a & b
-    if op == "xor":
-        return a ^ b
-    if op == "lsh":
-        return (a << (b & (bits - 1))) & mask
-    if op == "rsh":
-        return a >> (b & (bits - 1))
-    if op == "arsh":
-        sa = a - (1 << bits) if a >= (1 << (bits - 1)) else a
-        return (sa >> (b & (bits - 1))) & mask
-    raise AssertionError(f"bad alu op {op}")
+    if width == 64:
+        return _ALU_OPS[op](a & MASK64, b & MASK64, MASK64, 63)
+    return _ALU_OPS[op](a & MASK32, b & MASK32, MASK32, 31)
 
 
 def _bswap(v: int, bits: int) -> int:
@@ -395,17 +405,34 @@ def branch_taken(op: str, a: int, b: int) -> bool:
 # instruction evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Effects:
     """Buffered result of evaluating one instruction against a state.
 
-    ``control`` is None (fall through), ('jump', target) for a taken
-    branch, or ('exit',). Helper calls apply their map/packet side effects
-    immediately; register results still commit through ``reg_writes``.
+    An instruction writes at most one register and one memory range:
+    ``reg`` is the register written (None for none) and ``value`` its new
+    value, ``mem`` None or the (address, bytes) of a store. ``control`` is
+    None (fall through), ('jump', target) for a taken branch, or ('exit',).
+    Helper calls apply their map/packet side effects immediately; their r0
+    result still commits through ``reg``.
     """
-    reg_writes: dict[int, int] = field(default_factory=dict)
-    mem_writes: list[tuple[int, bytes]] = field(default_factory=list)
-    control: tuple | None = None
+    __slots__ = ("reg", "value", "mem", "control")
+
+    def __init__(self):
+        self.reg = None
+        self.value = 0
+        self.mem = None
+        self.control = None
+
+
+# Reading an enum member off its class runs a Python-level descriptor;
+# the evaluation loop compares against these module bindings instead.
+(_ALU_BINARY, _ALU_UNARY, _MOV_IMM, _MOV_REG, _LOAD_IMM64, _ALU_THREE_OP,
+ _BRANCH, _JUMP_ALWAYS, _EXIT, _EARLY_EXIT, _CALL) = (
+    Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
+    Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.BRANCH, Kind.JUMP_ALWAYS,
+    Kind.EXIT, Kind.EARLY_EXIT, Kind.CALL)
+_LOADS = (Kind.LOAD, Kind.LOAD48)
+_STORES = (Kind.STORE, Kind.STORE48)
 
 
 def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Effects:
@@ -414,53 +441,57 @@ def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Eff
     k = ins.kind
     regs = state.regs
 
-    if k is Kind.ALU_BINARY:
+    if k is _ALU_BINARY:
         b = regs[ins.src] if ins.src is not None else sx32(ins.imm)
-        e.reg_writes[ins.dst] = alu_compute(ins.op, ins.width, regs[ins.dst], b)
-    elif k is Kind.ALU_UNARY:
+        e.reg = ins.dst
+        e.value = alu_compute(ins.op, ins.width, regs[ins.dst], b)
+    elif k is _ALU_UNARY:
         v = regs[ins.dst]
+        e.reg = ins.dst
         if ins.op == "neg":
             mask = MASK64 if ins.width == 64 else MASK32
-            e.reg_writes[ins.dst] = (-v) & mask
+            e.value = (-v) & mask
         elif ins.op == "be":
-            e.reg_writes[ins.dst] = _bswap(v, ins.imm)
+            e.value = _bswap(v, ins.imm)
         else:                                   # le: truncate on this model
-            e.reg_writes[ins.dst] = v & ((1 << ins.imm) - 1)
-    elif k is Kind.MOV_IMM:
-        e.reg_writes[ins.dst] = sx32(ins.imm) if ins.width == 64 else ins.imm & MASK32
-    elif k is Kind.MOV_REG:
+            e.value = v & ((1 << ins.imm) - 1)
+    elif k is _MOV_IMM:
+        e.reg = ins.dst
+        e.value = sx32(ins.imm) if ins.width == 64 else ins.imm & MASK32
+    elif k is _MOV_REG:
         v = regs[ins.src]
-        e.reg_writes[ins.dst] = v if ins.width == 64 else v & MASK32
-    elif k is Kind.LOAD_IMM64:
-        if ins.is_map_ref:
-            e.reg_writes[ins.dst] = MAPFD_BASE + ins.imm
-        else:
-            e.reg_writes[ins.dst] = ins.imm & MASK64
-    elif k is Kind.ALU_THREE_OP:
+        e.reg = ins.dst
+        e.value = v if ins.width == 64 else v & MASK32
+    elif k is _LOAD_IMM64:
+        e.reg = ins.dst
+        e.value = MAPFD_BASE + ins.imm if ins.is_map_ref else ins.imm & MASK64
+    elif k is _ALU_THREE_OP:
         b = regs[ins.src2] if ins.src2 is not None else sx32(ins.imm)
-        e.reg_writes[ins.dst] = alu_compute(ins.op, 64, regs[ins.src], b)
-    elif k in (Kind.LOAD, Kind.LOAD48):
+        e.reg = ins.dst
+        e.value = alu_compute(ins.op, 64, regs[ins.src], b)
+    elif k in _LOADS:
         addr = (regs[ins.src] + ins.offset) & MASK64
-        e.reg_writes[ins.dst] = int.from_bytes(
-            read_mem(state, addr, ins.width, pc), "little")
-    elif k in (Kind.STORE, Kind.STORE48):
+        e.reg = ins.dst
+        e.value = int.from_bytes(read_mem(state, addr, ins.width, pc), "little")
+    elif k in _STORES:
         addr = (regs[ins.dst] + ins.offset) & MASK64
         v = regs[ins.src] if ins.src is not None else sx32(ins.imm)
         data = (v & ((1 << (ins.width * 8)) - 1)).to_bytes(ins.width, "little")
         hardware_bounds_guard(state, addr, ins.width, write=True, pc=pc)
-        e.mem_writes.append((addr, data))
-    elif k is Kind.BRANCH:
+        e.mem = (addr, data)
+    elif k is _BRANCH:
         b = regs[ins.src] if ins.src is not None else sx32(ins.imm)
         if branch_taken(ins.op, regs[ins.dst], b):
             e.control = ("jump", ins.target)
-    elif k is Kind.JUMP_ALWAYS:
+    elif k is _JUMP_ALWAYS:
         e.control = ("jump", ins.target)
-    elif k is Kind.EXIT:
+    elif k is _EXIT:
         e.control = ("exit",)
-    elif k is Kind.EARLY_EXIT:
-        e.reg_writes[0] = sx32(ins.imm)
+    elif k is _EARLY_EXIT:
+        e.reg = 0
+        e.value = sx32(ins.imm)
         e.control = ("exit",)
-    elif k is Kind.CALL:
+    elif k is _CALL:
         helper_call(ins.imm, state, pc=pc, effects=e)
     else:
         raise AssertionError(f"unhandled kind {k}")
@@ -468,10 +499,11 @@ def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Eff
 
 
 def apply_effects(state: MachineState, e: Effects, pc: int = -1):
-    for r, v in e.reg_writes.items():
-        state.set_reg(r, v)
-    for addr, data in e.mem_writes:
-        write_mem(state, addr, data, pc)
+    """Commit ``e``: every value it holds is already reduced to 64 bits."""
+    if e.reg is not None:
+        state.regs[e.reg] = e.value
+    if e.mem is not None:
+        write_mem(state, e.mem[0], e.mem[1], pc)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +519,12 @@ def helper_call(helper_id: int, state: MachineState, pc: int = -1,
     if helper is None:
         raise UnknownHelper(helper_id)
     impl = _HELPER_IMPLS[helper.name]
-    r0 = impl(state, pc)
+    r0 = impl(state, pc) & MASK64
     if effects is None:
-        state.set_reg(0, r0)
+        state.regs[0] = r0
     else:
-        effects.reg_writes[0] = r0 & MASK64
+        effects.reg = 0
+        effects.value = r0
     return state
 
 
@@ -606,7 +639,7 @@ class XdpResult:
     packet_out: bytes
     maps_out: dict
     redirect_target: int | None = None
-    trace: list[int] = field(default_factory=list)
+    trace: list[int] | None = None          # executed pcs, when asked for
     trapped: bool = False
     trap: str | None = None
 
@@ -625,36 +658,41 @@ def result_action(code: int) -> int:
 
 
 def exec_sequential(program: Program, packet: PacketContext, maps: MapStore,
-                    limits: Limits | None = None):
-    """Interpret the program in order. Returns (XdpResult, MachineState)."""
+                    limits: Limits | None = None, *, trace: bool = False):
+    """Interpret the program in order. Returns (XdpResult, MachineState);
+    the result lists the executed pcs only when ``trace`` is set."""
     limits = limits or Limits()
     state = MachineState(packet=packet, maps=maps)
-    trace: list[int] = []
+    pcs: list[int] | None = [] if trace else None
+    budget = limits.max_instructions
+    size = len(program)
     executed = 0
     try:
         while True:
-            if executed >= limits.max_instructions:
+            if executed >= budget:
                 raise InstructionLimitExceeded(
-                    f"instruction budget {limits.max_instructions} exhausted")
+                    f"instruction budget {budget} exhausted")
             pc = state.pc
-            if not 0 <= pc < len(program):
+            if not 0 <= pc < size:
                 raise VmTrap(f"pc {pc} outside program")
             ins = program[pc]
-            trace.append(pc)
+            if pcs is not None:
+                pcs.append(pc)
             executed += 1
             e = eval_instruction(state, ins, pc)
             apply_effects(state, e, pc)
-            if e.control is None:
+            control = e.control
+            if control is None:
                 state.pc = pc + 1
-            elif e.control[0] == "jump":
-                state.pc = e.control[1]
+            elif control[0] == "jump":
+                state.pc = control[1]
             else:
                 code = state.regs[0]
                 return XdpResult(result_action(code), code, packet.visible(),
                                  maps.snapshot(),
                                  redirect_target=state.redirect_target,
-                                 trace=trace), state
+                                 trace=pcs), state
     except VmTrap as exc:
         return XdpResult(XDP_ABORTED, 0, packet.visible(), maps.snapshot(),
-                         redirect_target=state.redirect_target, trace=trace,
+                         redirect_target=state.redirect_target, trace=pcs,
                          trapped=True, trap=str(exc)), state

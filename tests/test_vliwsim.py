@@ -7,7 +7,7 @@ from xvliw.compiler import compile_program
 from xvliw.errors import RowConflict
 from xvliw.isa import Instruction, Kind
 from xvliw.schedule import Slot, VliwProgram, parse_dump
-from xvliw.vliwsim import PIPELINE_DEPTH, exec_vliw, hazard_check, measure_ipc
+from xvliw.vliwsim import PIPELINE_DEPTH, exec_vliw, hazard_check
 from xvliw.vm import (
     MapStore,
     PacketContext,
@@ -30,8 +30,18 @@ def vliw_of(rows, lanes=4):
                        row_block=[0] * len(rows))
 
 
-def run(vliw, packet=b"\x00" * 64, maps=None):
-    return exec_vliw(vliw, PacketContext(packet), maps or MapStore())
+def run(vliw, packet=b"\x00" * 64, maps=None, trace=False):
+    return exec_vliw(vliw, PacketContext(packet), maps or MapStore(),
+                     trace=trace)
+
+
+def mean_dynamic_ipc(vliw, packets, maps=None):
+    """Mean dynamic IPC over ``packets``, (bytes, ingress port) pairs run
+    in order; maps persist across them, as across real executions."""
+    maps = maps if maps is not None else MapStore(vliw.maps)
+    ipcs = [exec_vliw(vliw, PacketContext(data, 64, port), maps)[0].dynamic_ipc
+            for data, port in packets]
+    return sum(ipcs) / len(ipcs)
 
 
 class TestExecution:
@@ -51,7 +61,7 @@ class TestExecution:
             row(Instruction(Kind.EARLY_EXIT, imm=1)),
             row(Instruction(Kind.EARLY_EXIT, imm=2)),
         ]
-        rep, _ = run(vliw_of(rows))
+        rep, _ = run(vliw_of(rows), trace=True)
         assert rep.result.action == XDP_DROP          # lane 0's target
         assert "taken=lane0" in rep.trace_lines[0]
 
@@ -176,9 +186,9 @@ class TestMeasureIpc:
         ops = [Instruction(Kind.ALU_BINARY, op="add", width=64, dst=d, imm=1)
                for d in (2, 3, 4, 5)]
         v = vliw_of([row(*ops), row(Instruction(Kind.EARLY_EXIT, imm=1))])
-        static, dynamic = measure_ipc(v, [b"\x00" * 64])
-        assert static == pytest.approx((4 + 1) / 2)
-        assert dynamic == pytest.approx((4 + 1) / 2)
+        assert v.static_ipc == pytest.approx((4 + 1) / 2)
+        assert mean_dynamic_ipc(v, [(b"\x00" * 64, 0)]) == \
+            pytest.approx((4 + 1) / 2)
 
     def test_one_per_row(self):
         rows = [row(Instruction(Kind.ALU_BINARY, op="add", width=64, dst=2,
@@ -186,19 +196,53 @@ class TestMeasureIpc:
                 row(Instruction(Kind.EARLY_EXIT, imm=1))]
         v = vliw_of(rows)
         assert v.static_ipc == 1.0
-        _, dynamic = measure_ipc(v, [b"\x00" * 64])
-        assert dynamic == 1.0
+        assert mean_dynamic_ipc(v, [(b"\x00" * 64, 0)]) == 1.0
 
     def test_firewall_dynamic_ipc_band(self):
         from xvliw.corpus import CORPUS
         entry = CORPUS["simple_firewall"]
         prog = parse_asm(entry.source)
         vliw, _ = compile_program(prog)
-        maps = MapStore(prog.maps)
-        static, dynamic = measure_ipc(
+        dynamic = mean_dynamic_ipc(
             vliw, [(bytes.fromhex(h), port) for h, port in entry.packets],
-            maps)
+            MapStore(prog.maps))
         assert 1.5 <= dynamic <= 3.5
+
+
+class TestTraceOnRequest:
+    """Both engines build a trace only when asked, and then the same one
+    as before traces became optional."""
+
+    LINES = [
+        "cycle    1 row    0: r2 = *(u32 *)(r1 + 0) | r3 = *(u32 *)(r1 + 4) | --- | ---",
+        "cycle    2 row    1: r5 = *(u48 *)(r2 + 0) | --- | --- | ---",
+        "cycle    3 row    2: r7 = *(u48 *)(r2 + 6) | --- | --- | ---",
+        "cycle    4 row    3: *(u48 *)(r2 + 0) = r7 | --- | --- | ---",
+        "cycle    5 row    4: *(u48 *)(r2 + 6) = r5 | early_exit 3 | --- | --- taken=lane1",
+    ]
+
+    @staticmethod
+    def _runs(**kw):
+        from xvliw.corpus import CORPUS
+        entry = CORPUS["tx_mac_swap"]
+        prog = parse_asm(entry.source)
+        vliw, _ = compile_program(prog)
+        data, port = entry.packet_bytes()[0]
+        o, _ = exec_sequential(prog, PacketContext(data, 64, port),
+                               MapStore(prog.maps), **kw)
+        r, _ = exec_vliw(vliw, PacketContext(data, 64, port),
+                         MapStore(prog.maps), **kw)
+        return o, r
+
+    def test_default_builds_no_trace(self):
+        o, r = self._runs()
+        assert o.trace is None
+        assert r.trace_lines is None and r.result.trace is None
+
+    def test_requested_trace(self):
+        o, r = self._runs(trace=True)
+        assert o.trace == list(range(15))
+        assert r.trace_lines == self.LINES
 
 
 class TestDumpRoundTrip:

@@ -23,18 +23,20 @@ from xvliw.vm import (
     XDP_TX,
     alu_compute,
     exec_sequential,
-    fnv1a32,
     hardware_bounds_guard,
     helper_call,
     read_mem,
     s64,
+    write_mem,
 )
 
 
-def run(src, packet=b"\x00" * 64, port=0, maps=None, head_room=64):
+def run(src, packet=b"\x00" * 64, port=0, maps=None, head_room=64,
+        trace=False):
     prog = parse_asm(src)
     store = maps if maps is not None else MapStore(prog.maps)
-    return exec_sequential(prog, PacketContext(packet, head_room, port), store)
+    return exec_sequential(prog, PacketContext(packet, head_room, port), store,
+                           trace=trace)
 
 
 class TestExecution:
@@ -67,7 +69,7 @@ class TestExecution:
         assert res.packet_out == expect
 
     def test_trace_records_indices(self):
-        res, _ = run("r1 = 1\nr0 = 2\nexit\n")
+        res, _ = run("r1 = 1\nr0 = 2\nexit\n", trace=True)
         assert res.trace == [0, 1, 2]
 
     def test_instruction_limit(self):
@@ -429,7 +431,63 @@ class TestMaps:
         """)
         assert res.trapped
 
-    def test_fnv1a_vector(self):
-        # published FNV-1a 32-bit test vector
-        assert fnv1a32(b"") == 0x811C9DC5
-        assert fnv1a32(b"a") == 0xE40C292C
+
+class TestValueTable:
+    """Each map's write-through key->value table, against a rebuild from
+    storage and the key->slot directory after every step of seeded random
+    sequences of updates, deletes, lookups, LRU evictions and stores
+    through value pointers."""
+
+    @staticmethod
+    def rebuilt(m):
+        vs = m.mdef.value_size
+        if m.entries is None:
+            return {i.to_bytes(4, "little"): bytes(m.storage[i * vs:(i + 1) * vs])
+                    for i in range(m.mdef.max_entries)}
+        return {k: bytes(m.storage[s * vs:(s + 1) * vs])
+                for k, s in m.entries.items()}
+
+    @pytest.mark.parametrize("kind", ["hash", "lru_hash", "array"])
+    def test_snapshot_is_storage(self, kind):
+        rng = random.Random(f"value-table-{kind}")
+        for _ in range(40):
+            store = MapStore([MapDef(1, kind, 4, 8, 4)])
+            m = store.get(1)
+            state = MachineState(packet=PacketContext(bytes(64)), maps=store)
+            keys = [k.to_bytes(4, "little") for k in range(6)]
+            for _ in range(60):
+                op = rng.choice(("update", "update", "delete", "lookup", "store"))
+                key = rng.choice(keys)
+                if op == "update":
+                    m.update(key, rng.randbytes(8), rng.choice((0, 1, 2)))
+                elif op == "delete":
+                    slot = m.entries.get(key) if m.entries is not None else None
+                    if m.delete(key) == 0:
+                        assert not m.slot_allocated(slot)
+                        with pytest.raises(MemoryTrap, match="unallocated"):
+                            read_mem(state, m.slot_addr(slot), 1)
+                elif op == "lookup":
+                    m.lookup(key)
+                else:
+                    addr = m.lookup(key)
+                    if addr is not None:
+                        width = rng.choice((1, 2, 4, 8))
+                        addr += rng.randrange(8 - width + 1)
+                        write_mem(state, addr, rng.randbytes(width))
+                assert m.snapshot() == self.rebuilt(m)
+                if m.entries is not None:
+                    live = set(m.entries.values())
+                    assert [m.slot_allocated(s) for s in range(6)] == \
+                        [s in live for s in range(6)]
+
+    def test_eviction_frees_the_oldest_entry(self):
+        store = MapStore([MapDef(1, "lru_hash", 4, 4, 2)])
+        m = store.get(1)
+        m.update(b"aaaa", b"1111", 0)
+        m.update(b"bbbb", b"2222", 0)
+        slot_a = m.entries[b"aaaa"]
+        m.update(b"cccc", b"3333", 0)                  # evicts a
+        assert m.snapshot() == {b"bbbb": b"2222", b"cccc": b"3333"}
+        assert m.entries[b"cccc"] == slot_a            # the freed slot
+        m.delete(b"cccc")
+        assert not m.slot_allocated(slot_a)

@@ -1,0 +1,146 @@
+"""Benchmark a base commit against the working tree, pair by pair.
+
+    python3 tools/bench_ab.py --out BENCH_8.json
+    python3 tools/bench_ab.py --out /tmp/ab.json --base HEAD~1 --seeds 1 2 3 4 5 --seconds 30
+
+Each side runs from its own copy under a temporary directory: the base
+commit exported with ``git archive``, and the working tree's tracked and
+untracked files (those ``.gitignore`` does not exclude). Neither run writes
+into the checkout. For every workload and seed, ``perfbench/run.py`` runs
+once on each side, alternating which side runs first from one pair to the
+next. One more traced pair per workload (``--trace 1``, first seed) shows
+where time moved between layers.
+
+The output holds, per workload, every run's end-to-end metrics, failed
+count and correctness, and per metric each side's median and quartiles
+with the number of pairs the working tree won, lost and tied (the
+direction comes from BENCHMARK.json). Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def export_commit(rev: str, dest: Path):
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+        tar.extractall(dest)
+
+
+def export_working_tree(dest: Path):
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        src = ROOT / name
+        if src.is_file():                      # skips files deleted, not staged
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def perfbench(side: Path, workload: str, seed: int, seconds: float,
+              trace: bool) -> dict:
+    """One perfbench run; its result line (the last line of its output)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(int(trace))]
+    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {side}:\n{proc.stderr}")
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": line["correct"], "attempted": line["attempted"],
+            "failed": line["failed"],
+            "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+
+
+def run_pair(dirs: dict, workload: str, seed: int, seconds: float,
+             trace: bool, change_first: bool) -> dict:
+    order = SIDES[::-1] if change_first else SIDES
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        print(f"  {workload} seed {seed} trace {int(trace)}: {side}",
+              file=sys.stderr, flush=True)
+        pair[side] = perfbench(dirs[side], workload, seed, seconds, trace)
+    return pair
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    out = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        sign = 1 if spec["better"] == "higher" else -1
+        entry = {"unit": spec["unit"], "better": spec["better"]}
+        for side in SIDES:
+            values = [p[side]["metrics"][name] for p in pairs]
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            entry[side] = {"median": median, "q1": q1, "q3": q3}
+        diffs = [sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name])
+                 for p in pairs]
+        entry["change_wins"] = sum(d > 0 for d in diffs)
+        entry["change_losses"] = sum(d < 0 for d in diffs)
+        entry["ties"] = sum(d == 0 for d in diffs)
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--base", default="HEAD",
+                        help="commit to compare the working tree against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    parser.add_argument("--seconds", type=float,
+                        help="seconds per run (default: BENCHMARK.json's)")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    base = git("rev-parse", args.base).decode().strip()
+
+    with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        dirs = {side: Path(tmp) / side for side in SIDES}
+        export_commit(base, dirs["parent"])
+        export_working_tree(dirs["change"])
+        result = {"base": base, "change": f"working tree over {base}",
+                  "seconds": seconds, "seeds": args.seeds, "workloads": {}}
+        k = 0
+        for workload in workloads:
+            pairs = []
+            for seed in args.seeds:
+                pairs.append(run_pair(dirs, workload, seed, seconds, False,
+                                      change_first=k % 2 == 1))
+                k += 1
+            traced = run_pair(dirs, workload, args.seeds[0], seconds, True,
+                              change_first=k % 2 == 1)
+            k += 1
+            result["workloads"][workload] = {
+                "pairs": pairs,
+                "summary": summarize(pairs, spec["end_to_end"]),
+                "traced_pair": traced,
+            }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for workload, res in result["workloads"].items():
+        for name, m in res["summary"].items():
+            print(f"{workload:15s} {name:20s} parent {m['parent']['median']:12.6g} "
+                  f"change {m['change']['median']:12.6g}  wins "
+                  f"{m['change_wins']}/{len(args.seeds)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
