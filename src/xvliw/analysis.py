@@ -8,6 +8,14 @@ quadratic check-count formula a runtime scheduler would need.
 Post-dominance uses a virtual exit node joining every block without
 successors; blocks that cannot reach an exit keep conservative (full)
 post-dominator sets.
+
+A program's CFG and its liveness over ``block_code`` are memoised in its
+``isa.ProgramAnalysis`` record (``program_cfg``, ``program_liveness``), so
+the peephole passes and compile stages that read one ``Program`` build
+them once. That is sound because a ``Program`` is frozen and every rewrite
+builds a new one, with a new record; readers must not mutate the shared
+``ControlFlowGraph`` or ``LivenessInfo``. ``build_program_cfg`` and
+``liveness`` themselves always compute afresh.
 """
 
 from __future__ import annotations
@@ -17,8 +25,9 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction
 from .errors import ProgramError
-from .isa import (Instruction, Program, io_sets, reachable_instructions,
-                  sets_conflict, successors, symbols_overlap)
+from .isa import (Instruction, Program, analysis_of, io_sets,
+                  reachable_instructions, sets_conflict, successors,
+                  symbols_overlap)
 
 _EXITV = -1
 
@@ -145,6 +154,14 @@ def build_program_cfg(program: Program) -> ControlFlowGraph:
     return build_cfg(find_basic_blocks(program))
 
 
+def program_cfg(program: Program) -> ControlFlowGraph:
+    """``build_program_cfg(program)``, built once per program."""
+    record = analysis_of(program)
+    if record.cfg is None:
+        record.cfg = build_program_cfg(program)
+    return record.cfg
+
+
 def walk_blocks(cfg: ControlFlowGraph, start: int, forward: bool = True,
                 stop=()) -> set[int]:
     """Blocks reached from ``start`` in one or more steps along CFG
@@ -192,17 +209,25 @@ def candidate_blocks(cfg: ControlFlowGraph, b: int) -> set[int]:
 # liveness
 # ---------------------------------------------------------------------------
 
-def _covers(d, k) -> bool:
-    """True when a write of symbol d definitely overwrites all of k."""
-    if d == k and d[0] in ("reg",):
-        return True
-    if d[0] == "stack" and k[0] == "stack" and len(d) == 3 and len(k) == 3:
-        return d[1] <= k[1] and k[2] <= d[2]
-    return False
+def _kill(live, defs, stack_defs) -> set:
+    """``live`` less the symbols a write of all of ``defs`` definitely
+    overwrites: a register only by itself, an exact stack range by a
+    range in ``stack_defs`` (the exact stack ranges of ``defs``) that
+    covers it. Anything else stays live."""
+    out = set()
+    for s in live:
+        if s[0] == "reg":
+            if s in defs:
+                continue
+        elif len(s) == 3 and s[0] == "stack" and \
+                any(d[1] <= s[1] and s[2] <= d[2] for d in stack_defs):
+            continue
+        out.add(s)
+    return out
 
 
-def _kill(live: set, defs) -> set:
-    return {s for s in live if not any(_covers(d, s) for d in defs)}
+def _stack_ranges(syms) -> list:
+    return [s for s in syms if len(s) == 3 and s[0] == "stack"]
 
 
 @dataclass
@@ -231,23 +256,19 @@ def liveness(cfg: ControlFlowGraph,
     over-approximation kept live)."""
     use: dict[int, set] = {}
     defs: dict[int, set] = {}
+    stack_defs: dict[int, list] = {}
     for blk in cfg.blocks:
         u: set = set()
         d: set = set()
-        stack_defs: list = []
+        sd: list = []                   # the stack ranges in d
         for ins in code[blk.id]:
             io = io_sets(ins)
-            for s in io.inputs:
-                if s[0] == "reg":               # covered only by itself
-                    covered = s in d
-                else:
-                    covered = any(_covers(x, s) for x in stack_defs)
-                if not covered:
-                    u.add(s)
+            u |= _kill(io.inputs, d, sd)
+            sd += _stack_ranges(io.outputs - d)
             d |= io.outputs
-            stack_defs += [x for x in io.outputs if x[0] == "stack"]
         use[blk.id] = u
         defs[blk.id] = d
+        stack_defs[blk.id] = sd
 
     live_in = {b.id: set() for b in cfg.blocks}
     live_out = {b.id: set() for b in cfg.blocks}
@@ -258,7 +279,7 @@ def liveness(cfg: ControlFlowGraph,
             out: set = set()
             for s in blk.successors:
                 out |= live_in[s]
-            new_in = use[blk.id] | _kill(out, defs[blk.id])
+            new_in = use[blk.id] | _kill(out, defs[blk.id], stack_defs[blk.id])
             if out != live_out[blk.id] or new_in != live_in[blk.id]:
                 live_out[blk.id] = out
                 live_in[blk.id] = new_in
@@ -271,10 +292,21 @@ def liveness(cfg: ControlFlowGraph,
                         {b: frozenset(live_out[b]) for b in live_out})
 
 
+def program_liveness(program: Program) -> LivenessInfo:
+    """``liveness`` over ``block_code`` of the program's CFG, computed once
+    per program."""
+    record = analysis_of(program)
+    if record.liveness is None:
+        cfg = program_cfg(program)
+        record.liveness = liveness(cfg, block_code(cfg, program))
+    return record.liveness
+
+
 def _live_across(live, ins: Instruction) -> frozenset:
     """Symbols live before ``ins``, given those live after it."""
     io = io_sets(ins)
-    return frozenset(_kill(live, io.outputs) | io.inputs)
+    return frozenset(_kill(live, io.outputs, _stack_ranges(io.outputs))
+                     | io.inputs)
 
 
 def live_after(info: LivenessInfo, program: Program,

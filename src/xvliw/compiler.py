@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import build_ddg, build_program_cfg, reachable_instructions
-from .isa import Program
+from .analysis import build_ddg, program_cfg
+from .isa import Program, analysis_of
 from .peephole import PASS_NAMES, peephole
 from .regalloc import assign_registers
 from .schedule import LaneConstraints
@@ -80,11 +80,11 @@ def compile_program(program: Program,
     constraints = constraints or LaneConstraints()
     original_count = len(program)
     unreachable = sorted(set(range(len(program))) -
-                         reachable_instructions(program))
+                         analysis_of(program).reachable)
 
     reduced, stats = peephole(program, passes)
 
-    cfg = build_program_cfg(reduced)
+    cfg = program_cfg(reduced)
     ddgs = {blk.id: build_ddg(blk, reduced) for blk in cfg.blocks}
     schedules = {blk.id: list_schedule(blk, ddgs[blk.id], constraints, reduced)
                  for blk in cfg.blocks}
@@ -101,7 +101,7 @@ def compile_program(program: Program,
                  if reduced[idx].kind.value == "branch")
     report = CompileReport(
         original_count=original_count,
-        after_reduction_count=len(reachable_instructions(reduced)),
+        after_reduction_count=len(analysis_of(reduced).reachable),
         vliw_rows=vliw.row_count,
         static_ipc=vliw.static_ipc,
         pass_deltas=stats.as_dict(),

@@ -23,6 +23,16 @@ atomics and local calls are rejected as unsupported.
 Branch targets are resolved to absolute instruction indices at decode /
 parse time; ``encode`` recomputes word-relative offsets (a ``lddw``
 occupies two words).
+
+Two analyses are memoised on the objects they describe: ``io_sets`` on
+each ``Instruction``, and a ``ProgramAnalysis`` record on each
+``Program``. That is sound because both classes are frozen: an
+instruction's fields, and a program's instructions and maps, never change,
+and every rewrite builds a new object, through ``dataclasses.replace``
+(which never copies a memo) or ``build_program`` (which starts a fresh
+record). The memos live in declared slots, never in an instance
+``__dict__``: the classes have none, so the attribute reads the execution
+engines make on every step keep their fast path.
 """
 
 from __future__ import annotations
@@ -97,14 +107,16 @@ CONTROL_KINDS = frozenset({Kind.BRANCH, Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_
 MEMORY_KINDS = frozenset({Kind.LOAD, Kind.STORE, Kind.LOAD48, Kind.STORE48})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One decoded instruction.
 
     ``width`` is 32/64 for ALU kinds and the byte count (1/2/4/6/8) for
     memory kinds. ``target`` is the absolute instruction index of a
     branch/jump destination. ``addr_space``, ``stack_slot`` and ``map_id``
-    are analysis annotations attached at Program build time.
+    are analysis annotations attached at Program build time. ``io`` is the
+    ``io_sets`` memo: outside ``__init__``, equality and hashing, and never
+    carried over by ``replace``.
     """
     kind: Kind
     op: str | None = None
@@ -118,6 +130,8 @@ class Instruction:
     addr_space: str | None = None            # stack | packet | map | ctx | mem
     stack_slot: tuple[int, int] | None = None
     map_id: int | None = None
+    io: IoSets | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     @property
     def is_control(self) -> bool:
@@ -155,10 +169,16 @@ class MapDef:
             raise ProgramError(f"map {self.id}: value area exceeds 4MiB")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
+    """Instructions and map definitions. ``analysis`` is the program's
+    ``ProgramAnalysis`` record (read it through ``analysis_of``): outside
+    ``__init__``, equality and hashing, and never carried over by
+    ``replace``."""
     instructions: tuple[Instruction, ...]
     maps: tuple[MapDef, ...] = ()
+    analysis: ProgramAnalysis | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __len__(self):
         return len(self.instructions)
@@ -167,14 +187,48 @@ class Program:
         return self.instructions[i]
 
 
+@dataclass(slots=True)
+class ProgramAnalysis:
+    """Facts about one Program, each computed at most once and shared by
+    every peephole pass and compile stage that reads that Program.
+
+    ``reachable`` and ``provenance`` (``provenance_states``) come with the
+    record. ``cfg`` (``analysis.build_program_cfg``) and ``liveness``
+    (``analysis.liveness`` over ``analysis.block_code``) start as None and
+    are filled on first use by ``analysis.program_cfg`` and
+    ``analysis.program_liveness``. Readers must not mutate what it holds."""
+    reachable: frozenset[int]
+    provenance: list
+    cfg: object = None
+    liveness: object = None
+
+
+def analysis_of(program: Program) -> ProgramAnalysis:
+    """The analysis record of ``program``, made on first use when the
+    program was not built by ``build_program``."""
+    record = program.analysis
+    if record is None:
+        record = ProgramAnalysis(frozenset(reachable_instructions(program)),
+                                 provenance_states(program.instructions))
+        object.__setattr__(program, "analysis", record)
+    return record
+
+
 def build_program(instructions, maps=()) -> Program:
-    """Validate instructions, run the provenance scan, wrap in a Program."""
+    """Validate instructions, run the provenance scan, wrap in a Program.
+    The reachable set and the scan start the program's analysis record."""
     instrs = list(instructions)
-    validate_instructions(instrs)
-    return Program(tuple(annotate_addr_spaces(instrs)), tuple(maps))
+    reachable = validate_instructions(instrs)
+    states = provenance_states(instrs)
+    program = Program(tuple(annotate_addr_spaces(instrs, states)), tuple(maps))
+    object.__setattr__(program, "analysis",
+                       ProgramAnalysis(frozenset(reachable), states))
+    return program
 
 
-def validate_instructions(instrs):
+def validate_instructions(instrs) -> set[int]:
+    """Check register indices, widths, branch targets and that an exit is
+    reachable. Returns the reachable indices."""
     n = len(instrs)
     if n == 0:
         raise ProgramError("empty program")
@@ -189,9 +243,10 @@ def validate_instructions(instrs):
         if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
             if ins.target is None or not 0 <= ins.target < n:
                 raise ProgramError(f"instruction {i}: branch target out of range")
-    if not any(instrs[i].kind in (Kind.EXIT, Kind.EARLY_EXIT)
-               for i in reachable_instructions(instrs)):
+    reachable = reachable_instructions(instrs)
+    if not any(instrs[i].kind in (Kind.EXIT, Kind.EARLY_EXIT) for i in reachable):
         raise ProgramError("no exit reachable from entry")
+    return reachable
 
 
 def successors(ins: Instruction, i: int) -> tuple[int, ...]:
@@ -530,13 +585,13 @@ def provenance_states(instrs):
     return [state_in.get(i) for i in range(n)]
 
 
-def annotate_addr_spaces(instrs):
+def annotate_addr_spaces(instrs, states):
     """Attach addr_space / stack_slot / map_id annotations to memory ops
-    and helper calls, from the provenance scan."""
-    states = provenance_states(instrs)
+    and helper calls, from the provenance scan's ``states`` (which read no
+    annotation). An instruction whose annotation is unchanged is kept as
+    the same object, with its ``io_sets`` memo."""
     annotated = []
-    for i, ins in enumerate(instrs):
-        st = states[i]
+    for ins, st in zip(instrs, states):
         if st is None:                       # unreachable: leave conservative
             annotated.append(ins)
             continue
@@ -547,14 +602,15 @@ def annotate_addr_spaces(instrs):
             if space == "stack" and delta is not None:
                 lo = STACK_SIZE + delta + ins.offset
                 slot = (lo, lo + ins.width)
-            annotated.append(replace(ins, addr_space=space, stack_slot=slot,
-                                     map_id=map_id))
+            if (ins.addr_space, ins.stack_slot, ins.map_id) != (space, slot, map_id):
+                ins = replace(ins, addr_space=space, stack_slot=slot,
+                              map_id=map_id)
         elif ins.kind is Kind.CALL:
             p = st.get(1)
             map_id = p[1] if p and p[0] == "mapfd" else None
-            annotated.append(replace(ins, map_id=map_id))
-        else:
-            annotated.append(ins)
+            if ins.map_id != map_id:
+                ins = replace(ins, map_id=map_id)
+        annotated.append(ins)
     return annotated
 
 
@@ -689,7 +745,16 @@ def _mem_symbol(ins: Instruction):
 
 
 def io_sets(ins: Instruction) -> IoSets:
-    """Complete input/output symbol sets, memory regions included."""
+    """Complete input/output symbol sets, memory regions included; computed
+    once per instruction and kept in ``ins.io``."""
+    io = ins.io
+    if io is None:
+        io = _io_sets(ins)
+        object.__setattr__(ins, "io", io)
+    return io
+
+
+def _io_sets(ins: Instruction) -> IoSets:
     k = ins.kind
     if k is Kind.ALU_BINARY:
         ins_set = {reg(ins.dst)}

@@ -21,13 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .analysis import (
-    block_code,
-    build_program_cfg,
-    find_basic_blocks,
-    live_after,
-    liveness,
-)
+from .analysis import live_after, program_cfg, program_liveness
 from .isa import (
     ALU3_OPS,
     FRAME_REG,
@@ -35,9 +29,9 @@ from .isa import (
     Kind,
     Program,
     STACK_SIZE,
+    analysis_of,
     build_program,
     io_sets,
-    provenance_states,
     reg,
     sets_conflict,
 )
@@ -60,7 +54,8 @@ PASS_NAMES = tuple(_PASSES)
 def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program:
     """``program`` with ``rewrites`` applied: each index maps to its
     replacement instruction, or to None for a deletion. Branch targets are
-    remapped; a deleted old index maps to the next surviving one."""
+    remapped; a deleted old index maps to the next surviving one. With no
+    rewrites, ``program`` itself comes back, analysis record and all."""
     if not rewrites:
         return program
     items = [(i, rewrites.get(i, ins)) for i, ins in enumerate(program.instructions)]
@@ -73,7 +68,9 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
     out = []
     for _, ins in items:
         if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
-            ins = replace(ins, target=new_of(ins.target))
+            target = new_of(ins.target)
+            if target != ins.target:
+                ins = replace(ins, target=target)
         out.append(ins)
     return build_program(out, program.maps)
 
@@ -82,7 +79,8 @@ def _fuse_pairs(program: Program, fuse) -> Program:
     """Rewrite each adjacent pair (a, b) of one block, scanning forward,
     to ``fuse(a, b)`` where that is an instruction and not None. Fused
     pairs do not overlap."""
-    block_of = {i: b.id for b in find_basic_blocks(program) for i in b.indices()}
+    block_of = {i: b.id for b in program_cfg(program).blocks
+                for i in b.indices()}
     rewrites: dict[int, Instruction | None] = {}
     i = 0
     while i + 1 < len(program):
@@ -120,9 +118,9 @@ def remove_boundary_checks(program: Program):
     The pre-fused two-instruction form (three-operand add, compare) is
     matched too.
     """
-    cfg = build_program_cfg(program)
-    states = provenance_states(program.instructions)
-    live = liveness(cfg, block_code(cfg, program))
+    cfg = program_cfg(program)
+    states = analysis_of(program).provenance
+    live = program_liveness(program)
     block_of = {i: b for b in cfg.blocks for i in b.indices()}
 
     removed: list[tuple[int, ...]] = []
@@ -191,8 +189,8 @@ def remove_zeroing(program: Program):
     """Delete writes of immediate zero that are initialisation of still
     zero-initialised state (never read or written before on any path) or
     dead stores (target not live afterwards). Returns (program, removed)."""
-    cfg = build_program_cfg(program)
-    live = liveness(cfg, block_code(cfg, program))
+    cfg = program_cfg(program)
+    live = program_liveness(program)
     touched = _touched_before(program, cfg)
 
     removed = []
@@ -293,8 +291,8 @@ def fuse_load_store_6b(program: Program) -> Program:
     """MAC-copy idiom: an adjacent load pair covering 6 contiguous bytes
     (4B+2B or 2B+4B) plus the matching adjacent store pair rewrite to
     load48 + store48, eliminating the second scratch register."""
-    cfg = build_program_cfg(program)
-    live = liveness(cfg, block_code(cfg, program))
+    cfg = program_cfg(program)
+    live = program_liveness(program)
     rewrites: dict[int, Instruction | None] = {}
 
     for blk in cfg.blocks:

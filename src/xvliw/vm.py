@@ -329,11 +329,17 @@ def read_mem(state: MachineState, addr: int, width: int, pc: int = -1) -> bytes:
 
 
 def write_mem(state: MachineState, addr: int, data: bytes, pc: int = -1):
-    region = hardware_bounds_guard(state, addr, len(data), write=True, pc=pc)
-    if region == "pkt":
+    hardware_bounds_guard(state, addr, len(data), write=True, pc=pc)
+    _store(state, addr, data)
+
+
+def _store(state: MachineState, addr: int, data: bytes):
+    """Write ``data`` at ``addr``, which the bounds guard has just passed
+    for this write: packet, stack or an allocated map entry."""
+    if addr < STACK_BASE:
         idx = addr - PKT_BASE
         state.packet.buf[idx:idx + len(data)] = data
-    elif region == "stack":
+    elif addr < MAPFD_BASE:
         off = addr - STACK_BASE
         state.stack[off:off + len(data)] = data
     else:
@@ -499,7 +505,10 @@ def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Eff
 
 
 def apply_effects(state: MachineState, e: Effects, pc: int = -1):
-    """Commit ``e``: every value it holds is already reduced to 64 bits."""
+    """Commit ``e``: every value it holds is already reduced to 64 bits.
+    The store is guarded again, since in a VLIW row a helper on another
+    lane (``adjust_head``, ``map_delete``) can move the bounds between
+    evaluation and commit."""
     if e.reg is not None:
         state.regs[e.reg] = e.value
     if e.mem is not None:
@@ -680,7 +689,11 @@ def exec_sequential(program: Program, packet: PacketContext, maps: MapStore,
                 pcs.append(pc)
             executed += 1
             e = eval_instruction(state, ins, pc)
-            apply_effects(state, e, pc)
+            if e.reg is not None:
+                state.regs[e.reg] = e.value
+            if e.mem is not None:
+                # eval_instruction guarded the store and nothing has run since
+                _store(state, *e.mem)
             control = e.control
             if control is None:
                 state.pc = pc + 1

@@ -4,6 +4,7 @@ Dominator and post-dominator results are cross-checked against simple-path
 enumeration on every graph up to 8 nodes that the tests build.
 """
 
+import copy
 import itertools
 import random
 
@@ -25,12 +26,18 @@ from xvliw.analysis import (
     live_before,
     liveness,
     n_checks,
+    program_cfg,
+    program_liveness,
 )
 from xvliw.asm import parse_asm
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, generate_case
-from xvliw.isa import Instruction, Kind, io_sets, reg, sets_conflict
-from xvliw.peephole import peephole
+from xvliw.compiler import compile_program
+from xvliw.isa import (Instruction, Kind, Program, analysis_of, io_sets,
+                       provenance_states, reachable_instructions, reg,
+                       sets_conflict)
+from xvliw.peephole import _PASSES, peephole
+from xvliw.schedule import LaneConstraints
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
 DIAMOND = """
@@ -151,8 +158,6 @@ class TestBlocks:
         assert covered == {0, 2}
 
     def test_partition(self, rng):
-        from xvliw.fuzz import generate_case
-        from xvliw.analysis import reachable_instructions
         for i in range(20):
             prog = parse_asm(generate_case(7000 + i).program_text)
             blocks = find_basic_blocks(prog)
@@ -440,6 +445,54 @@ class TestDDGMatchesPairwise:
         prog = parse_asm(straight_line_source(random.Random(300), 300))
         assert len(build_program_cfg(prog).blocks) == 1
         self.assert_blocks_match(prog)
+
+
+def _record_programs():
+    yield from ((name, parse_asm(CORPUS[name].source)) for name in names())
+    for i in range(100):
+        yield f"fuzz {i}", parse_asm(
+            generate_case(case_seed(20260810, i)).program_text)
+
+
+class TestAnalysisRecord:
+    """The per-Program analysis record equals a fresh computation, and the
+    compile stages leave it as they found it."""
+
+    @staticmethod
+    def assert_record_is_fresh(program):
+        bare = Program(program.instructions, program.maps)   # no record yet
+        cfg = build_program_cfg(bare)
+        record = analysis_of(program)
+        assert record.reachable == reachable_instructions(program.instructions)
+        assert record.provenance == provenance_states(program.instructions)
+        assert program_cfg(program) == cfg
+        assert program_liveness(program) == liveness(cfg, block_code(cfg, bare))
+        assert record.cfg is program_cfg(program)
+        assert record.liveness is program_liveness(program)
+
+    def test_after_every_peephole_pass(self):
+        for _name, program in _record_programs():
+            self.assert_record_is_fresh(program)
+            changed = True
+            while changed:
+                changed = False
+                for step in _PASSES.values():
+                    out = step(program)
+                    changed |= out is not program
+                    program = out
+                    self.assert_record_is_fresh(program)
+
+    def test_compile_leaves_the_shared_record_unchanged(self):
+        for name, program in _record_programs():
+            reduced, _ = peephole(program)
+            assert peephole(reduced)[0] is reduced     # a fixed point
+            record = analysis_of(reduced)
+            program_liveness(reduced)
+            before = copy.deepcopy(record)
+            for lanes in (2, 4):
+                compile_program(reduced, LaneConstraints(lanes=lanes))
+                assert reduced.analysis is record, name
+                assert record == before, name
 
 
 class TestBernstein:

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from xvliw.isa import (
     Kind,
     OP_EARLY_EXIT,
     Program,
+    analysis_of,
     build_program,
     decode,
     encode,
@@ -285,6 +287,92 @@ class TestIoSets:
         out = clone_state(state)
         apply_effects(out, eval_instruction(out, ins, 0), 0)
         return out
+
+
+def _memo_program():
+    return build_program([
+        Instruction(Kind.MOV_REG, width=64, dst=2, src=10),
+        Instruction(Kind.STORE, width=8, dst=2, imm=7, offset=-8),
+        Instruction(Kind.LOAD, width=8, dst=3, src=10, offset=-8),
+        Instruction(Kind.BRANCH, op="jeq", dst=3, imm=7, target=5),
+        Instruction(Kind.MOV_IMM, width=64, dst=0, imm=1),
+        Instruction(Kind.EXIT),
+    ])
+
+
+class TestMemos:
+    """``io_sets`` memo on each Instruction and the analysis record on each
+    Program: invisible to equality, hashing and ``replace``."""
+
+    def test_replace_carries_no_memo(self):
+        ins = Instruction(Kind.ALU_BINARY, op="add", width=64, dst=2, src=3)
+        io = io_sets(ins)
+        assert ins.io is io and io_sets(ins) is io
+        assert replace(ins).io is None
+        assert replace(ins, src=4).io is None
+        assert io_sets(replace(ins, src=4)).inputs == {reg(2), reg(4)}
+        prog = _memo_program()
+        assert prog.analysis is not None
+        assert replace(prog).analysis is None
+        assert replace(prog, maps=()).analysis is None
+
+    def test_equality_and_hash_ignore_memos(self):
+        a = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
+                        addr_space="stack")
+        b = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
+                        addr_space="stack")
+        io_sets(a)
+        assert a.io is not None and b.io is None
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        prog = _memo_program()
+        bare = Program(prog.instructions, prog.maps)
+        assert prog.analysis is not None and bare.analysis is None
+        assert prog == bare and hash(prog) == hash(bare)
+        assert repr(prog) == repr(bare)
+
+    def test_record_of_a_bare_program(self):
+        prog = _memo_program()
+        bare = Program(prog.instructions, prog.maps)
+        record = analysis_of(bare)
+        assert bare.analysis is record and analysis_of(bare) is record
+        assert record.reachable == prog.analysis.reachable == set(range(6))
+        assert record.provenance == prog.analysis.provenance
+
+    def test_rebuild_keeps_unchanged_instructions(self):
+        prog = _memo_program()
+        for ins in prog.instructions:
+            io_sets(ins)
+        again = build_program(prog.instructions, prog.maps)
+        assert again == prog
+        assert all(x is y for x, y in zip(again.instructions, prog.instructions))
+        assert all(ins.io is not None for ins in again.instructions)
+        assert again.analysis is not prog.analysis
+
+    def test_no_attribute_outside_declared_fields(self):
+        """Compile the corpus and run it through both engines, then check
+        every Instruction and Program touched: none has an instance
+        ``__dict__``, so none holds an attribute that is not a field."""
+        from xvliw.asm import parse_asm
+        from xvliw.compiler import compile_program
+        from xvliw.corpus import CORPUS
+        from xvliw.peephole import peephole
+        from xvliw.vliwsim import exec_vliw
+        from xvliw.vm import MapStore, PacketContext, exec_sequential
+        for cls in (Instruction, Program):
+            assert set(cls.__slots__) == {f.name for f in fields(cls)}
+        seen = []
+        for entry in CORPUS.values():
+            prog = parse_asm(entry.source)
+            reduced, _ = peephole(prog)
+            vliw, _ = compile_program(prog)
+            for data, port in entry.packet_bytes():
+                exec_sequential(prog, PacketContext(data, 64, port),
+                                MapStore(prog.maps))
+                exec_vliw(vliw, PacketContext(data, 64, port),
+                          MapStore(prog.maps))
+            seen += [prog, reduced, *prog.instructions, *reduced.instructions,
+                     *(s.instr for row in vliw.rows for s in row if s)]
+        assert all(not hasattr(x, "__dict__") for x in seen)
 
 
 class TestExpansion:

@@ -128,6 +128,75 @@ class TestExecution:
                 ok, detail = compare_results(o, r.result)
                 assert ok, (entry.name, detail)
 
+    def test_same_row_helper_moves_a_store_out_of_bounds(self):
+        # the store on lane 0 passes the guard when the row is evaluated;
+        # adjust_head on lane 1 then moves the packet start past it, so
+        # the guard at commit must trap
+        load = Instruction(Kind.LOAD, width=4, dst=6, src=1, offset=0)
+        delta = Instruction(Kind.MOV_IMM, width=64, dst=2, imm=8)
+        store = Instruction(Kind.STORE, width=1, dst=6, imm=1)
+        call = Instruction(Kind.CALL, imm=44)              # adjust_head
+        tail = [row(Instruction(Kind.MOV_IMM, width=64, dst=0, imm=2)),
+                row(Instruction(Kind.EXIT))]
+        for rows in ([row(load, delta), row(store, call)],
+                     [row(load, delta), row(call, store)]):
+            rep, state = run(vliw_of(rows + tail))
+            assert rep.result.trapped, rows
+            assert "outside packet bounds" in rep.result.trap
+            assert state.packet.buf[64] == 0         # the store never landed
+        rep, _ = run(vliw_of([row(load, delta), row(store), row(call)] + tail))
+        assert not rep.result.trapped and rep.result.action == XDP_PASS
+
+    @pytest.mark.parametrize("name, source, reason", [
+        ("packet end", """
+          r2 = *(u32 *)(r1 + 4)
+          *(u32 *)(r2 - 2) = 1
+          r0 = 2
+          exit
+        """, "outside packet bounds"),
+        ("ctx", """
+          *(u32 *)(r1 + 0) = 1
+          r0 = 2
+          exit
+        """, "context record is read-only"),
+        ("stack end", """
+          *(u64 *)(r10 - 4) = 1
+          r0 = 2
+          exit
+        """, "outside stack window"),
+        ("unallocated map entry", """
+        .map 1 hash 4 8 4
+          *(u32 *)(r10 - 4) = 1
+          *(u64 *)(r10 - 16) = 5
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          r3 = r10
+          r3 += -16
+          r4 = 0
+          call map_update
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          call map_lookup
+          if r0 == 0 goto out
+          *(u64 *)(r0 + 8) = 1
+        out:
+          r0 = 2
+          exit
+        """, "unallocated map entry"),
+    ])
+    def test_out_of_bounds_store_traps_in_both_engines(self, name, source,
+                                                       reason):
+        prog = parse_asm(source)
+        vliw, _ = compile_program(prog)
+        o, _ = exec_sequential(prog, PacketContext(b"\x00" * 64),
+                               MapStore(prog.maps))
+        rep, _ = exec_vliw(vliw, PacketContext(b"\x00" * 64),
+                           MapStore(prog.maps))
+        for res in (o, rep.result):
+            assert res.trapped and reason in res.trap, (name, res.trap)
+
 
 class TestHazardCheck:
     def test_compiler_output_clean(self):

@@ -108,6 +108,8 @@ def main(argv=None) -> int:
                         help="seconds per run (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if len(args.seeds) < 2:
+        parser.error("--seeds needs at least two seeds to give quartiles")
     seconds = args.seconds or spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     base = git("rev-parse", args.base).decode().strip()
