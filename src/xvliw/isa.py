@@ -26,9 +26,10 @@ occupies two words).
 
 Two analyses are memoised on the objects they describe: ``io_sets`` on
 each ``Instruction``, and a ``ProgramAnalysis`` record on each
-``Program``. That is sound because both classes are frozen: an
-instruction's fields, and a program's instructions and maps, never change,
-and every rewrite builds a new object, through ``dataclasses.replace``
+``Program``; so is each instruction's decoded step (``vm.decode_step``).
+That is sound because both classes are frozen: an instruction's fields,
+and a program's instructions and maps, never change, and every rewrite
+builds a new object, through ``dataclasses.replace``
 (which never copies a memo) or ``build_program`` (which starts a fresh
 record). The memos live in declared slots, never in an instance
 ``__dict__``: the classes have none, so the attribute reads the execution
@@ -103,8 +104,10 @@ class Kind(Enum):
     EARLY_EXIT = "early_exit"
 
 
-CONTROL_KINDS = frozenset({Kind.BRANCH, Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT})
-MEMORY_KINDS = frozenset({Kind.LOAD, Kind.STORE, Kind.LOAD48, Kind.STORE48})
+# tuples, so membership compares members by identity: a frozenset would
+# run the Python-level ``Enum.__hash__`` on every test
+CONTROL_KINDS = (Kind.BRANCH, Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
+MEMORY_KINDS = (Kind.LOAD, Kind.STORE, Kind.LOAD48, Kind.STORE48)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,8 +118,9 @@ class Instruction:
     memory kinds. ``target`` is the absolute instruction index of a
     branch/jump destination. ``addr_space``, ``stack_slot`` and ``map_id``
     are analysis annotations attached at Program build time. ``io`` is the
-    ``io_sets`` memo: outside ``__init__``, equality and hashing, and never
-    carried over by ``replace``.
+    ``io_sets`` memo and ``step`` the execution engines' decoded step
+    (``vm.decode_step``): both outside ``__init__``, equality, hashing and
+    ``repr``, and never carried over by ``replace``.
     """
     kind: Kind
     op: str | None = None
@@ -132,6 +136,8 @@ class Instruction:
     map_id: int | None = None
     io: IoSets | None = field(default=None, init=False, repr=False,
                               compare=False)
+    step: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def is_control(self) -> bool:

@@ -56,12 +56,18 @@ class BlockSchedule:
         return sum(len(r) for r in self.rows)
 
 
-@dataclass
+@dataclass(slots=True)
 class VliwProgram:
+    """``decoded`` is the simulator's row cache (``vliwsim.exec_vliw``): one
+    entry per row, filled on the row's first execution. It is outside
+    ``__init__``, equality and ``repr``, and never carried over by
+    ``replace``. ``rows`` must not change once the program has run."""
     lane_count: int
     rows: list[list[Slot | None]]    # lane-indexed, fixed width
     row_block: list[int] = field(default_factory=list)
     maps: tuple = ()
+    decoded: list | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def row_count(self):

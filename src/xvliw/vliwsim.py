@@ -12,6 +12,16 @@ action register was not written in the previous in-flight rows - those
 are the cases the fetch stage can recognise and stop early, saving the
 three remaining cycles.
 
+Each row is decoded once, on its first execution, into its lanes' steps
+(``vm.decode_step``, shared with the oracle wherever the instruction
+objects are shared) and its static facts: whether two lanes write one
+register, whether it holds two or more stores (only such rows run the
+overlap test), whether it writes r0, and where its controls sit. The
+cache is the program's declared ``VliwProgram.decoded`` field. Every
+dynamic check remains: both ``RowConflict``s, raised when the row
+executes and in lane order; the bounds guard on every access and again on
+every store at commit; the row budget and the row-pointer trap.
+
 Per-row trace lines are built only when a caller asks for them
 (``exec_vliw(..., trace=True)``); formatting them costs more than
 executing the row.
@@ -31,15 +41,19 @@ from .vm import (
     MachineState,
     MapStore,
     PacketContext,
+    STEP_EXIT,
+    STEP_STORE,
+    STEP_WRITE,
     XDP_ABORTED,
     XdpResult,
-    apply_effects,
-    eval_instruction,
+    decode_step,
     result_action,
+    write_mem,
 )
 
 
 PIPELINE_DEPTH = 4                   # fetch, decode, execute, commit
+_EARLY_EXIT = Kind.EARLY_EXIT
 
 
 @dataclass
@@ -98,13 +112,70 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
     return out
 
 
+def _decode_row(row) -> tuple:
+    """Decode one row into its lanes' steps and the row's static facts:
+    (lanes, stores, controls, check, writes_r0).
+
+    ``lanes`` holds (handler, instruction, k, reg) per occupied lane, in
+    lane order, ``reg`` the register the lane writes or None. ``stores``
+    holds the positions in ``lanes`` of the stores, ``controls`` (position,
+    exits, early exit) of each branch, jump or exit. ``check`` is true
+    only where a conflict is possible: two lanes write one register (which
+    one an instruction writes never depends on the state), or two or more
+    stores must be tested for overlap. ``writes_r0`` is whether a lane
+    writes r0."""
+    lanes = []
+    stores = controls = ()
+    written = 0                             # bit r: some lane writes r
+    check = False
+    for s in row:
+        if s is None:
+            continue
+        ins = s.instr
+        handler, form, reg, k = ins.step or decode_step(ins)
+        if reg is not None:
+            if written >> reg & 1:
+                check = True
+            written |= 1 << reg
+        if form == STEP_STORE:
+            stores += (len(lanes),)
+        elif form != STEP_WRITE:
+            controls += ((len(lanes), form == STEP_EXIT,
+                          ins.kind is _EARLY_EXIT),)
+        lanes.append((handler, ins, k, reg))
+    return tuple(lanes), stores, controls, check or len(stores) > 1, written & 1
+
+
+def _check_row(lanes, stores, values, rp):
+    """Raise the row's first ``RowConflict`` in lane order, if any: a
+    register two lanes write, or a store overlapping an earlier one."""
+    writes: set[int] = set()
+    spans: list[tuple[int, int]] = []
+    for i, (_, _, _, reg) in enumerate(lanes):
+        if reg is not None:
+            if reg in writes:
+                raise RowConflict(f"row {rp}: two lanes write r{reg}")
+            writes.add(reg)
+        elif i in stores:
+            addr, data = values[i]
+            for lo, hi in spans:
+                if addr < hi and lo < addr + len(data):
+                    raise RowConflict(f"row {rp}: overlapping memory writes")
+            spans.append((addr, addr + len(data)))
+
+
 def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
               limits: Limits | None = None, *, trace: bool = False):
     """Execute a program. Returns (RunReport, MachineState); the report
     holds per-row trace lines only when ``trace`` is set."""
     limits = limits or Limits()
     state = MachineState(packet=packet, maps=maps)
+    regs = state.regs
     rows = vliw.rows
+    row_count = len(rows)
+    decoded = vliw.decoded
+    if decoded is None:
+        decoded = vliw.decoded = [None] * row_count
     budget = limits.max_instructions
     rows_executed = 0
     instructions = 0
@@ -115,7 +186,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
     savings = False
 
     def final_result(trapped=False, trap=None):
-        code = state.regs[0]
+        code = regs[0]
         action = XDP_ABORTED if trapped else result_action(code)
         return XdpResult(action, 0 if trapped else code, packet.visible(),
                          maps.snapshot(), redirect_target=state.redirect_target,
@@ -125,51 +196,47 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
         while not finished:
             if rows_executed >= budget or instructions >= budget:
                 raise VmTrap(f"row budget {budget} exhausted")
-            if not 0 <= rp < len(rows):
+            if not 0 <= rp < row_count:
                 raise VmTrap(f"row pointer {rp} outside program")
-            row = rows[rp]
-            effects = [(lane, s, eval_instruction(state, s.instr, rp))
-                       for lane, s in enumerate(row) if s is not None]
-
-            writes: set[int] = set()
-            mem_spans: list[tuple[int, int]] = []
-            for _, _, e in effects:
-                if e.reg is not None:
-                    if e.reg in writes:
-                        raise RowConflict(
-                            f"row {rp}: two lanes write r{e.reg}")
-                    writes.add(e.reg)
-                if e.mem is not None:
-                    addr, data = e.mem
-                    for lo, hi in mem_spans:
-                        if addr < hi and lo < addr + len(data):
-                            raise RowConflict(
-                                f"row {rp}: overlapping memory writes")
-                    mem_spans.append((addr, addr + len(data)))
-            for _, _, e in effects:
-                apply_effects(state, e, rp)
+            row = decoded[rp]
+            if row is None:
+                row = decoded[rp] = _decode_row(rows[rp])
+            lanes, stores, controls, check, writes_r0 = row
+            # every lane reads the pre-row state; writes commit after the row
+            values = []
+            for handler, ins, k, _ in lanes:
+                values.append(handler(state, regs, ins, k, rp))
+            if check:
+                _check_row(lanes, stores, values, rp)
+            for i, (_, _, _, reg) in enumerate(lanes):
+                if reg is not None:
+                    regs[reg] = values[i]
+                elif i in stores:
+                    # guarded again: a helper on another lane (adjust_head,
+                    # map_delete) may have moved the bounds since
+                    write_mem(state, *values[i], rp)
 
             rows_executed += 1
-            instructions += len(effects)
-            if 0 in writes:
+            instructions += len(lanes)
+            if writes_r0:
                 last_r0_row = rows_executed
 
             # lanes run in index order, so the first control wins
-            taken_lane = None
+            taken = None                    # position in ``lanes``
             next_rp = rp + 1
-            for lane, s, e in effects:
-                if e.control is None:
-                    continue
-                taken_lane = lane
-                if e.control[0] == "exit":
+            for i, exits, early in controls:
+                if exits:
                     finished = True
-                    savings = (s.instr.kind is Kind.EARLY_EXIT
+                    savings = (early
                                or rows_executed - last_r0_row >= PIPELINE_DEPTH)
+                elif values[i] is None:
+                    continue
                 else:
-                    next_rp = e.control[1]
+                    next_rp = values[i]
+                taken = i
                 break
             if lines is not None:
-                lines.append(_trace_line(rows_executed, rp, row, taken_lane))
+                lines.append(_trace_line(rows_executed, rp, rows[rp], taken))
             rp = next_rp
     except VmTrap as exc:
         rows_executed = max(rows_executed, 1)
@@ -188,8 +255,13 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
     return report, state
 
 
-def _trace_line(cycle, row_index, row, taken_lane):
+def _trace_line(cycle, row_index, row, taken):
+    """One trace line; ``taken`` is the position, among the row's occupied
+    slots, of the control that was taken, or None."""
     cells = [format_instruction(s.instr) if s is not None else "---"
              for s in row]
-    taken = f" taken=lane{taken_lane}" if taken_lane is not None else ""
-    return f"cycle {cycle:4d} row {row_index:4d}: {' | '.join(cells)}{taken}"
+    line = f"cycle {cycle:4d} row {row_index:4d}: {' | '.join(cells)}"
+    if taken is None:
+        return line
+    lanes = [lane for lane, s in enumerate(row) if s is not None]
+    return f"{line} taken=lane{lanes[taken]}"

@@ -20,6 +20,20 @@ makes boundary-check removal in the optimizer sound. Division and modulo
 by zero yield 0 and continue. Helpers modify only r0 plus their declared
 memory regions; r1-r5 and r6-r9 are preserved.
 
+Each instruction is decoded once, on its first execution
+(``decode_step``), into a step: a module-level handler chosen by kind,
+width and operand form, with the operands it needs decoded once (a
+sign-extended immediate, a constant result, a helper). The step is kept
+in the instruction's declared ``step`` field, so every later run of the
+program reuses it, and so does the VLIW simulator wherever it runs the
+same instruction objects. The handlers are the one definition of the
+instruction semantics; ``eval_instruction`` and ``apply_effects`` wrap
+them for callers that evaluate one instruction at a time. Decoding drops
+no dynamic check: every access is still bounds-guarded (packet, stack and
+context-record reads classify and read in one step, with the guard's own
+traps), every store is guarded when it is evaluated, and the instruction
+budget and the pc trap are as before.
+
 A result's map snapshot (``MapStore.snapshot``) holds, per map id, each
 allocated key's value bytes: every index of an array map, every live key
 of a hash or LRU map. Each map keeps that table current as its storage is
@@ -29,6 +43,7 @@ snapshots by equality.
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -100,16 +115,15 @@ class PacketContext:
     def visible(self) -> bytes:
         return bytes(self.buf[self.start:self.end])
 
-    def ctx_word(self, index: int) -> int:
-        """Word ``index`` of the context record: data, data_end, data_meta
-        (equal to data) or ingress port."""
-        if index == 1:
-            return self.data_end_addr
-        if index == 3:
-            return self.ingress_port
-        return self.data_addr
+    def ctx_record(self) -> bytes:
+        """The context record: data, data_end, data_meta (equal to data)
+        and ingress port, each a little-endian u32."""
+        data = self.data_addr & MASK32
+        return _CTX_RECORD(data, self.data_end_addr & MASK32, data,
+                           self.ingress_port & MASK32)
 
 
+_CTX_RECORD = struct.Struct("<4I").pack
 _array_key = struct.Struct("<I").pack      # array index -> its 4-byte key
 
 
@@ -309,23 +323,35 @@ def hardware_bounds_guard(state: MachineState, addr: int, width: int,
 
 
 def read_mem(state: MachineState, addr: int, width: int, pc: int = -1) -> bytes:
-    region = hardware_bounds_guard(state, addr, width, write=False, pc=pc)
-    if region == "ctx":
-        off = addr - CTX_BASE
-        first, rest = divmod(off, 4)
-        words = b"".join((state.packet.ctx_word(i) & MASK32).to_bytes(4, "little")
-                         for i in range(first, (off + width + 3) // 4))
-        return words[rest:rest + width]
-    if region == "pkt":
+    return bytes(_read(state, addr, width, pc))
+
+
+def _read(state: MachineState, addr: int, width: int, pc: int):
+    """A copy of the ``width`` bytes at ``addr``, as bytes or bytearray.
+    Packet, stack and context-record reads classify and read in one step,
+    with the very traps ``hardware_bounds_guard`` raises for those regions;
+    every other address goes through the guard."""
+    if PKT_BASE <= addr < STACK_BASE:
+        pkt = state.packet
         idx = addr - PKT_BASE
-        return bytes(state.packet.buf[idx:idx + width])
-    if region == "stack":
+        if idx < pkt.start or idx + width > pkt.end:
+            raise MemoryTrap(pc, addr, width, "outside packet bounds")
+        return pkt.buf[idx:idx + width]
+    if STACK_BASE <= addr < MAPFD_BASE:
         off = addr - STACK_BASE
-        return bytes(state.stack[off:off + width])
+        if off + width > STACK_SIZE:
+            raise MemoryTrap(pc, addr, width, "outside stack window")
+        return state.stack[off:off + width]
+    if CTX_BASE <= addr < CTX_BASE + CTX_SIZE:
+        if addr + width > CTX_BASE + CTX_SIZE:
+            raise MemoryTrap(pc, addr, width, "context record overrun")
+        off = addr - CTX_BASE
+        return state.packet.ctx_record()[off:off + width]
+    hardware_bounds_guard(state, addr, width, write=False, pc=pc)
     rel = addr - MAPVAL_BASE
     m = state.maps.get(rel // MAP_STRIDE)
     inner = rel % MAP_STRIDE
-    return bytes(m.storage[inner:inner + width])
+    return m.storage[inner:inner + width]
 
 
 def write_mem(state: MachineState, addr: int, data: bytes, pc: int = -1):
@@ -348,7 +374,7 @@ def _store(state: MachineState, addr: int, data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# ALU / branch semantics
+# instruction semantics: decoded steps
 # ---------------------------------------------------------------------------
 
 # op -> f(a, b, mask, top): operands already masked to the width, ``top``
@@ -367,12 +393,27 @@ _ALU_OPS = {
     "arsh": lambda a, b, mask, top: ((a - (mask + 1) if a >> top else a)
                                      >> (b & top)) & mask,
 }
+_WIDTHS = {64: (MASK64, 63), 32: (MASK32, 31)}      # width -> (mask, top)
+
+# op -> test(a, b) of a conditional branch on 64-bit operands
+_BRANCH_TESTS = {
+    "jeq": operator.eq,
+    "jne": operator.ne,
+    "jgt": operator.gt,
+    "jge": operator.ge,
+    "jlt": operator.lt,
+    "jle": operator.le,
+    "jset": lambda a, b: (a & b) != 0,
+    "jsgt": lambda a, b: s64(a) > s64(b),
+    "jsge": lambda a, b: s64(a) >= s64(b),
+    "jslt": lambda a, b: s64(a) < s64(b),
+    "jsle": lambda a, b: s64(a) <= s64(b),
+}
 
 
 def alu_compute(op: str, width: int, a: int, b: int) -> int:
-    if width == 64:
-        return _ALU_OPS[op](a & MASK64, b & MASK64, MASK64, 63)
-    return _ALU_OPS[op](a & MASK32, b & MASK32, MASK32, 31)
+    mask, top = _WIDTHS[64 if width == 64 else 32]
+    return _ALU_OPS[op](a & mask, b & mask, mask, top)
 
 
 def _bswap(v: int, bits: int) -> int:
@@ -380,39 +421,204 @@ def _bswap(v: int, bits: int) -> int:
                           "big")
 
 
-def branch_taken(op: str, a: int, b: int) -> bool:
-    if op == "jeq":
-        return a == b
-    if op == "jne":
-        return a != b
-    if op == "jgt":
-        return a > b
-    if op == "jge":
-        return a >= b
-    if op == "jlt":
-        return a < b
-    if op == "jle":
-        return a <= b
-    if op == "jset":
-        return (a & b) != 0
-    sa, sb = s64(a), s64(b)
-    if op == "jsgt":
-        return sa > sb
-    if op == "jsge":
-        return sa >= sb
-    if op == "jslt":
-        return sa < sb
-    if op == "jsle":
-        return sa <= sb
-    raise AssertionError(f"bad branch op {op}")
+# A decoded step is the tuple (handler, form, reg, k). ``handler(state,
+# regs, ins, k, pc)`` evaluates ``ins`` against the state and commits
+# nothing but a helper's map and packet side effects. ``k`` is an operand
+# decoded from ``ins`` once: a sign-extended immediate, a constant result,
+# a store mask, a helper. The form says what the handler returns:
+#   STEP_WRITE   the new value of register ``reg``;
+#   STEP_STORE   (address, bytes) of a store the handler has bounds-guarded;
+#   STEP_BRANCH  the target, or None when a conditional branch falls through;
+#   STEP_EXIT    the new value of r0 when ``reg`` is 0 (a parametrized
+#                exit), else None.
+STEP_WRITE, STEP_STORE, STEP_BRANCH, STEP_EXIT = range(4)
 
 
-# ---------------------------------------------------------------------------
-# instruction evaluation
-# ---------------------------------------------------------------------------
+def _alu_binary(f, mask, top, imm: bool):
+    if imm:
+        def handler(state, regs, ins, k, pc):
+            return f(regs[ins.dst] & mask, k, mask, top)
+    else:
+        def handler(state, regs, ins, k, pc):
+            return f(regs[ins.dst] & mask, regs[ins.src] & mask, mask, top)
+    return handler
+
+
+def _alu_three_op(f, imm: bool):
+    if imm:
+        def handler(state, regs, ins, k, pc):
+            return f(regs[ins.src] & MASK64, k, MASK64, 63)
+    else:
+        def handler(state, regs, ins, k, pc):
+            return f(regs[ins.src] & MASK64, regs[ins.src2] & MASK64, MASK64, 63)
+    return handler
+
+
+def _branch(test, imm: bool):
+    if imm:
+        def handler(state, regs, ins, k, pc):
+            return ins.target if test(regs[ins.dst], k) else None
+    else:
+        def handler(state, regs, ins, k, pc):
+            return ins.target if test(regs[ins.dst], regs[ins.src]) else None
+    return handler
+
+
+# one handler per operation, width and operand form, shared by every
+# instruction that has them: width -> op -> handler, and op -> handler
+_ALU_REG, _ALU_IMM = ({width: {op: _alu_binary(f, *_WIDTHS[width], imm)
+                               for op, f in _ALU_OPS.items()}
+                       for width in _WIDTHS} for imm in (False, True))
+_ALU3_REG, _ALU3_IMM = ({op: _alu_three_op(f, imm) for op, f in _ALU_OPS.items()}
+                        for imm in (False, True))
+_BRANCH_REG, _BRANCH_IMM = ({op: _branch(test, imm)
+                             for op, test in _BRANCH_TESTS.items()}
+                            for imm in (False, True))
+
+
+def _constant(state, regs, ins, k, pc):
+    return k
+
+
+def _mov64(state, regs, ins, k, pc):
+    return regs[ins.src]
+
+
+def _mov32(state, regs, ins, k, pc):
+    return regs[ins.src] & MASK32
+
+
+def _neg(state, regs, ins, k, pc):                  # k: the width's mask
+    return (-regs[ins.dst]) & k
+
+
+def _be(state, regs, ins, k, pc):                   # k: the swapped bits
+    return _bswap(regs[ins.dst], k)
+
+
+def _le(state, regs, ins, k, pc):                   # k: the kept bits
+    return regs[ins.dst] & k                        # truncate on this model
+
+
+def _load(state, regs, ins, k, pc):
+    return int.from_bytes(
+        _read(state, (regs[ins.src] + ins.offset) & MASK64, ins.width, pc),
+        "little")
+
+
+def _store_reg(state, regs, ins, k, pc):            # k: the width's mask
+    addr = (regs[ins.dst] + ins.offset) & MASK64
+    width = ins.width
+    hardware_bounds_guard(state, addr, width, True, pc)
+    return addr, (regs[ins.src] & k).to_bytes(width, "little")
+
+
+def _store_imm(state, regs, ins, k, pc):            # k: the stored bytes
+    addr = (regs[ins.dst] + ins.offset) & MASK64
+    hardware_bounds_guard(state, addr, ins.width, True, pc)
+    return addr, k
+
+
+def _jump(state, regs, ins, k, pc):
+    return ins.target
+
+
+def _exit(state, regs, ins, k, pc):
+    return None
+
+
+def _call(state, regs, ins, k, pc):                 # k: the helper's code
+    return k(state, pc) & MASK64
+
+
+def _unknown_helper(state, regs, ins, k, pc):
+    raise UnknownHelper(ins.imm)
+
+
+# Reading an enum member off its class runs a Python-level descriptor;
+# the decoder compares against these module bindings instead.
+(_ALU_BINARY, _ALU_UNARY, _MOV_IMM, _MOV_REG, _LOAD_IMM64, _ALU_THREE_OP,
+ _BRANCH, _JUMP_ALWAYS, _EXIT, _EARLY_EXIT, _CALL) = (
+    Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
+    Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.BRANCH, Kind.JUMP_ALWAYS,
+    Kind.EXIT, Kind.EARLY_EXIT, Kind.CALL)
+_LOADS = (Kind.LOAD, Kind.LOAD48)
+_STORES = (Kind.STORE, Kind.STORE48)
+
+
+def decode_step(ins: Instruction) -> tuple:
+    """Decode ``ins`` into its step and keep the step in the instruction's
+    ``step`` field; the engines call this on an instruction's first
+    execution and read the field after that."""
+    k = ins.kind
+    if k is _ALU_BINARY:
+        width = 64 if ins.width == 64 else 32
+        if ins.src is None:
+            step = (_ALU_IMM[width][ins.op], STEP_WRITE, ins.dst,
+                    sx32(ins.imm) & _WIDTHS[width][0])
+        else:
+            step = (_ALU_REG[width][ins.op], STEP_WRITE, ins.dst, None)
+    elif k is _MOV_IMM:
+        step = (_constant, STEP_WRITE, ins.dst,
+                sx32(ins.imm) if ins.width == 64 else ins.imm & MASK32)
+    elif k is _MOV_REG:
+        step = (_mov64 if ins.width == 64 else _mov32, STEP_WRITE, ins.dst, None)
+    elif k in _LOADS:
+        step = (_load, STEP_WRITE, ins.dst, None)
+    elif k in _STORES:
+        mask = (1 << (ins.width * 8)) - 1
+        if ins.src is None:
+            step = (_store_imm, STEP_STORE, None,
+                    (sx32(ins.imm) & mask).to_bytes(ins.width, "little"))
+        else:
+            step = (_store_reg, STEP_STORE, None, mask)
+    elif k is _BRANCH:
+        handler = (_BRANCH_IMM if ins.src is None else _BRANCH_REG).get(ins.op)
+        if handler is None:
+            raise AssertionError(f"bad branch op {ins.op}")
+        step = (handler, STEP_BRANCH, None,
+                sx32(ins.imm) if ins.src is None else None)
+    elif k is _JUMP_ALWAYS:
+        step = (_jump, STEP_BRANCH, None, None)
+    elif k is _ALU_THREE_OP:
+        if ins.src2 is None:
+            step = (_ALU3_IMM[ins.op], STEP_WRITE, ins.dst, sx32(ins.imm))
+        else:
+            step = (_ALU3_REG[ins.op], STEP_WRITE, ins.dst, None)
+    elif k is _LOAD_IMM64:
+        step = (_constant, STEP_WRITE, ins.dst,
+                MAPFD_BASE + ins.imm if ins.is_map_ref else ins.imm & MASK64)
+    elif k is _CALL:
+        impl = _helper_impl(ins.imm)
+        step = ((_unknown_helper, STEP_WRITE, 0, None) if impl is None
+                else (_call, STEP_WRITE, 0, impl))
+    elif k is _EXIT:
+        step = (_exit, STEP_EXIT, None, None)
+    elif k is _EARLY_EXIT:
+        step = (_constant, STEP_EXIT, 0, sx32(ins.imm))
+    elif k is _ALU_UNARY:
+        if ins.op == "neg":
+            step = (_neg, STEP_WRITE, ins.dst,
+                    MASK64 if ins.width == 64 else MASK32)
+        elif ins.op == "be":
+            step = (_be, STEP_WRITE, ins.dst, ins.imm)
+        else:
+            step = (_le, STEP_WRITE, ins.dst, (1 << ins.imm) - 1)
+    else:
+        raise AssertionError(f"unhandled kind {k}")
+    _keep_step(ins, step)
+    return step
+
+
+# the slot's own setter: a frozen dataclass refuses ``setattr``, and
+# ``object.__setattr__`` costs three times as much
+_keep_step = Instruction.step.__set__
+
 
 class Effects:
-    """Buffered result of evaluating one instruction against a state.
+    """Buffered result of evaluating one instruction against a state, for
+    callers that take one instruction at a time (``eval_instruction``);
+    the engines run steps and build none.
 
     An instruction writes at most one register and one memory range:
     ``reg`` is the register written (None for none) and ``value`` its new
@@ -430,85 +636,31 @@ class Effects:
         self.control = None
 
 
-# Reading an enum member off its class runs a Python-level descriptor;
-# the evaluation loop compares against these module bindings instead.
-(_ALU_BINARY, _ALU_UNARY, _MOV_IMM, _MOV_REG, _LOAD_IMM64, _ALU_THREE_OP,
- _BRANCH, _JUMP_ALWAYS, _EXIT, _EARLY_EXIT, _CALL) = (
-    Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
-    Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.BRANCH, Kind.JUMP_ALWAYS,
-    Kind.EXIT, Kind.EARLY_EXIT, Kind.CALL)
-_LOADS = (Kind.LOAD, Kind.LOAD48)
-_STORES = (Kind.STORE, Kind.STORE48)
-
-
-def eval_instruction(state: MachineState, ins: Instruction, pc: int = -1) -> Effects:
-    """Evaluate ``ins`` reading the current state; no register/memory commit."""
+def eval_instruction(state: MachineState, ins: Instruction,
+                     pc: int = -1) -> Effects:
+    """Evaluate ``ins`` reading the current state; no register/memory
+    commit. Runs the instruction's step and repackages what it returns
+    as ``Effects``."""
+    handler, form, reg, k = ins.step or decode_step(ins)
+    value = handler(state, state.regs, ins, k, pc)
     e = Effects()
-    k = ins.kind
-    regs = state.regs
-
-    if k is _ALU_BINARY:
-        b = regs[ins.src] if ins.src is not None else sx32(ins.imm)
-        e.reg = ins.dst
-        e.value = alu_compute(ins.op, ins.width, regs[ins.dst], b)
-    elif k is _ALU_UNARY:
-        v = regs[ins.dst]
-        e.reg = ins.dst
-        if ins.op == "neg":
-            mask = MASK64 if ins.width == 64 else MASK32
-            e.value = (-v) & mask
-        elif ins.op == "be":
-            e.value = _bswap(v, ins.imm)
-        else:                                   # le: truncate on this model
-            e.value = v & ((1 << ins.imm) - 1)
-    elif k is _MOV_IMM:
-        e.reg = ins.dst
-        e.value = sx32(ins.imm) if ins.width == 64 else ins.imm & MASK32
-    elif k is _MOV_REG:
-        v = regs[ins.src]
-        e.reg = ins.dst
-        e.value = v if ins.width == 64 else v & MASK32
-    elif k is _LOAD_IMM64:
-        e.reg = ins.dst
-        e.value = MAPFD_BASE + ins.imm if ins.is_map_ref else ins.imm & MASK64
-    elif k is _ALU_THREE_OP:
-        b = regs[ins.src2] if ins.src2 is not None else sx32(ins.imm)
-        e.reg = ins.dst
-        e.value = alu_compute(ins.op, 64, regs[ins.src], b)
-    elif k in _LOADS:
-        addr = (regs[ins.src] + ins.offset) & MASK64
-        e.reg = ins.dst
-        e.value = int.from_bytes(read_mem(state, addr, ins.width, pc), "little")
-    elif k in _STORES:
-        addr = (regs[ins.dst] + ins.offset) & MASK64
-        v = regs[ins.src] if ins.src is not None else sx32(ins.imm)
-        data = (v & ((1 << (ins.width * 8)) - 1)).to_bytes(ins.width, "little")
-        hardware_bounds_guard(state, addr, ins.width, write=True, pc=pc)
-        e.mem = (addr, data)
-    elif k is _BRANCH:
-        b = regs[ins.src] if ins.src is not None else sx32(ins.imm)
-        if branch_taken(ins.op, regs[ins.dst], b):
-            e.control = ("jump", ins.target)
-    elif k is _JUMP_ALWAYS:
-        e.control = ("jump", ins.target)
-    elif k is _EXIT:
-        e.control = ("exit",)
-    elif k is _EARLY_EXIT:
-        e.reg = 0
-        e.value = sx32(ins.imm)
-        e.control = ("exit",)
-    elif k is _CALL:
-        helper_call(ins.imm, state, pc=pc, effects=e)
+    if form == STEP_WRITE:
+        e.reg, e.value = reg, value
+    elif form == STEP_STORE:
+        e.mem = value
+    elif form == STEP_BRANCH:
+        if value is not None:
+            e.control = ("jump", value)
     else:
-        raise AssertionError(f"unhandled kind {k}")
+        if reg is not None:
+            e.reg, e.value = reg, value
+        e.control = ("exit",)
     return e
 
 
 def apply_effects(state: MachineState, e: Effects, pc: int = -1):
     """Commit ``e``: every value it holds is already reduced to 64 bits.
-    The store is guarded again, since in a VLIW row a helper on another
-    lane (``adjust_head``, ``map_delete``) can move the bounds between
-    evaluation and commit."""
+    The store goes through ``write_mem``, so it is guarded again."""
     if e.reg is not None:
         state.regs[e.reg] = e.value
     if e.mem is not None:
@@ -519,22 +671,21 @@ def apply_effects(state: MachineState, e: Effects, pc: int = -1):
 # helper functions
 # ---------------------------------------------------------------------------
 
-def helper_call(helper_id: int, state: MachineState, pc: int = -1,
-                effects: Effects | None = None) -> MachineState:
-    """Run one helper. Map/packet side effects apply immediately; the r0
-    result goes through ``effects`` when given (row semantics), else
-    directly. r1-r5 and r6-r9 are never modified."""
-    helper = HELPERS.get(helper_id)
-    if helper is None:
+def helper_call(helper_id: int, state: MachineState,
+                pc: int = -1) -> MachineState:
+    """Run one helper: map/packet side effects, and its result in r0.
+    r1-r5 and r6-r9 are never modified."""
+    impl = _helper_impl(helper_id)
+    if impl is None:
         raise UnknownHelper(helper_id)
-    impl = _HELPER_IMPLS[helper.name]
-    r0 = impl(state, pc) & MASK64
-    if effects is None:
-        state.regs[0] = r0
-    else:
-        effects.reg = 0
-        effects.value = r0
+    state.regs[0] = impl(state, pc) & MASK64
     return state
+
+
+def _helper_impl(helper_id: int):
+    """The implementation of helper ``helper_id``; None if there is none."""
+    helper = HELPERS.get(helper_id)
+    return None if helper is None else _HELPER_IMPLS[helper.name]
 
 
 def _need_map(state, handle, name):
@@ -672,40 +823,46 @@ def exec_sequential(program: Program, packet: PacketContext, maps: MapStore,
     the result lists the executed pcs only when ``trace`` is set."""
     limits = limits or Limits()
     state = MachineState(packet=packet, maps=maps)
+    regs = state.regs
+    instrs = program.instructions
     pcs: list[int] | None = [] if trace else None
     budget = limits.max_instructions
-    size = len(program)
+    size = len(instrs)
     executed = 0
+    pc = 0
     try:
         while True:
             if executed >= budget:
                 raise InstructionLimitExceeded(
                     f"instruction budget {budget} exhausted")
-            pc = state.pc
             if not 0 <= pc < size:
                 raise VmTrap(f"pc {pc} outside program")
-            ins = program[pc]
+            ins = instrs[pc]
             if pcs is not None:
                 pcs.append(pc)
             executed += 1
-            e = eval_instruction(state, ins, pc)
-            if e.reg is not None:
-                state.regs[e.reg] = e.value
-            if e.mem is not None:
-                # eval_instruction guarded the store and nothing has run since
-                _store(state, *e.mem)
-            control = e.control
-            if control is None:
-                state.pc = pc + 1
-            elif control[0] == "jump":
-                state.pc = control[1]
+            handler, form, reg, k = ins.step or decode_step(ins)
+            value = handler(state, regs, ins, k, pc)
+            if form == STEP_WRITE:
+                regs[reg] = value
+                pc += 1
+            elif form == STEP_STORE:
+                # the step guarded the store and nothing has run since
+                _store(state, *value)
+                pc += 1
+            elif form == STEP_BRANCH:
+                pc = pc + 1 if value is None else value
             else:
-                code = state.regs[0]
+                if reg is not None:
+                    regs[reg] = value
+                state.pc = pc
+                code = regs[0]
                 return XdpResult(result_action(code), code, packet.visible(),
                                  maps.snapshot(),
                                  redirect_target=state.redirect_target,
                                  trace=pcs), state
     except VmTrap as exc:
+        state.pc = pc
         return XdpResult(XDP_ABORTED, 0, packet.visible(), maps.snapshot(),
                          redirect_target=state.redirect_target, trace=pcs,
                          trapped=True, trap=str(exc)), state

@@ -28,7 +28,8 @@ from xvliw.isa import (
     sets_conflict,
     symbols_overlap,
 )
-from xvliw.vm import MASK64, apply_effects, eval_instruction
+from xvliw.schedule import VliwProgram
+from xvliw.vm import MASK64, apply_effects, decode_step, eval_instruction
 
 
 # A deliberately independent mini-disassembler for the cross-checked words:
@@ -300,9 +301,25 @@ def _memo_program():
     ])
 
 
+def _run_both(prog, vliw, runs=1, packet=b"\x00" * 64):
+    from xvliw.vliwsim import exec_vliw
+    from xvliw.vm import MapStore, PacketContext, exec_sequential
+    for _ in range(runs):
+        exec_sequential(prog, PacketContext(packet), MapStore(prog.maps))
+        exec_vliw(vliw, PacketContext(packet), MapStore(prog.maps))
+
+
+def _compiled_memo_program():
+    from xvliw.compiler import compile_program
+    prog = _memo_program()
+    vliw, _ = compile_program(prog)
+    return prog, vliw
+
+
 class TestMemos:
-    """``io_sets`` memo on each Instruction and the analysis record on each
-    Program: invisible to equality, hashing and ``replace``."""
+    """The ``io_sets`` memo and the decoded step on each Instruction, the
+    analysis record on each Program and the row cache on each VliwProgram:
+    invisible to equality, hashing, ``repr`` and ``replace``."""
 
     def test_replace_carries_no_memo(self):
         ins = Instruction(Kind.ALU_BINARY, op="add", width=64, dst=2, src=3)
@@ -311,10 +328,18 @@ class TestMemos:
         assert replace(ins).io is None
         assert replace(ins, src=4).io is None
         assert io_sets(replace(ins, src=4)).inputs == {reg(2), reg(4)}
+        step = decode_step(ins)
+        assert ins.step is step
+        assert replace(ins).step is None and replace(ins, src=4).step is None
         prog = _memo_program()
         assert prog.analysis is not None
         assert replace(prog).analysis is None
         assert replace(prog, maps=()).analysis is None
+        prog, vliw = _compiled_memo_program()
+        _run_both(prog, vliw)
+        assert vliw.decoded is not None
+        assert replace(vliw).decoded is None
+        assert replace(vliw, maps=()).decoded is None
 
     def test_equality_and_hash_ignore_memos(self):
         a = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
@@ -322,13 +347,21 @@ class TestMemos:
         b = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
                         addr_space="stack")
         io_sets(a)
+        decode_step(a)
         assert a.io is not None and b.io is None
+        assert a.step is not None and b.step is None
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         prog = _memo_program()
         bare = Program(prog.instructions, prog.maps)
         assert prog.analysis is not None and bare.analysis is None
         assert prog == bare and hash(prog) == hash(bare)
         assert repr(prog) == repr(bare)
+        prog, vliw = _compiled_memo_program()
+        fresh = VliwProgram(vliw.lane_count, vliw.rows, vliw.row_block,
+                            vliw.maps)
+        _run_both(prog, vliw)
+        assert vliw.decoded is not None and fresh.decoded is None
+        assert vliw == fresh and repr(vliw) == repr(fresh)
 
     def test_record_of_a_bare_program(self):
         prog = _memo_program()
@@ -348,17 +381,54 @@ class TestMemos:
         assert all(ins.io is not None for ins in again.instructions)
         assert again.analysis is not prog.analysis
 
+    def test_each_instruction_and_row_decoded_once(self, monkeypatch):
+        """50 runs of the firewall through both engines decode each
+        executed instruction once and each executed row once."""
+        from collections import Counter
+        from xvliw import vliwsim, vm
+        from xvliw.asm import parse_asm
+        from xvliw.compiler import compile_program
+        from xvliw.corpus import CORPUS
+        steps, rows = Counter(), Counter()
+        decode_ins, decode_row = vm.decode_step, vliwsim._decode_row
+
+        def counting_step(ins):
+            steps[id(ins)] += 1
+            return decode_ins(ins)
+
+        def counting_row(row):
+            rows[id(row)] += 1
+            return decode_row(row)
+        monkeypatch.setattr(vm, "decode_step", counting_step)
+        monkeypatch.setattr(vliwsim, "decode_step", counting_step)
+        monkeypatch.setattr(vliwsim, "_decode_row", counting_row)
+        entry = CORPUS["simple_firewall"]
+        prog = parse_asm(entry.source)
+        vliw, _ = compile_program(prog)
+        for _ in range(50):
+            for data, port in entry.packet_bytes():
+                _run_both(prog, vliw, packet=data)
+        instrs = [*prog.instructions,
+                  *(s.instr for row in vliw.rows for s in row if s)]
+        assert steps and set(steps.values()) == {1}
+        assert set(steps) <= {id(ins) for ins in instrs}
+        assert {id(ins) for ins in instrs if ins.step is not None} == set(steps)
+        assert rows and set(rows.values()) == {1}
+        assert rows.keys() == {id(row) for row, d in zip(vliw.rows, vliw.decoded)
+                               if d is not None}
+
     def test_no_attribute_outside_declared_fields(self):
         """Compile the corpus and run it through both engines, then check
-        every Instruction and Program touched: none has an instance
-        ``__dict__``, so none holds an attribute that is not a field."""
+        every Instruction, Program and VliwProgram touched: none has an
+        instance ``__dict__``, so none holds an attribute that is not a
+        field."""
         from xvliw.asm import parse_asm
         from xvliw.compiler import compile_program
         from xvliw.corpus import CORPUS
         from xvliw.peephole import peephole
         from xvliw.vliwsim import exec_vliw
         from xvliw.vm import MapStore, PacketContext, exec_sequential
-        for cls in (Instruction, Program):
+        for cls in (Instruction, Program, VliwProgram):
             assert set(cls.__slots__) == {f.name for f in fields(cls)}
         seen = []
         for entry in CORPUS.values():
@@ -370,7 +440,9 @@ class TestMemos:
                                 MapStore(prog.maps))
                 exec_vliw(vliw, PacketContext(data, 64, port),
                           MapStore(prog.maps))
-            seen += [prog, reduced, *prog.instructions, *reduced.instructions,
+            assert vliw.decoded is not None
+            seen += [prog, reduced, vliw, *prog.instructions,
+                     *reduced.instructions,
                      *(s.instr for row in vliw.rows for s in row if s)]
         assert all(not hasattr(x, "__dict__") for x in seen)
 

@@ -83,6 +83,38 @@ class TestExecution:
         rep, _ = run(vliw_of(rows))
         assert rep.result.trapped and "two lanes write" in rep.result.trap
 
+    def test_overlapping_stores_trap_and_neither_lands(self):
+        wide = Instruction(Kind.STORE, width=8, dst=10, imm=0x11, offset=-8)
+        narrow = Instruction(Kind.STORE, width=4, dst=10, imm=0x22, offset=-4)
+        apart = Instruction(Kind.STORE, width=4, dst=10, imm=0x33, offset=-12)
+        for lanes in ((wide, narrow), (narrow, wide), (apart, wide, narrow)):
+            rows = [row(*lanes), row(Instruction(Kind.EXIT))]
+            rep, state = run(vliw_of(rows))
+            assert rep.result.trapped, lanes
+            assert rep.result.trap == "row 0: overlapping memory writes"
+            assert state.stack == bytearray(512)      # no store landed
+        rows = [row(wide, apart), row(Instruction(Kind.EXIT))]
+        rep, state = run(vliw_of(rows))
+        assert not rep.result.trapped
+        assert state.stack[-12:] == bytes([0x33, 0, 0, 0, 0x11]) + bytes(7)
+
+    def test_first_conflict_in_lane_order_is_reported(self):
+        # a register written twice and two overlapping stores in one row:
+        # lanes are checked in order, each lane's own writes once
+        mov_a = Instruction(Kind.MOV_IMM, width=64, dst=2, imm=1)
+        mov_b = Instruction(Kind.MOV_IMM, width=64, dst=2, imm=2)
+        st_a = Instruction(Kind.STORE, width=8, dst=10, imm=1, offset=-8)
+        st_b = Instruction(Kind.STORE, width=2, dst=10, imm=2, offset=-2)
+        cases = [((mov_a, st_a, mov_b, st_b), "two lanes write r2"),
+                 ((st_a, mov_a, st_b, mov_b), "overlapping memory writes"),
+                 ((mov_a, mov_b, st_a, st_b), "two lanes write r2"),
+                 ((st_a, st_b, mov_a, mov_b), "overlapping memory writes")]
+        for lanes, reason in cases:
+            rows = [row(*lanes), row(Instruction(Kind.EXIT))]
+            rep, state = run(vliw_of(rows))
+            assert rep.result.trap == f"row 0: {reason}", lanes
+            assert state.regs[2] == 0 and state.stack == bytearray(512)
+
     def test_cycle_monotone_in_empty_rows(self):
         base = [row(Instruction(Kind.MOV_IMM, width=64, dst=0, imm=2)),
                 row(Instruction(Kind.EXIT))]

@@ -11,6 +11,9 @@ from xvliw.isa import MapDef
 from xvliw.vm import (
     CTX_BASE,
     Limits,
+    MAPFD_BASE,
+    MAPVAL_BASE,
+    MAP_STRIDE,
     MachineState,
     MapStore,
     PKT_BASE,
@@ -234,6 +237,42 @@ class TestBoundsGuard:
             hardware_bounds_guard(st, m.slot_addr(0) + 4, 8)  # crosses values
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, m.slot_addr(4), 4)      # past max_entries
+
+    def test_reads_trap_as_the_guard_does(self):
+        """``read_mem`` classifies packet, stack and context reads itself:
+        around every region edge it must pass or trap exactly as the
+        guard does, with the same text, and read the bytes the guard
+        allows."""
+        maps = MapStore([MapDef(1, "hash", 4, 8, 4), MapDef(2, "array", 4, 8, 2)])
+        maps.init_entry(1, b"\x01\x00\x00\x00", bytes(range(8)))
+        st = MachineState(packet=PacketContext(bytes(range(40)), 16, 3),
+                          maps=maps)
+        st.stack[:] = bytes(range(256)) * 2
+        edges = [0, CTX_BASE, CTX_BASE + 12, CTX_BASE + 16, PKT_BASE,
+                 st.packet.data_addr, st.packet.data_end_addr, STACK_BASE,
+                 STACK_BASE + 512, MAPFD_BASE, MAPVAL_BASE,
+                 MAPVAL_BASE + MAP_STRIDE, 2 * MAPVAL_BASE]
+        pkt = st.packet
+        record = b"".join(v.to_bytes(4, "little") for v in (
+            pkt.data_addr, pkt.data_end_addr, pkt.data_addr, 3))
+        for addr in (e + d for e in edges for d in range(-9, 10)):
+            for width in (1, 2, 4, 6, 8):
+                try:
+                    hardware_bounds_guard(st, addr, width)
+                    want = None
+                except MemoryTrap as exc:
+                    want = str(exc)
+                try:
+                    data = read_mem(st, addr, width, -1)
+                    got = None
+                except MemoryTrap as exc:
+                    got = str(exc)
+                assert got == want, (hex(addr), width)
+                if want is None:
+                    assert type(data) is bytes and len(data) == width
+                if want is None and addr < PKT_BASE:
+                    off = addr - CTX_BASE
+                    assert data == record[off:off + width], (hex(addr), width)
 
 
 class TestHelpers:
