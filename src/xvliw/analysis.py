@@ -21,7 +21,7 @@ builds a new one, with a new record; readers must not mutate the shared
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .asm import format_instruction
 from .errors import ProgramError
@@ -89,7 +89,6 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
 @dataclass
 class ControlFlowGraph:
     blocks: list[BasicBlock]
-    entry: int
     dom: dict[int, frozenset]
     pdom: dict[int, frozenset]
 
@@ -145,7 +144,7 @@ def build_cfg(blocks: list[BasicBlock]) -> ControlFlowGraph:
                 changed = True
 
     return ControlFlowGraph(
-        blocks=list(blocks), entry=0,
+        blocks=list(blocks),
         dom={b: frozenset(dom[b]) for b in ids},
         pdom={b: frozenset(pdom[b] - {_EXITV}) for b in ids})
 
@@ -233,8 +232,6 @@ def _stack_ranges(syms) -> list:
 @dataclass
 class LivenessInfo:
     cfg: ControlFlowGraph
-    use: dict[int, frozenset]
-    defs: dict[int, frozenset]
     live_in: dict[int, frozenset]
     live_out: dict[int, frozenset]
 
@@ -286,8 +283,6 @@ def liveness(cfg: ControlFlowGraph,
                 changed = True
 
     return LivenessInfo(cfg,
-                        {b: frozenset(use[b]) for b in use},
-                        {b: frozenset(defs[b]) for b in defs},
                         {b: frozenset(live_in[b]) for b in live_in},
                         {b: frozenset(live_out[b]) for b in live_out})
 
@@ -302,13 +297,6 @@ def program_liveness(program: Program) -> LivenessInfo:
     return record.liveness
 
 
-def _live_across(live, ins: Instruction) -> frozenset:
-    """Symbols live before ``ins``, given those live after it."""
-    io = io_sets(ins)
-    return frozenset(_kill(live, io.outputs, _stack_ranges(io.outputs))
-                     | io.inputs)
-
-
 def live_after(info: LivenessInfo, program: Program,
                block_id: int) -> dict[int, frozenset]:
     """Symbols live immediately after each instruction of a block, from
@@ -316,15 +304,10 @@ def live_after(info: LivenessInfo, program: Program,
     blk = info.cfg.blocks[block_id]
     out = {blk.end: info.live_out[block_id]}
     for i in range(blk.end, blk.start, -1):
-        out[i - 1] = _live_across(out[i], program[i])
+        io = io_sets(program[i])
+        out[i - 1] = frozenset(_kill(out[i], io.outputs, _stack_ranges(io.outputs))
+                               | io.inputs)
     return out
-
-
-def live_before(info: LivenessInfo, program: Program, block_id: int,
-                index: int) -> frozenset:
-    """Symbols live immediately before instruction ``index`` of a block."""
-    return _live_across(live_after(info, program, block_id)[index],
-                        program[index])
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +316,13 @@ def live_before(info: LivenessInfo, program: Program, block_id: int,
 
 @dataclass
 class DataDependenceGraph:
+    """A block's dependence edges as adjacency sets over absolute
+    instruction indices; ``raw_preds`` keeps the read-after-write ones."""
     block_id: int
-    nodes: list[int]                              # absolute instruction indices
-    edges: dict[tuple[int, int], frozenset]       # (from, to) -> {RAW, WAR, WAW}
-    preds: dict[int, set] = field(init=False)
-    succs: dict[int, set] = field(init=False)
-    raw_preds: dict[int, set] = field(init=False)  # RAW predecessors only
-
-    def __post_init__(self):
-        self.preds = {n: set() for n in self.nodes}
-        self.succs = {n: set() for n in self.nodes}
-        self.raw_preds = {n: set() for n in self.nodes}
-        for (i, j), kinds in self.edges.items():
-            self.succs[i].add(j)
-            self.preds[j].add(i)
-            if "RAW" in kinds:
-                self.raw_preds[j].add(i)
+    nodes: list[int]
+    preds: dict[int, set]
+    succs: dict[int, set]
+    raw_preds: dict[int, set]
 
 
 def _earlier(index: dict, memory: list, sym) -> list:
@@ -365,39 +339,39 @@ def _earlier(index: dict, memory: list, sym) -> list:
 
 
 def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
-    """RAW/WAR/WAW edges between a block's instructions, in program order.
+    """Dependence edges between a block's instructions, in program order.
 
-    The edges equal the pairwise Bernstein conflicts: (i, j), i before j,
-    carries RAW when an output of i overlaps an input of j (``sets_conflict``),
-    WAR for inputs of i against outputs of j and WAW for outputs against
-    outputs, and the dict holds them in sorted (i, j) order. They are found
-    through an index from each symbol to the earlier nodes reading or
-    writing it, so the work follows the edges rather than the pairs."""
+    The edges equal the pairwise Bernstein conflicts: i before j is a
+    predecessor of j when an output of i overlaps an input or an output of
+    j, or an input of i overlaps an output of j (``sets_conflict``); it is
+    a RAW predecessor when an output of i overlaps an input of j. They are
+    found through an index from each symbol to the earlier nodes reading
+    or writing it, so the work follows the edges rather than the pairs."""
     nodes = list(block.indices())
+    preds: dict[int, set] = {i: set() for i in nodes}
+    succs: dict[int, set] = {i: set() for i in nodes}
+    raw_preds: dict[int, set] = {i: set() for i in nodes}
     readers: dict = {}                  # symbol -> earlier nodes reading it
     writers: dict = {}                  # symbol -> earlier nodes writing it
     memory: list = []                   # distinct non-register symbols seen
-    out: dict[int, list] = {i: [] for i in nodes}   # i -> [(j, kinds)]
     for j in nodes:
         io = io_sets(program[j])
-        kinds: dict[int, set] = {}
+        raw = raw_preds[j]
         for sym in io.inputs:
-            for i in _earlier(writers, memory, sym):
-                kinds.setdefault(i, set()).add("RAW")
+            raw.update(_earlier(writers, memory, sym))
+        pred = preds[j]
+        pred |= raw
         for sym in io.outputs:
-            for i in _earlier(readers, memory, sym):
-                kinds.setdefault(i, set()).add("WAR")
-            for i in _earlier(writers, memory, sym):
-                kinds.setdefault(i, set()).add("WAW")
-        for i, k in kinds.items():
-            out[i].append((j, frozenset(k)))
+            pred.update(_earlier(readers, memory, sym))
+            pred.update(_earlier(writers, memory, sym))
+        for i in pred:
+            succs[i].add(j)
         for index, syms in ((readers, io.inputs), (writers, io.outputs)):
             for sym in syms:
                 if sym[0] != "reg" and sym not in readers and sym not in writers:
                     memory.append(sym)
                 index.setdefault(sym, []).append(j)
-    edges = {(i, j): k for i in nodes for j, k in out[i]}
-    return DataDependenceGraph(block.id, nodes, edges)
+    return DataDependenceGraph(block.id, nodes, preds, succs, raw_preds)
 
 
 def bernstein_ok(i: Instruction, j: Instruction) -> bool:
@@ -432,12 +406,3 @@ def cfg_to_dot(cfg: ControlFlowGraph, program: Program) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def ddg_to_dot(ddg: DataDependenceGraph, program: Program) -> str:
-    lines = ["digraph ddg {", "  node [shape=box, fontname=monospace];"]
-    for n in ddg.nodes:
-        lines.append(f'  n{n} [label="{n}: {format_instruction(program[n])}"];')
-    for (i, j), kinds in sorted(ddg.edges.items()):
-        lines.append(f'  n{i} -> n{j} [label="{",".join(sorted(kinds))}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

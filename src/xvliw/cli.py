@@ -56,14 +56,6 @@ def _load_map_setup(args, program: Program):
     return defs, inits
 
 
-def _build_maps(setup) -> MapStore:
-    defs, inits = setup
-    store = MapStore(defs)
-    for mid, key, value in inits:
-        store.init_entry(mid, key, value)
-    return store
-
-
 def cmd_compile(args) -> int:
     program = load_program(args.input)
     vliw, report = compile_program(
@@ -127,8 +119,8 @@ def cmd_run(args) -> int:
     packets = load_packets(args.packets) if args.packets else [b"\x00" * 64]
     template = program if program is not None else vliw
     setup = _load_map_setup(args, template)
-    maps_oracle = _build_maps(setup) if args.engine in ("oracle", "both") else None
-    maps_vliw = _build_maps(setup) if args.engine in ("vliw", "both") else None
+    maps_oracle = MapStore(*setup) if args.engine in ("oracle", "both") else None
+    maps_vliw = MapStore(*setup) if args.engine in ("vliw", "both") else None
 
     status = 0
     for i, data in enumerate(packets):

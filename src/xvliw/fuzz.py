@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .asm import parse_asm
 from .compiler import compile_program
 from .errors import XvliwError
-from .formats import parse_map_config
+from .formats import format_map_config, parse_map_config
 from .isa import MapDef
 from .schedule import LaneConstraints
 from .vliwsim import exec_vliw, hazard_check
@@ -43,7 +43,6 @@ class FuzzCase:
     packet_hex: str
     ingress_port: int
     map_config: str
-    outcome: str = "untested"
 
     def packet(self) -> bytes:
         return bytes.fromhex(self.packet_hex)
@@ -60,7 +59,6 @@ class Divergence:
 class FuzzSummary:
     iterations: int
     divergences: list[Divergence] = field(default_factory=list)
-    both_trapped: int = 0
     elapsed: float = 0.0
 
     @property
@@ -120,14 +118,8 @@ class _Gen:
         maps_text = "".join(
             f".map {m.id} {m.kind} {m.key_size} {m.value_size} {m.max_entries}\n"
             for m in self.maps)
-        return maps_text + "\n".join(self.lines) + "\n", self._map_config_text()
-
-    def _map_config_text(self):
-        lines = [f"map {m.id} {m.kind} {m.key_size} {m.value_size} "
-                 f"{m.max_entries}" for m in self.maps]
-        lines += [f"init {mid} {k.hex()} {v.hex()}"
-                  for mid, k, v in self.map_inits]
-        return "\n".join(lines) + "\n"
+        return (maps_text + "\n".join(self.lines) + "\n",
+                format_map_config(self.maps, self.map_inits))
 
     def _gen_maps(self):
         rng = self.rng
@@ -338,14 +330,6 @@ def generate_case(seed: int) -> FuzzCase:
     return FuzzCase(seed, text, packet.hex(), port, map_cfg)
 
 
-def _fresh_maps(case: FuzzCase) -> MapStore:
-    defs, inits = parse_map_config(case.map_config)
-    store = MapStore(defs)
-    for mid, k, v in inits:
-        store.init_entry(mid, k, v)
-    return store
-
-
 def run_case(case: FuzzCase, lanes: int = 4, passes=None,
              enable_code_motion: bool = True, limits: Limits | None = None):
     """Compile and run one case through both engines; the compiled output
@@ -359,12 +343,13 @@ def run_case(case: FuzzCase, lanes: int = 4, passes=None,
     if violations:
         return False, f"hazard violations in compiled output: {violations[:3]}"
 
+    setup = parse_map_config(case.map_config)
     oracle_res, _ = exec_sequential(
         program, PacketContext(case.packet(), HEAD_ROOM, case.ingress_port),
-        _fresh_maps(case), limits)
+        MapStore(*setup), limits)
     vliw_rep, _ = exec_vliw(
         vliw, PacketContext(case.packet(), HEAD_ROOM, case.ingress_port),
-        _fresh_maps(case), limits)
+        MapStore(*setup), limits)
     return compare_results(oracle_res, vliw_rep.result)
 
 
@@ -408,9 +393,6 @@ def fuzz(iterations: int, seed: int = 0, lanes: int = 4, passes=None,
             ok, detail = run_case(case, lanes, passes, enable_code_motion)
         except XvliwError as exc:
             ok, detail = False, f"toolchain error: {exc}"
-        case.outcome = detail
-        if detail == "both-trapped":
-            summary.both_trapped += 1
         if not ok:
             mini = minimize(case, lanes, passes, enable_code_motion) \
                 if minimize_failures else None

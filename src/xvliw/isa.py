@@ -209,6 +209,12 @@ class ProgramAnalysis:
     liveness: object = None
 
 
+# the slots' own setters: a frozen dataclass refuses ``setattr``, and
+# ``object.__setattr__`` costs three times as much
+_keep_io = Instruction.io.__set__
+_keep_analysis = Program.analysis.__set__
+
+
 def analysis_of(program: Program) -> ProgramAnalysis:
     """The analysis record of ``program``, made on first use when the
     program was not built by ``build_program``."""
@@ -216,7 +222,7 @@ def analysis_of(program: Program) -> ProgramAnalysis:
     if record is None:
         record = ProgramAnalysis(frozenset(reachable_instructions(program)),
                                  provenance_states(program.instructions))
-        object.__setattr__(program, "analysis", record)
+        _keep_analysis(program, record)
     return record
 
 
@@ -227,8 +233,7 @@ def build_program(instructions, maps=()) -> Program:
     reachable = validate_instructions(instrs)
     states = provenance_states(instrs)
     program = Program(tuple(annotate_addr_spaces(instrs, states)), tuple(maps))
-    object.__setattr__(program, "analysis",
-                       ProgramAnalysis(frozenset(reachable), states))
+    _keep_analysis(program, ProgramAnalysis(frozenset(reachable), states))
     return program
 
 
@@ -756,7 +761,7 @@ def io_sets(ins: Instruction) -> IoSets:
     io = ins.io
     if io is None:
         io = _io_sets(ins)
-        object.__setattr__(ins, "io", io)
+        _keep_io(ins, io)
     return io
 
 

@@ -393,10 +393,6 @@ class PeepholeStats:
     def as_dict(self):
         return {name: getattr(self, name) for name in PASS_NAMES}
 
-    @property
-    def total_removed(self):
-        return sum(self.as_dict().values())
-
 
 def peephole(program: Program, enabled: dict[str, bool] | None = None):
     """Run all enabled passes to a fixed point. Returns (program, stats)."""

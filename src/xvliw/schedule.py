@@ -52,9 +52,6 @@ class BlockSchedule:
     block_id: int
     rows: list[list[Slot]]           # occupied slots only, order pre-lane
 
-    def instruction_count(self):
-        return sum(len(r) for r in self.rows)
-
 
 @dataclass(slots=True)
 class VliwProgram:

@@ -27,12 +27,10 @@ sign-extended immediate, a constant result, a helper). The step is kept
 in the instruction's declared ``step`` field, so every later run of the
 program reuses it, and so does the VLIW simulator wherever it runs the
 same instruction objects. The handlers are the one definition of the
-instruction semantics; ``eval_instruction`` and ``apply_effects`` wrap
-them for callers that evaluate one instruction at a time. Decoding drops
-no dynamic check: every access is still bounds-guarded (packet, stack and
-context-record reads classify and read in one step, with the guard's own
-traps), every store is guarded when it is evaluated, and the instruction
-budget and the pc trap are as before.
+instruction semantics. Decoding drops no dynamic check: every access is
+still bounds-guarded (packet, stack and context-record reads classify and
+read in one step, with the guard's own traps), every store is guarded when
+it is evaluated, and the instruction budget and the pc trap are as before.
 
 A result's map snapshot (``MapStore.snapshot``) holds, per map id, each
 allocated key's value bytes: every index of an array map, every live key
@@ -231,8 +229,13 @@ class Map:
 
 
 class MapStore:
-    def __init__(self, defs=()):
+    """The maps of ``defs``, then the ``(map id, key, value)`` entries of
+    ``inits`` stored in order (``init_entry``)."""
+
+    def __init__(self, defs=(), inits=()):
         self.maps: dict[int, Map] = {m.id: Map(m) for m in defs}
+        for map_id, key, value in inits:
+            self.init_entry(map_id, key, value)
 
     def get(self, map_id: int) -> Map | None:
         return self.maps.get(map_id)
@@ -409,11 +412,6 @@ _BRANCH_TESTS = {
     "jslt": lambda a, b: s64(a) < s64(b),
     "jsle": lambda a, b: s64(a) <= s64(b),
 }
-
-
-def alu_compute(op: str, width: int, a: int, b: int) -> int:
-    mask, top = _WIDTHS[64 if width == 64 else 32]
-    return _ALU_OPS[op](a & mask, b & mask, mask, top)
 
 
 def _bswap(v: int, bits: int) -> int:
@@ -615,72 +613,9 @@ def decode_step(ins: Instruction) -> tuple:
 _keep_step = Instruction.step.__set__
 
 
-class Effects:
-    """Buffered result of evaluating one instruction against a state, for
-    callers that take one instruction at a time (``eval_instruction``);
-    the engines run steps and build none.
-
-    An instruction writes at most one register and one memory range:
-    ``reg`` is the register written (None for none) and ``value`` its new
-    value, ``mem`` None or the (address, bytes) of a store. ``control`` is
-    None (fall through), ('jump', target) for a taken branch, or ('exit',).
-    Helper calls apply their map/packet side effects immediately; their r0
-    result still commits through ``reg``.
-    """
-    __slots__ = ("reg", "value", "mem", "control")
-
-    def __init__(self):
-        self.reg = None
-        self.value = 0
-        self.mem = None
-        self.control = None
-
-
-def eval_instruction(state: MachineState, ins: Instruction,
-                     pc: int = -1) -> Effects:
-    """Evaluate ``ins`` reading the current state; no register/memory
-    commit. Runs the instruction's step and repackages what it returns
-    as ``Effects``."""
-    handler, form, reg, k = ins.step or decode_step(ins)
-    value = handler(state, state.regs, ins, k, pc)
-    e = Effects()
-    if form == STEP_WRITE:
-        e.reg, e.value = reg, value
-    elif form == STEP_STORE:
-        e.mem = value
-    elif form == STEP_BRANCH:
-        if value is not None:
-            e.control = ("jump", value)
-    else:
-        if reg is not None:
-            e.reg, e.value = reg, value
-        e.control = ("exit",)
-    return e
-
-
-def apply_effects(state: MachineState, e: Effects, pc: int = -1):
-    """Commit ``e``: every value it holds is already reduced to 64 bits.
-    The store goes through ``write_mem``, so it is guarded again."""
-    if e.reg is not None:
-        state.regs[e.reg] = e.value
-    if e.mem is not None:
-        write_mem(state, e.mem[0], e.mem[1], pc)
-
-
 # ---------------------------------------------------------------------------
 # helper functions
 # ---------------------------------------------------------------------------
-
-def helper_call(helper_id: int, state: MachineState,
-                pc: int = -1) -> MachineState:
-    """Run one helper: map/packet side effects, and its result in r0.
-    r1-r5 and r6-r9 are never modified."""
-    impl = _helper_impl(helper_id)
-    if impl is None:
-        raise UnknownHelper(helper_id)
-    state.regs[0] = impl(state, pc) & MASK64
-    return state
-
 
 def _helper_impl(helper_id: int):
     """The implementation of helper ``helper_id``; None if there is none."""

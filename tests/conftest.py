@@ -8,14 +8,51 @@ from copy import deepcopy
 
 import pytest
 
-from xvliw.isa import MapDef
+from xvliw.isa import Instruction, MapDef
 from xvliw.vm import (
     MapStore,
     PacketContext,
     MachineState,
     PKT_BASE,
     STACK_BASE,
+    STEP_STORE,
+    decode_step,
+    write_mem,
 )
+
+
+def dependence_sets(nodes, edges: dict):
+    """``(preds, succs, raw_preds)`` adjacency sets over ``nodes`` of an
+    edge dict mapping (i, j), i before j, to a set of kinds."""
+    preds = {n: set() for n in nodes}
+    succs = {n: set() for n in nodes}
+    raw_preds = {n: set() for n in nodes}
+    for (i, j), kinds in edges.items():
+        preds[j].add(i)
+        succs[i].add(j)
+        if "RAW" in kinds:
+            raw_preds[j].add(i)
+    return preds, succs, raw_preds
+
+
+def run_step(state: MachineState, ins: Instruction, pc: int = 0):
+    """Run ``ins``'s decoded step on ``state`` and commit its result: the
+    register it writes, or its store through ``write_mem`` (guarded again).
+    A branch commits nothing."""
+    handler, form, reg, k = ins.step or decode_step(ins)
+    value = handler(state, state.regs, ins, k, pc)
+    if form == STEP_STORE:
+        write_mem(state, value[0], value[1], pc)
+    elif reg is not None:
+        state.regs[reg] = value
+
+
+def corpus_stores(entry, program, count: int) -> list:
+    """``count`` fresh map stores for a corpus entry's program, each
+    holding the entry's initial map entries."""
+    inits = [(mid, bytes.fromhex(k), bytes.fromhex(v))
+             for mid, k, v in entry.map_init]
+    return [MapStore(program.maps, inits) for _ in range(count)]
 
 
 def brute_force_min_rows(n: int, edges: dict, lanes: int) -> int:
@@ -29,12 +66,7 @@ def brute_force_min_rows(n: int, edges: dict, lanes: int) -> int:
     (done, previous row), empty rows allowed.
     """
     all_nodes = frozenset(range(n))
-    preds = {i: set() for i in range(n)}
-    raw_preds = {i: set() for i in range(n)}
-    for (i, j), kinds in edges.items():
-        preds[j].add(i)
-        if "RAW" in kinds:
-            raw_preds[j].add(i)
+    preds, _, raw_preds = dependence_sets(range(n), edges)
 
     def independent(cand):
         return not any((i, j) in edges for i in cand for j in cand if i < j)
@@ -158,12 +190,9 @@ def fold16(v: int) -> int:
     return v
 
 
-def make_state(rng: random.Random, *, pkt_len: int = 128,
-               with_map: bool = True) -> MachineState:
-    maps = MapStore([MapDef(1, "hash", 4, 8, 8)] if with_map else [])
-    if with_map:
-        for _ in range(3):
-            maps.init_entry(1, rng.randbytes(4), rng.randbytes(8))
+def make_state(rng: random.Random, *, pkt_len: int = 128) -> MachineState:
+    maps = MapStore([MapDef(1, "hash", 4, 8, 8)],
+                    [(1, rng.randbytes(4), rng.randbytes(8)) for _ in range(3)])
     pkt = PacketContext(rng.randbytes(pkt_len), head_room=64,
                         ingress_port=rng.randint(0, 3))
     state = MachineState(packet=pkt, maps=maps)

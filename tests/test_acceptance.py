@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import brute_force_min_rows, clone_state, make_state, \
-    point_into_packet
+    point_into_packet, run_step
 from xvliw.analysis import n_checks
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
@@ -20,7 +20,7 @@ from xvliw.isa import Instruction, Kind, expand_extended
 from xvliw.peephole import remove_boundary_checks
 from xvliw.schedule import LaneConstraints
 from xvliw.vliwsim import exec_vliw, hazard_check
-from xvliw.vm import MapStore, PacketContext, apply_effects, eval_instruction
+from xvliw.vm import MapStore, PacketContext
 
 
 def _verdict(num, ok, text):
@@ -241,9 +241,9 @@ def test_criterion_10_extended_isa_equivalence(rng):
                 reg = ins.dst if ins.kind is Kind.STORE48 else ins.src
                 point_into_packet(base, reg, rng, span=32)
             s1, s2 = clone_state(base), clone_state(base)
-            apply_effects(s1, eval_instruction(s1, ins, 0), 0)
+            run_step(s1, ins)
             for step in seq:
-                apply_effects(s2, eval_instruction(s2, step, 0), 0)
+                run_step(s2, step)
             regs_ok = all(s1.regs[r] == s2.regs[r]
                           for r in range(11) if r not in clobbered)
             if not (regs_ok and s1.stack == s2.stack

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import corpus_stores
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
@@ -15,14 +16,6 @@ from xvliw.vm import MapStore, PacketContext, exec_sequential
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _stores(entry, prog):
-    o_maps, v_maps = MapStore(prog.maps), MapStore(prog.maps)
-    for mid, k, v in entry.map_init:
-        o_maps.init_entry(mid, bytes.fromhex(k), bytes.fromhex(v))
-        v_maps.init_entry(mid, bytes.fromhex(k), bytes.fromhex(v))
-    return o_maps, v_maps
-
-
 @pytest.mark.parametrize("name", names())
 def test_entry_round_trip(name):
     entry = CORPUS[name]
@@ -30,7 +23,7 @@ def test_entry_round_trip(name):
     vliw, report = compile_program(prog)
     assert hazard_check(vliw) == []
     assert 1.0 <= report.static_ipc <= 4.0
-    o_maps, v_maps = _stores(entry, prog)
+    o_maps, v_maps = corpus_stores(entry, prog, 2)
     for i, (data, port) in enumerate(entry.packet_bytes()):
         o, _ = exec_sequential(prog, PacketContext(data, 64, port), o_maps)
         r, _ = exec_vliw(vliw, PacketContext(data, 64, port), v_maps)
@@ -81,7 +74,7 @@ def test_redirect_targets():
     entry = CORPUS["redirect_ports"]
     prog = parse_asm(entry.source)
     vliw, _ = compile_program(prog)
-    _, v_maps = _stores(entry, prog)
+    _, v_maps = corpus_stores(entry, prog, 2)
     (p0, _), (p1, _) = entry.packet_bytes()
     r, _ = exec_vliw(vliw, PacketContext(p0, 64, 0), v_maps)
     assert r.result.redirect_target == 1

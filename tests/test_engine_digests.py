@@ -25,6 +25,7 @@ import hashlib
 import sys
 from pathlib import Path
 
+from conftest import corpus_stores
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
@@ -69,22 +70,6 @@ def _vliw_sha(vliw, packet, port, maps, trace: bool) -> str:
                  rep.instructions_executed, rep.cycles, rep.trace_lines))
 
 
-def _corpus_stores(entry, program, count):
-    stores = [MapStore(program.maps) for _ in range(count)]
-    for mid, key, value in entry.map_init:
-        for store in stores:
-            store.init_entry(mid, bytes.fromhex(key), bytes.fromhex(value))
-    return stores
-
-
-def _case_maps(case) -> MapStore:
-    defs, inits = parse_map_config(case.map_config)
-    store = MapStore(defs)
-    for mid, key, value in inits:
-        store.init_entry(mid, key, value)
-    return store
-
-
 def _digests(corpus_lanes, fuzz_cases, fuzz_lanes, packet_cuts,
              trace: bool) -> dict[str, str]:
     out = {}
@@ -94,8 +79,8 @@ def _digests(corpus_lanes, fuzz_cases, fuzz_lanes, packet_cuts,
         vliws = [compile_program(program, LaneConstraints(lanes=lanes))[0]
                  for lanes in corpus_lanes]
         # maps persist across an entry's packet set, one store per engine run
-        oracle_maps, *vliw_maps = _corpus_stores(entry, program,
-                                                 1 + len(corpus_lanes))
+        oracle_maps, *vliw_maps = corpus_stores(entry, program,
+                                                1 + len(corpus_lanes))
         for k, (data, port) in enumerate(entry.packet_bytes()):
             out[f"corpus/{name}/pkt{k}/oracle"] = _oracle_sha(
                 program, data, port, oracle_maps, trace)
@@ -105,6 +90,7 @@ def _digests(corpus_lanes, fuzz_cases, fuzz_lanes, packet_cuts,
     for i in range(fuzz_cases):
         case = generate_case(case_seed(FUZZ_RUN_SEED, i))
         program = parse_asm(case.program_text)
+        setup = parse_map_config(case.map_config)
         vliws = [compile_program(program, LaneConstraints(lanes=lanes))[0]
                  for lanes in fuzz_lanes]
         for cut in packet_cuts:
@@ -112,10 +98,10 @@ def _digests(corpus_lanes, fuzz_cases, fuzz_lanes, packet_cuts,
             tag = "full" if cut is None else f"cut{cut}"
             port = case.ingress_port
             out[f"fuzz/{FUZZ_RUN_SEED}/{i}/{tag}/oracle"] = _oracle_sha(
-                program, data, port, _case_maps(case), trace)
+                program, data, port, MapStore(*setup), trace)
             for lanes, vliw in zip(fuzz_lanes, vliws):
                 out[f"fuzz/{FUZZ_RUN_SEED}/{i}/{tag}/lanes{lanes}"] = _vliw_sha(
-                    vliw, data, port, _case_maps(case), trace)
+                    vliw, data, port, MapStore(*setup), trace)
     return out
 
 

@@ -1,6 +1,8 @@
 """Fuzzer determinism and short differential sweeps (the full 10k-case run
 lives in the acceptance suite)."""
 
+import hashlib
+
 import pytest
 
 from xvliw.fuzz import (
@@ -21,6 +23,21 @@ def test_generator_deterministic():
     assert a.packet_hex == b.packet_hex
     assert a.map_config == b.map_config
     assert a.ingress_port == b.ingress_port
+
+
+def test_generated_case_stream_is_pinned():
+    """Cases 0-999 of run seed 20260810 stay exactly as generated (their
+    program_text, packet_hex, ingress_port and map_config, each followed by
+    a NUL byte): a change to the generator changes what the 10k-case
+    differential run covers."""
+    h = hashlib.sha256()
+    for i in range(1000):
+        case = generate_case(case_seed(20260810, i))
+        for part in (case.program_text, case.packet_hex,
+                     str(case.ingress_port), case.map_config):
+            h.update(part.encode() + b"\0")
+    assert h.hexdigest() == \
+        "ff24be6022d528ac4c5a9780b00af1d4f31fd70dbb9ff36081997d08e3b31c82"
 
 
 def test_case_sequence_deterministic():

@@ -6,7 +6,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import clone_state, make_state, point_into_packet, point_into_stack
+from conftest import (clone_state, make_state, point_into_packet,
+                      point_into_stack, run_step)
 from xvliw.errors import (
     DanglingLddwSecondHalf,
     ProgramError,
@@ -29,7 +30,7 @@ from xvliw.isa import (
     symbols_overlap,
 )
 from xvliw.schedule import VliwProgram
-from xvliw.vm import MASK64, apply_effects, decode_step, eval_instruction
+from xvliw.vm import decode_step
 
 
 # A deliberately independent mini-disassembler for the cross-checked words:
@@ -286,7 +287,7 @@ class TestIoSets:
 
     def _run(self, ins, state):
         out = clone_state(state)
-        apply_effects(out, eval_instruction(out, ins, 0), 0)
+        run_step(out, ins)
         return out
 
 
@@ -471,9 +472,9 @@ class TestExpansion:
                     point_into_packet(base, ins.dst if ins.kind is Kind.STORE48
                                       else ins.src, rng, span=32)
                 s1, s2 = clone_state(base), clone_state(base)
-                apply_effects(s1, eval_instruction(s1, ins, 0), 0)
+                run_step(s1, ins)
                 for step in seq:
-                    apply_effects(s2, eval_instruction(s2, step, 0), 0)
+                    run_step(s2, step)
                 for r in range(11):
                     if r in clobbered:
                         continue

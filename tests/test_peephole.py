@@ -322,7 +322,7 @@ class TestDriver:
         prog = parse_asm("r3 += r4\nr0 = r3\nexit\n")
         out, stats = peephole(prog)
         assert out.instructions == prog.instructions
-        assert stats.total_removed == 0
+        assert sum(stats.as_dict().values()) == 0
 
     def test_totals_match_individual_passes(self):
         from xvliw.corpus import CORPUS
@@ -330,7 +330,7 @@ class TestDriver:
         combined, stats = peephole(prog)
         assert stats.boundary_checks == 9
         assert stats.zeroing == 4
-        assert len(prog) - len(combined) == stats.total_removed
+        assert len(prog) - len(combined) == sum(stats.as_dict().values())
 
     def test_fixed_point_second_round_fusion(self):
         # the mov becomes adjacent to the alu only after zeroing removal
@@ -353,7 +353,8 @@ class TestDriver:
 
     def test_pass_soundness_individually(self, rng):
         """Each pass alone preserves oracle behaviour on generated programs."""
-        from xvliw.fuzz import generate_case, _fresh_maps
+        from xvliw.formats import parse_map_config
+        from xvliw.fuzz import generate_case
         from xvliw.peephole import PASS_NAMES
         for i in range(12):
             case = generate_case(31000 + i)
@@ -363,9 +364,9 @@ class TestDriver:
                 out, _ = peephole(prog, only)
                 a, _ = exec_sequential(
                     prog, PacketContext(case.packet(), 64, case.ingress_port),
-                    _fresh_maps(case))
+                    MapStore(*parse_map_config(case.map_config)))
                 b, _ = exec_sequential(
                     out, PacketContext(case.packet(), 64, case.ingress_port),
-                    _fresh_maps(case))
+                    MapStore(*parse_map_config(case.map_config)))
                 assert (a.action, a.code, a.packet_out, a.maps_out) == \
                     (b.action, b.code, b.packet_out, b.maps_out), (i, name)

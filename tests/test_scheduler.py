@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_force_min_rows
+from conftest import brute_force_min_rows, dependence_sets
 from xvliw.analysis import build_ddg, build_program_cfg
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
@@ -409,9 +409,6 @@ class TestMicroOptimality:
         """Random 6-node dependence graphs: list scheduling lands within
         one row of the exhaustive optimum (the full sweep runs in the
         acceptance suite)."""
-        from xvliw.isa import Instruction
-        from xvliw.analysis import DataDependenceGraph
-        from xvliw.analysis import BasicBlock
         for trial in range(150):
             n = rng.randint(2, 6)
             edges = {}
@@ -431,15 +428,8 @@ def _schedule_synthetic(n, edges):
     from xvliw.isa import Instruction
     instrs = [Instruction(Kind.ALU_BINARY, op="add", width=64, dst=1, imm=i)
               for i in range(n)]
-
-    class FakeProgram:
-        def __getitem__(self, i):
-            return instrs[i]
-
-        def __len__(self):
-            return n
-
     block = BasicBlock(0, 0, n - 1, (), ())
-    ddg = DataDependenceGraph(0, list(range(n)), dict(edges))
-    bs = list_schedule(block, ddg, LaneConstraints(lanes=4), FakeProgram())
+    ddg = DataDependenceGraph(0, list(range(n)),
+                              *dependence_sets(range(n), edges))
+    bs = list_schedule(block, ddg, LaneConstraints(lanes=4), instrs)
     return len(bs.rows)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import corpus_stores
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.errors import RowConflict
@@ -149,10 +150,7 @@ class TestExecution:
         for entry in CORPUS.values():
             prog = parse_asm(entry.source)
             vliw, _ = compile_program(prog)
-            o_maps, v_maps = MapStore(prog.maps), MapStore(prog.maps)
-            for mid, k, v in entry.map_init:
-                o_maps.init_entry(mid, bytes.fromhex(k), bytes.fromhex(v))
-                v_maps.init_entry(mid, bytes.fromhex(k), bytes.fromhex(v))
+            o_maps, v_maps = corpus_stores(entry, prog, 2)
             for data, port in entry.packet_bytes():
                 o, _ = exec_sequential(prog, PacketContext(data, 64, port),
                                        o_maps)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import fold16, rfc1071_sum16
+from conftest import fold16, rfc1071_sum16, run_step
 from xvliw.asm import parse_asm
 from xvliw.errors import BadHelperArgs, MemoryTrap, UnknownHelper
-from xvliw.isa import MapDef
+from xvliw.isa import Instruction, Kind, MapDef
 from xvliw.vm import (
     CTX_BASE,
     Limits,
@@ -24,10 +24,8 @@ from xvliw.vm import (
     XDP_PASS,
     XDP_REDIRECT,
     XDP_TX,
-    alu_compute,
     exec_sequential,
     hardware_bounds_guard,
-    helper_call,
     read_mem,
     s64,
     write_mem,
@@ -118,21 +116,29 @@ class TestArithmetic:
         assert res.action == XDP_PASS
 
     def test_wrapping_and_masks(self, rng):
+        state = _bare_state()
+
+        def alu(op, width, a, b):
+            state.regs[3], state.regs[4] = a, b
+            run_step(state, Instruction(Kind.ALU_BINARY, op=op, width=width,
+                                        dst=3, src=4))
+            return state.regs[3]
+
         for _ in range(2000):
             a = rng.getrandbits(64)
             b = rng.getrandbits(64)
-            assert alu_compute("add", 64, a, b) == (a + b) % 2**64
-            assert alu_compute("sub", 64, a, b) == (a - b) % 2**64
-            assert alu_compute("mul", 64, a, b) == (a * b) % 2**64
+            assert alu("add", 64, a, b) == (a + b) % 2**64
+            assert alu("sub", 64, a, b) == (a - b) % 2**64
+            assert alu("mul", 64, a, b) == (a * b) % 2**64
             if b % 2**64:
-                assert alu_compute("div", 64, a, b) == a // b
-                assert alu_compute("mod", 64, a, b) == a % b
-            assert alu_compute("lsh", 64, a, b) == (a << (b & 63)) % 2**64
-            assert alu_compute("rsh", 64, a, b) == a >> (b & 63)
-            assert alu_compute("arsh", 64, a, b) == (s64(a) >> (b & 63)) % 2**64
+                assert alu("div", 64, a, b) == a // b
+                assert alu("mod", 64, a, b) == a % b
+            assert alu("lsh", 64, a, b) == (a << (b & 63)) % 2**64
+            assert alu("rsh", 64, a, b) == a >> (b & 63)
+            assert alu("arsh", 64, a, b) == (s64(a) >> (b & 63)) % 2**64
             a32, b32 = a & 0xFFFFFFFF, b & 0xFFFFFFFF
-            assert alu_compute("add", 32, a, b) == (a32 + b32) % 2**32
-            assert alu_compute("rsh", 32, a, b) == a32 >> (b32 & 31)
+            assert alu("add", 32, a, b) == (a32 + b32) % 2**32
+            assert alu("rsh", 32, a, b) == a32 >> (b32 & 31)
 
     def test_mov_imm_sign_extension(self):
         _, st = run("r3 = -1\nw4 = -1\nexit\n")
@@ -193,19 +199,15 @@ class TestZeroInit:
 
 
 class TestBoundsGuard:
-    def _state(self, pkt_len=64):
-        return MachineState(packet=PacketContext(b"\x00" * pkt_len),
-                            maps=MapStore())
-
     def test_packet_boundary_inclusive(self):
-        st = self._state()
+        st = _bare_state()
         end = st.packet.data_end_addr
         assert hardware_bounds_guard(st, end - 4, 4) == "pkt"
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, end - 2, 4)
 
     def test_stack_window(self):
-        st = self._state()
+        st = _bare_state()
         r10 = STACK_BASE + 512
         assert hardware_bounds_guard(st, r10 - 512, 8) == "stack"
         with pytest.raises(MemoryTrap):
@@ -214,7 +216,7 @@ class TestBoundsGuard:
             hardware_bounds_guard(st, r10 - 4, 8)
 
     def test_ctx_read_only(self):
-        st = self._state()
+        st = _bare_state()
         assert hardware_bounds_guard(st, CTX_BASE, 4) == "ctx"
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, CTX_BASE, 4, write=True)
@@ -313,15 +315,14 @@ class TestHelpers:
     def test_csum_diff_against_reference(self, rng):
         for _ in range(50):
             buf = rng.randbytes(rng.choice((4, 8, 12, 16)))
-            state = MachineState(packet=PacketContext(b"\x00" * 64),
-                                 maps=MapStore())
+            state = _bare_state()
             state.stack[0:len(buf)] = buf
             state.regs[1] = 0
             state.regs[2] = 0
             state.regs[3] = STACK_BASE
             state.regs[4] = len(buf)
             state.regs[5] = 0
-            helper_call(28, state)
+            run_step(state, Instruction(Kind.CALL, imm=28))
             assert fold16(state.regs[0]) == rfc1071_sum16(buf)
 
     def test_csum_diff_incremental_4b_delta(self, rng):
@@ -329,8 +330,7 @@ class TestHelpers:
             base = bytearray(rng.randbytes(16))
             new4 = rng.randbytes(4)
             pos = rng.choice((0, 4, 8, 12))
-            state = MachineState(packet=PacketContext(b"\x00" * 64),
-                                 maps=MapStore())
+            state = _bare_state()
             state.stack[0:16] = base
             state.stack[16:20] = new4
             old_sum = rfc1071_sum16(bytes(base))
@@ -339,17 +339,16 @@ class TestHelpers:
             state.regs[3] = STACK_BASE + 16        # to: new word
             state.regs[4] = 4
             state.regs[5] = old_sum
-            helper_call(28, state)
+            run_step(state, Instruction(Kind.CALL, imm=28))
             updated = bytearray(base)
             updated[pos:pos + 4] = new4
             assert fold16(state.regs[0]) == rfc1071_sum16(bytes(updated))
 
     def test_csum_diff_arg_validation(self):
-        state = MachineState(packet=PacketContext(b"\x00" * 64),
-                             maps=MapStore())
+        state = _bare_state()
         state.regs[2] = 3
         with pytest.raises(BadHelperArgs):
-            helper_call(28, state)
+            run_step(state, Instruction(Kind.CALL, imm=28))
 
     def test_adjust_head_grow_and_fail(self):
         res, st = run("""
@@ -384,10 +383,9 @@ class TestHelpers:
         assert res.redirect_target == 7
 
     def test_unknown_helper(self):
-        state = MachineState(packet=PacketContext(b"\x00" * 64),
-                             maps=MapStore())
+        state = _bare_state()
         with pytest.raises(UnknownHelper):
-            helper_call(999, state)
+            run_step(state, Instruction(Kind.CALL, imm=999))
 
     def test_helper_preserves_callee_saved(self, rng):
         state = MachineState(packet=PacketContext(b"\x00" * 64),
@@ -400,16 +398,19 @@ class TestHelpers:
         state.regs[2] = STACK_BASE
         saved_args = list(state.regs)
         saved_stack = bytes(state.stack)
-        helper_call(1, state)
+        run_step(state, Instruction(Kind.CALL, imm=1))
         assert state.regs[6:10] == saved[6:10]
         assert state.regs[1:6] == saved_args[1:6]  # arguments preserved too
         assert bytes(state.stack) == saved_stack
 
 
+def _bare_state():
+    return MachineState(packet=PacketContext(b"\x00" * 64), maps=MapStore())
+
+
 def _redirect_store():
-    store = MapStore([MapDef(2, "array", 4, 4, 8)])
-    store.init_entry(2, (1).to_bytes(4, "little"), (7).to_bytes(4, "little"))
-    return store
+    return MapStore([MapDef(2, "array", 4, 4, 8)],
+                    [(2, (1).to_bytes(4, "little"), (7).to_bytes(4, "little"))])
 
 
 class TestMaps:
