@@ -21,7 +21,7 @@ builds a new one, with a new record; readers must not mutate the shared
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .asm import format_instruction
 from .errors import ProgramError
@@ -91,12 +91,14 @@ class ControlFlowGraph:
     blocks: list[BasicBlock]
     dom: dict[int, frozenset]
     pdom: dict[int, frozenset]
+    # instruction index -> id of the block holding it, built once
+    block_index: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.block_index = {i: b.id for b in self.blocks for i in b.indices()}
 
     def block_of(self, instr_index: int) -> int | None:
-        for b in self.blocks:
-            if b.start <= instr_index <= b.end:
-                return b.id
-        return None
+        return self.block_index.get(instr_index)
 
     def dominates(self, a: int, b: int) -> bool:
         return a in self.dom[b]
@@ -225,7 +227,8 @@ def _kill(live, defs, stack_defs) -> set:
     return out
 
 
-def _stack_ranges(syms) -> list:
+def stack_ranges(syms) -> list:
+    """The exact stack ranges ``("stack", lo, hi)`` among ``syms``."""
     return [s for s in syms if len(s) == 3 and s[0] == "stack"]
 
 
@@ -261,7 +264,7 @@ def liveness(cfg: ControlFlowGraph,
         for ins in code[blk.id]:
             io = io_sets(ins)
             u |= _kill(io.inputs, d, sd)
-            sd += _stack_ranges(io.outputs - d)
+            sd += stack_ranges(io.outputs - d)
             d |= io.outputs
         use[blk.id] = u
         defs[blk.id] = d
@@ -305,7 +308,7 @@ def live_after(info: LivenessInfo, program: Program,
     out = {blk.end: info.live_out[block_id]}
     for i in range(blk.end, blk.start, -1):
         io = io_sets(program[i])
-        out[i - 1] = frozenset(_kill(out[i], io.outputs, _stack_ranges(io.outputs))
+        out[i - 1] = frozenset(_kill(out[i], io.outputs, stack_ranges(io.outputs))
                                | io.inputs)
     return out
 

@@ -21,14 +21,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .analysis import live_after, program_cfg, program_liveness
+from .analysis import live_after, program_cfg, program_liveness, stack_ranges
 from .isa import (
     ALU3_OPS,
     FRAME_REG,
     Instruction,
     Kind,
     Program,
-    STACK_SIZE,
     analysis_of,
     build_program,
     io_sets,
@@ -79,8 +78,7 @@ def _fuse_pairs(program: Program, fuse) -> Program:
     """Rewrite each adjacent pair (a, b) of one block, scanning forward,
     to ``fuse(a, b)`` where that is an instruction and not None. Fused
     pairs do not overlap."""
-    block_of = {i: b.id for b in program_cfg(program).blocks
-                for i in b.indices()}
+    block_of = program_cfg(program).block_index
     rewrites: dict[int, Instruction | None] = {}
     i = 0
     while i + 1 < len(program):
@@ -121,7 +119,6 @@ def remove_boundary_checks(program: Program):
     cfg = program_cfg(program)
     states = analysis_of(program).provenance
     live = program_liveness(program)
-    block_of = {i: b for b in cfg.blocks for i in b.indices()}
 
     removed: list[tuple[int, ...]] = []
     consumed: set[int] = set()
@@ -137,14 +134,14 @@ def remove_boundary_checks(program: Program):
                 continue
             branch_idx = window[-1]
             br = program[branch_idx]
-            tgt_block = block_of[br.target]
-            fall_block = block_of.get(branch_idx + 1)
+            tgt_block = cfg.blocks[cfg.block_of(br.target)]
+            fall_block = cfg.block_of(branch_idx + 1)
             if not _is_abort_block(program, tgt_block) or fall_block is None:
                 i += 1
                 continue
             scratch = reg(br.dst)
             if scratch in live.live_in[tgt_block.id] or \
-               scratch in live.live_in[fall_block.id]:
+               scratch in live.live_in[fall_block]:
                 i += 1
                 continue
             consumed.update(window)
@@ -212,15 +209,14 @@ def remove_zeroing(program: Program):
 
 
 def _zeroing_target(ins: Instruction):
+    """The register or exact stack range a write of immediate zero
+    overwrites; None for any other instruction."""
     if ins.kind is Kind.MOV_IMM and ins.imm == 0:
         return reg(ins.dst)
-    if ins.kind is Kind.STORE and ins.src is None and ins.imm == 0 \
-            and ins.addr_space == "stack":
-        if ins.stack_slot is not None:
-            return ("stack", ins.stack_slot[0], ins.stack_slot[1])
-        if ins.dst == FRAME_REG:
-            lo = STACK_SIZE + ins.offset
-            return ("stack", lo, lo + ins.width)
+    if ins.kind is Kind.STORE and ins.src is None and ins.imm == 0:
+        ranges = stack_ranges(io_sets(ins).outputs)
+        if ranges:
+            return ranges[0]
     return None
 
 

@@ -4,9 +4,11 @@ Scheduling is structural first (which instructions share a row). A row
 takes its lanes in ``lane_row``, a small permutation search that honours
 the two hardware rules: back-to-back dependents share a lane, and a
 row's branches occupy ascending lanes in original program order (lane
-index is taken-branch priority). Code motion checks a block on its own
-with ``assign_lanes``; the final lanes come from one pass over the whole
-program (``regalloc.assign_registers``), with the same per-row step.
+index is taken-branch priority). Code motion asks ``assign_lanes``, which
+lays out a block on its own, whether a move or a branch pull keeps the
+block's lanes valid; that is its only test of the forwarding rule. The
+final lanes come from one pass over the whole program
+(``regalloc.assign_registers``), with the same per-row step.
 
 Structural scheduling runs once per block, at the full lane width. It
 keeps a ready list (Gibbons & Muchnick, SIGPLAN '86): a count of unplaced
@@ -23,12 +25,13 @@ row is opened.
 
 Upward code motion then fills empty slots from later blocks. A mover keeps
 its registers: it goes into the earliest row of its new block that
-follows every slot it fails the pairwise Bernstein test against, so no
-row ever holds two writers of one register and nothing is renamed. A
-speculative mover (one from a block that does not always run when its new
-block does) must write nothing that is live into a block where control
-leaves the path to its source, judged by the liveness of the schedules as
-code motion has transformed them so far.
+follows every slot it fails the pairwise Bernstein test against, has a
+free lane and leaves the block's lanes assignable, so no row ever holds
+two writers of one register and nothing is renamed. A speculative mover
+(one from a block that does not always run when its new block does) must
+write nothing that is live into a block where control leaves the path to
+its source, judged by the liveness of the schedules as code motion has
+transformed them so far.
 """
 
 from __future__ import annotations
@@ -154,16 +157,6 @@ def list_schedule(block, ddg: DataDependenceGraph, constraints: LaneConstraints,
 # lane assignment
 # ---------------------------------------------------------------------------
 
-def _slot_io(slot: Slot):
-    return io_sets(slot.instr)
-
-
-def _raw_sources(slot: Slot, prev_slots):
-    """Previous-row slots whose outputs feed this slot (register or memory)."""
-    ins = _slot_io(slot).inputs
-    return [p for p in prev_slots if sets_conflict(_slot_io(p).outputs, ins)]
-
-
 def lane_row(slots: list[Slot], pred_rows, lanes: int):
     """Lane-indexed row for ``slots``, or None when no assignment exists.
     ``pred_rows`` are the lane-indexed rows that can run right before this
@@ -180,10 +173,10 @@ def lane_row(slots: list[Slot], pred_rows, lanes: int):
     branches = sum(s.instr.kind in branch for s in slots)
     pins = []
     for s in order:
-        inputs = _slot_io(s).inputs
+        inputs = io_sets(s.instr).inputs
         wanted = {lane for prev in pred_rows for lane, p in enumerate(prev)
                   if p is not None
-                  and sets_conflict(_slot_io(p).outputs, inputs)}
+                  and sets_conflict(io_sets(p.instr).outputs, inputs)}
         if len(wanted) > 1:
             return None
         pins.append(wanted.pop() if wanted else None)
@@ -284,12 +277,7 @@ class CodeMotion:
                     if not self._interference_free(slot, b, cand, between,
                                                    is_ctrl_eq):
                         continue
-                    r = self._find_slot(bs, slot)
-                    if r is None:
-                        continue
-                    bs.rows[r].append(slot)
-                    if assign_lanes(bs.rows, self.constraints.lanes) is None:
-                        bs.rows[r].remove(slot)
+                    if not self._place(bs, slot):
                         continue
                     row.remove(slot)
                     slot.moved = True
@@ -322,7 +310,7 @@ class CodeMotion:
         return ins.kind in MOVABLE_LOADS and is_ctrl_eq
 
     def _interference_free(self, slot, b, cand, between, is_ctrl_eq):
-        io = _slot_io(slot)
+        io = io_sets(slot.instr)
         for t in between:
             t_in, t_out = self._current_block_io(t)
             if sets_conflict(t_out, io.inputs):
@@ -358,15 +346,16 @@ class CodeMotion:
         out_syms: set = set()
         for row in self.schedules[bid].rows:
             for s in row:
-                io = _slot_io(s)
+                io = io_sets(s.instr)
                 ins_syms |= io.inputs
                 out_syms |= io.outputs
         return ins_syms, out_syms
 
-    def _find_slot(self, bs: BlockSchedule, slot: Slot):
-        """Earliest row of b with capacity and feasible forwarding that
-        follows every slot of b the mover conflicts with, no later than
-        b's control instruction; None if there is none."""
+    def _place(self, bs: BlockSchedule, slot: Slot) -> bool:
+        """Add ``slot`` to the earliest row of b that follows every slot of
+        b it conflicts with, no later than b's control instruction, has
+        room, and leaves b's lanes assignable (``assign_lanes``, the one
+        judge of forwarding); False, with b unchanged, if there is none."""
         lanes = self.constraints.lanes
         earliest = 0
         last_control = None
@@ -377,23 +366,13 @@ class CodeMotion:
                 if other.instr.is_control:
                     last_control = r
         limit = last_control if last_control is not None else len(bs.rows) - 1
-        for r in range(earliest, limit + 1):
-            row = bs.rows[r]
-            if len(row) < lanes and self._forwarding_feasible(bs, r, row, slot):
-                return r
-        return None
-
-    def _forwarding_feasible(self, bs, r, row, slot):
-        prev = bs.rows[r - 1] if r > 0 else []
-        producers = _raw_sources(slot, prev)
-        if len(producers) > 1:
-            return False
-        if producers:
-            p = producers[0]
-            for other in row:
-                if p in _raw_sources(other, prev):
-                    return False
-        return True
+        for row in bs.rows[earliest:limit + 1]:
+            if len(row) < lanes:
+                row.append(slot)
+                if assign_lanes(bs.rows, lanes) is not None:
+                    return True
+                row.pop()
+        return False
 
     # -- parallel branching -------------------------------------------------
 
@@ -432,13 +411,7 @@ class CodeMotion:
                     fslot = s
             if fslot is None:
                 return
-            io = _slot_io(fslot)
-            for other in last:
-                oio = _slot_io(other)
-                if sets_conflict(oio.outputs, io.inputs) or \
-                   sets_conflict(oio.inputs, io.outputs):
-                    return
-            if not self._forwarding_feasible(bs, len(bs.rows) - 1, last, fslot):
+            if not all(bernstein_ok(other.instr, fslot.instr) for other in last):
                 return
             last.append(fslot)
             if assign_lanes(bs.rows, lanes) is None:

@@ -157,7 +157,7 @@ def _check_row(lanes, stores, values, rp):
                 raise RowConflict(f"row {rp}: two lanes write r{reg}")
             writes.add(reg)
         elif i in stores:
-            addr, data = values[i]
+            addr, data, _ = values[i]
             for lo, hi in spans:
                 if addr < hi and lo < addr + len(data):
                     raise RowConflict(f"row {rp}: overlapping memory writes")
@@ -214,7 +214,8 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
                 elif i in stores:
                     # guarded again: a helper on another lane (adjust_head,
                     # map_delete) may have moved the bounds since
-                    write_mem(state, *values[i], rp)
+                    addr, data, _ = values[i]
+                    write_mem(state, addr, data, rp)
 
             rows_executed += 1
             instructions += len(lanes)

@@ -15,10 +15,12 @@ context-record loads real XDP bytecode performs yield working pointers:
     0x4000_0000  map handles (one per map id, not dereferenceable)
     0x5000_0000  map value areas, 4 MiB stride per map id
 
-Every access runs through ``hardware_bounds_guard``; the guard is what
-makes boundary-check removal in the optimizer sound. Division and modulo
-by zero yield 0 and continue. Helpers modify only r0 plus their declared
-memory regions; r1-r5 and r6-r9 are preserved.
+``hardware_bounds_guard`` is the one statement of the bounds rule: every
+read, load and store finds its bytes through it (a buffer, an offset and,
+for a map value, the map), and it raises every memory trap. The guard is
+what makes boundary-check removal in the optimizer sound. Division and
+modulo by zero yield 0 and continue. Helpers modify only r0 plus their
+declared memory regions; r1-r5 and r6-r9 are preserved.
 
 Each instruction is decoded once, on its first execution
 (``decode_step``), into a step: a module-level handler chosen by kind,
@@ -27,10 +29,13 @@ sign-extended immediate, a constant result, a helper). The step is kept
 in the instruction's declared ``step`` field, so every later run of the
 program reuses it, and so does the VLIW simulator wherever it runs the
 same instruction objects. The handlers are the one definition of the
-instruction semantics. Decoding drops no dynamic check: every access is
-still bounds-guarded (packet, stack and context-record reads classify and
-read in one step, with the guard's own traps), every store is guarded when
-it is evaluated, and the instruction budget and the pc trap are as before.
+instruction semantics. Decoding drops no dynamic check: every load and
+store is located by the guard when it is evaluated, and the instruction
+budget and the pc trap are as before. A store step returns the location
+it was given; the oracle writes there at once, as nothing runs between a
+step and its commit. The VLIW simulator guards every store again at
+commit, since a helper on another lane of the row may have moved the
+bounds.
 
 A result's map snapshot (``MapStore.snapshot``) holds, per map id, each
 allocated key's value bytes: every index of an array map, every live key
@@ -286,29 +291,32 @@ class MachineState:
 # ---------------------------------------------------------------------------
 
 def hardware_bounds_guard(state: MachineState, addr: int, width: int,
-                          write: bool = False, pc: int = -1) -> str:
-    """Classify an access and trap on anything out of bounds.
-
-    Returns the region name ('ctx', 'pkt', 'stack', 'map'). The in-hardware
+                          write: bool = False, pc: int = -1):
+    """Locate an access and trap on anything out of bounds: the in-hardware
     equivalent of the boundary checks the optimizer removes.
+
+    Returns ``(buffer, offset, map)``: the access covers ``buffer[offset:
+    offset + width]``, and ``map`` is the ``Map`` whose storage ``buffer``
+    is, or None for the packet, the stack and the context record (a fresh
+    copy, never written).
     """
-    if CTX_BASE <= addr < CTX_BASE + CTX_SIZE:
-        if write:
-            raise MemoryTrap(pc, addr, width, "context record is read-only")
-        if addr + width > CTX_BASE + CTX_SIZE:
-            raise MemoryTrap(pc, addr, width, "context record overrun")
-        return "ctx"
     if PKT_BASE <= addr < STACK_BASE:
         pkt = state.packet
         idx = addr - PKT_BASE
         if idx < pkt.start or idx + width > pkt.end:
             raise MemoryTrap(pc, addr, width, "outside packet bounds")
-        return "pkt"
+        return pkt.buf, idx, None
     if STACK_BASE <= addr < MAPFD_BASE:
         off = addr - STACK_BASE
         if off + width > STACK_SIZE:
             raise MemoryTrap(pc, addr, width, "outside stack window")
-        return "stack"
+        return state.stack, off, None
+    if CTX_BASE <= addr < CTX_BASE + CTX_SIZE:
+        if write:
+            raise MemoryTrap(pc, addr, width, "context record is read-only")
+        if addr + width > CTX_BASE + CTX_SIZE:
+            raise MemoryTrap(pc, addr, width, "context record overrun")
+        return state.packet.ctx_record(), addr - CTX_BASE, None
     if addr >= MAPVAL_BASE:
         rel = addr - MAPVAL_BASE
         m = state.maps.get(rel // MAP_STRIDE)
@@ -321,59 +329,26 @@ def hardware_bounds_guard(state: MachineState, addr: int, width: int,
             raise MemoryTrap(pc, addr, width, "crosses map value boundary")
         if not m.slot_allocated(slot):
             raise MemoryTrap(pc, addr, width, "unallocated map entry")
-        return "map"
+        return m.storage, inner, m
     raise MemoryTrap(pc, addr, width, "unmapped address")
 
 
 def read_mem(state: MachineState, addr: int, width: int, pc: int = -1) -> bytes:
-    return bytes(_read(state, addr, width, pc))
-
-
-def _read(state: MachineState, addr: int, width: int, pc: int):
-    """A copy of the ``width`` bytes at ``addr``, as bytes or bytearray.
-    Packet, stack and context-record reads classify and read in one step,
-    with the very traps ``hardware_bounds_guard`` raises for those regions;
-    every other address goes through the guard."""
-    if PKT_BASE <= addr < STACK_BASE:
-        pkt = state.packet
-        idx = addr - PKT_BASE
-        if idx < pkt.start or idx + width > pkt.end:
-            raise MemoryTrap(pc, addr, width, "outside packet bounds")
-        return pkt.buf[idx:idx + width]
-    if STACK_BASE <= addr < MAPFD_BASE:
-        off = addr - STACK_BASE
-        if off + width > STACK_SIZE:
-            raise MemoryTrap(pc, addr, width, "outside stack window")
-        return state.stack[off:off + width]
-    if CTX_BASE <= addr < CTX_BASE + CTX_SIZE:
-        if addr + width > CTX_BASE + CTX_SIZE:
-            raise MemoryTrap(pc, addr, width, "context record overrun")
-        off = addr - CTX_BASE
-        return state.packet.ctx_record()[off:off + width]
-    hardware_bounds_guard(state, addr, width, write=False, pc=pc)
-    rel = addr - MAPVAL_BASE
-    m = state.maps.get(rel // MAP_STRIDE)
-    inner = rel % MAP_STRIDE
-    return m.storage[inner:inner + width]
+    buf, off, _ = hardware_bounds_guard(state, addr, width, False, pc)
+    return bytes(buf[off:off + width])
 
 
 def write_mem(state: MachineState, addr: int, data: bytes, pc: int = -1):
-    hardware_bounds_guard(state, addr, len(data), write=True, pc=pc)
-    _store(state, addr, data)
+    _commit(data, *hardware_bounds_guard(state, addr, len(data), True, pc))
 
 
-def _store(state: MachineState, addr: int, data: bytes):
-    """Write ``data`` at ``addr``, which the bounds guard has just passed
-    for this write: packet, stack or an allocated map entry."""
-    if addr < STACK_BASE:
-        idx = addr - PKT_BASE
-        state.packet.buf[idx:idx + len(data)] = data
-    elif addr < MAPFD_BASE:
-        off = addr - STACK_BASE
-        state.stack[off:off + len(data)] = data
+def _commit(data: bytes, buf, off: int, m):
+    """Write ``data`` where the bounds guard located it: ``buf[off:]``,
+    through the map ``m`` when there is one, so its value table follows."""
+    if m is None:
+        buf[off:off + len(data)] = data
     else:
-        map_id, inner = divmod(addr - MAPVAL_BASE, MAP_STRIDE)
-        state.maps.get(map_id).write(inner, data)
+        m.write(off, data)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +400,8 @@ def _bswap(v: int, bits: int) -> int:
 # decoded from ``ins`` once: a sign-extended immediate, a constant result,
 # a store mask, a helper. The form says what the handler returns:
 #   STEP_WRITE   the new value of register ``reg``;
-#   STEP_STORE   (address, bytes) of a store the handler has bounds-guarded;
+#   STEP_STORE   (address, bytes, location) of a store, ``location`` what
+#                ``hardware_bounds_guard`` returned for it;
 #   STEP_BRANCH  the target, or None when a conditional branch falls through;
 #   STEP_EXIT    the new value of r0 when ``reg`` is 0 (a parametrized
 #                exit), else None.
@@ -499,22 +475,22 @@ def _le(state, regs, ins, k, pc):                   # k: the kept bits
 
 
 def _load(state, regs, ins, k, pc):
-    return int.from_bytes(
-        _read(state, (regs[ins.src] + ins.offset) & MASK64, ins.width, pc),
-        "little")
+    width = ins.width
+    buf, off, _ = hardware_bounds_guard(
+        state, (regs[ins.src] + ins.offset) & MASK64, width, False, pc)
+    return int.from_bytes(buf[off:off + width], "little")
 
 
 def _store_reg(state, regs, ins, k, pc):            # k: the width's mask
     addr = (regs[ins.dst] + ins.offset) & MASK64
     width = ins.width
-    hardware_bounds_guard(state, addr, width, True, pc)
-    return addr, (regs[ins.src] & k).to_bytes(width, "little")
+    return (addr, (regs[ins.src] & k).to_bytes(width, "little"),
+            hardware_bounds_guard(state, addr, width, True, pc))
 
 
 def _store_imm(state, regs, ins, k, pc):            # k: the stored bytes
     addr = (regs[ins.dst] + ins.offset) & MASK64
-    hardware_bounds_guard(state, addr, ins.width, True, pc)
-    return addr, k
+    return addr, k, hardware_bounds_guard(state, addr, ins.width, True, pc)
 
 
 def _jump(state, regs, ins, k, pc):
@@ -782,8 +758,9 @@ def exec_sequential(program: Program, packet: PacketContext, maps: MapStore,
                 regs[reg] = value
                 pc += 1
             elif form == STEP_STORE:
-                # the step guarded the store and nothing has run since
-                _store(state, *value)
+                # commit where the step located the store: nothing has
+                # run since
+                _commit(value[1], *value[2])
                 pc += 1
             elif form == STEP_BRANCH:
                 pc = pc + 1 if value is None else value

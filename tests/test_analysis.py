@@ -14,7 +14,6 @@ from conftest import dependence_sets, straight_line_source
 from xvliw.analysis import (
     bernstein_ok,
     block_code,
-    build_cfg,
     build_ddg,
     build_program_cfg,
     candidate_blocks,
@@ -301,6 +300,23 @@ class TestLiveness:
         after = live_after(info, prog, 0)       # live before i + 1
         assert reg(3) in after[0]
         assert reg(3) not in after[1]
+
+    def test_live_after_kills_a_covered_stack_range(self):
+        # the load reads bytes 504-508 of the stack; the two-byte store
+        # before it leaves them live, the eight-byte store covers them
+        prog = parse_asm("""
+          r3 = 1
+          *(u64 *)(r10 - 8) = 0
+          *(u16 *)(r10 - 8) = 0
+          r2 = *(u32 *)(r10 - 8)
+          r0 = r2
+          exit
+        """)
+        cfg = build_program_cfg(prog)
+        after = live_after(liveness(cfg, block_code(cfg, prog)), prog, 0)
+        read = ("stack", 504, 508)
+        assert read in after[2] and read in after[1]
+        assert read not in after[0]
 
     @pytest.mark.parametrize("name", names())
     def test_live_after_is_live_before_the_next(self, name):

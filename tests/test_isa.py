@@ -1,6 +1,5 @@
 """Codec, io_sets and expansion semantics."""
 
-import random
 import struct
 from dataclasses import fields, replace
 
@@ -26,7 +25,6 @@ from xvliw.isa import (
     expand_extended,
     io_sets,
     reg,
-    sets_conflict,
     symbols_overlap,
 )
 from xvliw.schedule import VliwProgram

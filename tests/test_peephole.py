@@ -1,9 +1,7 @@
 """Reduction and fusion passes; each checked for pattern coverage, guard
 behaviour, and semantic preservation through the interpreter."""
 
-import pytest
-
-from xvliw.asm import format_asm, parse_asm
+from xvliw.asm import parse_asm
 from xvliw.isa import Kind
 from xvliw.peephole import (
     fuse_early_exit,

@@ -5,7 +5,6 @@ import pytest
 from conftest import corpus_stores
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
-from xvliw.errors import RowConflict
 from xvliw.isa import Instruction, Kind
 from xvliw.schedule import Slot, VliwProgram, parse_dump
 from xvliw.vliwsim import PIPELINE_DEPTH, exec_vliw, hazard_check
@@ -176,6 +175,35 @@ class TestExecution:
             assert state.packet.buf[64] == 0         # the store never landed
         rep, _ = run(vliw_of([row(load, delta), row(store), row(call)] + tail))
         assert not rep.result.trapped and rep.result.action == XDP_PASS
+
+    def test_same_row_map_delete_unallocates_a_store(self):
+        # the store into the entry's value and map_delete of that entry
+        # share a row: the store must trap, on lane 0 at commit, on
+        # lane 1 when it is evaluated, and never land
+        prog = parse_asm("""
+        .map 1 hash 4 8 4
+          *(u32 *)(r10 - 4) = 1
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          call map_lookup
+          r6 = r0
+          *(u64 *)(r6 + 0) = 7
+          call map_delete
+          r0 = 2
+          exit
+        """)
+        ins = prog.instructions
+        store, delete = ins[6], ins[7]
+        head = [row(i) for i in ins[:6]]
+        tail = [row(i) for i in ins[8:]]
+        for pair in ((store, delete), (delete, store)):
+            maps = MapStore(prog.maps, [(1, b"\x01\0\0\0", bytes(range(8)))])
+            rep, _ = run(vliw_of(head + [row(*pair)] + tail), maps=maps)
+            assert rep.result.trapped, pair
+            assert "unallocated map entry" in rep.result.trap
+            assert maps.snapshot() == {1: {}}
+            assert maps.get(1).storage == bytes(32)
 
     @pytest.mark.parametrize("name, source, reason", [
         ("packet end", """

@@ -202,14 +202,17 @@ class TestBoundsGuard:
     def test_packet_boundary_inclusive(self):
         st = _bare_state()
         end = st.packet.data_end_addr
-        assert hardware_bounds_guard(st, end - 4, 4) == "pkt"
+        buf, off, m = hardware_bounds_guard(st, end - 4, 4)
+        assert buf is st.packet.buf and off == st.packet.end - 4 and m is None
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, end - 2, 4)
 
     def test_stack_window(self):
         st = _bare_state()
         r10 = STACK_BASE + 512
-        assert hardware_bounds_guard(st, r10 - 512, 8) == "stack"
+        buf, off, m = hardware_bounds_guard(st, r10 - 512, 8)
+        assert buf is st.stack and off == 0 and m is None
+        assert hardware_bounds_guard(st, r10 - 8, 8)[1] == 504
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, r10 - 516, 8)
         with pytest.raises(MemoryTrap):
@@ -217,7 +220,8 @@ class TestBoundsGuard:
 
     def test_ctx_read_only(self):
         st = _bare_state()
-        assert hardware_bounds_guard(st, CTX_BASE, 4) == "ctx"
+        buf, off, m = hardware_bounds_guard(st, CTX_BASE + 4, 4)
+        assert buf == st.packet.ctx_record() and off == 4 and m is None
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, CTX_BASE, 4, write=True)
 
@@ -234,17 +238,18 @@ class TestBoundsGuard:
         maps = MapStore([MapDef(1, "array", 4, 8, 4)])
         st = MachineState(packet=PacketContext(b"\x00" * 64), maps=maps)
         m = maps.get(1)
-        assert hardware_bounds_guard(st, m.slot_addr(0), 8) == "map"
+        buf, off, located = hardware_bounds_guard(st, m.slot_addr(0), 8)
+        assert buf is m.storage and off == 0 and located is m
+        assert hardware_bounds_guard(st, m.slot_addr(1) + 4, 4)[1:] == (12, m)
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, m.slot_addr(0) + 4, 8)  # crosses values
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, m.slot_addr(4), 4)      # past max_entries
 
     def test_reads_trap_as_the_guard_does(self):
-        """``read_mem`` classifies packet, stack and context reads itself:
-        around every region edge it must pass or trap exactly as the
-        guard does, with the same text, and read the bytes the guard
-        allows."""
+        """Around every region edge ``read_mem`` must pass or trap exactly
+        as the guard does, with the same text, and read the bytes the
+        guard allows."""
         maps = MapStore([MapDef(1, "hash", 4, 8, 4), MapDef(2, "array", 4, 8, 2)])
         maps.init_entry(1, b"\x01\x00\x00\x00", bytes(range(8)))
         st = MachineState(packet=PacketContext(bytes(range(40)), 16, 3),
