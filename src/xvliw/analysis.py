@@ -15,7 +15,10 @@ the peephole passes and compile stages that read one ``Program`` build
 them once. That is sound because a ``Program`` is frozen and every rewrite
 builds a new one, with a new record; readers must not mutate the shared
 ``ControlFlowGraph`` or ``LivenessInfo``. ``build_program_cfg`` and
-``liveness`` themselves always compute afresh.
+``liveness`` themselves always compute afresh, but a record need not hold
+a fresh CFG: a peephole rewrite that keeps control flow gives its program
+the parent's CFG, equal to a fresh build, with each block's span remapped
+(``peephole._apply``).
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction
 from .errors import ProgramError
-from .isa import (Instruction, Program, analysis_of, io_sets,
-                  reachable_instructions, sets_conflict, successors,
-                  symbols_overlap)
+from .isa import (CONTROL_KINDS, Instruction, Program, analysis_of, io_sets,
+                  sets_conflict, successors, symbols_overlap)
 
 _EXITV = -1
 
@@ -52,21 +54,24 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
 
     Leaders are the entry, every branch target and every instruction
     following a control transfer. Unreachable code is dropped (the
-    caller can diff against ``reachable_instructions`` for diagnostics).
+    caller can diff against the record's ``reachable`` for diagnostics).
     """
-    reach = reachable_instructions(program)
+    instrs = program.instructions
+    reach = analysis_of(program).reachable
     leaders = {0}
-    for i in sorted(reach):
-        if program[i].is_control:
-            leaders.update(successors(program[i], i))
+    for i in reach:
+        ins = instrs[i]
+        if ins.kind in CONTROL_KINDS:
+            leaders.update(successors(ins, i))
             leaders.add(i + 1)
     leaders = sorted(x for x in leaders if x in reach)
 
     spans = []
     for bi, start in enumerate(leaders):
         end = start
-        nxt = leaders[bi + 1] if bi + 1 < len(leaders) else len(program)
-        while end + 1 < nxt and end + 1 in reach and not program[end].is_control:
+        nxt = leaders[bi + 1] if bi + 1 < len(leaders) else len(instrs)
+        while end + 1 < nxt and end + 1 in reach and \
+                instrs[end].kind not in CONTROL_KINDS:
             end += 1
         spans.append((start, end))
 
@@ -74,7 +79,7 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
     succs: list[list[int]] = [[] for _ in spans]
     preds: list[list[int]] = [[] for _ in spans]
     for bid, (start, end) in enumerate(spans):
-        for t in successors(program[end], end):
+        for t in successors(instrs[end], end):
             if t not in id_of_leader:
                 raise ProgramError(f"block {bid}: control flows to non-leader {t}")
             succs[bid].append(id_of_leader[t])
@@ -242,7 +247,8 @@ class LivenessInfo:
 def block_code(cfg: ControlFlowGraph, program: Program) -> dict[int, list]:
     """Each block's instructions in program order, as ``liveness`` takes
     them."""
-    return {blk.id: [program[i] for i in blk.indices()] for blk in cfg.blocks}
+    instrs = program.instructions
+    return {blk.id: list(instrs[blk.start:blk.end + 1]) for blk in cfg.blocks}
 
 
 def liveness(cfg: ControlFlowGraph,
@@ -305,9 +311,10 @@ def live_after(info: LivenessInfo, program: Program,
     """Symbols live immediately after each instruction of a block, from
     one backward walk."""
     blk = info.cfg.blocks[block_id]
+    instrs = program.instructions
     out = {blk.end: info.live_out[block_id]}
     for i in range(blk.end, blk.start, -1):
-        io = io_sets(program[i])
+        io = io_sets(instrs[i])
         out[i - 1] = frozenset(_kill(out[i], io.outputs, stack_ranges(io.outputs))
                                | io.inputs)
     return out
@@ -357,8 +364,9 @@ def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
     readers: dict = {}                  # symbol -> earlier nodes reading it
     writers: dict = {}                  # symbol -> earlier nodes writing it
     memory: list = []                   # distinct non-register symbols seen
+    instrs = program.instructions
     for j in nodes:
-        io = io_sets(program[j])
+        io = io_sets(instrs[j])
         raw = raw_preds[j]
         for sym in io.inputs:
             raw.update(_earlier(writers, memory, sym))

@@ -205,9 +205,10 @@ def cmd_report(args) -> int:
 
 def cmd_disasm(args) -> int:
     program = load_program(args.input)
+    wire = encode(program) if args.encode else None
     print(format_asm(program), end="")
-    if args.encode:
-        print(encode(program).hex())
+    if wire is not None:
+        print(wire.hex())
     return 0
 
 

@@ -34,6 +34,13 @@ builds a new object, through ``dataclasses.replace``
 record). The memos live in declared slots, never in an instance
 ``__dict__``: the classes have none, so the attribute reads the execution
 engines make on every step keep their fast path.
+
+``build_program`` walks control flow once. Validation checks every
+field first (register indices, the read-only r10, 6-byte widths, branch
+targets in range), so the provenance scan that follows only ever indexes
+inside the program; the scan's states then give the reachable set (an
+instruction is reachable iff it has a state) for the reachable-exit check
+and the record.
 """
 
 from __future__ import annotations
@@ -144,10 +151,6 @@ class Instruction:
         return self.kind in CONTROL_KINDS
 
     @property
-    def is_memory(self) -> bool:
-        return self.kind in MEMORY_KINDS
-
-    @property
     def is_map_ref(self) -> bool:
         return self.kind is Kind.LOAD_IMM64 and self.src == PSEUDO_MAP_FD
 
@@ -198,15 +201,24 @@ class ProgramAnalysis:
     """Facts about one Program, each computed at most once and shared by
     every peephole pass and compile stage that reads that Program.
 
-    ``reachable`` and ``provenance`` (``provenance_states``) come with the
-    record. ``cfg`` (``analysis.build_program_cfg``) and ``liveness``
-    (``analysis.liveness`` over ``analysis.block_code``) start as None and
-    are filled on first use by ``analysis.program_cfg`` and
-    ``analysis.program_liveness``. Readers must not mutate what it holds."""
+    ``provenance`` (``provenance_states``) and ``reachable``, the indices
+    with a provenance state, come with the record. ``cfg``
+    (``analysis.build_program_cfg``) and ``liveness`` (``analysis.liveness``
+    over ``analysis.block_code``) start as None and are filled on first use
+    by ``analysis.program_cfg`` and ``analysis.program_liveness``, except
+    that a peephole rewrite which keeps control flow hands its program the
+    parent's CFG with the block spans remapped (``peephole._apply``).
+    Readers must not mutate what it holds."""
     reachable: frozenset[int]
     provenance: list
     cfg: object = None
     liveness: object = None
+
+    @classmethod
+    def of_states(cls, states) -> ProgramAnalysis:
+        """A record starting from the provenance scan's ``states``."""
+        return cls(frozenset(i for i, st in enumerate(states) if st is not None),
+                   states)
 
 
 # the slots' own setters: a frozen dataclass refuses ``setattr``, and
@@ -220,26 +232,25 @@ def analysis_of(program: Program) -> ProgramAnalysis:
     program was not built by ``build_program``."""
     record = program.analysis
     if record is None:
-        record = ProgramAnalysis(frozenset(reachable_instructions(program)),
-                                 provenance_states(program.instructions))
+        record = ProgramAnalysis.of_states(provenance_states(program.instructions))
         _keep_analysis(program, record)
     return record
 
 
 def build_program(instructions, maps=()) -> Program:
-    """Validate instructions, run the provenance scan, wrap in a Program.
-    The reachable set and the scan start the program's analysis record."""
+    """Validate instructions, annotate them from the provenance scan and
+    wrap them in a Program, whose analysis record the scan starts."""
     instrs = list(instructions)
-    reachable = validate_instructions(instrs)
-    states = provenance_states(instrs)
+    states = validate_instructions(instrs)
     program = Program(tuple(annotate_addr_spaces(instrs, states)), tuple(maps))
-    _keep_analysis(program, ProgramAnalysis(frozenset(reachable), states))
+    _keep_analysis(program, ProgramAnalysis.of_states(states))
     return program
 
 
-def validate_instructions(instrs) -> set[int]:
-    """Check register indices, widths, branch targets and that an exit is
-    reachable. Returns the reachable indices."""
+def validate_instructions(instrs) -> list:
+    """Check register indices, widths and branch targets, then run the
+    provenance scan and check that an exit is reachable. Returns the
+    scan's states (None for an unreachable instruction)."""
     n = len(instrs)
     if n == 0:
         raise ProgramError("empty program")
@@ -247,17 +258,19 @@ def validate_instructions(instrs) -> set[int]:
         for r in (ins.dst, ins.src, ins.src2):
             if r is not None and not 0 <= r < NUM_REGS:
                 raise ProgramError(f"instruction {i}: register index {r} out of range")
-        if written_register(ins) == FRAME_REG:
+        # only a register an instruction writes through dst can be r10
+        if ins.dst == FRAME_REG and written_register(ins) == FRAME_REG:
             raise ProgramError(f"instruction {i}: r10 is read-only")
         if ins.width == 6 and ins.kind not in (Kind.LOAD48, Kind.STORE48):
             raise ProgramError(f"instruction {i}: 6-byte width outside load48/store48")
         if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
             if ins.target is None or not 0 <= ins.target < n:
                 raise ProgramError(f"instruction {i}: branch target out of range")
-    reachable = reachable_instructions(instrs)
-    if not any(instrs[i].kind in (Kind.EXIT, Kind.EARLY_EXIT) for i in reachable):
+    states = provenance_states(instrs)
+    if not any(st is not None and ins.kind in (Kind.EXIT, Kind.EARLY_EXIT)
+               for ins, st in zip(instrs, states)):
         raise ProgramError("no exit reachable from entry")
-    return reachable
+    return states
 
 
 def successors(ins: Instruction, i: int) -> tuple[int, ...]:
@@ -273,20 +286,6 @@ def successors(ins: Instruction, i: int) -> tuple[int, ...]:
     if k is Kind.BRANCH:
         return (ins.target, i + 1)
     return (i + 1,)
-
-
-def reachable_instructions(instrs) -> set[int]:
-    """Indices of the instructions reachable from the entry."""
-    seen: set[int] = set()
-    work = [0]
-    n = len(instrs)
-    while work:
-        i = work.pop()
-        if i in seen or not 0 <= i < n:
-            continue
-        seen.add(i)
-        work.extend(successors(instrs[i], i))
-    return seen
 
 
 def written_register(ins: Instruction):
@@ -424,7 +423,10 @@ def _alu3_op(index, opcode, off):
 
 
 def encode(program: Program) -> bytes:
-    """Encode a Program back to wire-format bytes. decode(encode(p)) == p."""
+    """Encode a Program back to wire-format bytes. decode(encode(p)) == p.
+    Raises UnencodableInstruction for a field outside its signed wire
+    field: an immediate outside 32 bits (a lddw's 64-bit immediate
+    excepted), or a memory or branch word offset outside 16 bits."""
     instrs = program.instructions
     word_starts = []
     word = 0
@@ -442,7 +444,16 @@ def encode(program: Program) -> bytes:
             continue
         if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
             off = word_starts[ins.target] - word_starts[i] - 1
+            if not -(1 << 15) <= off < 1 << 15:
+                raise UnencodableInstruction(
+                    f"instruction {i}: branch offset {off} words outside 16 bits")
             ins = replace(ins, offset=off)
+        elif not -(1 << 15) <= ins.offset < 1 << 15:
+            raise UnencodableInstruction(
+                f"instruction {i}: offset {ins.offset} outside 16 bits")
+        if not -(1 << 31) <= ins.imm < 1 << 31:
+            raise UnencodableInstruction(
+                f"instruction {i}: immediate {ins.imm} outside 32 bits")
         out += _encode_one(ins)
     return bytes(out)
 
@@ -557,43 +568,51 @@ def _space_of(prov):
     return "mem", None, None
 
 
+# the provenance of a 32-bit context load at each offset: data, data_end,
+# data_meta; any other field is a number
+_CTX_FIELDS = {0: ("pkt",), 4: ("pkt_end",), 8: ("pkt",)}
+_ENTRY = tuple(("ctx",) if r == 1 else ("stack", 0) if r == FRAME_REG else _NUM
+               for r in range(NUM_REGS))
+
+
 def provenance_states(instrs):
-    """Pointer provenance state before each instruction (None if unreachable).
+    """Pointer provenance state before each instruction: a tuple indexed
+    by register, or None if the instruction is unreachable.
 
     Register state at entry: r1 holds the context pointer, r10 the frame
     base, everything else zero. Joins at control-flow merges widen to the
-    unknown region, which io_sets treats as whole-memory.
+    unknown region, which io_sets treats as whole-memory. The worklist
+    visits instructions last in, first out; the transfer is not monotone
+    (``pkt - pkt`` is a number, ``pkt - any`` a packet pointer), so another
+    order could settle on other states in a loop.
     """
     n = len(instrs)
-    entry = {r: _NUM for r in range(NUM_REGS)}
-    entry[1] = ("ctx",)
-    entry[10] = ("stack", 0)
-
-    state_in = {0: entry}
-    out_cache: dict[int, dict] = {}
+    state_in: list = [None] * n
+    state_in[0] = _ENTRY
+    state_out: list = [None] * n
     work = [0]
     while work:
         i = work.pop()
-        st = state_in.get(i)
-        if st is None:
+        ins = instrs[i]
+        st = list(state_in[i])
+        _transfer(ins, st)
+        out = tuple(st)
+        if out == state_out[i]:
             continue
-        out = _transfer(instrs[i], dict(st))
-        if out_cache.get(i) == out:
-            continue
-        out_cache[i] = out
-        for s in successors(instrs[i], i):
+        state_out[i] = out
+        for s in successors(ins, i):
             if s >= n:
                 continue
-            cur = state_in.get(s)
+            cur = state_in[s]
             if cur is None:
-                state_in[s] = dict(out)
+                state_in[s] = out
                 work.append(s)
-            else:
-                merged = {r: _join(cur.get(r), out.get(r)) for r in range(NUM_REGS)}
+            elif cur != out:
+                merged = tuple(map(_join, cur, out))
                 if merged != cur:
                     state_in[s] = merged
                     work.append(s)
-    return [state_in.get(i) for i in range(n)]
+    return state_in
 
 
 def annotate_addr_spaces(instrs, states):
@@ -606,9 +625,10 @@ def annotate_addr_spaces(instrs, states):
         if st is None:                       # unreachable: leave conservative
             annotated.append(ins)
             continue
-        if ins.is_memory:
-            base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
-            space, delta, map_id = _space_of(st.get(base))
+        k = ins.kind
+        if k in MEMORY_KINDS:
+            base = ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src
+            space, delta, map_id = _space_of(st[base])
             slot = None
             if space == "stack" and delta is not None:
                 lo = STACK_SIZE + delta + ins.offset
@@ -616,50 +636,46 @@ def annotate_addr_spaces(instrs, states):
             if (ins.addr_space, ins.stack_slot, ins.map_id) != (space, slot, map_id):
                 ins = replace(ins, addr_space=space, stack_slot=slot,
                               map_id=map_id)
-        elif ins.kind is Kind.CALL:
-            p = st.get(1)
-            map_id = p[1] if p and p[0] == "mapfd" else None
+        elif k is Kind.CALL:
+            p = st[1]
+            map_id = p[1] if p[0] == "mapfd" else None
             if ins.map_id != map_id:
                 ins = replace(ins, map_id=map_id)
         annotated.append(ins)
     return annotated
 
 
-def _transfer(ins: Instruction, st: dict) -> dict:
+def _transfer(ins: Instruction, st: list) -> None:
+    """Apply ``ins`` to the register provenances ``st``, in place."""
     k = ins.kind
     if k is Kind.MOV_REG:
-        st[ins.dst] = st.get(ins.src, _ANY) if ins.width == 64 else _NUM
-    elif k in (Kind.MOV_IMM,):
+        st[ins.dst] = st[ins.src] if ins.width == 64 else _NUM
+    elif k is Kind.MOV_IMM or k is Kind.ALU_UNARY:
         st[ins.dst] = _NUM
     elif k is Kind.LOAD_IMM64:
         st[ins.dst] = ("mapfd", ins.imm) if ins.is_map_ref else _NUM
-    elif k is Kind.ALU_UNARY:
-        st[ins.dst] = _NUM
     elif k is Kind.ALU_BINARY:
-        st[ins.dst] = _alu_prov(ins.op, ins.width, st.get(ins.dst),
-                                st.get(ins.src) if ins.src is not None else _NUM,
+        st[ins.dst] = _alu_prov(ins.op, ins.width, st[ins.dst],
+                                st[ins.src] if ins.src is not None else _NUM,
                                 ins.imm if ins.src is None else None)
     elif k is Kind.ALU_THREE_OP:
-        st[ins.dst] = _alu_prov(ins.op, 64, st.get(ins.src),
-                                st.get(ins.src2) if ins.src2 is not None else _NUM,
+        st[ins.dst] = _alu_prov(ins.op, 64, st[ins.src],
+                                st[ins.src2] if ins.src2 is not None else _NUM,
                                 ins.imm if ins.src2 is None else None)
-    elif k in (Kind.LOAD, Kind.LOAD48):
-        base = st.get(ins.src)
-        if base == ("ctx",) and ins.width == 4 and ins.kind is Kind.LOAD:
-            st[ins.dst] = {0: ("pkt",), 4: ("pkt_end",), 8: ("pkt",)}.get(
-                ins.offset, _NUM)
+    elif k is Kind.LOAD or k is Kind.LOAD48:
+        if k is Kind.LOAD and ins.width == 4 and st[ins.src] == ("ctx",):
+            st[ins.dst] = _CTX_FIELDS.get(ins.offset, _NUM)
         else:
             st[ins.dst] = _NUM
     elif k is Kind.CALL:
         helper = HELPERS.get(ins.imm)
         if helper is not None and helper.returns == "value_ptr":
-            p = st.get(1)
-            st[0] = ("mapval", p[1] if p and p[0] == "mapfd" else None)
+            p = st[1]
+            st[0] = ("mapval", p[1] if p[0] == "mapfd" else None)
         else:
             st[0] = _NUM
         # r1-r5 and memory-held provenance preserved (helpers touch only r0
         # plus declared regions)
-    return st
 
 
 def _alu_prov(op, width, a, b, imm):

@@ -21,9 +21,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .analysis import live_after, program_cfg, program_liveness, stack_ranges
+from .analysis import (BasicBlock, ControlFlowGraph, live_after, program_cfg,
+                       program_liveness, stack_ranges)
 from .isa import (
     ALU3_OPS,
+    CONTROL_KINDS,
     FRAME_REG,
     Instruction,
     Kind,
@@ -48,13 +50,18 @@ _PASSES = {
     "early_exit": lambda p: fuse_early_exit(p),
 }
 PASS_NAMES = tuple(_PASSES)
+_JUMPS = (Kind.BRANCH, Kind.JUMP_ALWAYS)
 
 
 def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program:
     """``program`` with ``rewrites`` applied: each index maps to its
     replacement instruction, or to None for a deletion. Branch targets are
     remapped; a deleted old index maps to the next surviving one. With no
-    rewrites, ``program`` itself comes back, analysis record and all."""
+    rewrites, ``program`` itself comes back, analysis record and all.
+
+    The new program's record takes ``program``'s CFG, remapped, when the
+    rewrite keeps control flow (``_carried_cfg``); else its CFG is built
+    afresh on first use."""
     if not rewrites:
         return program
     items = [(i, rewrites.get(i, ins)) for i, ins in enumerate(program.instructions)]
@@ -66,25 +73,65 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
 
     out = []
     for _, ins in items:
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+        if ins.kind in _JUMPS:
             target = new_of(ins.target)
             if target != ins.target:
                 ins = replace(ins, target=target)
         out.append(ins)
-    return build_program(out, program.maps)
+    rewritten = build_program(out, program.maps)
+    rewritten.analysis.cfg = _carried_cfg(program, rewrites, anchors)
+    return rewritten
+
+
+def _carried_cfg(program: Program, rewrites, anchors) -> ControlFlowGraph | None:
+    """``program``'s CFG, if it has one, as the CFG of the rewritten
+    program whose surviving old indices are ``anchors``; None when the
+    rewrite may change control flow.
+
+    Control flow stays when every block the rewrite touches keeps an
+    instruction, no survivor but its last transfers control, and that last
+    one leaves the block as the old last one did: the same branch or jump,
+    not rewritten; an exit of either kind for an exit of either kind; or a
+    fall-through for a fall-through. Then the blocks, their ids and edges,
+    ``dom`` and ``pdom`` stay, and each block's span moves to its first and
+    last survivors. A removed boundary check deletes a branch, so it never
+    carries."""
+    cfg = program.analysis.cfg
+    if cfg is None:
+        return None
+    instrs = program.instructions
+    for bid in {cfg.block_index.get(i) for i in rewrites}:
+        if bid is None:                          # unreachable code
+            continue
+        blk = cfg.blocks[bid]
+        body = [rewrites.get(i, instrs[i]) for i in blk.indices()]
+        body = [ins for ins in body if ins is not None]
+        if not body or any(ins.kind in CONTROL_KINDS for ins in body[:-1]):
+            return None
+        old, last = instrs[blk.end], body[-1]
+        if last is not old and (old.kind in _JUMPS or last.kind in _JUMPS or
+                                (old.kind in CONTROL_KINDS) !=
+                                (last.kind in CONTROL_KINDS)):
+            return None
+    return ControlFlowGraph(
+        [BasicBlock(blk.id, bisect_left(anchors, blk.start),
+                    bisect_left(anchors, blk.end + 1) - 1,
+                    blk.successors, blk.predecessors) for blk in cfg.blocks],
+        cfg.dom, cfg.pdom)
 
 
 def _fuse_pairs(program: Program, fuse) -> Program:
     """Rewrite each adjacent pair (a, b) of one block, scanning forward,
     to ``fuse(a, b)`` where that is an instruction and not None. Fused
     pairs do not overlap."""
-    block_of = program_cfg(program).block_index
+    block_of = program_cfg(program).block_index.get
+    instrs = program.instructions
     rewrites: dict[int, Instruction | None] = {}
     i = 0
-    while i + 1 < len(program):
+    while i + 1 < len(instrs):
         fused = None
-        if block_of.get(i) == block_of.get(i + 1):
-            fused = fuse(program[i], program[i + 1])
+        if block_of(i) == block_of(i + 1):
+            fused = fuse(instrs[i], instrs[i + 1])
         if fused is None:
             i += 1
         else:
@@ -98,7 +145,7 @@ def _fuse_pairs(program: Program, fuse) -> Program:
 # ---------------------------------------------------------------------------
 
 def _is_abort_block(program: Program, block) -> bool:
-    body = [program[i] for i in block.indices()]
+    body = program.instructions[block.start:block.end + 1]
     if len(body) == 1:
         return body[0].kind in (Kind.EXIT, Kind.EARLY_EXIT)
     if len(body) == 2:
@@ -119,6 +166,7 @@ def remove_boundary_checks(program: Program):
     cfg = program_cfg(program)
     states = analysis_of(program).provenance
     live = program_liveness(program)
+    instrs = program.instructions
 
     removed: list[tuple[int, ...]] = []
     consumed: set[int] = set()
@@ -128,12 +176,12 @@ def remove_boundary_checks(program: Program):
             if i in consumed:
                 i += 1
                 continue
-            window = _match_check(program, states, blk, i)
+            window = _match_check(instrs, states, blk, i)
             if window is None:
                 i += 1
                 continue
             branch_idx = window[-1]
-            br = program[branch_idx]
+            br = instrs[branch_idx]
             tgt_block = cfg.blocks[cfg.block_of(br.target)]
             fall_block = cfg.block_of(branch_idx + 1)
             if not _is_abort_block(program, tgt_block) or fall_block is None:
@@ -150,15 +198,15 @@ def remove_boundary_checks(program: Program):
     return _apply(program, dict.fromkeys(consumed)), removed
 
 
-def _match_check(program, states, blk, i):
+def _match_check(instrs, states, blk, i):
     def prov(idx, r):
         st = states[idx]
-        return st.get(r) if st else None
+        return st[r] if st else None
 
-    a = program[i]
+    a = instrs[i]
     # mov T, P ; T += C ; if T > E goto abort
     if a.kind is Kind.MOV_REG and a.width == 64 and i + 2 <= blk.end:
-        b, c = program[i + 1], program[i + 2]
+        b, c = instrs[i + 1], instrs[i + 2]
         if (b.kind is Kind.ALU_BINARY and b.op == "add" and b.width == 64
                 and b.dst == a.dst and b.src is None and b.imm > 0
                 and c.kind is Kind.BRANCH and c.op == "jgt"
@@ -169,7 +217,7 @@ def _match_check(program, states, blk, i):
     # T = P + C ; if T > E goto abort
     if a.kind is Kind.ALU_THREE_OP and a.op == "add" and a.src2 is None \
             and a.imm > 0 and i + 1 <= blk.end:
-        c = program[i + 1]
+        c = instrs[i + 1]
         if (c.kind is Kind.BRANCH and c.op == "jgt" and c.dst == a.dst
                 and c.src is not None
                 and prov(i, a.src) == ("pkt",)
@@ -188,18 +236,11 @@ def remove_zeroing(program: Program):
     dead stores (target not live afterwards). Returns (program, removed)."""
     cfg = program_cfg(program)
     live = program_liveness(program)
-    touched = _touched_before(program, cfg)
 
     removed = []
-    for blk in cfg.blocks:
+    for blk, writes in _zero_writes(program, cfg):
         after = None                 # live after each instruction, on demand
-        for i in blk.indices():
-            ins = program[i]
-            target = _zeroing_target(ins)
-            if target is None:
-                continue
-            virgin = touched[i] is not None and \
-                not sets_conflict({target}, touched[i])
+        for i, target, virgin in writes:
             if not virgin:
                 after = after or live_after(live, program, blk.id)
                 if sets_conflict({target}, after[i]):
@@ -220,35 +261,52 @@ def _zeroing_target(ins: Instruction):
     return None
 
 
-def _touched_before(program: Program, cfg):
-    """May-analysis: symbols read or written on some path from entry to each
-    instruction (None for unreachable). r1/r10 are live-in, so touched."""
-    n = len(program)
-    entry_touched = frozenset({reg(1), reg(FRAME_REG)})
+def _zero_writes(program: Program, cfg):
+    """Each block with its writes of immediate zero, as (index, target,
+    virgin): virgin when no path from the entry reads or writes the target
+    before the write. r1/r10 are live-in, so touched at the entry.
+
+    One forward walk of each block finds the symbols its body touches and,
+    for each zero write, whether the block touched the target before it. A
+    may-analysis over blocks then finds the symbols touched on some path to
+    each block's entry; a write is virgin when neither touched its target."""
+    instrs = program.instructions
+    touched = {}                     # block id -> symbols its body touches
+    writes = {}                      # block id -> [(index, target, touched in block)]
+    for blk in cfg.blocks:
+        t: set = set()
+        found = []
+        for i in blk.indices():
+            ins = instrs[i]
+            target = _zeroing_target(ins)
+            if target is not None:
+                found.append((i, target, sets_conflict({target}, t)))
+            io = io_sets(ins)
+            t |= io.inputs
+            t |= io.outputs
+        touched[blk.id] = t
+        writes[blk.id] = found
     block_in: dict[int, frozenset | None] = {b.id: None for b in cfg.blocks}
-    block_in[0] = entry_touched
-    order = [b.id for b in cfg.blocks]
-    result: list[frozenset | None] = [None] * n
+    block_in[0] = frozenset({reg(1), reg(FRAME_REG)})
     changed = True
     while changed:
         changed = False
-        for bid in order:
-            cur = block_in[bid]
+        for blk in cfg.blocks:
+            cur = block_in[blk.id]
             if cur is None:
                 continue
-            blk = cfg.blocks[bid]
-            t = set(cur)
-            for i in blk.indices():
-                result[i] = frozenset(t)
-                io = io_sets(program[i])
-                t |= io.inputs | io.outputs
+            out = cur | touched[blk.id]
             for s in blk.successors:
-                merged = t if block_in[s] is None else (block_in[s] | t)
-                merged = frozenset(merged)
+                merged = out if block_in[s] is None else block_in[s] | out
                 if merged != block_in[s]:
                     block_in[s] = merged
                     changed = True
-    return result
+
+    for blk in cfg.blocks:
+        entry = block_in[blk.id]
+        yield blk, [(i, target, entry is not None and not inside and
+                     not sets_conflict({target}, entry))
+                    for i, target, inside in writes[blk.id]]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +347,7 @@ def fuse_load_store_6b(program: Program) -> Program:
     load48 + store48, eliminating the second scratch register."""
     cfg = program_cfg(program)
     live = program_liveness(program)
+    instrs = program.instructions
     rewrites: dict[int, Instruction | None] = {}
 
     for blk in cfg.blocks:
@@ -296,11 +355,11 @@ def fuse_load_store_6b(program: Program) -> Program:
         for i in blk.indices():
             if i in rewrites or i + 1 > blk.end:
                 continue
-            lp = _match_load_pair(program, blk, i)
+            lp = _match_load_pair(instrs, i)
             if lp is None:
                 continue
             a_reg, c_reg, base, off = lp
-            match = _find_store_pair(program, blk, i, a_reg, c_reg)
+            match = _find_store_pair(instrs, blk, i, a_reg, c_reg)
             if match is None:
                 continue
             j, d_base, p_off = match
@@ -316,8 +375,8 @@ def fuse_load_store_6b(program: Program) -> Program:
     return _apply(program, rewrites)
 
 
-def _match_load_pair(program, blk, i):
-    a, b = program[i], program[i + 1]
+def _match_load_pair(instrs, i):
+    a, b = instrs[i], instrs[i + 1]
     if a.kind is not Kind.LOAD or b.kind is not Kind.LOAD:
         return None
     if a.src != b.src or a.dst == b.dst or b.dst == b.src or a.dst == a.src:
@@ -329,21 +388,21 @@ def _match_load_pair(program, blk, i):
     return a.dst, b.dst, a.src, a.offset
 
 
-def _find_store_pair(program, blk, load_idx, a_reg, c_reg):
+def _find_store_pair(instrs, blk, load_idx, a_reg, c_reg):
     """Scan forward for the adjacent stores of (a_reg, c_reg) with matching
     widths and contiguous offsets. Any intervening instruction touching
     either scratch register rejects the idiom; the caller also rejects it
     when a scratch is live past the stores."""
-    a_w = program[load_idx].width
-    c_w = program[load_idx + 1].width
+    a_w = instrs[load_idx].width
+    c_w = instrs[load_idx + 1].width
     for j in range(load_idx + 2, blk.end):      # j+1 must stay inside the block
-        s1, s2 = program[j], program[j + 1]
+        s1, s2 = instrs[j], instrs[j + 1]
         if (_is_store_of(s1, a_reg) and _is_store_of(s2, c_reg)
                 and s1.width == a_w and s2.width == c_w
                 and s1.dst == s2.dst and s1.dst not in (a_reg, c_reg)
                 and s2.offset == s1.offset + a_w):
             return j, s1.dst, s1.offset
-        if _touches_regs(program[j], {a_reg, c_reg}):
+        if _touches_regs(s1, {a_reg, c_reg}):
             return None
     return None
 

@@ -680,6 +680,9 @@ def _h_redirect_map(state, pc):
     m = _need_map(state, state.regs[1], "redirect_map")
     if m.mdef.kind != "array":
         raise BadHelperArgs("redirect_map", "redirect maps must be array maps")
+    if m.mdef.value_size < 4:
+        # the 4-byte target would run into the next entry
+        raise BadHelperArgs("redirect_map", "redirect map values must hold 4 bytes")
     idx = state.regs[2] & MASK32
     flags = state.regs[3]
     if idx >= m.mdef.max_entries:

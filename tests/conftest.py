@@ -8,7 +8,9 @@ from copy import deepcopy
 
 import pytest
 
-from xvliw.isa import Instruction, MapDef
+from xvliw.helpers import HELPERS
+from xvliw.isa import (FRAME_REG, NUM_REGS, Instruction, Kind, MapDef,
+                       _alu_prov, _join, io_sets, reg, successors)
 from xvliw.vm import (
     MapStore,
     PacketContext,
@@ -19,6 +21,118 @@ from xvliw.vm import (
     decode_step,
     write_mem,
 )
+
+
+def reachable_instructions(instrs) -> set[int]:
+    """Indices of the instructions reachable from the entry, by a plain
+    walk of ``successors``."""
+    seen: set[int] = set()
+    work = [0]
+    n = len(instrs)
+    while work:
+        i = work.pop()
+        if i in seen or not 0 <= i < n:
+            continue
+        seen.add(i)
+        work.extend(successors(instrs[i], i))
+    return seen
+
+
+def provenance_states_dicts(instrs) -> list:
+    """The provenance scan with each state a dict from register to
+    provenance, copied and compared whole at every step: the reference
+    ``isa.provenance_states`` must agree with, state for state. It shares
+    only the lattice's join and ALU rules with ``isa``. The worklist order
+    is the same, since the transfer is not monotone."""
+    n = len(instrs)
+    entry = {r: ("num",) for r in range(NUM_REGS)}
+    entry[1] = ("ctx",)
+    entry[FRAME_REG] = ("stack", 0)
+    state_in = {0: entry}
+    out_cache: dict[int, dict] = {}
+    work = [0]
+    while work:
+        i = work.pop()
+        st = state_in.get(i)
+        if st is None:
+            continue
+        out = _transfer_dict(instrs[i], dict(st))
+        if out_cache.get(i) == out:
+            continue
+        out_cache[i] = out
+        for s in successors(instrs[i], i):
+            if s >= n:
+                continue
+            cur = state_in.get(s)
+            if cur is None:
+                state_in[s] = dict(out)
+                work.append(s)
+            else:
+                merged = {r: _join(cur.get(r), out.get(r)) for r in range(NUM_REGS)}
+                if merged != cur:
+                    state_in[s] = merged
+                    work.append(s)
+    return [state_in.get(i) for i in range(n)]
+
+
+def _transfer_dict(ins: Instruction, st: dict) -> dict:
+    num, k = ("num",), ins.kind
+    if k is Kind.MOV_REG:
+        st[ins.dst] = st.get(ins.src, ("any",)) if ins.width == 64 else num
+    elif k in (Kind.MOV_IMM, Kind.ALU_UNARY):
+        st[ins.dst] = num
+    elif k is Kind.LOAD_IMM64:
+        st[ins.dst] = ("mapfd", ins.imm) if ins.is_map_ref else num
+    elif k is Kind.ALU_BINARY:
+        st[ins.dst] = _alu_prov(ins.op, ins.width, st.get(ins.dst),
+                                st.get(ins.src) if ins.src is not None else num,
+                                ins.imm if ins.src is None else None)
+    elif k is Kind.ALU_THREE_OP:
+        st[ins.dst] = _alu_prov(ins.op, 64, st.get(ins.src),
+                                st.get(ins.src2) if ins.src2 is not None else num,
+                                ins.imm if ins.src2 is None else None)
+    elif k in (Kind.LOAD, Kind.LOAD48):
+        if st.get(ins.src) == ("ctx",) and ins.width == 4 and k is Kind.LOAD:
+            st[ins.dst] = {0: ("pkt",), 4: ("pkt_end",), 8: ("pkt",)}.get(
+                ins.offset, num)
+        else:
+            st[ins.dst] = num
+    elif k is Kind.CALL:
+        helper = HELPERS.get(ins.imm)
+        p = st.get(1)
+        if helper is not None and helper.returns == "value_ptr":
+            st[0] = ("mapval", p[1] if p and p[0] == "mapfd" else None)
+        else:
+            st[0] = num
+    return st
+
+
+def touched_before(program, cfg) -> list:
+    """Per instruction, the symbols read or written on some path from the
+    entry to it (None if unreachable), by an instruction-level walk of
+    every block at every round; r1 and r10 are touched at the entry."""
+    n = len(program)
+    block_in: dict = {b.id: None for b in cfg.blocks}
+    block_in[0] = frozenset({reg(1), reg(FRAME_REG)})
+    result: list = [None] * n
+    changed = True
+    while changed:
+        changed = False
+        for blk in cfg.blocks:
+            cur = block_in[blk.id]
+            if cur is None:
+                continue
+            t = set(cur)
+            for i in blk.indices():
+                result[i] = frozenset(t)
+                io = io_sets(program[i])
+                t |= io.inputs | io.outputs
+            for s in blk.successors:
+                merged = frozenset(t if block_in[s] is None else block_in[s] | t)
+                if merged != block_in[s]:
+                    block_in[s] = merged
+                    changed = True
+    return result
 
 
 def dependence_sets(nodes, edges: dict):

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from conftest import dependence_sets, straight_line_source
+from conftest import (dependence_sets, provenance_states_dicts,
+                      reachable_instructions, straight_line_source)
 from xvliw.analysis import (
     bernstein_ok,
     block_code,
@@ -31,8 +32,7 @@ from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, generate_case
 from xvliw.compiler import compile_program
 from xvliw.isa import (Instruction, Kind, Program, analysis_of, io_sets,
-                       provenance_states, reachable_instructions, reg,
-                       sets_conflict)
+                       provenance_states, reg, sets_conflict)
 from xvliw.peephole import _PASSES, peephole
 from xvliw.schedule import LaneConstraints
 from xvliw.vm import MapStore, PacketContext, exec_sequential

@@ -152,6 +152,20 @@ def test_disasm_roundtrip(capsys, tmp_path, listing):
     assert "r4 += 20" in out2
 
 
+@pytest.mark.parametrize("source, message", [
+    ("r1 += -5000000000\nexit\n", "immediate -5000000000 outside 32 bits"),
+    ("r1 = *(u8 *)(r10 - 40000)\nexit\n", "offset -40000 outside 16 bits"),
+])
+def test_disasm_encode_of_an_unencodable_field_fails(capsys, tmp_path,
+                                                     source, message):
+    path = tmp_path / "wide.s"
+    path.write_text(source)
+    rc, out, err = invoke(capsys, "disasm", str(path), "--encode")
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: instruction 0: {message}\n"
+
+
 def test_trace_output(capsys, tmp_path):
     pkts = tmp_path / "pkts.txt"
     pkts.write_text("00" * 64 + "\n")

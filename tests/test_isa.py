@@ -11,6 +11,7 @@ from xvliw.errors import (
     DanglingLddwSecondHalf,
     ProgramError,
     TruncatedStream,
+    UnencodableInstruction,
     UnknownOpcode,
 )
 from xvliw.isa import (
@@ -120,6 +121,34 @@ class TestEncode:
         with pytest.raises(ProgramError):
             build_program([])
 
+    @pytest.mark.parametrize("ins, field", [
+        (Instruction(Kind.ALU_BINARY, op="add", width=64, dst=1,
+                     imm=-5_000_000_000), "immediate"),
+        (Instruction(Kind.MOV_IMM, width=64, dst=1, imm=1 << 31), "immediate"),
+        (Instruction(Kind.EARLY_EXIT, imm=1 << 32), "immediate"),
+        (Instruction(Kind.LOAD, width=1, dst=1, src=10, offset=-40_000), "offset"),
+        (Instruction(Kind.STORE, width=4, dst=10, src=1, offset=1 << 15), "offset"),
+    ])
+    def test_field_outside_its_wire_width(self, ins, field):
+        prog = build_program([ins, Instruction(Kind.EXIT)])
+        with pytest.raises(UnencodableInstruction, match=f"instruction 0: {field}"):
+            encode(prog)
+
+    def test_branch_offset_outside_16_bits(self):
+        far = [Instruction(Kind.JUMP_ALWAYS, target=(1 << 15) + 1),
+               *[Instruction(Kind.MOV_IMM, width=64, dst=0, imm=1)] * (1 << 15),
+               Instruction(Kind.EXIT)]
+        with pytest.raises(UnencodableInstruction, match="branch offset 32768"):
+            encode(build_program(far))
+        near = far[:1] + far[2:]                # one word closer: 32767 fits
+        near[0] = Instruction(Kind.JUMP_ALWAYS, target=1 << 15)
+        assert decode(encode(build_program(near))).instructions[0].target == 1 << 15
+
+    def test_lddw_immediate_is_64_bits(self):
+        prog = build_program([Instruction(Kind.LOAD_IMM64, dst=1, imm=1 << 40),
+                              Instruction(Kind.EXIT)])
+        assert decode(encode(prog)).instructions[0].imm == 1 << 40
+
     def test_roundtrip_random_streams(self, rng):
         from xvliw.fuzz import generate_case
         from xvliw.asm import parse_asm
@@ -149,6 +178,26 @@ class TestProgramInvariants:
         with pytest.raises(ProgramError):
             build_program([Instruction(Kind.JUMP_ALWAYS, target=0),
                            Instruction(Kind.EXIT)])
+
+    # The field checks run before the provenance scan, which indexes its
+    # states by register and by instruction: a register 11 would fall off
+    # the state, and a target of -1 would reach the last instruction.
+    @pytest.mark.parametrize("ins", [
+        Instruction(Kind.MOV_IMM, width=64, dst=11, imm=0),
+        Instruction(Kind.MOV_REG, width=64, dst=0, src=11),
+        Instruction(Kind.ALU_THREE_OP, op="add", width=64, dst=0, src=1, src2=11),
+    ])
+    def test_register_index_in_range(self, ins):
+        with pytest.raises(ProgramError, match="register index 11 out of range"):
+            build_program([ins, Instruction(Kind.EXIT)])
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    @pytest.mark.parametrize("kind", [Kind.JUMP_ALWAYS, Kind.BRANCH])
+    def test_branch_target_in_range(self, kind, target):
+        jump = (Instruction(kind, target=target) if kind is Kind.JUMP_ALWAYS
+                else Instruction(kind, op="jeq", dst=1, imm=0, target=target))
+        with pytest.raises(ProgramError, match="branch target out of range"):
+            build_program([jump, Instruction(Kind.EXIT)])
 
 
 class TestIoSets:

@@ -1,9 +1,22 @@
 """Reduction and fusion passes; each checked for pattern coverage, guard
 behaviour, and semantic preservation through the interpreter."""
 
+import random
+
+import pytest
+
+import test_scheduler
+import xvliw.peephole as peephole_module
+from conftest import (provenance_states_dicts, reachable_instructions,
+                      straight_line_source, touched_before)
+from xvliw.analysis import build_program_cfg, program_cfg
 from xvliw.asm import parse_asm
-from xvliw.isa import Kind
+from xvliw.corpus import CORPUS, names
+from xvliw.fuzz import case_seed, generate_case
+from xvliw.isa import Kind, Program, analysis_of, sets_conflict
 from xvliw.peephole import (
+    _zero_writes,
+    _zeroing_target,
     fuse_early_exit,
     fuse_load_store_6b,
     fuse_three_operand,
@@ -368,3 +381,88 @@ class TestDriver:
                     MapStore(*parse_map_config(case.map_config)))
                 assert (a.action, a.code, a.packet_out, a.maps_out) == \
                     (b.action, b.code, b.packet_out, b.maps_out), (i, name)
+
+
+def _fact_programs():
+    yield from (parse_asm(CORPUS[name].source) for name in names())
+    for i in range(1000):
+        yield parse_asm(generate_case(case_seed(20260810, i)).program_text)
+    loops = test_scheduler.TestCodeMotion.LOOPS
+    yield from (parse_asm(src) for src, _ in loops.values())
+    for seed in range(4):
+        yield parse_asm(straight_line_source(random.Random(seed), 150))
+
+
+@pytest.fixture(scope="module")
+def rewrites():
+    """Every rewrite ``_apply`` makes while the peephole reduces the
+    corpus, fuzz cases 0-999 of run seed 20260810, the code-motion loop
+    programs and four straight-line blocks: (parent, rewritten program,
+    the CFG the rewritten program's record held when ``_apply`` returned
+    it)."""
+    real = peephole_module._apply
+    seen = []
+
+    def recording(program, changes):
+        out = real(program, changes)
+        if out is not program:
+            seen.append((program, out, out.analysis.cfg))
+        return out
+    peephole_module._apply = recording
+    try:
+        for program in _fact_programs():
+            peephole(program)
+    finally:
+        peephole_module._apply = real
+    return seen
+
+
+class TestProgramFacts:
+    """The facts the peephole derives cheaply equal their reference
+    computations on every program it makes."""
+
+    def test_carried_cfg_equals_a_fresh_build(self, rewrites):
+        carried = fresh = 0
+        for parent, out, cfg in rewrites:
+            if cfg is None:
+                fresh += 1
+                continue
+            carried += 1
+            assert cfg == build_program_cfg(Program(out.instructions, out.maps))
+            assert cfg.dom is program_cfg(parent).dom
+        assert carried > 1000 and fresh > 100
+
+    def test_a_removed_boundary_check_builds_its_cfg_afresh(self, rewrites):
+        def branches(program):
+            return sum(ins.kind is Kind.BRANCH for ins in program.instructions)
+        deleted = [cfg for parent, out, cfg in rewrites
+                   if branches(out) < branches(parent)]
+        assert len(deleted) > 50 and all(cfg is None for cfg in deleted)
+
+    def test_provenance_and_reachable_match_the_dict_scan(self, rewrites):
+        programs = {id(p): p for pair in rewrites for p in pair[:2]}
+        for program in programs.values():
+            record = analysis_of(program)
+            expected = provenance_states_dicts(program.instructions)
+            assert [st and dict(enumerate(st)) for st in record.provenance] \
+                == expected
+            assert record.reachable == reachable_instructions(program.instructions)
+
+    def test_virgin_decisions_match_touched_before(self, rewrites):
+        programs = {id(p): p for pair in rewrites for p in pair[:2]}
+        decisions = []
+        for program in programs.values():
+            cfg = program_cfg(program)
+            touched = touched_before(program, cfg)
+            expected = {}
+            for blk in cfg.blocks:
+                for i in blk.indices():
+                    target = _zeroing_target(program[i])
+                    if target is not None:
+                        expected[i] = (target, touched[i] is not None and
+                                       not sets_conflict({target}, touched[i]))
+            got = {i: (target, virgin) for _blk, writes in _zero_writes(program, cfg)
+                   for i, target, virgin in writes}
+            assert got == expected
+            decisions += [virgin for _target, virgin in got.values()]
+        assert set(decisions) == {True, False}

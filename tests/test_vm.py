@@ -387,6 +387,31 @@ class TestHelpers:
         assert res.action == XDP_REDIRECT
         assert res.redirect_target == 7
 
+    def test_redirect_map_needs_4_byte_values(self):
+        """A 2-byte entry cannot hold a redirect target: reading 4 bytes
+        from entry 0 would take entry 1's bytes too (0x4030201). Both
+        engines trap the same way."""
+        from xvliw.compiler import compile_program
+        from xvliw.vliwsim import exec_vliw
+        prog = parse_asm("""
+        .map 1 array 4 2 2
+          r1 = map[1]
+          r2 = 0
+          r3 = 0
+          call redirect_map
+          exit
+        """)
+        entries = [(1, (0).to_bytes(4, "little"), b"\x01\x02"),
+                   (1, (1).to_bytes(4, "little"), b"\x03\x04")]
+        res, _ = exec_sequential(prog, PacketContext(b"\x00" * 64),
+                                 MapStore(prog.maps, entries))
+        assert res.trapped and res.action == XDP_ABORTED
+        assert "redirect map values must hold 4 bytes" in res.trap
+        vliw, _ = compile_program(prog)
+        report, _ = exec_vliw(vliw, PacketContext(b"\x00" * 64),
+                              MapStore(prog.maps, entries))
+        assert (report.result.action, report.result.trap) == (res.action, res.trap)
+
     def test_unknown_helper(self):
         state = _bare_state()
         with pytest.raises(UnknownHelper):
