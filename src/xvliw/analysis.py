@@ -306,13 +306,12 @@ def program_liveness(program: Program) -> LivenessInfo:
     return record.liveness
 
 
-def live_after(info: LivenessInfo, program: Program,
-               block_id: int) -> dict[int, frozenset]:
-    """Symbols live immediately after each instruction of a block, from
-    one backward walk."""
-    blk = info.cfg.blocks[block_id]
+def live_after(program: Program, blk: BasicBlock,
+               live_out) -> dict[int, frozenset]:
+    """Symbols live immediately after each instruction of ``blk``, given
+    ``live_out`` live after the block, from one backward walk."""
     instrs = program.instructions
-    out = {blk.end: info.live_out[block_id]}
+    out = {blk.end: live_out}
     for i in range(blk.end, blk.start, -1):
         io = io_sets(instrs[i])
         out[i - 1] = frozenset(_kill(out[i], io.outputs, stack_ranges(io.outputs))

@@ -10,7 +10,7 @@ from . import __version__
 from .asm import format_asm, parse_asm
 from .analysis import build_program_cfg, cfg_to_dot
 from .compiler import compile_program
-from .corpus import CORPUS
+from .corpus import entry as corpus_entry
 from .errors import XvliwError
 from .formats import load_packets, parse_map_config
 from .fuzz import compare_results, fuzz
@@ -24,7 +24,7 @@ from .vm import Limits, MapStore, PacketContext, exec_sequential
 
 def load_program(path: str) -> Program:
     if path.startswith("corpus:"):
-        return parse_asm(CORPUS[path.split(":", 1)[1]].source)
+        return parse_asm(corpus_entry(path.split(":", 1)[1]).source)
     with open(path, "rb") as fh:
         data = fh.read()
     if path.endswith((".bin", ".o")):

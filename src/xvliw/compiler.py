@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import build_ddg, program_cfg
-from .isa import Program, analysis_of
+from .isa import Kind, Program, analysis_of
 from .peephole import PASS_NAMES, peephole
 from .regalloc import assign_registers
 from .schedule import LaneConstraints
@@ -98,7 +98,7 @@ def compile_program(program: Program,
                                      reduced.maps)
 
     pulled = sum(1 for (idx, _frm, _to) in moved_log
-                 if reduced[idx].kind.value == "branch")
+                 if reduced[idx].kind is Kind.BRANCH)
     report = CompileReport(
         original_count=original_count,
         after_reduction_count=len(analysis_of(reduced).reachable),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .errors import XvliwError
+
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -263,3 +265,10 @@ _add(CorpusEntry(
 
 def names():
     return sorted(CORPUS)
+
+
+def entry(name: str) -> CorpusEntry:
+    """The entry ``name``; an ``XvliwError`` naming the known ones if none."""
+    if name not in CORPUS:
+        raise XvliwError(f"unknown corpus program {name!r}; known: {', '.join(names())}")
+    return CORPUS[name]

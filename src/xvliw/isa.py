@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 from .errors import (
     DanglingLddwSecondHalf,
@@ -93,26 +92,30 @@ OP_LDDW = 0x18
 PSEUDO_MAP_FD = 1       # lddw src nibble marking a map reference
 
 
-class Kind(Enum):
-    ALU_BINARY = "alu_binary"
-    ALU_UNARY = "alu_unary"
-    MOV_IMM = "mov_imm"
-    MOV_REG = "mov_reg"
-    LOAD = "load"
-    STORE = "store"
-    LOAD_IMM64 = "load_imm64"
-    BRANCH = "branch"
-    JUMP_ALWAYS = "jump_always"
-    CALL = "call"
-    EXIT = "exit"
-    ALU_THREE_OP = "alu_three_op"
-    LOAD48 = "load48"
-    STORE48 = "store48"
-    EARLY_EXIT = "early_exit"
+class Kind:
+    """An instruction kind: one object per kind, made below, compared by
+    identity, and returned by copy and pickle. Not an ``Enum``, whose
+    metaclass runs a Python-level ``__getattr__`` on every ``Kind.X``."""
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str):
+        self.name, self.value = name, name.lower()
+
+    def __repr__(self):
+        return f"<Kind.{self.name}: {self.value!r}>"
+
+    def __str__(self):
+        return f"Kind.{self.name}"
+
+    def __reduce__(self):
+        return getattr, (Kind, self.name)
 
 
-# tuples, so membership compares members by identity: a frozenset would
-# run the Python-level ``Enum.__hash__`` on every test
+for _name in ("ALU_BINARY", "ALU_UNARY", "MOV_IMM", "MOV_REG", "LOAD", "STORE",
+              "LOAD_IMM64", "BRANCH", "JUMP_ALWAYS", "CALL", "EXIT",
+              "ALU_THREE_OP", "LOAD48", "STORE48", "EARLY_EXIT"):
+    setattr(Kind, _name, Kind(_name))
+
 CONTROL_KINDS = (Kind.BRANCH, Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
 MEMORY_KINDS = (Kind.LOAD, Kind.STORE, Kind.LOAD48, Kind.STORE48)
 
@@ -202,13 +205,12 @@ class ProgramAnalysis:
     every peephole pass and compile stage that reads that Program.
 
     ``provenance`` (``provenance_states``) and ``reachable``, the indices
-    with a provenance state, come with the record. ``cfg``
-    (``analysis.build_program_cfg``) and ``liveness`` (``analysis.liveness``
-    over ``analysis.block_code``) start as None and are filled on first use
-    by ``analysis.program_cfg`` and ``analysis.program_liveness``, except
-    that a peephole rewrite which keeps control flow hands its program the
+    with a provenance state, come with the record. ``cfg`` and ``liveness``
+    start as None. ``analysis.program_cfg`` fills the CFG on first use,
+    unless a peephole rewrite that keeps control flow hands its program the
     parent's CFG with the block spans remapped (``peephole._apply``).
-    Readers must not mutate what it holds."""
+    ``analysis.program_liveness`` fills liveness only when a pass must
+    decide a candidate by it. Readers must not mutate what it holds."""
     reachable: frozenset[int]
     provenance: list
     cfg: object = None
@@ -249,8 +251,9 @@ def build_program(instructions, maps=()) -> Program:
 
 def validate_instructions(instrs) -> list:
     """Check register indices, widths and branch targets, then run the
-    provenance scan and check that an exit is reachable. Returns the
-    scan's states (None for an unreachable instruction)."""
+    provenance scan and check that an exit is reachable and nothing
+    reachable falls past the end. Returns the scan's states (None for an
+    unreachable instruction)."""
     n = len(instrs)
     if n == 0:
         raise ProgramError("empty program")
@@ -267,6 +270,9 @@ def validate_instructions(instrs) -> list:
             if ins.target is None or not 0 <= ins.target < n:
                 raise ProgramError(f"instruction {i}: branch target out of range")
     states = provenance_states(instrs)
+    if states[-1] is not None and n in successors(instrs[-1], n - 1):
+        raise ProgramError(f"instruction {n - 1}: control falls past the "
+                           f"last instruction")
     if not any(st is not None and ins.kind in (Kind.EXIT, Kind.EARLY_EXIT)
                for ins, st in zip(instrs, states)):
         raise ProgramError("no exit reachable from entry")

@@ -120,6 +120,14 @@ def _carried_cfg(program: Program, rewrites, anchors) -> ControlFlowGraph | None
         cfg.dom, cfg.pdom)
 
 
+def _live_after(program: Program, blk: BasicBlock) -> dict[int, frozenset]:
+    """``live_after`` over ``blk``. Nothing is live after a block without
+    successors, so only a block with some computes the program's liveness."""
+    live_out = (program_liveness(program).live_out[blk.id] if blk.successors
+                else frozenset())
+    return live_after(program, blk, live_out)
+
+
 def _fuse_pairs(program: Program, fuse) -> Program:
     """Rewrite each adjacent pair (a, b) of one block, scanning forward,
     to ``fuse(a, b)`` where that is an instruction and not None. Fused
@@ -165,7 +173,6 @@ def remove_boundary_checks(program: Program):
     """
     cfg = program_cfg(program)
     states = analysis_of(program).provenance
-    live = program_liveness(program)
     instrs = program.instructions
 
     removed: list[tuple[int, ...]] = []
@@ -188,8 +195,8 @@ def remove_boundary_checks(program: Program):
                 i += 1
                 continue
             scratch = reg(br.dst)
-            if scratch in live.live_in[tgt_block.id] or \
-               scratch in live.live_in[fall_block]:
+            live_in = program_liveness(program).live_in
+            if scratch in live_in[tgt_block.id] or scratch in live_in[fall_block]:
                 i += 1
                 continue
             consumed.update(window)
@@ -235,14 +242,13 @@ def remove_zeroing(program: Program):
     zero-initialised state (never read or written before on any path) or
     dead stores (target not live afterwards). Returns (program, removed)."""
     cfg = program_cfg(program)
-    live = program_liveness(program)
 
     removed = []
     for blk, writes in _zero_writes(program, cfg):
         after = None                 # live after each instruction, on demand
         for i, target, virgin in writes:
             if not virgin:
-                after = after or live_after(live, program, blk.id)
+                after = after or _live_after(program, blk)
                 if sets_conflict({target}, after[i]):
                     continue
             removed.append(i)
@@ -346,7 +352,6 @@ def fuse_load_store_6b(program: Program) -> Program:
     (4B+2B or 2B+4B) plus the matching adjacent store pair rewrite to
     load48 + store48, eliminating the second scratch register."""
     cfg = program_cfg(program)
-    live = program_liveness(program)
     instrs = program.instructions
     rewrites: dict[int, Instruction | None] = {}
 
@@ -364,7 +369,7 @@ def fuse_load_store_6b(program: Program) -> Program:
                 continue
             j, d_base, p_off = match
             # the fused form changes both scratch registers' contents
-            after = after or live_after(live, program, blk.id)
+            after = after or _live_after(program, blk)
             if sets_conflict({reg(a_reg), reg(c_reg)}, after[j + 1]):
                 continue
             rewrites[i] = Instruction(Kind.LOAD48, width=6, dst=a_reg,

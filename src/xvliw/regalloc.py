@@ -35,7 +35,8 @@ def _lay_out(schedules, cfg, lanes, maps):
     producer in every runtime predecessor row laid out before it. Returns
     the program and the blocks that need a leading empty row: the block
     of the first row with no valid assignment under its pins, or else
-    every block whose first row a back edge reaches across lanes."""
+    every block whose first row a back edge reaches across lanes (a
+    forward transition ``lane_row`` has pinned, by the same test)."""
     start: dict[int, int] = {}
     row_block: list[int] = []
     for blk in cfg.blocks:
@@ -51,6 +52,7 @@ def _lay_out(schedules, cfg, lanes, maps):
     vliw = VliwProgram(lane_count=lanes, rows=[[None] * lanes for _ in row_block],
                        row_block=row_block, maps=maps)
     preds: list[list[int]] = [[] for _ in row_block]
+    back = []                        # (row, earlier or same row it can reach)
     slot_rows = (row for blk in cfg.blocks for row in schedules[blk.id].rows)
     for r, slots in enumerate(slot_rows):
         row = lane_row([placed(s) for s in slots],
@@ -61,7 +63,9 @@ def _lay_out(schedules, cfg, lanes, maps):
         for n in row_successors(vliw, r):
             if n > r:
                 preds[n].append(r)
-    return vliw, {row_block[to] for _, to, *_ in cross_lane_violations(vliw)}
+            else:
+                back.append((r, n))
+    return vliw, {row_block[to] for _, to, *_ in cross_lane_violations(vliw, back)}
 
 
 def assign_registers(schedules: dict[int, BlockSchedule],

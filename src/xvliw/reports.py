@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .asm import parse_asm
 from .compiler import compile_program
-from .corpus import CORPUS, CorpusEntry
+from .corpus import CORPUS, CorpusEntry, entry as corpus_entry
 from .peephole import PASS_NAMES
 from .schedule import LaneConstraints
 
@@ -49,7 +49,7 @@ def analyze_entry(entry: CorpusEntry, lanes: int = 4,
 def report_reduction(names=None, lanes: int = 4, sweep: bool = True):
     """Per-program, per-pass reduction percentages and the lane sweep."""
     names = names or sorted(CORPUS)
-    return [analyze_entry(CORPUS[n], lanes, sweep) for n in names]
+    return [analyze_entry(corpus_entry(n), lanes, sweep) for n in names]
 
 
 def reduction_table_text(rows: list[ReductionRow]) -> str:

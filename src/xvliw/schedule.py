@@ -172,22 +172,23 @@ def row_successors(vliw: VliwProgram, r: int) -> list[int]:
     return sorted(n for n in nexts if 0 <= n < len(vliw.rows))
 
 
-def cross_lane_violations(vliw: VliwProgram):
-    """Cross-lane back-to-back read-after-write pairs over every runtime
-    row transition: (from_row, to_row, reader, reader_lane, producer_lane).
-    Per-lane forwarding lets a row read what the previous row wrote only
-    on the lane that wrote it. Compiler output can break this only at
-    block boundaries; lanes inside a block are assigned consistently."""
+def cross_lane_violations(vliw: VliwProgram, transitions=None):
+    """Cross-lane back-to-back read-after-write pairs over ``transitions``
+    (row, next row), by default every runtime row transition: (from_row,
+    to_row, reader, reader_lane, producer_lane). Per-lane forwarding lets a
+    row read what the previous row wrote only on the lane that wrote it."""
+    if transitions is None:
+        transitions = ((r, nr) for r in range(len(vliw.rows))
+                       for nr in row_successors(vliw, r))
     out = []
-    for r, row in enumerate(vliw.rows):
-        for nr in row_successors(vliw, r):
-            for lane_r, producer in enumerate(row):
-                if producer is None:
+    for r, nr in transitions:
+        for lane_r, producer in enumerate(vliw.rows[r]):
+            if producer is None:
+                continue
+            pouts = io_sets(producer.instr).outputs
+            for lane_n, reader in enumerate(vliw.rows[nr]):
+                if reader is None or lane_n == lane_r:
                     continue
-                pouts = io_sets(producer.instr).outputs
-                for lane_n, reader in enumerate(vliw.rows[nr]):
-                    if reader is None or lane_n == lane_r:
-                        continue
-                    if sets_conflict(pouts, io_sets(reader.instr).inputs):
-                        out.append((r, nr, reader, lane_n, lane_r))
+                if sets_conflict(pouts, io_sets(reader.instr).inputs):
+                    out.append((r, nr, reader, lane_n, lane_r))
     return out

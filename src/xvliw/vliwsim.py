@@ -53,7 +53,6 @@ from .vm import (
 
 
 PIPELINE_DEPTH = 4                   # fetch, decode, execute, commit
-_EARLY_EXIT = Kind.EARLY_EXIT
 
 
 @dataclass
@@ -141,7 +140,7 @@ def _decode_row(row) -> tuple:
             stores += (len(lanes),)
         elif form != STEP_WRITE:
             controls += ((len(lanes), form == STEP_EXIT,
-                          ins.kind is _EARLY_EXIT),)
+                          ins.kind is Kind.EARLY_EXIT),)
         lanes.append((handler, ins, k, reg))
     return tuple(lanes), stores, controls, check or len(stores) > 1, written & 1
 

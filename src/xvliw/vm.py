@@ -509,68 +509,57 @@ def _unknown_helper(state, regs, ins, k, pc):
     raise UnknownHelper(ins.imm)
 
 
-# Reading an enum member off its class runs a Python-level descriptor;
-# the decoder compares against these module bindings instead.
-(_ALU_BINARY, _ALU_UNARY, _MOV_IMM, _MOV_REG, _LOAD_IMM64, _ALU_THREE_OP,
- _BRANCH, _JUMP_ALWAYS, _EXIT, _EARLY_EXIT, _CALL) = (
-    Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
-    Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.BRANCH, Kind.JUMP_ALWAYS,
-    Kind.EXIT, Kind.EARLY_EXIT, Kind.CALL)
-_LOADS = (Kind.LOAD, Kind.LOAD48)
-_STORES = (Kind.STORE, Kind.STORE48)
-
-
 def decode_step(ins: Instruction) -> tuple:
     """Decode ``ins`` into its step and keep the step in the instruction's
     ``step`` field; the engines call this on an instruction's first
     execution and read the field after that."""
     k = ins.kind
-    if k is _ALU_BINARY:
+    if k is Kind.ALU_BINARY:
         width = 64 if ins.width == 64 else 32
         if ins.src is None:
             step = (_ALU_IMM[width][ins.op], STEP_WRITE, ins.dst,
                     sx32(ins.imm) & _WIDTHS[width][0])
         else:
             step = (_ALU_REG[width][ins.op], STEP_WRITE, ins.dst, None)
-    elif k is _MOV_IMM:
+    elif k is Kind.MOV_IMM:
         step = (_constant, STEP_WRITE, ins.dst,
                 sx32(ins.imm) if ins.width == 64 else ins.imm & MASK32)
-    elif k is _MOV_REG:
+    elif k is Kind.MOV_REG:
         step = (_mov64 if ins.width == 64 else _mov32, STEP_WRITE, ins.dst, None)
-    elif k in _LOADS:
+    elif k is Kind.LOAD or k is Kind.LOAD48:
         step = (_load, STEP_WRITE, ins.dst, None)
-    elif k in _STORES:
+    elif k is Kind.STORE or k is Kind.STORE48:
         mask = (1 << (ins.width * 8)) - 1
         if ins.src is None:
             step = (_store_imm, STEP_STORE, None,
                     (sx32(ins.imm) & mask).to_bytes(ins.width, "little"))
         else:
             step = (_store_reg, STEP_STORE, None, mask)
-    elif k is _BRANCH:
+    elif k is Kind.BRANCH:
         handler = (_BRANCH_IMM if ins.src is None else _BRANCH_REG).get(ins.op)
         if handler is None:
             raise AssertionError(f"bad branch op {ins.op}")
         step = (handler, STEP_BRANCH, None,
                 sx32(ins.imm) if ins.src is None else None)
-    elif k is _JUMP_ALWAYS:
+    elif k is Kind.JUMP_ALWAYS:
         step = (_jump, STEP_BRANCH, None, None)
-    elif k is _ALU_THREE_OP:
+    elif k is Kind.ALU_THREE_OP:
         if ins.src2 is None:
             step = (_ALU3_IMM[ins.op], STEP_WRITE, ins.dst, sx32(ins.imm))
         else:
             step = (_ALU3_REG[ins.op], STEP_WRITE, ins.dst, None)
-    elif k is _LOAD_IMM64:
+    elif k is Kind.LOAD_IMM64:
         step = (_constant, STEP_WRITE, ins.dst,
                 MAPFD_BASE + ins.imm if ins.is_map_ref else ins.imm & MASK64)
-    elif k is _CALL:
+    elif k is Kind.CALL:
         impl = _helper_impl(ins.imm)
         step = ((_unknown_helper, STEP_WRITE, 0, None) if impl is None
                 else (_call, STEP_WRITE, 0, impl))
-    elif k is _EXIT:
+    elif k is Kind.EXIT:
         step = (_exit, STEP_EXIT, None, None)
-    elif k is _EARLY_EXIT:
+    elif k is Kind.EARLY_EXIT:
         step = (_constant, STEP_EXIT, 0, sx32(ins.imm))
-    elif k is _ALU_UNARY:
+    elif k is Kind.ALU_UNARY:
         if ins.op == "neg":
             step = (_neg, STEP_WRITE, ins.dst,
                     MASK64 if ins.width == 64 else MASK32)

@@ -297,7 +297,7 @@ class TestLiveness:
         prog = parse_asm("r3 = 1\nr4 = r3\nr0 = r4\nexit\n")
         cfg = build_program_cfg(prog)
         info = liveness(cfg, block_code(cfg, prog))
-        after = live_after(info, prog, 0)       # live before i + 1
+        after = live_after(prog, cfg.blocks[0], info.live_out[0])  # before i + 1
         assert reg(3) in after[0]
         assert reg(3) not in after[1]
 
@@ -313,7 +313,8 @@ class TestLiveness:
           exit
         """)
         cfg = build_program_cfg(prog)
-        after = live_after(liveness(cfg, block_code(cfg, prog)), prog, 0)
+        info = liveness(cfg, block_code(cfg, prog))
+        after = live_after(prog, cfg.blocks[0], info.live_out[0])
         read = ("stack", 504, 508)
         assert read in after[2] and read in after[1]
         assert read not in after[0]
@@ -324,7 +325,7 @@ class TestLiveness:
         cfg = build_program_cfg(prog)
         info = liveness(cfg, block_code(cfg, prog))
         for blk in cfg.blocks:
-            after = live_after(info, prog, blk.id)
+            after = live_after(prog, blk, info.live_out[blk.id])
             assert sorted(after) == list(blk.indices())
             assert after[blk.end] == info.live_out[blk.id]
             for i in range(blk.start, blk.end):

@@ -227,3 +227,23 @@ def test_run_json_report_stays_json(capsys, tmp_path):
     lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 1
     assert any("cross-lane" in v for v in lines[0]["hazard_violations"])
+
+
+@pytest.mark.parametrize("argv", [("compile", "corpus:nosuch"),
+                                  ("run", "corpus:nosuch"),
+                                  ("report", "nosuch")])
+def test_unknown_corpus_program_fails(capsys, argv):
+    rc, _, err = invoke(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("error: unknown corpus program 'nosuch'")
+    assert all(name in err for name in CORPUS)
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_code_falling_past_the_end_fails(capsys, tmp_path, command):
+    path = tmp_path / "fall.s"
+    path.write_text("r2 = 0\nif r2 == 0 goto e\nr0 = 2\nexit\ne:\nr0 = 1\n")
+    rc, _, err = invoke(capsys, command, str(path))
+    assert rc == 1
+    assert err == ("error: instruction 4: control falls past the last "
+                   "instruction\n")

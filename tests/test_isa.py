@@ -1,5 +1,7 @@
 """Codec, io_sets and expansion semantics."""
 
+import copy
+import pickle
 import struct
 from dataclasses import fields, replace
 
@@ -192,12 +194,58 @@ class TestProgramInvariants:
             build_program([ins, Instruction(Kind.EXIT)])
 
     @pytest.mark.parametrize("target", [-1, 2])
-    @pytest.mark.parametrize("kind", [Kind.JUMP_ALWAYS, Kind.BRANCH])
+    @pytest.mark.parametrize("kind", [Kind.JUMP_ALWAYS, Kind.BRANCH], ids=str)
     def test_branch_target_in_range(self, kind, target):
         jump = (Instruction(kind, target=target) if kind is Kind.JUMP_ALWAYS
                 else Instruction(kind, op="jeq", dst=1, imm=0, target=target))
         with pytest.raises(ProgramError, match="branch target out of range"):
             build_program([jump, Instruction(Kind.EXIT)])
+
+
+    def test_reachable_code_may_not_fall_past_the_end(self):
+        fall = [Instruction(Kind.MOV_IMM, width=64, dst=2, imm=0),
+                Instruction(Kind.BRANCH, op="jeq", dst=2, imm=0, target=4),
+                Instruction(Kind.MOV_IMM, width=64, dst=0, imm=2),
+                Instruction(Kind.EXIT),
+                Instruction(Kind.MOV_IMM, width=64, dst=0, imm=1)]
+        with pytest.raises(ProgramError, match="instruction 4: control falls "
+                                               "past the last instruction"):
+            build_program(fall)
+        # unreachable, the same last instruction is no error
+        assert len(build_program(fall[2:])) == 3
+
+
+class TestKind:
+    """Instruction kinds are plain objects: the parent tree's names, values
+    and reprs, one object per kind, and no lookup hook on ``Kind.X``."""
+    MEMBERS = ("ALU_BINARY", "ALU_UNARY", "MOV_IMM", "MOV_REG", "LOAD", "STORE",
+               "LOAD_IMM64", "BRANCH", "JUMP_ALWAYS", "CALL", "EXIT",
+               "ALU_THREE_OP", "LOAD48", "STORE48", "EARLY_EXIT")
+
+    def test_no_getattr_hook_on_the_class(self):
+        assert not hasattr(type(Kind), "__getattr__")
+
+    def test_names_values_and_reprs(self):
+        values = ("alu_binary", "alu_unary", "mov_imm", "mov_reg", "load",
+                  "store", "load_imm64", "branch", "jump_always", "call", "exit",
+                  "alu_three_op", "load48", "store48", "early_exit")
+        kinds = [getattr(Kind, name) for name in self.MEMBERS]
+        assert len(set(map(id, kinds))) == 15
+        assert [k.name for k in kinds] == list(self.MEMBERS)
+        assert [k.value for k in kinds] == list(values)
+        assert [repr(k) for k in kinds] == [
+            f"<Kind.{name}: '{value}'>" for name, value in zip(self.MEMBERS, values)]
+        assert [str(k) for k in kinds] == [f"Kind.{name}" for name in self.MEMBERS]
+
+    @pytest.mark.parametrize("name", MEMBERS)
+    def test_copies_and_pickles_are_the_member(self, name):
+        kind = getattr(Kind, name)
+        assert copy.copy(kind) is kind
+        assert copy.deepcopy(kind) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        ins = Instruction(kind)
+        assert copy.deepcopy(ins).kind is kind
+        assert pickle.loads(pickle.dumps(ins)).kind is kind
 
 
 class TestIoSets:

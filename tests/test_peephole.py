@@ -6,15 +6,18 @@ import random
 import pytest
 
 import test_scheduler
+import xvliw.analysis as analysis_module
 import xvliw.peephole as peephole_module
 from conftest import (provenance_states_dicts, reachable_instructions,
                       straight_line_source, touched_before)
-from xvliw.analysis import build_program_cfg, program_cfg
+from xvliw.analysis import (build_program_cfg, live_after, program_cfg,
+                            program_liveness)
 from xvliw.asm import parse_asm
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, generate_case
 from xvliw.isa import Kind, Program, analysis_of, sets_conflict
 from xvliw.peephole import (
+    _live_after,
     _zero_writes,
     _zeroing_target,
     fuse_early_exit,
@@ -466,3 +469,44 @@ class TestProgramFacts:
             assert got == expected
             decisions += [virgin for _target, virgin in got.values()]
         assert set(decisions) == {True, False}
+
+    def test_live_after_skips_only_what_full_liveness_gives_empty(self, rewrites):
+        """``_live_after`` computes no liveness for a block without
+        successors; every block's sets equal those full liveness gives."""
+        programs = {id(p): p for pair in rewrites for p in pair[:2]}
+        skipped = 0
+        for program in programs.values():
+            for blk in program_cfg(program).blocks:
+                full = program_liveness(program).live_out[blk.id]
+                assert _live_after(program, blk) == live_after(program, blk, full)
+                skipped += not blk.successors
+        assert skipped > 1000
+
+
+class TestLivenessOnDemand:
+    """The passes compute liveness only for a candidate whose decision
+    reads it: a boundary check jumping to an abort block, or, in a block
+    with successors, a zero write that is not virgin or a matched 6-byte
+    load/store pair."""
+
+    @staticmethod
+    def _reduce_counting_liveness(monkeypatch, program):
+        calls = []
+        real = analysis_module.liveness
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(analysis_module, "liveness", counted)
+        _, stats = peephole(program)
+        return len(calls), stats
+
+    def test_a_straight_line_block_computes_none(self, monkeypatch):
+        program = parse_asm(straight_line_source(random.Random(901), 400))
+        calls, stats = self._reduce_counting_liveness(monkeypatch, program)
+        assert calls == 0 and sum(stats.as_dict().values()) > 0
+
+    def test_a_removed_boundary_check_computes_it(self, monkeypatch):
+        program = parse_asm(CORPUS["simple_firewall"].source)
+        calls, stats = self._reduce_counting_liveness(monkeypatch, program)
+        assert calls >= 1 and stats.boundary_checks > 0

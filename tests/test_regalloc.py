@@ -7,8 +7,11 @@ hazard-free, oracle-equal regressions of moves that keep their registers.
 
 import pytest
 
+import test_scheduler
+import xvliw.regalloc as regalloc
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
+from xvliw.corpus import CORPUS
 from xvliw.fuzz import FuzzCase, case_seed, compare_results, generate_case, run_case
 from xvliw.isa import Kind, written_register
 from xvliw.schedule import LaneConstraints
@@ -219,3 +222,30 @@ def test_cross_lane_back_edge_pads_loop_header(lanes):
     padded = lanes > 1
     assert all(s is None for s in vliw.rows[header]) == padded
     assert rep.padding_rows == int(padded)
+
+
+def test_back_edge_check_finds_what_the_full_walk_finds(monkeypatch):
+    """``_lay_out`` checks forwarding only on the back-edge transitions it
+    collects; on every attempt that lays out all its rows, the blocks that
+    check returns equal those of the walk over every transition."""
+    real = regalloc.cross_lane_violations
+    attempts = []
+
+    def both(vliw, transitions=None):
+        out = real(vliw, transitions)
+        blocks = {vliw.row_block[to] for _, to, *_ in out}
+        assert blocks == {vliw.row_block[to] for _, to, *_ in real(vliw)}
+        attempts.append(bool(blocks))
+        return out
+    monkeypatch.setattr(regalloc, "cross_lane_violations", both)
+
+    compiles = [(entry.source, lanes) for entry in CORPUS.values()
+                for lanes in range(1, 9)]
+    compiles += [(generate_case(case_seed(20260810, i)).program_text, lanes)
+                 for i in range(300) for lanes in (1, 2, 3, 4, 8)]
+    compiles += [(src, lanes) for src in
+                 [src for src, _ in test_scheduler.TestCodeMotion.LOOPS.values()]
+                 + [BACK_EDGE] for lanes in range(1, 9)]
+    for src, lanes in compiles:
+        compile_program(parse_asm(src), LaneConstraints(lanes=lanes))
+    assert len(attempts) >= len(compiles) and any(attempts)

@@ -11,10 +11,12 @@ once on each side, alternating which side runs first from one pair to the
 next. One more traced pair per workload (``--trace 1``, first seed) shows
 where time moved between layers.
 
-The output holds, per workload, every run's end-to-end metrics, failed
-count and correctness, and per metric each side's median and quartiles
-with the number of pairs the working tree won, lost and tied (the
-direction comes from BENCHMARK.json). Only the standard library is used.
+The output's header names the base commit, the Python version and the
+platform, since the same code times differently under another CPython.
+It holds, per workload, every run's end-to-end metrics, failed count and
+correctness, and per metric each side's median and quartiles with the
+number of pairs the working tree won, lost and tied (the direction comes
+from BENCHMARK.json). Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import platform
 import shutil
 import statistics
 import subprocess
@@ -119,6 +122,7 @@ def main(argv=None) -> int:
         export_commit(base, dirs["parent"])
         export_working_tree(dirs["change"])
         result = {"base": base, "change": f"working tree over {base}",
+                  "python": sys.version, "platform": platform.platform(),
                   "seconds": seconds, "seeds": args.seeds, "workloads": {}}
         k = 0
         for workload in workloads:
