@@ -26,6 +26,7 @@ from .errors import AsmSyntaxError, UndefinedLabel, UnknownMnemonic
 from .helpers import HELPER_IDS, HELPERS
 from .isa import (
     ALU3_OPS,
+    JUMP_KINDS,
     Instruction,
     Kind,
     MapDef,
@@ -308,8 +309,7 @@ def format_instruction(ins: Instruction, target_text=None) -> str:
 
 def format_asm(program: Program) -> str:
     """Render a Program as assembly; parse_asm(format_asm(p)) == p."""
-    targets = {ins.target for ins in program.instructions
-               if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS)}
+    targets = {ins.target for ins in program.instructions if ins.kind in JUMP_KINDS}
     lines = []
     for m in program.maps:
         lines.append(f".map {m.id} {m.kind} {m.key_size} {m.value_size} "
@@ -317,7 +317,7 @@ def format_asm(program: Program) -> str:
     for i, ins in enumerate(program.instructions):
         if i in targets:
             lines.append(f"L{i}:")
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+        if ins.kind in JUMP_KINDS:
             lines.append(f"  {format_instruction(ins, target_text=f'L{ins.target}')}")
         else:
             lines.append(f"  {format_instruction(ins)}")

@@ -256,7 +256,7 @@ class _Gen:
                 self.emit(f"*({name} *)(r0 + 0) = "
                           f"r{self.reg(exclude=(0, 2, 3))}")
             self.lines.append(f"{skip}:")
-        elif mode < 0.85 and m.kind != "array" or (mode < 0.85 and m.kind == "array"):
+        elif mode < 0.85:
             val_off = key_off + 16
             self.emit(f"*(u64 *)(r10 - {val_off}) = "
                       f"{rng.randint(0, 2**31 - 1)}")

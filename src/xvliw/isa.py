@@ -20,9 +20,11 @@ Both three-operand forms keep the ALU operation selector in offset bits
 points of the opcode space given that the 32-bit conditional-jump class,
 atomics and local calls are rejected as unsupported.
 
-Branch targets are resolved to absolute instruction indices at decode /
-parse time; ``encode`` recomputes word-relative offsets (a ``lddw``
-occupies two words).
+``WIRE_FORMS``, the opcode table, is the one statement of the wire
+format: ``decode`` reads it and ``encode`` inverts it. Branch targets are
+resolved to absolute instruction indices at decode / parse time;
+``encode`` recomputes word-relative offsets (a ``lddw`` occupies two
+words). ``Instruction.region`` is the one memory annotation.
 
 Two analyses are memoised on the objects they describe: ``io_sets`` on
 each ``Instruction``, and a ``ProgramAnalysis`` record on each
@@ -68,19 +70,14 @@ ALU_NIBBLE = {name: i for i, name in enumerate(ALU_OPS)}
 ALU3_OPS = ("add", "sub", "mul", "div", "or", "and", "lsh", "rsh",
             "mod", "xor", "arsh")
 
-JMP_OPS = {0x0: "ja", 0x1: "jeq", 0x2: "jgt", 0x3: "jge", 0x4: "jset",
-           0x5: "jne", 0x6: "jsgt", 0x7: "jsge", 0x8: "call", 0x9: "exit",
-           0xa: "jlt", 0xb: "jle", 0xc: "jslt", 0xd: "jsle"}
-JMP_NIBBLE = {name: code for code, name in JMP_OPS.items()}
-COND_OPS = ("jeq", "jgt", "jge", "jset", "jne", "jsgt", "jsge",
-            "jlt", "jle", "jslt", "jsle")
+JMP_OPS = ("ja", "jeq", "jgt", "jge", "jset", "jne", "jsgt", "jsge", "call",
+           "exit", "jlt", "jle", "jslt", "jsle")
 
 # instruction classes (low 3 bits of the opcode byte)
-CLS_LD, CLS_LDX, CLS_ST, CLS_STX, CLS_ALU32, CLS_JMP, CLS_JMP32, CLS_ALU64 = range(8)
-BPF_K, BPF_X = 0x00, 0x08
-MODE_IMM, MODE_MEM = 0x00, 0x60
+CLS_LDX, CLS_ST, CLS_STX, CLS_ALU32, CLS_JMP, CLS_ALU64 = 1, 2, 3, 4, 5, 7
+BPF_X = 0x08            # source operand is a register
+MODE_MEM = 0x60
 SIZE_BITS = {0x00: 4, 0x08: 2, 0x10: 1, 0x18: 8}
-SIZE_CODE = {w: b for b, w in SIZE_BITS.items()}
 
 OP_ALU3_REG = 0x16
 OP_ALU3_IMM = 0x1e
@@ -116,7 +113,8 @@ for _name in ("ALU_BINARY", "ALU_UNARY", "MOV_IMM", "MOV_REG", "LOAD", "STORE",
               "ALU_THREE_OP", "LOAD48", "STORE48", "EARLY_EXIT"):
     setattr(Kind, _name, Kind(_name))
 
-CONTROL_KINDS = (Kind.BRANCH, Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
+JUMP_KINDS = (Kind.BRANCH, Kind.JUMP_ALWAYS)
+CONTROL_KINDS = (*JUMP_KINDS, Kind.EXIT, Kind.EARLY_EXIT)
 MEMORY_KINDS = (Kind.LOAD, Kind.STORE, Kind.LOAD48, Kind.STORE48)
 
 
@@ -126,11 +124,12 @@ class Instruction:
 
     ``width`` is 32/64 for ALU kinds and the byte count (1/2/4/6/8) for
     memory kinds. ``target`` is the absolute instruction index of a
-    branch/jump destination. ``addr_space``, ``stack_slot`` and ``map_id``
-    are analysis annotations attached at Program build time. ``io`` is the
-    ``io_sets`` memo and ``step`` the execution engines' decoded step
-    (``vm.decode_step``): both outside ``__init__``, equality, hashing and
-    ``repr``, and never carried over by ``replace``.
+    branch/jump destination. ``region``, set at Program build time, is the
+    io symbol of the memory a load or store touches, or the ``("map",
+    id)`` of a call whose map is known; None reads as all memory (all maps
+    for a call). ``io`` is the ``io_sets`` memo and ``step`` the execution
+    engines' decoded step (``vm.decode_step``): both outside ``__init__``,
+    equality, hashing and ``repr``, and never carried over by ``replace``.
     """
     kind: Kind
     op: str | None = None
@@ -141,9 +140,7 @@ class Instruction:
     offset: int = 0
     imm: int = 0
     target: int | None = None
-    addr_space: str | None = None            # stack | packet | map | ctx | mem
-    stack_slot: tuple[int, int] | None = None
-    map_id: int | None = None
+    region: tuple | None = None
     io: IoSets | None = field(default=None, init=False, repr=False,
                               compare=False)
     step: tuple | None = field(default=None, init=False, repr=False,
@@ -244,7 +241,7 @@ def build_program(instructions, maps=()) -> Program:
     wrap them in a Program, whose analysis record the scan starts."""
     instrs = list(instructions)
     states = validate_instructions(instrs)
-    program = Program(tuple(annotate_addr_spaces(instrs, states)), tuple(maps))
+    program = Program(tuple(annotate_regions(instrs, states)), tuple(maps))
     _keep_analysis(program, ProgramAnalysis.of_states(states))
     return program
 
@@ -266,7 +263,7 @@ def validate_instructions(instrs) -> list:
             raise ProgramError(f"instruction {i}: r10 is read-only")
         if ins.width == 6 and ins.kind not in (Kind.LOAD48, Kind.STORE48):
             raise ProgramError(f"instruction {i}: 6-byte width outside load48/store48")
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+        if ins.kind in JUMP_KINDS:
             if ins.target is None or not 0 <= ins.target < n:
                 raise ProgramError(f"instruction {i}: branch target out of range")
     states = provenance_states(instrs)
@@ -312,6 +309,63 @@ def written_register(ins: Instruction):
 _WORD = struct.Struct("<BBhi")
 
 
+def _wire_forms() -> dict:
+    """Each accepted single-word opcode byte and its form ``(kind, op,
+    width, fields kept)``: the Instruction fields the word carries. A form
+    under two bytes encodes as the first; an ALU3's op is in the offset."""
+    forms = {}
+
+    def form(opcode, kind, op, width, *keep):
+        forms[opcode] = (kind, op, width, keep)
+
+    form(OP_ALU3_REG, Kind.ALU_THREE_OP, None, 64, "dst", "src", "src2")
+    form(OP_ALU3_IMM, Kind.ALU_THREE_OP, None, 64, "dst", "src", "imm")
+    form(OP_LOAD48, Kind.LOAD48, None, 6, "dst", "src", "offset")
+    form(OP_STORE48, Kind.STORE48, None, 6, "dst", "src", "offset")
+    form(OP_EARLY_EXIT, Kind.EARLY_EXIT, None, None, "imm")
+    for cls, width in ((CLS_ALU32, 32), (CLS_ALU64, 64)):
+        for nib, name in enumerate(ALU_OPS):
+            k, x = nib << 4 | cls, nib << 4 | BPF_X | cls
+            if name == "mov":
+                form(k, Kind.MOV_IMM, None, width, "dst", "imm")
+                form(x, Kind.MOV_REG, None, width, "dst", "src")
+            elif name == "neg":                 # the X bit is ignored
+                form(k, Kind.ALU_UNARY, "neg", width, "dst")
+                form(x, Kind.ALU_UNARY, "neg", width, "dst")
+            elif name == "end":                 # the X bit picks the order
+                form(k, Kind.ALU_UNARY, "le", width, "dst", "imm")
+                form(x, Kind.ALU_UNARY, "be", width, "dst", "imm")
+            else:
+                form(k, Kind.ALU_BINARY, name, width, "dst", "imm")
+                form(x, Kind.ALU_BINARY, name, width, "dst", "src")
+    for nib, name in enumerate(JMP_OPS):
+        k, x = nib << 4 | CLS_JMP, nib << 4 | BPF_X | CLS_JMP
+        if name == "ja":
+            form(k, Kind.JUMP_ALWAYS, None, None, "offset")
+        elif name == "call":                    # the X bit is ignored
+            form(k, Kind.CALL, None, None, "imm")
+            form(x, Kind.CALL, None, None, "imm")
+        elif name == "exit":                    # exit with X is early_exit
+            form(k, Kind.EXIT, None, None)
+        else:
+            form(k, Kind.BRANCH, name, None, "dst", "offset", "imm")
+            form(x, Kind.BRANCH, name, None, "dst", "src", "offset")
+    for size, width in SIZE_BITS.items():
+        mem = MODE_MEM | size
+        form(mem | CLS_LDX, Kind.LOAD, None, width, "dst", "src", "offset")
+        form(mem | CLS_STX, Kind.STORE, None, width, "dst", "src", "offset")
+        form(mem | CLS_ST, Kind.STORE, None, width, "dst", "offset", "imm")
+    return forms
+
+
+WIRE_FORMS = _wire_forms()
+# the inverse: a register source (src2 on an ALU3) picks one of two forms
+_ENCODINGS = {}
+for _opcode, (_kind, _op, _width, _keep) in WIRE_FORMS.items():
+    _by_register = ("src2" if _kind is Kind.ALU_THREE_OP else "src") in _keep
+    _ENCODINGS.setdefault((_kind, _op, _width, _by_register), (_opcode, _keep))
+
+
 def decode(data: bytes) -> Program:
     """Decode little-endian wire-format bytes into a Program."""
     if len(data) % 8 != 0:
@@ -341,9 +395,10 @@ def decode(data: bytes) -> Program:
     word_starts = sorted(index_of_word)
     resolved = []
     for i, ins in enumerate(instrs):
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
-            src_word = word_starts[i]
-            tgt_word = src_word + 1 + ins.offset
+        if ins.kind in JUMP_KINDS:
+            tgt_word = word_starts[i] + 1 + ins.offset
+            if not 0 <= tgt_word < len(words):
+                raise ProgramError(f"instruction {i}: branch target out of range")
             if tgt_word not in index_of_word:
                 raise UnreachableTarget(
                     f"instruction {i}: branch target lands inside a lddw pair")
@@ -353,79 +408,20 @@ def decode(data: bytes) -> Program:
 
 
 def _decode_one(index, opcode, dst, src, off, imm):
-    if opcode == OP_ALU3_REG:
-        return Instruction(Kind.ALU_THREE_OP, op=_alu3_op(index, opcode, off),
-                           width=64, dst=dst, src=src, src2=off & 0xF)
-    if opcode == OP_ALU3_IMM:
-        return Instruction(Kind.ALU_THREE_OP, op=_alu3_op(index, opcode, off),
-                           width=64, dst=dst, src=src, imm=imm)
-    if opcode == OP_LOAD48:
-        return Instruction(Kind.LOAD48, width=6, dst=dst, src=src, offset=off)
-    if opcode == OP_STORE48:
-        return Instruction(Kind.STORE48, width=6, dst=dst, src=src, offset=off)
-    if opcode == OP_EARLY_EXIT:
-        return Instruction(Kind.EARLY_EXIT, imm=imm)
-
-    cls = opcode & 0x07
-    if cls in (CLS_ALU32, CLS_ALU64):
-        width = 64 if cls == CLS_ALU64 else 32
-        name = ALU_OPS[opcode >> 4] if (opcode >> 4) < len(ALU_OPS) else None
-        is_reg = bool(opcode & BPF_X)
-        if name is None:
-            raise UnknownOpcode(index, opcode)
-        if name == "mov":
-            if is_reg:
-                return Instruction(Kind.MOV_REG, width=width, dst=dst, src=src)
-            return Instruction(Kind.MOV_IMM, width=width, dst=dst, imm=imm)
-        if name == "neg":
-            return Instruction(Kind.ALU_UNARY, op="neg", width=width, dst=dst)
-        if name == "end":
-            if imm not in (16, 32, 64):
-                raise UnknownOpcode(index, opcode)
-            return Instruction(Kind.ALU_UNARY, op="be" if is_reg else "le",
-                               width=width, dst=dst, imm=imm)
-        if is_reg:
-            return Instruction(Kind.ALU_BINARY, op=name, width=width, dst=dst, src=src)
-        return Instruction(Kind.ALU_BINARY, op=name, width=width, dst=dst, imm=imm)
-
-    if cls == CLS_JMP:
-        name = JMP_OPS.get(opcode >> 4)
-        is_reg = bool(opcode & BPF_X)
-        if name is None:
-            raise UnknownOpcode(index, opcode)
-        if name == "ja":
-            if is_reg:
-                raise UnknownOpcode(index, opcode)
-            return Instruction(Kind.JUMP_ALWAYS, offset=off)
-        if name == "call":
-            if src != 0:
-                raise UnknownOpcode(index, opcode)   # call-to-local unsupported
-            return Instruction(Kind.CALL, imm=imm)
-        if name == "exit":
-            return Instruction(Kind.EXIT)
-        if is_reg:
-            return Instruction(Kind.BRANCH, op=name, dst=dst, src=src, offset=off)
-        return Instruction(Kind.BRANCH, op=name, dst=dst, imm=imm, offset=off)
-
-    if cls in (CLS_LDX, CLS_ST, CLS_STX):
-        mode, size = opcode & 0xE0, opcode & 0x18
-        if mode != MODE_MEM or size not in SIZE_BITS:
-            raise UnknownOpcode(index, opcode)
-        width = SIZE_BITS[size]
-        if cls == CLS_LDX:
-            return Instruction(Kind.LOAD, width=width, dst=dst, src=src, offset=off)
-        if cls == CLS_STX:
-            return Instruction(Kind.STORE, width=width, dst=dst, src=src, offset=off)
-        return Instruction(Kind.STORE, width=width, dst=dst, offset=off, imm=imm)
-
-    raise UnknownOpcode(index, opcode)
-
-
-def _alu3_op(index, opcode, off):
-    nib = (off >> 8) & 0xF
-    if nib >= len(ALU_OPS) or ALU_OPS[nib] not in ALU3_OPS:
+    form = WIRE_FORMS.get(opcode)
+    if form is None:
         raise UnknownOpcode(index, opcode)
-    return ALU_OPS[nib]
+    kind, op, width, keep = form
+    if (kind is Kind.CALL and src != 0                 # a call to local code
+            or op in ("be", "le") and imm not in (16, 32, 64)):
+        raise UnknownOpcode(index, opcode)
+    wire = {"dst": dst, "src": src, "offset": off, "imm": imm}
+    if kind is Kind.ALU_THREE_OP:
+        nib = (off >> 8) & 0xF
+        if nib >= len(ALU_OPS) or ALU_OPS[nib] not in ALU3_OPS:
+            raise UnknownOpcode(index, opcode)
+        op, wire["src2"] = ALU_OPS[nib], off & 0xF
+    return Instruction(kind, op=op, width=width, **{f: wire[f] for f in keep})
 
 
 def encode(program: Program) -> bytes:
@@ -448,7 +444,7 @@ def encode(program: Program) -> bytes:
             out += _WORD.pack(OP_LDDW, _regs(ins.dst, ins.src or 0), 0, _s32(lo))
             out += _WORD.pack(0, 0, 0, _s32(hi))
             continue
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+        if ins.kind in JUMP_KINDS:
             off = word_starts[ins.target] - word_starts[i] - 1
             if not -(1 << 15) <= off < 1 << 15:
                 raise UnencodableInstruction(
@@ -475,67 +471,23 @@ def _s32(v):
 
 def _encode_one(ins: Instruction) -> bytes:
     k = ins.kind
-    if k is Kind.ALU_THREE_OP:
-        nib = ALU_NIBBLE[ins.op] << 8
-        if ins.src2 is not None:
-            return _WORD.pack(OP_ALU3_REG, _regs(ins.dst, ins.src), nib | ins.src2, 0)
-        return _WORD.pack(OP_ALU3_IMM, _regs(ins.dst, ins.src), nib, ins.imm)
-    if k is Kind.LOAD48:
-        return _WORD.pack(OP_LOAD48, _regs(ins.dst, ins.src), ins.offset, 0)
-    if k is Kind.STORE48:
-        return _WORD.pack(OP_STORE48, _regs(ins.dst, ins.src), ins.offset, 0)
-    if k is Kind.EARLY_EXIT:
-        return _WORD.pack(OP_EARLY_EXIT, 0, 0, ins.imm)
-
-    if k in (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG):
-        cls = CLS_ALU64 if ins.width == 64 else CLS_ALU32
-        if k is Kind.MOV_IMM:
-            return _WORD.pack((ALU_NIBBLE["mov"] << 4) | cls, _regs(ins.dst, 0), 0, ins.imm)
-        if k is Kind.MOV_REG:
-            return _WORD.pack((ALU_NIBBLE["mov"] << 4) | BPF_X | cls,
-                              _regs(ins.dst, ins.src), 0, 0)
-        if ins.op == "neg":
-            return _WORD.pack((ALU_NIBBLE["neg"] << 4) | cls, _regs(ins.dst, 0), 0, 0)
-        if ins.op in ("be", "le"):
-            bit = BPF_X if ins.op == "be" else BPF_K
-            return _WORD.pack((ALU_NIBBLE["end"] << 4) | bit | cls,
-                              _regs(ins.dst, 0), 0, ins.imm)
-        nib = ALU_NIBBLE[ins.op] << 4
-        if ins.src is not None:
-            return _WORD.pack(nib | BPF_X | cls, _regs(ins.dst, ins.src), 0, 0)
-        return _WORD.pack(nib | cls, _regs(ins.dst, 0), 0, ins.imm)
-
-    if k is Kind.JUMP_ALWAYS:
-        return _WORD.pack((JMP_NIBBLE["ja"] << 4) | CLS_JMP, 0, ins.offset, 0)
-    if k is Kind.BRANCH:
-        nib = JMP_NIBBLE[ins.op] << 4
-        if ins.src is not None:
-            return _WORD.pack(nib | BPF_X | CLS_JMP, _regs(ins.dst, ins.src),
-                              ins.offset, 0)
-        return _WORD.pack(nib | CLS_JMP, _regs(ins.dst, 0), ins.offset, ins.imm)
-    if k is Kind.CALL:
-        return _WORD.pack((JMP_NIBBLE["call"] << 4) | CLS_JMP, 0, 0, ins.imm)
-    if k is Kind.EXIT:
-        return _WORD.pack((JMP_NIBBLE["exit"] << 4) | CLS_JMP, 0, 0, 0)
-
-    if k in (Kind.LOAD, Kind.STORE):
-        size = SIZE_CODE.get(ins.width)
-        if size is None:
+    alu3 = k is Kind.ALU_THREE_OP
+    by_register = (ins.src2 if alu3 else ins.src) is not None
+    found = _ENCODINGS.get((k, None if alu3 else ins.op, ins.width, by_register))
+    if found is None:
+        if k is Kind.LOAD or k is Kind.STORE:
             raise UnencodableInstruction(f"bad memory width {ins.width}")
-        if k is Kind.LOAD:
-            return _WORD.pack(MODE_MEM | size | CLS_LDX, _regs(ins.dst, ins.src),
-                              ins.offset, 0)
-        if ins.src is not None:
-            return _WORD.pack(MODE_MEM | size | CLS_STX, _regs(ins.dst, ins.src),
-                              ins.offset, 0)
-        return _WORD.pack(MODE_MEM | size | CLS_ST, _regs(ins.dst, 0),
-                          ins.offset, ins.imm)
-
-    raise UnencodableInstruction(f"cannot encode {ins}")
+        raise UnencodableInstruction(f"cannot encode {ins}")
+    opcode, keep = found
+    kept = {name: getattr(ins, name) or 0 for name in keep}
+    off = (ALU_NIBBLE[ins.op] << 8 | kept.get("src2", 0) if alu3
+           else kept.get("offset", 0))
+    return _WORD.pack(opcode, _regs(kept.get("dst"), kept.get("src")), off,
+                      kept.get("imm", 0))
 
 
 # ---------------------------------------------------------------------------
-# pointer provenance / address-space annotation
+# pointer provenance / region annotation
 # ---------------------------------------------------------------------------
 
 # lattice values: ('ctx',) ('pkt',) ('pkt_end',) ('stack', delta|None)
@@ -558,20 +510,6 @@ def _join(a, b):
     if _NUM in (a, b) and {a[0], b[0]} <= {"num", "pkt_end"}:
         return _NUM
     return _ANY
-
-
-def _space_of(prov):
-    if prov is None or prov[0] in ("num", "any"):
-        return "mem", None, None
-    if prov[0] == "stack":
-        return "stack", prov[1], None
-    if prov[0] == "pkt":
-        return "packet", None, None
-    if prov[0] == "mapval":
-        return "map", None, prov[1]
-    if prov[0] == "ctx":
-        return "ctx", None, None
-    return "mem", None, None
 
 
 # the provenance of a 32-bit context load at each offset: data, data_end,
@@ -621,34 +559,40 @@ def provenance_states(instrs):
     return state_in
 
 
-def annotate_addr_spaces(instrs, states):
-    """Attach addr_space / stack_slot / map_id annotations to memory ops
-    and helper calls, from the provenance scan's ``states`` (which read no
-    annotation). An instruction whose annotation is unchanged is kept as
-    the same object, with its ``io_sets`` memo."""
+def annotate_regions(instrs, states):
+    """Set the ``region`` of each reachable memory op and helper call from
+    the provenance scan's ``states`` (which read no region); an unreachable
+    one keeps its region. An instruction whose region is unchanged is kept
+    as the same object, with its ``io_sets`` memo."""
     annotated = []
     for ins, st in zip(instrs, states):
-        if st is None:                       # unreachable: leave conservative
-            annotated.append(ins)
-            continue
         k = ins.kind
-        if k in MEMORY_KINDS:
-            base = ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src
-            space, delta, map_id = _space_of(st[base])
-            slot = None
-            if space == "stack" and delta is not None:
-                lo = STACK_SIZE + delta + ins.offset
-                slot = (lo, lo + ins.width)
-            if (ins.addr_space, ins.stack_slot, ins.map_id) != (space, slot, map_id):
-                ins = replace(ins, addr_space=space, stack_slot=slot,
-                              map_id=map_id)
-        elif k is Kind.CALL:
-            p = st[1]
-            map_id = p[1] if p[0] == "mapfd" else None
-            if ins.map_id != map_id:
-                ins = replace(ins, map_id=map_id)
+        if st is not None and (k in MEMORY_KINDS or k is Kind.CALL):
+            base = (1 if k is Kind.CALL else
+                    ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src)
+            region = _region(st[base], ins)
+            if region != ins.region:
+                ins = replace(ins, region=region)
         annotated.append(ins)
     return annotated
+
+
+def _region(prov, ins: Instruction):
+    """The io symbol of what ``ins`` reaches through a base register of
+    provenance ``prov``: the memory a load or store touches, or the map a
+    call is passed in r1 (None when the map is not known)."""
+    tag = prov[0]
+    if ins.kind is Kind.CALL:
+        return ("map", prov[1]) if tag == "mapfd" else None
+    if tag == "stack":
+        if prov[1] is None:
+            return SYM_STACK
+        lo = STACK_SIZE + prov[1] + ins.offset
+        return ("stack", lo, lo + ins.width)
+    if tag == "mapval":
+        return SYM_MAPS if prov[1] is None else ("map", prov[1])
+    # a packet or context provenance is its own symbol
+    return prov if prov in (SYM_PKT, SYM_CTX) else SYM_MEM
 
 
 def _transfer(ins: Instruction, st: list) -> None:
@@ -758,25 +702,6 @@ def sets_conflict(sa, sb) -> bool:
     return False
 
 
-def _mem_symbol(ins: Instruction):
-    space = ins.addr_space or "mem"
-    if space == "stack":
-        if ins.stack_slot is not None:
-            return ("stack", ins.stack_slot[0], ins.stack_slot[1])
-        base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
-        if base == FRAME_REG:
-            lo = STACK_SIZE + ins.offset
-            return ("stack", lo, lo + ins.width)
-        return SYM_STACK
-    if space == "packet":
-        return SYM_PKT
-    if space == "map":
-        return ("map", ins.map_id) if ins.map_id is not None else SYM_MAPS
-    if space == "ctx":
-        return SYM_CTX
-    return SYM_MEM
-
-
 def io_sets(ins: Instruction) -> IoSets:
     """Complete input/output symbol sets, memory regions included; computed
     once per instruction and kept in ``ins.io``."""
@@ -806,13 +731,13 @@ def _io_sets(ins: Instruction) -> IoSets:
             ins_set.add(reg(ins.src2))
         return IoSets(frozenset(ins_set), frozenset({reg(ins.dst)}))
     if k in (Kind.LOAD, Kind.LOAD48):
-        return IoSets(frozenset({reg(ins.src), _mem_symbol(ins)}),
+        return IoSets(frozenset({reg(ins.src), ins.region or SYM_MEM}),
                       frozenset({reg(ins.dst)}))
     if k in (Kind.STORE, Kind.STORE48):
         ins_set = {reg(ins.dst)}
         if ins.src is not None:
             ins_set.add(reg(ins.src))
-        return IoSets(frozenset(ins_set), frozenset({_mem_symbol(ins)}))
+        return IoSets(frozenset(ins_set), frozenset({ins.region or SYM_MEM}))
     if k is Kind.BRANCH:
         ins_set = {reg(ins.dst)}
         if ins.src is not None:
@@ -831,7 +756,7 @@ def _io_sets(ins: Instruction) -> IoSets:
                           frozenset({R0, SYM_MEM}))
         ins_set = {reg(i) for i in range(1, helper.arity + 1)}
         out_set = {R0}
-        map_sym = ("map", ins.map_id) if ins.map_id is not None else SYM_MAPS
+        map_sym = ins.region or SYM_MAPS
         for tag in helper.reads:
             ins_set.add(map_sym if tag == "map" else (tag,))
         for tag in helper.writes:
@@ -849,9 +774,13 @@ def expand_extended(ins: Instruction, scratch: int | None = None):
 
     Returns (instructions, clobbered_regs). ``scratch`` is required for
     load48/store48 (and for the alu3 corner case src2 == dst); it must be
-    a register that is dead at this point.
+    a register that is dead at this point. The 4-byte and 2-byte parts of
+    a 6-byte access each get the region of the bytes they touch.
     """
     k = ins.kind
+    low = high = ins.region
+    if low is not None and len(low) == 3:          # an exact stack range
+        low, high = ("stack", low[1], low[1] + 4), ("stack", low[1] + 4, low[2])
     if k is Kind.ALU_THREE_OP:
         if ins.src2 is not None and ins.src2 == ins.dst:
             if scratch is None:
@@ -871,9 +800,9 @@ def expand_extended(ins: Instruction, scratch: int | None = None):
         if scratch is None or scratch in (ins.dst, ins.src):
             raise ValueError("load48 expansion needs a distinct scratch register")
         return ([Instruction(Kind.LOAD, width=4, dst=ins.dst, src=ins.src,
-                             offset=ins.offset, addr_space=ins.addr_space),
+                             offset=ins.offset, region=low),
                  Instruction(Kind.LOAD, width=2, dst=scratch, src=ins.src,
-                             offset=ins.offset + 4, addr_space=ins.addr_space),
+                             offset=ins.offset + 4, region=high),
                  Instruction(Kind.ALU_BINARY, op="lsh", width=64, dst=scratch, imm=32),
                  Instruction(Kind.ALU_BINARY, op="or", width=64, dst=ins.dst,
                              src=scratch)], [scratch])
@@ -883,9 +812,9 @@ def expand_extended(ins: Instruction, scratch: int | None = None):
         return ([Instruction(Kind.MOV_REG, width=64, dst=scratch, src=ins.src),
                  Instruction(Kind.ALU_BINARY, op="rsh", width=64, dst=scratch, imm=32),
                  Instruction(Kind.STORE, width=4, dst=ins.dst, src=ins.src,
-                             offset=ins.offset, addr_space=ins.addr_space),
+                             offset=ins.offset, region=low),
                  Instruction(Kind.STORE, width=2, dst=ins.dst, src=scratch,
-                             offset=ins.offset + 4, addr_space=ins.addr_space)],
+                             offset=ins.offset + 4, region=high)],
                 [scratch])
     if k is Kind.EARLY_EXIT:
         return ([Instruction(Kind.MOV_IMM, width=64, dst=0, imm=ins.imm),

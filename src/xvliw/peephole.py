@@ -27,6 +27,7 @@ from .isa import (
     ALU3_OPS,
     CONTROL_KINDS,
     FRAME_REG,
+    JUMP_KINDS,
     Instruction,
     Kind,
     Program,
@@ -50,7 +51,6 @@ _PASSES = {
     "early_exit": lambda p: fuse_early_exit(p),
 }
 PASS_NAMES = tuple(_PASSES)
-_JUMPS = (Kind.BRANCH, Kind.JUMP_ALWAYS)
 
 
 def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program:
@@ -73,7 +73,7 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
 
     out = []
     for _, ins in items:
-        if ins.kind in _JUMPS:
+        if ins.kind in JUMP_KINDS:
             target = new_of(ins.target)
             if target != ins.target:
                 ins = replace(ins, target=target)
@@ -109,8 +109,8 @@ def _carried_cfg(program: Program, rewrites, anchors) -> ControlFlowGraph | None
         if not body or any(ins.kind in CONTROL_KINDS for ins in body[:-1]):
             return None
         old, last = instrs[blk.end], body[-1]
-        if last is not old and (old.kind in _JUMPS or last.kind in _JUMPS or
-                                (old.kind in CONTROL_KINDS) !=
+        if last is not old and (old.kind in JUMP_KINDS or last.kind in JUMP_KINDS
+                                or (old.kind in CONTROL_KINDS) !=
                                 (last.kind in CONTROL_KINDS)):
             return None
     return ControlFlowGraph(

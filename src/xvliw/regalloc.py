@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from .analysis import ControlFlowGraph
 from .errors import CompileError
-from .isa import Kind
+from .isa import JUMP_KINDS
 from .schedule import (BlockSchedule, Slot, VliwProgram, cross_lane_violations,
                        row_successors)
 from .scheduler import lane_row
@@ -45,7 +45,7 @@ def _lay_out(schedules, cfg, lanes, maps):
 
     def placed(s: Slot) -> Slot:
         ins = s.instr
-        if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+        if ins.kind in JUMP_KINDS:
             ins = replace(ins, target=start[cfg.block_of(ins.target)])
         return Slot(ins, s.src_block, s.src_index, s.moved)
 

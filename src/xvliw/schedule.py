@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
 from .errors import AsmSyntaxError, CompileError
-from .isa import Instruction, Kind, io_sets, sets_conflict
+from .isa import JUMP_KINDS, Instruction, Kind, io_sets, sets_conflict
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
         raise AsmSyntaxError(0, "empty schedule dump")
     for r, row in enumerate(rows):
         for s in row:
-            if s is not None and s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS):
+            if s is not None and s.instr.kind in JUMP_KINDS:
                 if s.instr.target is None or not 0 <= s.instr.target < len(rows):
                     raise AsmSyntaxError(r + 1, "branch row target out of range")
     return VliwProgram(lane_count=lanes, rows=rows,
@@ -164,8 +164,7 @@ def row_successors(vliw: VliwProgram, r: int) -> list[int]:
     """Rows that can run right after row r: its branch targets, and r + 1
     unless the row jumps unconditionally or ends execution."""
     slots = vliw.row_slots(r)
-    nexts = {s.instr.target for s in slots
-             if s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS)}
+    nexts = {s.instr.target for s in slots if s.instr.kind in JUMP_KINDS}
     if not any(s.instr.kind in (Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
                for s in slots):
         nexts.add(r + 1)

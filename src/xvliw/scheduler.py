@@ -48,7 +48,7 @@ from .analysis import (
     liveness,
     walk_blocks,
 )
-from .isa import Instruction, Kind, Program, io_sets, sets_conflict
+from .isa import JUMP_KINDS, Instruction, Kind, Program, io_sets, sets_conflict
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -167,10 +167,9 @@ def lane_row(slots: list[Slot], pred_rows, lanes: int):
     pulled branch groups come out ascending in original order."""
     if len(slots) > lanes:
         return None
-    branch = (Kind.BRANCH, Kind.JUMP_ALWAYS)
-    order = sorted(slots, key=lambda s: (s.instr.kind not in branch,
+    order = sorted(slots, key=lambda s: (s.instr.kind not in JUMP_KINDS,
                                          s.src_index))
-    branches = sum(s.instr.kind in branch for s in slots)
+    branches = sum(s.instr.kind in JUMP_KINDS for s in slots)
     pins = []
     for s in order:
         inputs = io_sets(s.instr).inputs

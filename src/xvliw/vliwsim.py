@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .analysis import bernstein_ok
 from .asm import format_instruction
 from .errors import RowConflict, VmTrap
-from .isa import Kind
+from .isa import JUMP_KINDS, Kind
 from .schedule import VliwProgram, cross_lane_violations
 from .vm import (
     Limits,
@@ -92,8 +92,7 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
         helpers = [lane for lane, s in slots if s.instr.kind is Kind.CALL]
         if len(helpers) > 1:
             out.append(f"row {r}: {len(helpers)} helper calls in one row")
-        branches = [(lane, s) for lane, s in slots
-                    if s.instr.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS)]
+        branches = [(lane, s) for lane, s in slots if s.instr.kind in JUMP_KINDS]
         known = [(lane, s.src_index) for lane, s in branches if s.src_index >= 0]
         if len(known) > 1:
             idxs = [i for _, i in known]

@@ -14,7 +14,7 @@ from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS
 from xvliw.fuzz import case_seed, fuzz, generate_case
-from xvliw.isa import Instruction, Kind, expand_extended
+from xvliw.isa import SYM_PKT, Instruction, Kind, expand_extended
 from xvliw.peephole import remove_boundary_checks
 from xvliw.schedule import LaneConstraints
 from xvliw.vliwsim import exec_vliw, hazard_check
@@ -223,9 +223,9 @@ def test_criterion_10_extended_isa_equivalence(rng):
         ("alu3 imm", Instruction(Kind.ALU_THREE_OP, op="xor", width=64,
                                  dst=4, src=1, imm=-9)),
         ("load48", Instruction(Kind.LOAD48, width=6, dst=3, src=7, offset=4,
-                               addr_space="packet")),
+                               region=SYM_PKT)),
         ("store48", Instruction(Kind.STORE48, width=6, dst=7, src=3, offset=4,
-                                addr_space="packet")),
+                                region=SYM_PKT)),
         ("early_exit", Instruction(Kind.EARLY_EXIT, imm=2)),
     ]
     mismatches = []
@@ -235,7 +235,7 @@ def test_criterion_10_extended_isa_equivalence(rng):
         seq, clobbered = expand_extended(ins, scratch)
         for trial in range(1000):
             base = make_state(rng)
-            if ins.addr_space == "packet":
+            if ins.region == SYM_PKT:
                 reg = ins.dst if ins.kind is Kind.STORE48 else ins.src
                 point_into_packet(base, reg, rng, span=32)
             s1, s2 = clone_state(base), clone_state(base)

@@ -166,6 +166,17 @@ def test_disasm_encode_of_an_unencodable_field_fails(capsys, tmp_path,
     assert err == f"error: instruction 0: {message}\n"
 
 
+@pytest.mark.parametrize("jump", ["0500050000000000",      # ja +5
+                                  "0500feff00000000"])     # ja -2
+def test_disasm_of_a_branch_outside_the_program_fails(capsys, tmp_path, jump):
+    path = tmp_path / "jump.bin"
+    path.write_bytes(bytes.fromhex(jump + "9500000000000000"))
+    rc, out, err = invoke(capsys, "disasm", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: instruction 0: branch target out of range\n"
+
+
 def test_trace_output(capsys, tmp_path):
     pkts = tmp_path / "pkts.txt"
     pkts.write_text("00" * 64 + "\n")

@@ -15,12 +15,17 @@ from xvliw.errors import (
     TruncatedStream,
     UnencodableInstruction,
     UnknownOpcode,
+    UnreachableTarget,
 )
 from xvliw.isa import (
     Instruction,
     Kind,
+    MEMORY_KINDS,
     OP_EARLY_EXIT,
+    OP_LDDW,
     Program,
+    SYM_PKT,
+    SYM_STACK,
     analysis_of,
     build_program,
     decode,
@@ -30,6 +35,7 @@ from xvliw.isa import (
     reg,
     symbols_overlap,
 )
+from xvliw.asm import parse_asm
 from xvliw.schedule import VliwProgram
 from xvliw.vm import decode_step
 
@@ -92,12 +98,19 @@ class TestDecode:
 
     def test_branch_into_lddw_pair(self):
         # ja +1 jumps into the second word of the lddw
-        from xvliw.errors import UnreachableTarget
         stream = bytes.fromhex("0500010000000000"
                                "1801000005000000" "0000000000000000"
                                "9500000000000000")
         with pytest.raises(UnreachableTarget):
             decode(stream)
+
+    @pytest.mark.parametrize("jump", ["0500050000000000",      # ja +5
+                                      "0500feff00000000"])     # ja -2
+    def test_branch_target_outside_the_program(self, jump):
+        with pytest.raises(ProgramError, match="instruction 0: branch target "
+                                               "out of range") as caught:
+            decode(bytes.fromhex(jump + "9500000000000000"))
+        assert not isinstance(caught.value, UnreachableTarget)
 
     def test_rejects_unsupported_classes(self):
         with pytest.raises(UnknownOpcode):     # atomic add (BPF_STX|XADD|W)
@@ -153,7 +166,6 @@ class TestEncode:
 
     def test_roundtrip_random_streams(self, rng):
         from xvliw.fuzz import generate_case
-        from xvliw.asm import parse_asm
         total = 0
         for i in range(40):
             prog = parse_asm(generate_case(9000 + i).program_text)
@@ -163,6 +175,58 @@ class TestEncode:
             assert encode(again) == data
             total += len(prog)
         assert total > 1000   # a real corpus of random valid instructions
+
+
+class TestOpcodeTable:
+    """The codec accepts exactly these single-word opcode bytes (a lddw's
+    two words aside), and each round-trips to its canonical byte."""
+    ACCEPTED = {
+        # ALU32 and ALU64: operations 0x0-0xd, immediate or register source
+        0x04, 0x0c, 0x14, 0x1c, 0x24, 0x2c, 0x34, 0x3c, 0x44, 0x4c, 0x54, 0x5c,
+        0x64, 0x6c, 0x74, 0x7c, 0x84, 0x8c, 0x94, 0x9c, 0xa4, 0xac, 0xb4, 0xbc,
+        0xc4, 0xcc, 0xd4, 0xdc,
+        0x07, 0x0f, 0x17, 0x1f, 0x27, 0x2f, 0x37, 0x3f, 0x47, 0x4f, 0x57, 0x5f,
+        0x67, 0x6f, 0x77, 0x7f, 0x87, 0x8f, 0x97, 0x9f, 0xa7, 0xaf, 0xb7, 0xbf,
+        0xc7, 0xcf, 0xd7, 0xdf,
+        # JMP: ja, call (either source bit), exit, and eleven conditions
+        0x05, 0x15, 0x1d, 0x25, 0x2d, 0x35, 0x3d, 0x45, 0x4d, 0x55, 0x5d, 0x65,
+        0x6d, 0x75, 0x7d, 0x85, 0x8d, 0x95, 0xa5, 0xad, 0xb5, 0xbd, 0xc5, 0xcd,
+        0xd5, 0xdd,
+        # LDX, ST and STX in MEM mode, four sizes each
+        0x61, 0x62, 0x63, 0x69, 0x6a, 0x6b, 0x71, 0x72, 0x73, 0x79, 0x7a, 0x7b,
+        # the extended instructions
+        0x16, 0x1e, 0x56, 0x5e, 0x9d,
+    }
+    # neg and call with the X bit decode like their K forms
+    CANONICAL = {0x8c: 0x84, 0x8f: 0x87, 0x8d: 0x85}
+
+    @staticmethod
+    def _program(opcode):
+        # dst r1 and src r0 (a helper call needs src 0); offset 0 is an
+        # alu3 add of r0 and a jump to the exit; imm 16 is a swap width
+        return struct.pack("<BBhi", opcode, 0x01, 0, 16) + bytes.fromhex(
+            "9500000000000000")
+
+    def test_accepted_set(self):
+        assert len(self.ACCEPTED) == 99
+        accepted = set()
+        for opcode in range(256):
+            try:
+                decode(self._program(opcode))
+            except UnknownOpcode:
+                continue
+            except DanglingLddwSecondHalf:
+                assert opcode == OP_LDDW
+                continue
+            accepted.add(opcode)
+        assert accepted == self.ACCEPTED
+
+    def test_round_trip_writes_the_canonical_byte(self):
+        for opcode in sorted(self.ACCEPTED):
+            prog = decode(self._program(opcode))
+            data = encode(prog)
+            assert data[0] == self.CANONICAL.get(opcode, opcode), hex(opcode)
+            assert decode(data) == prog
 
 
 class TestProgramInvariants:
@@ -258,7 +322,7 @@ class TestIoSets:
 
     def test_store_slot_range(self):
         ins = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
-                          addr_space="stack")
+                          region=("stack", 504, 508))
         io = io_sets(ins)
         assert reg(2) in io.inputs and reg(10) in io.inputs
         assert ("stack", 504, 508) in io.outputs
@@ -349,20 +413,20 @@ class TestIoSets:
                         src2=9),
             Instruction(Kind.ALU_UNARY, op="be", width=64, dst=6, imm=32),
             Instruction(Kind.LOAD, width=4, dst=4, src=7, offset=-8,
-                        addr_space="stack"),
+                        region=SYM_STACK),
             Instruction(Kind.STORE, width=8, dst=7, src=3, offset=-16,
-                        addr_space="stack"),
+                        region=SYM_STACK),
             Instruction(Kind.LOAD48, width=6, dst=5, src=8, offset=2,
-                        addr_space="packet"),
+                        region=SYM_PKT),
             Instruction(Kind.STORE48, width=6, dst=8, src=2, offset=4,
-                        addr_space="packet"),
+                        region=SYM_PKT),
         ]
 
     def _prepare_bases(self, ins, state, rng):
-        if ins.addr_space == "stack":
+        if ins.region == SYM_STACK:
             base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
             point_into_stack(state, base, rng, span=32)
-        elif ins.addr_space == "packet":
+        elif ins.region == SYM_PKT:
             base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
             point_into_packet(state, base, rng, span=32)
 
@@ -384,6 +448,42 @@ class TestIoSets:
         out = clone_state(state)
         run_step(out, ins)
         return out
+
+
+class TestRegions:
+    """``build_program`` sets each access's region from pointer
+    provenance, and ``io_sets`` reads the memory symbol from it."""
+    MAP = ".map 3 hash 4 8 16\n"
+    KEY = "r2 = r10\nr2 += -8\n"
+
+    @pytest.mark.parametrize("source, symbol", [
+        ("*(u32 *)(r10 - 8) = r1", ("stack", 504, 508)),
+        ("r2 = r10\nr2 += -16\n*(u64 *)(r2 + 4) = 1", ("stack", 500, 508)),
+        ("r2 = r10\nif r1 == 0 goto j\nr2 += -8\nj:\n*(u32 *)(r2 + 0) = 1",
+         ("stack",)),
+        ("r2 = *(u32 *)(r1 + 0)\nr3 = *(u8 *)(r2 + 12)", ("pkt",)),
+        ("r3 = *(u32 *)(r1 + 12)", ("ctx",)),
+        (f"r1 = map[3]\n{KEY}call map_lookup\nr3 = *(u32 *)(r0 + 0)",
+         ("map", 3)),
+        (f"r1 = r6\n{KEY}call map_lookup\n*(u32 *)(r0 + 0) = 1", ("maps",)),
+        ("r3 = 7\nr4 = *(u32 *)(r3 + 0)", ("mem",)),
+    ])
+    def test_access(self, source, symbol):
+        prog = parse_asm(f"{self.MAP}{source}\nr0 = 0\nexit\n")
+        access = [ins for ins in prog.instructions if ins.kind in MEMORY_KINDS][-1]
+        io = io_sets(access)
+        touched = io.outputs if access.kind is Kind.STORE else io.inputs
+        assert {s for s in touched if s[0] != "reg"} == {symbol}
+
+    @pytest.mark.parametrize("setup, symbol", [("r1 = map[3]", ("map", 3)),
+                                               ("r1 = r6", ("maps",))])
+    def test_call(self, setup, symbol):
+        prog = parse_asm(f"{self.MAP}{setup}\n{self.KEY}call map_update\n"
+                         f"r0 = 0\nexit\n")
+        call = next(ins for ins in prog.instructions if ins.kind is Kind.CALL)
+        io = io_sets(call)
+        assert {s for s in io.inputs if s[0] in ("map", "maps")} == {symbol}
+        assert {s for s in io.outputs if s[0] in ("map", "maps")} == {symbol}
 
 
 def _memo_program():
@@ -439,9 +539,9 @@ class TestMemos:
 
     def test_equality_and_hash_ignore_memos(self):
         a = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
-                        addr_space="stack")
+                        region=("stack", 504, 508))
         b = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
-                        addr_space="stack")
+                        region=("stack", 504, 508))
         io_sets(a)
         decode_step(a)
         assert a.io is not None and b.io is None
@@ -482,7 +582,6 @@ class TestMemos:
         executed instruction once and each executed row once."""
         from collections import Counter
         from xvliw import vliwsim, vm
-        from xvliw.asm import parse_asm
         from xvliw.compiler import compile_program
         from xvliw.corpus import CORPUS
         steps, rows = Counter(), Counter()
@@ -518,7 +617,6 @@ class TestMemos:
         every Instruction, Program and VliwProgram touched: none has an
         instance ``__dict__``, so none holds an attribute that is not a
         field."""
-        from xvliw.asm import parse_asm
         from xvliw.compiler import compile_program
         from xvliw.corpus import CORPUS
         from xvliw.peephole import peephole
@@ -551,9 +649,9 @@ class TestExpansion:
         Instruction(Kind.ALU_THREE_OP, op="xor", width=64, dst=4, src=1, src2=5),
         Instruction(Kind.ALU_THREE_OP, op="sub", width=64, dst=4, src=1, src2=4),
         Instruction(Kind.LOAD48, width=6, dst=3, src=7, offset=4,
-                    addr_space="packet"),
+                    region=SYM_PKT),
         Instruction(Kind.STORE48, width=6, dst=7, src=3, offset=4,
-                    addr_space="packet"),
+                    region=SYM_PKT),
         Instruction(Kind.EARLY_EXIT, imm=2),
     ]
 
@@ -563,7 +661,7 @@ class TestExpansion:
             seq, clobbered = expand_extended(ins, scratch)
             for _ in range(200):
                 base = make_state(rng)
-                if ins.addr_space == "packet":
+                if ins.region == SYM_PKT:
                     point_into_packet(base, ins.dst if ins.kind is Kind.STORE48
                                       else ins.src, rng, span=32)
                 s1, s2 = clone_state(base), clone_state(base)
@@ -576,6 +674,19 @@ class TestExpansion:
                     assert s1.regs[r] == s2.regs[r], (ins, r)
                 assert s1.stack == s2.stack
                 assert s1.packet.buf == s2.packet.buf
+
+    def test_parts_keep_the_region_of_their_bytes(self):
+        prog = parse_asm("r2 = *(u32 *)(r1 + 0)\n*(u48 *)(r10 - 8) = r1\n"
+                         "r3 = *(u48 *)(r2 + 0)\nr0 = 0\nexit\n")
+        stack, packet = prog.instructions[1:3]
+        assert stack.region == ("stack", 504, 510)
+        parts = [ins for ins in expand_extended(stack, 9)[0]
+                 if ins.kind is Kind.STORE]
+        assert [ins.region for ins in parts] == [("stack", 504, 508),
+                                                 ("stack", 508, 510)]
+        parts = [ins for ins in expand_extended(packet, 9)[0]
+                 if ins.kind is Kind.LOAD]
+        assert [ins.region for ins in parts] == [SYM_PKT, SYM_PKT]
 
     def _scratch_for(self, ins):
         used = {ins.dst, ins.src, ins.src2}
