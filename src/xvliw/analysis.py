@@ -2,8 +2,7 @@
 
 Basic blocks, the CFG with dominator/post-dominator sets, backward
 liveness over register and memory-region symbols, per-block data
-dependence graphs, the pairwise parallelizability predicate and the
-quadratic check-count formula a runtime scheduler would need.
+dependence graphs and the pairwise parallelizability predicate.
 
 Post-dominance uses a virtual exit node joining every block without
 successors; blocks that cannot reach an exit keep conservative (full)
@@ -12,13 +11,9 @@ post-dominator sets.
 A program's CFG and its liveness over ``block_code`` are memoised in its
 ``isa.ProgramAnalysis`` record (``program_cfg``, ``program_liveness``), so
 the peephole passes and compile stages that read one ``Program`` build
-them once. That is sound because a ``Program`` is frozen and every rewrite
-builds a new one, with a new record; readers must not mutate the shared
-``ControlFlowGraph`` or ``LivenessInfo``. ``build_program_cfg`` and
-``liveness`` themselves always compute afresh, but a record need not hold
-a fresh CFG: a peephole rewrite that keeps control flow gives its program
-the parent's CFG, equal to a fresh build, with each block's span remapped
-(``peephole._apply``).
+them once; readers must not mutate them. A record need not hold a fresh
+CFG: a peephole rewrite that keeps control flow gives its program the
+parent's, with each block's span remapped (``peephole._apply``).
 """
 
 from __future__ import annotations
@@ -391,14 +386,6 @@ def bernstein_ok(i: Instruction, j: Instruction) -> bool:
     return not (sets_conflict(a.inputs, b.outputs)
                 or sets_conflict(a.outputs, b.inputs)
                 or sets_conflict(a.outputs, b.outputs))
-
-
-def n_checks(n: int) -> int:
-    """Pairwise-check count a runtime scheduler needs for n instructions:
-    three set tests per unordered pair."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 3 * n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Kernel-style mnemonics plus the infix sugar used throughout the listings:
     .map 3 hash 4 8 64      ; map definition directive
 
 Labels are ``name:`` on their own line. ``w`` registers select the 32-bit
-ALU forms. Comments start with ``;`` or ``#``.
+ALU forms. Comments start with ``;`` or ``#``. A number is hex after
+``0x``, else decimal; ``010``, which C reads as octal, does not parse.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ WIDTH_NAMES = {"u8": 1, "u16": 2, "u32": 4, "u48": 6, "u64": 8}
 _WIDTH_FOR = {v: k for k, v in WIDTH_NAMES.items()}
 
 _REG = r"([rw])(\d+)"
-_IMM = r"(-?(?:0x[0-9a-fA-F]+|\d+))"
+_IMM = r"(-?(?:0x[0-9a-fA-F]+|0|[1-9]\d*))"
 _LABEL = r"([A-Za-z_][A-Za-z0-9_]*)"
 
 _re_label = re.compile(rf"^{_LABEL}:$")
@@ -70,8 +71,8 @@ _re_store = re.compile(
     rf"\s*=\s*(?:r(\d+)|{_IMM})$")
 _re_branch = re.compile(
     rf"^if\s+{_REG}\s*(s>=|s<=|s>|s<|==|!=|>=|<=|>|<|&)\s*(?:{_REG}|{_IMM})"
-    rf"\s+goto\s+(@?\w+)$")
-_re_goto = re.compile(r"^goto\s+(@?\w+)$")
+    rf"\s+goto\s+(@\d+|\w+)$")
+_re_goto = re.compile(r"^goto\s+(@\d+|\w+)$")
 _re_call = re.compile(r"^call\s+(\w+)$")
 _re_early = re.compile(rf"^early_exit\s+{_IMM}$")
 _re_map_def = re.compile(

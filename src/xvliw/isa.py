@@ -29,20 +29,15 @@ words). ``Instruction.region`` is the one memory annotation.
 Two analyses are memoised on the objects they describe: ``io_sets`` on
 each ``Instruction``, and a ``ProgramAnalysis`` record on each
 ``Program``; so is each instruction's decoded step (``vm.decode_step``).
-That is sound because both classes are frozen: an instruction's fields,
-and a program's instructions and maps, never change, and every rewrite
-builds a new object, through ``dataclasses.replace``
-(which never copies a memo) or ``build_program`` (which starts a fresh
-record). The memos live in declared slots, never in an instance
-``__dict__``: the classes have none, so the attribute reads the execution
-engines make on every step keep their fast path.
+That is sound because both classes are frozen, and every rewrite builds
+a new object, through ``dataclasses.replace`` (which never copies a memo)
+or ``build_program`` (which starts a fresh record). The memos live in
+declared slots, not in an instance ``__dict__`` (the classes have none),
+so the engines' attribute reads on every step keep their fast path.
 
-``build_program`` walks control flow once. Validation checks every
-field first (register indices, the read-only r10, 6-byte widths, branch
-targets in range), so the provenance scan that follows only ever indexes
-inside the program; the scan's states then give the reachable set (an
-instruction is reachable iff it has a state) for the reachable-exit check
-and the record.
+``build_program`` checks every field first (``field_problem``, branch
+targets in range), so the provenance scan only ever indexes inside the
+program; an instruction is reachable iff it has a state.
 """
 
 from __future__ import annotations
@@ -202,22 +197,26 @@ class ProgramAnalysis:
     every peephole pass and compile stage that reads that Program.
 
     ``provenance`` (``provenance_states``) and ``reachable``, the indices
-    with a provenance state, come with the record. ``cfg`` and ``liveness``
-    start as None. ``analysis.program_cfg`` fills the CFG on first use,
-    unless a peephole rewrite that keeps control flow hands its program the
-    parent's CFG with the block spans remapped (``peephole._apply``).
+    with a provenance state, come with the record; ``annotated`` says the
+    instructions carry the regions the states give, as ``build_program``'s
+    do. ``cfg`` and ``liveness`` start as None. ``analysis.program_cfg``
+    fills the CFG on first use, unless a peephole rewrite that keeps
+    control flow hands its program the parent's CFG with the block spans
+    remapped; the rewrite then also carries the parent's states where
+    nothing it changed can move them (``peephole._apply``).
     ``analysis.program_liveness`` fills liveness only when a pass must
     decide a candidate by it. Readers must not mutate what it holds."""
     reachable: frozenset[int]
     provenance: list
+    annotated: bool = False
     cfg: object = None
     liveness: object = None
 
     @classmethod
-    def of_states(cls, states) -> ProgramAnalysis:
+    def of_states(cls, states, annotated=False) -> ProgramAnalysis:
         """A record starting from the provenance scan's ``states``."""
         return cls(frozenset(i for i, st in enumerate(states) if st is not None),
-                   states)
+                   states, annotated)
 
 
 # the slots' own setters: a frozen dataclass refuses ``setattr``, and
@@ -236,44 +235,53 @@ def analysis_of(program: Program) -> ProgramAnalysis:
     return record
 
 
-def build_program(instructions, maps=()) -> Program:
+def build_program(instructions, maps=(), states=None) -> Program:
     """Validate instructions, annotate them from the provenance scan and
-    wrap them in a Program, whose analysis record the scan starts."""
+    wrap them in a Program, whose analysis record the scan starts. Given the
+    ``states`` of already annotated instructions (``peephole._apply``), it
+    skips the scan and the annotation, but no check."""
     instrs = list(instructions)
-    states = validate_instructions(instrs)
-    program = Program(tuple(annotate_regions(instrs, states)), tuple(maps))
-    _keep_analysis(program, ProgramAnalysis.of_states(states))
-    return program
-
-
-def validate_instructions(instrs) -> list:
-    """Check register indices, widths and branch targets, then run the
-    provenance scan and check that an exit is reachable and nothing
-    reachable falls past the end. Returns the scan's states (None for an
-    unreachable instruction)."""
     n = len(instrs)
     if n == 0:
         raise ProgramError("empty program")
     for i, ins in enumerate(instrs):
-        for r in (ins.dst, ins.src, ins.src2):
-            if r is not None and not 0 <= r < NUM_REGS:
-                raise ProgramError(f"instruction {i}: register index {r} out of range")
-        # only a register an instruction writes through dst can be r10
-        if ins.dst == FRAME_REG and written_register(ins) == FRAME_REG:
-            raise ProgramError(f"instruction {i}: r10 is read-only")
-        if ins.width == 6 and ins.kind not in (Kind.LOAD48, Kind.STORE48):
-            raise ProgramError(f"instruction {i}: 6-byte width outside load48/store48")
-        if ins.kind in JUMP_KINDS:
-            if ins.target is None or not 0 <= ins.target < n:
-                raise ProgramError(f"instruction {i}: branch target out of range")
-    states = provenance_states(instrs)
+        problem = field_problem(ins)
+        if problem is None and ins.kind in JUMP_KINDS and \
+                (ins.target is None or not 0 <= ins.target < n):
+            problem = "branch target out of range"
+        if problem is not None:
+            raise ProgramError(f"instruction {i}: {problem}")
+    if states is None:
+        states = provenance_states(instrs)
+        instrs = annotate_regions(instrs, states)
     if states[-1] is not None and n in successors(instrs[-1], n - 1):
         raise ProgramError(f"instruction {n - 1}: control falls past the "
                            f"last instruction")
     if not any(st is not None and ins.kind in (Kind.EXIT, Kind.EARLY_EXIT)
                for ins, st in zip(instrs, states)):
         raise ProgramError("no exit reachable from entry")
-    return states
+    program = Program(tuple(instrs), tuple(maps))
+    _keep_analysis(program, ProgramAnalysis.of_states(states, annotated=True))
+    return program
+
+
+def field_problem(ins: Instruction) -> str | None:
+    """What is wrong with one instruction's own fields, or None: a register
+    outside r0-r10, a write to r10, or a width other than 1, 2, 4 or 8 for a
+    load or store and 6 for load48 and store48. Targets are not checked."""
+    for r in (ins.dst, ins.src, ins.src2):
+        if r is not None and not 0 <= r < NUM_REGS:
+            return f"register index {r} out of range"
+    # only a register an instruction writes through dst can be r10
+    if ins.dst == FRAME_REG and written_register(ins) == FRAME_REG:
+        return "r10 is read-only"
+    k = ins.kind
+    if k is Kind.LOAD or k is Kind.STORE:
+        if ins.width not in (1, 2, 4, 8):
+            return f"{k.value} width {ins.width} is not 1, 2, 4 or 8 bytes"
+    elif (ins.width == 6) != (k is Kind.LOAD48 or k is Kind.STORE48):
+        return "6-byte width outside load48/store48"
+    return None
 
 
 def successors(ins: Instruction, i: int) -> tuple[int, ...]:
@@ -525,18 +533,24 @@ def provenance_states(instrs):
 
     Register state at entry: r1 holds the context pointer, r10 the frame
     base, everything else zero. Joins at control-flow merges widen to the
-    unknown region, which io_sets treats as whole-memory. The worklist
-    visits instructions last in, first out; the transfer is not monotone
-    (``pkt - pkt`` is a number, ``pkt - any`` a packet pointer), so another
-    order could settle on other states in a loop.
+    unknown region, which io_sets treats as whole-memory. When every jump
+    goes forward (``jumps_forward``), one sweep in index order makes each
+    state the join of its predecessors' final ones. Else a last-in first-out
+    worklist may visit an instruction before its predecessors settle; the
+    transfer is not monotone (``pkt - pkt`` is a number, ``pkt - any`` a
+    packet pointer), so another order could settle on other states.
     """
     n = len(instrs)
     state_in: list = [None] * n
     state_in[0] = _ENTRY
     state_out: list = [None] * n
-    work = [0]
+    sweep = jumps_forward(instrs)
+    work = list(range(n - 1, -1, -1)) if sweep else [0]
+    push = (lambda s: None) if sweep else work.append
     while work:
         i = work.pop()
+        if state_in[i] is None:         # swept, unreachable
+            continue
         ins = instrs[i]
         st = list(state_in[i])
         _transfer(ins, st)
@@ -550,13 +564,19 @@ def provenance_states(instrs):
             cur = state_in[s]
             if cur is None:
                 state_in[s] = out
-                work.append(s)
+                push(s)
             elif cur != out:
                 merged = tuple(map(_join, cur, out))
                 if merged != cur:
                     state_in[s] = merged
-                    work.append(s)
+                    push(s)
     return state_in
+
+
+def jumps_forward(instrs) -> bool:
+    """Whether every jump of ``instrs`` targets a later index: no loop."""
+    return all(ins.target > i for i, ins in enumerate(instrs)
+               if ins.kind in JUMP_KINDS)
 
 
 def annotate_regions(instrs, states):
@@ -763,60 +783,3 @@ def _io_sets(ins: Instruction) -> IoSets:
             out_set.add(map_sym if tag == "map" else (tag,))
         return IoSets(frozenset(ins_set), frozenset(out_set))
     raise AssertionError(f"unhandled kind {k}")
-
-
-# ---------------------------------------------------------------------------
-# extended-instruction expansion into base eBPF
-# ---------------------------------------------------------------------------
-
-def expand_extended(ins: Instruction, scratch: int | None = None):
-    """Pure-eBPF expansion of one extended instruction.
-
-    Returns (instructions, clobbered_regs). ``scratch`` is required for
-    load48/store48 (and for the alu3 corner case src2 == dst); it must be
-    a register that is dead at this point. The 4-byte and 2-byte parts of
-    a 6-byte access each get the region of the bytes they touch.
-    """
-    k = ins.kind
-    low = high = ins.region
-    if low is not None and len(low) == 3:          # an exact stack range
-        low, high = ("stack", low[1], low[1] + 4), ("stack", low[1] + 4, low[2])
-    if k is Kind.ALU_THREE_OP:
-        if ins.src2 is not None and ins.src2 == ins.dst:
-            if scratch is None:
-                raise ValueError("alu3 with src2 == dst needs a scratch register")
-            return ([Instruction(Kind.MOV_REG, width=64, dst=scratch, src=ins.src2),
-                     Instruction(Kind.MOV_REG, width=64, dst=ins.dst, src=ins.src),
-                     Instruction(Kind.ALU_BINARY, op=ins.op, width=64,
-                                 dst=ins.dst, src=scratch)], [scratch])
-        mov = (Instruction(Kind.MOV_REG, width=64, dst=ins.dst, src=ins.src)
-               if ins.dst != ins.src else None)
-        alu = (Instruction(Kind.ALU_BINARY, op=ins.op, width=64, dst=ins.dst,
-                           src=ins.src2) if ins.src2 is not None else
-               Instruction(Kind.ALU_BINARY, op=ins.op, width=64, dst=ins.dst,
-                           imm=ins.imm))
-        return ([mov, alu] if mov else [alu]), []
-    if k is Kind.LOAD48:
-        if scratch is None or scratch in (ins.dst, ins.src):
-            raise ValueError("load48 expansion needs a distinct scratch register")
-        return ([Instruction(Kind.LOAD, width=4, dst=ins.dst, src=ins.src,
-                             offset=ins.offset, region=low),
-                 Instruction(Kind.LOAD, width=2, dst=scratch, src=ins.src,
-                             offset=ins.offset + 4, region=high),
-                 Instruction(Kind.ALU_BINARY, op="lsh", width=64, dst=scratch, imm=32),
-                 Instruction(Kind.ALU_BINARY, op="or", width=64, dst=ins.dst,
-                             src=scratch)], [scratch])
-    if k is Kind.STORE48:
-        if scratch is None or scratch in (ins.dst, ins.src):
-            raise ValueError("store48 expansion needs a distinct scratch register")
-        return ([Instruction(Kind.MOV_REG, width=64, dst=scratch, src=ins.src),
-                 Instruction(Kind.ALU_BINARY, op="rsh", width=64, dst=scratch, imm=32),
-                 Instruction(Kind.STORE, width=4, dst=ins.dst, src=ins.src,
-                             offset=ins.offset, region=low),
-                 Instruction(Kind.STORE, width=2, dst=ins.dst, src=scratch,
-                             offset=ins.offset + 4, region=high)],
-                [scratch])
-    if k is Kind.EARLY_EXIT:
-        return ([Instruction(Kind.MOV_IMM, width=64, dst=0, imm=ins.imm),
-                 Instruction(Kind.EXIT)], [])
-    raise ValueError(f"{k} is not an extended instruction")

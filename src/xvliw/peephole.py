@@ -31,11 +31,15 @@ from .isa import (
     Instruction,
     Kind,
     Program,
+    _transfer,
     analysis_of,
+    annotate_regions,
     build_program,
     io_sets,
+    jumps_forward,
     reg,
     sets_conflict,
+    successors,
 )
 
 COMMUTATIVE = ("add", "mul", "and", "or", "xor")
@@ -61,26 +65,64 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
 
     The new program's record takes ``program``'s CFG, remapped, when the
     rewrite keeps control flow (``_carried_cfg``); else its CFG is built
-    afresh on first use."""
+    afresh on first use. With the CFG it takes ``program``'s provenance
+    states when ``_carried_states`` carries them: survivors keep their
+    states and regions, only new instructions are annotated, and
+    ``build_program`` skips its scan but none of its checks."""
     if not rewrites:
         return program
-    items = [(i, rewrites.get(i, ins)) for i, ins in enumerate(program.instructions)]
-    items = [(i, ins) for i, ins in items if ins is not None]
-    anchors = [i for i, _ in items]
-
-    def new_of(old: int) -> int:
-        return min(bisect_left(anchors, old), len(items) - 1)
-
+    instrs = program.instructions
+    anchors = [i for i, ins in enumerate(instrs)
+               if rewrites.get(i, ins) is not None]
+    cfg = _carried_cfg(program, rewrites, anchors)
+    states = cfg and _carried_states(program, rewrites, anchors)
     out = []
-    for _, ins in items:
+    for k, i in enumerate(anchors):
+        ins = rewrites.get(i, instrs[i])
         if ins.kind in JUMP_KINDS:
-            target = new_of(ins.target)
+            target = min(bisect_left(anchors, ins.target), len(anchors) - 1)
             if target != ins.target:
                 ins = replace(ins, target=target)
+        if states and i in rewrites and states[k] is not None:
+            ins = annotate_regions([ins], [states[k]])[0]
         out.append(ins)
-    rewritten = build_program(out, program.maps)
-    rewritten.analysis.cfg = _carried_cfg(program, rewrites, anchors)
+    rewritten = build_program(out, program.maps, states)
+    rewritten.analysis.cfg = cfg
     return rewritten
+
+
+def _carried_states(program: Program, rewrites, anchors) -> list | None:
+    """``program``'s provenance states at the surviving old indices
+    ``anchors``, for the rewrite whose CFG ``_carried_cfg`` carries; None
+    when a fresh scan might differ. A program with a loop is rescanned: its
+    worklist scan can visit an instruction with a state that is not its
+    final one. Else the scan is one sweep (``isa.provenance_states``), and
+    each run of consecutive rewritten indices in one block is replayed from
+    the old state before it through the old and the new instructions
+    (``isa._transfer``). Both must agree before each new instruction, which
+    takes its index's state, and after the run unless it ends in an exit;
+    then every state after the run is the old one too."""
+    record = analysis_of(program)
+    cfg = record.cfg
+    if not record.annotated or not jumps_forward(program.instructions):
+        return None
+    instrs, old = program.instructions, record.provenance
+    block_of = cfg.block_index.get
+    for i in sorted(rewrites):
+        if old[i] is None:                      # unreachable: stays so
+            continue
+        if i - 1 not in rewrites or block_of(i - 1) != block_of(i):
+            a, b = list(old[i]), list(old[i])   # a run starts here
+        new = rewrites[i]
+        if new is not None:
+            if a != b:
+                return None
+            _transfer(new, b)
+        _transfer(instrs[i], a)
+        if a != b and (i + 1 not in rewrites or block_of(i + 1) != block_of(i)) \
+                and successors(instrs[i], i):
+            return None
+    return [old[i] for i in anchors]
 
 
 def _carried_cfg(program: Program, rewrites, anchors) -> ControlFlowGraph | None:
@@ -126,6 +168,20 @@ def _live_after(program: Program, blk: BasicBlock) -> dict[int, frozenset]:
     live_out = (program_liveness(program).live_out[blk.id] if blk.successors
                 else frozenset())
     return live_after(program, blk, live_out)
+
+
+def _register_live_after(program: Program, blk: BasicBlock, i: int, r: int) -> bool:
+    """Whether register ``r`` is live after instruction ``i`` of ``blk``
+    (``_live_after``): read before written, live; written first, dead; the
+    program's liveness decides only past the end of a block with successors."""
+    sym, instrs = reg(r), program.instructions
+    for k in range(i + 1, blk.end + 1):
+        io = io_sets(instrs[k])
+        if sym in io.inputs:
+            return True
+        if sym in io.outputs:
+            return False
+    return bool(blk.successors) and sym in program_liveness(program).live_out[blk.id]
 
 
 def _fuse_pairs(program: Program, fuse) -> Program:
@@ -241,16 +297,20 @@ def remove_zeroing(program: Program):
     """Delete writes of immediate zero that are initialisation of still
     zero-initialised state (never read or written before on any path) or
     dead stores (target not live afterwards). Returns (program, removed)."""
-    cfg = program_cfg(program)
-
+    if not any(map(_zeroing_target, program.instructions)):
+        return program, []
     removed = []
-    for blk, writes in _zero_writes(program, cfg):
-        after = None                 # live after each instruction, on demand
+    for blk, writes in _zero_writes(program, program_cfg(program)):
+        after = None                 # stack liveness after each instruction
         for i, target, virgin in writes:
             if not virgin:
-                after = after or _live_after(program, blk)
-                if sets_conflict({target}, after[i]):
-                    continue
+                if target[0] == "reg":
+                    if _register_live_after(program, blk, i, target[1]):
+                        continue
+                else:
+                    after = after or _live_after(program, blk)
+                    if sets_conflict({target}, after[i]):
+                        continue
             removed.append(i)
     return _apply(program, dict.fromkeys(removed)), removed
 
@@ -356,7 +416,6 @@ def fuse_load_store_6b(program: Program) -> Program:
     rewrites: dict[int, Instruction | None] = {}
 
     for blk in cfg.blocks:
-        after = None                 # live after each instruction, on demand
         for i in blk.indices():
             if i in rewrites or i + 1 > blk.end:
                 continue
@@ -369,8 +428,7 @@ def fuse_load_store_6b(program: Program) -> Program:
                 continue
             j, d_base, p_off = match
             # the fused form changes both scratch registers' contents
-            after = after or _live_after(program, blk)
-            if sets_conflict({reg(a_reg), reg(c_reg)}, after[j + 1]):
+            if any(_register_live_after(program, blk, j + 1, r) for r in (a_reg, c_reg)):
                 continue
             rewrites[i] = Instruction(Kind.LOAD48, width=6, dst=a_reg,
                                       src=base, offset=off)
@@ -407,19 +465,14 @@ def _find_store_pair(instrs, blk, load_idx, a_reg, c_reg):
                 and s1.dst == s2.dst and s1.dst not in (a_reg, c_reg)
                 and s2.offset == s1.offset + a_w):
             return j, s1.dst, s1.offset
-        if _touches_regs(s1, {a_reg, c_reg}):
+        io = io_sets(s1)
+        if not {reg(a_reg), reg(c_reg)}.isdisjoint(io.inputs | io.outputs):
             return None
     return None
 
 
 def _is_store_of(ins, r):
     return ins.kind is Kind.STORE and ins.src == r
-
-
-def _touches_regs(ins, regs_set):
-    io = io_sets(ins)
-    syms = {reg(r) for r in regs_set}
-    return sets_conflict(io.inputs | io.outputs, syms)
 
 
 # ---------------------------------------------------------------------------

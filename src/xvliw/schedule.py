@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
 from .errors import AsmSyntaxError, CompileError
-from .isa import JUMP_KINDS, Instruction, Kind, io_sets, sets_conflict
+from .isa import (JUMP_KINDS, Instruction, Kind, field_problem, io_sets,
+                  sets_conflict)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,8 @@ class VliwProgram:
 
 
 def parse_dump(text: str, maps=()) -> VliwProgram:
-    """Load a schedule dump (hand-edited ones included; provenance optional)."""
+    """Load a schedule dump (hand-edited ones included; provenance optional),
+    checking each slot's fields (``isa.field_problem``) and row targets."""
     lanes = None
     rows: list[list[Slot | None]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -129,6 +131,9 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
                 row.append(None)
                 continue
             ins = parse_instruction(cell, line_no)
+            problem = field_problem(ins)
+            if problem is not None:
+                raise AsmSyntaxError(line_no, f"lane {lane}: {problem}")
             src_block, src_index, moved = -1, -1, False
             if lane < len(prov) and prov[lane] not in ("-", ""):
                 tag = prov[lane]

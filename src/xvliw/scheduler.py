@@ -6,9 +6,9 @@ the two hardware rules: back-to-back dependents share a lane, and a
 row's branches occupy ascending lanes in original program order (lane
 index is taken-branch priority). Code motion asks ``assign_lanes``, which
 lays out a block on its own, whether a move or a branch pull keeps the
-block's lanes valid; that is its only test of the forwarding rule. The
-final lanes come from one pass over the whole program
-(``regalloc.assign_registers``), with the same per-row step.
+block's lanes valid (its only test of the forwarding rule), re-laning
+from the row it changed. The final lanes come from one pass over the
+whole program (``regalloc.assign_registers``), with the same per-row step.
 
 Structural scheduling runs once per block, at the full lane width. It
 keeps a ready list (Gibbons & Muchnick, SIGPLAN '86): a count of unplaced
@@ -169,32 +169,33 @@ def lane_row(slots: list[Slot], pred_rows, lanes: int):
         return None
     order = sorted(slots, key=lambda s: (s.instr.kind not in JUMP_KINDS,
                                          s.src_index))
-    branches = sum(s.instr.kind in JUMP_KINDS for s in slots)
+    producers = [(lane, io_sets(p.instr).outputs) for prev in pred_rows
+                 for lane, p in enumerate(prev) if p is not None]
     pins = []
     for s in order:
         inputs = io_sets(s.instr).inputs
-        wanted = {lane for prev in pred_rows for lane, p in enumerate(prev)
-                  if p is not None
-                  and sets_conflict(io_sets(p.instr).outputs, inputs)}
+        wanted = {lane for lane, outputs in producers
+                  if sets_conflict(outputs, inputs)}
         if len(wanted) > 1:
             return None
         pins.append(wanted.pop() if wanted else None)
+    branches = sum(s.instr.kind in JUMP_KINDS for s in slots)
     for perm in permutations(range(lanes), len(order)):
         if all(pin is None or pin == lane for pin, lane in zip(pins, perm)) \
                 and list(perm[:branches]) == sorted(perm[:branches]):
-            row: list[Slot | None] = [None] * lanes
-            for s, lane in zip(order, perm):
-                row[lane] = s
-            return row
+            placed = dict(zip(perm, order))
+            return [placed.get(lane) for lane in range(lanes)]
     return None
 
 
-def assign_lanes(rows: list[list[Slot]], lanes: int):
+def assign_lanes(rows: list[list[Slot]], lanes: int, laned=()):
     """Lane-indexed rows for one block on its own, each row's only
     predecessor being the row before it; None when some row has no valid
-    assignment."""
-    out: list[list[Slot | None]] = []
-    for slots in rows:
+    assignment. A row's lanes depend only on its slots and the laned row
+    before it, so ``laned``, the lane-indexed form of a prefix of ``rows``,
+    is taken as it is and laning goes on from the row after it."""
+    out: list[list[Slot | None]] = list(laned)
+    for slots in rows[len(out):]:
         row = lane_row(slots, out[-1:], lanes)
         if row is None:
             return None
@@ -227,6 +228,7 @@ class CodeMotion:
         self.ddgs = ddgs
         self.moved_log: list[tuple[int, int, int]] = []   # (src_index, from, to)
         self._live_in = None       # of the current schedules; None when stale
+        self._laned: dict[int, list] = {}   # block id -> its rows, laned
 
     def run(self):
         for blk in self.cfg.blocks:
@@ -279,6 +281,7 @@ class CodeMotion:
                     if not self._place(bs, slot):
                         continue
                     row.remove(slot)
+                    self._laned.pop(cand, None)
                     slot.moved = True
                     self._live_in = None
                     moved_nodes.add(node)
@@ -297,7 +300,7 @@ class CodeMotion:
                 if row:
                     continue
                 trial = bs.rows[:k] + bs.rows[k + 1:]
-                if assign_lanes(trial, self.constraints.lanes) is not None:
+                if self._relane(bs.block_id, trial, k):
                     bs.rows = trial
                     changed = True
                     break
@@ -365,13 +368,24 @@ class CodeMotion:
                 if other.instr.is_control:
                     last_control = r
         limit = last_control if last_control is not None else len(bs.rows) - 1
-        for row in bs.rows[earliest:limit + 1]:
+        for r, row in enumerate(bs.rows[earliest:limit + 1], earliest):
             if len(row) < lanes:
                 row.append(slot)
-                if assign_lanes(bs.rows, lanes) is not None:
+                if self._relane(bs.block_id, bs.rows, r):
                     return True
                 row.pop()
         return False
+
+    def _relane(self, bid: int, rows, r: int) -> bool:
+        """Whether block ``bid``'s ``rows``, changed at row ``r`` and not
+        before, can be laned (``assign_lanes``) from the cached laning of the
+        rows before ``r``. Callers keep valid rows, so their laning is cached."""
+        laned = assign_lanes(rows, self.constraints.lanes,
+                             self._laned.get(bid, ())[:r])
+        if laned is None:
+            return False
+        self._laned[bid] = laned
+        return True
 
     # -- parallel branching -------------------------------------------------
 
@@ -413,11 +427,12 @@ class CodeMotion:
             if not all(bernstein_ok(other.instr, fslot.instr) for other in last):
                 return
             last.append(fslot)
-            if assign_lanes(bs.rows, lanes) is None:
+            if not self._relane(b, bs.rows, len(bs.rows) - 1):
                 last.pop()
                 return
             fslot.moved = True
             self.schedules[fb].rows = []
+            self._laned.pop(fb, None)
             self._live_in = None
             self.moved_log.append((fslot.src_index, fb, b))
 

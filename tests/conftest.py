@@ -42,15 +42,18 @@ def provenance_states_dicts(instrs) -> list:
     """The provenance scan with each state a dict from register to
     provenance, copied and compared whole at every step: the reference
     ``isa.provenance_states`` must agree with, state for state. It shares
-    only the lattice's join and ALU rules with ``isa``. The worklist order
-    is the same, since the transfer is not monotone."""
+    only the lattice's join and ALU rules with ``isa``. The visit order is
+    the same, since the transfer is not monotone: a sweep in index order
+    when every jump goes forward, else a last-in first-out worklist."""
     n = len(instrs)
     entry = {r: ("num",) for r in range(NUM_REGS)}
     entry[1] = ("ctx",)
     entry[FRAME_REG] = ("stack", 0)
     state_in = {0: entry}
     out_cache: dict[int, dict] = {}
-    work = [0]
+    sweep = all(ins.target > i for i, ins in enumerate(instrs)
+                if ins.kind in (Kind.BRANCH, Kind.JUMP_ALWAYS))
+    work = list(reversed(range(n))) if sweep else [0]
     while work:
         i = work.pop()
         st = state_in.get(i)
@@ -66,12 +69,13 @@ def provenance_states_dicts(instrs) -> list:
             cur = state_in.get(s)
             if cur is None:
                 state_in[s] = dict(out)
-                work.append(s)
             else:
                 merged = {r: _join(cur.get(r), out.get(r)) for r in range(NUM_REGS)}
-                if merged != cur:
-                    state_in[s] = merged
-                    work.append(s)
+                if merged == cur:
+                    continue
+                state_in[s] = merged
+            if not sweep:
+                work.append(s)
     return [state_in.get(i) for i in range(n)]
 
 
@@ -159,6 +163,67 @@ def run_step(state: MachineState, ins: Instruction, pc: int = 0):
         write_mem(state, value[0], value[1], pc)
     elif reg is not None:
         state.regs[reg] = value
+
+
+def expand_extended(ins: Instruction, scratch: int | None = None):
+    """Pure-eBPF expansion of one extended instruction.
+
+    Returns (instructions, clobbered_regs). ``scratch`` is required for
+    load48/store48 (and for the alu3 corner case src2 == dst); it must be
+    a register that is dead at this point. The 4-byte and 2-byte parts of
+    a 6-byte access each get the region of the bytes they touch.
+    """
+    k = ins.kind
+    low = high = ins.region
+    if low is not None and len(low) == 3:          # an exact stack range
+        low, high = ("stack", low[1], low[1] + 4), ("stack", low[1] + 4, low[2])
+    if k is Kind.ALU_THREE_OP:
+        if ins.src2 is not None and ins.src2 == ins.dst:
+            if scratch is None:
+                raise ValueError("alu3 with src2 == dst needs a scratch register")
+            return ([Instruction(Kind.MOV_REG, width=64, dst=scratch, src=ins.src2),
+                     Instruction(Kind.MOV_REG, width=64, dst=ins.dst, src=ins.src),
+                     Instruction(Kind.ALU_BINARY, op=ins.op, width=64,
+                                 dst=ins.dst, src=scratch)], [scratch])
+        mov = (Instruction(Kind.MOV_REG, width=64, dst=ins.dst, src=ins.src)
+               if ins.dst != ins.src else None)
+        alu = (Instruction(Kind.ALU_BINARY, op=ins.op, width=64, dst=ins.dst,
+                           src=ins.src2) if ins.src2 is not None else
+               Instruction(Kind.ALU_BINARY, op=ins.op, width=64, dst=ins.dst,
+                           imm=ins.imm))
+        return ([mov, alu] if mov else [alu]), []
+    if k is Kind.LOAD48:
+        if scratch is None or scratch in (ins.dst, ins.src):
+            raise ValueError("load48 expansion needs a distinct scratch register")
+        return ([Instruction(Kind.LOAD, width=4, dst=ins.dst, src=ins.src,
+                             offset=ins.offset, region=low),
+                 Instruction(Kind.LOAD, width=2, dst=scratch, src=ins.src,
+                             offset=ins.offset + 4, region=high),
+                 Instruction(Kind.ALU_BINARY, op="lsh", width=64, dst=scratch, imm=32),
+                 Instruction(Kind.ALU_BINARY, op="or", width=64, dst=ins.dst,
+                             src=scratch)], [scratch])
+    if k is Kind.STORE48:
+        if scratch is None or scratch in (ins.dst, ins.src):
+            raise ValueError("store48 expansion needs a distinct scratch register")
+        return ([Instruction(Kind.MOV_REG, width=64, dst=scratch, src=ins.src),
+                 Instruction(Kind.ALU_BINARY, op="rsh", width=64, dst=scratch, imm=32),
+                 Instruction(Kind.STORE, width=4, dst=ins.dst, src=ins.src,
+                             offset=ins.offset, region=low),
+                 Instruction(Kind.STORE, width=2, dst=ins.dst, src=scratch,
+                             offset=ins.offset + 4, region=high)],
+                [scratch])
+    if k is Kind.EARLY_EXIT:
+        return ([Instruction(Kind.MOV_IMM, width=64, dst=0, imm=ins.imm),
+                 Instruction(Kind.EXIT)], [])
+    raise ValueError(f"{k} is not an extended instruction")
+
+
+def n_checks(n: int) -> int:
+    """Pairwise-check count a runtime scheduler needs for n instructions:
+    three set tests per unordered pair."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return 3 * n * (n - 1) // 2
 
 
 def corpus_stores(entry, program, count: int) -> list:

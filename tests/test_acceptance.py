@@ -7,14 +7,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 import itertools
 import time
 
-from conftest import brute_force_min_rows, clone_state, make_state, \
-    point_into_packet, run_step
-from xvliw.analysis import n_checks
+from conftest import brute_force_min_rows, clone_state, expand_extended, \
+    make_state, n_checks, point_into_packet, run_step
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS
 from xvliw.fuzz import case_seed, fuzz, generate_case
-from xvliw.isa import SYM_PKT, Instruction, Kind, expand_extended
+from xvliw.isa import SYM_PKT, Instruction, Kind
 from xvliw.peephole import remove_boundary_checks
 from xvliw.schedule import LaneConstraints
 from xvliw.vliwsim import exec_vliw, hazard_check

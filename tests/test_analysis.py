@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import (dependence_sets, provenance_states_dicts,
+from conftest import (dependence_sets, n_checks, provenance_states_dicts,
                       reachable_instructions, straight_line_source)
 from xvliw.analysis import (
     bernstein_ok,
@@ -23,7 +23,6 @@ from xvliw.analysis import (
     find_basic_blocks,
     live_after,
     liveness,
-    n_checks,
     program_cfg,
     program_liveness,
 )

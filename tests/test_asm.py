@@ -130,6 +130,29 @@ def test_parse_instruction_row_targets():
         parse_instruction("goto somewhere")
 
 
+@pytest.mark.parametrize("text", ["goto @2exit1", "if r1 > r2 goto @1x",
+                                  "goto @"])
+def test_a_row_target_must_be_a_number(text):
+    with pytest.raises(AsmSyntaxError, match="line 3: cannot parse"):
+        parse_instruction(text, 3)
+
+
+@pytest.mark.parametrize("line, literal", [
+    ("r0 = 03", "03"),
+    ("r1 = *(u32 *)(r10 - 08)", "08"),
+    ("*(u8 *)(r10 - 4) = 010", "010"),
+    ("r1 = 0777 ll", "0777"),
+    ("if r1 > -07 goto out", "-07"),
+    ("r2 = r1 + 09", "09"),
+])
+def test_a_decimal_with_a_leading_zero_is_a_syntax_error(line, literal):
+    """C reads ``010`` as octal and Python refuses it; the assembler names
+    the line rather than guess."""
+    with pytest.raises(AsmSyntaxError, match="line 2: cannot parse") as err:
+        parse_asm(f"r0 = 1\n{line}\nout:\nexit\n")
+    assert literal in str(err.value)
+
+
 def test_comments_ignored():
     prog = parse_asm("; leading comment\nr0 = 1 # trailing\nexit\n")
     assert len(prog) == 2

@@ -214,6 +214,33 @@ def test_run_dump_with_bad_lane_header_fails(capsys, tmp_path):
         assert err.startswith(f"error: line 1: {message}")
 
 
+@pytest.mark.parametrize("slot, message", [
+    ("r11 = 5", "line 3: lane 1: register index 11 out of range"),
+    ("r2 = *(u64 *)(r12 + 0)", "line 3: lane 1: register index 12 out of range"),
+    ("r10 = 5", "line 3: lane 1: r10 is read-only"),
+    ("goto @2exit1", "line 3: cannot parse 'goto @2exit1'"),
+    ("if r1 > 0 goto @x", "line 3: cannot parse 'if r1 > 0 goto @x'"),
+    ("goto @9", "branch row target out of range"),
+])
+def test_run_dump_with_bad_fields_fails(capsys, tmp_path, slot, message):
+    """An edited dump runs the program's own field checks: a bad register
+    used to reach the VLIW engine and die there in an ``IndexError``."""
+    dump = tmp_path / "bad.vliw"
+    dump.write_text(f"# xvliw schedule lanes=2\nr0 = 1 | ---\n"
+                    f"--- | {slot}\nexit | ---\n")
+    rc, _, err = invoke(capsys, "run", str(dump), "--engine", "vliw")
+    assert rc == 1
+    assert err.startswith("error: line ") and message in err.splitlines()[0]
+
+
+def test_compile_with_a_leading_zero_literal_fails(capsys, tmp_path):
+    listing = tmp_path / "zero.s"
+    listing.write_text("r0 = 1\nr1 = *(u32 *)(r10 - 08)\nexit\n")
+    rc, _, err = invoke(capsys, "compile", str(listing))
+    assert rc == 1
+    assert err.startswith("error: line 2: cannot parse 'r1 = *(u32 *)(r10 - 08)'")
+
+
 @pytest.mark.parametrize("config, message", [
     ("map 0 hash 4 8 16\ninit 0 0102 03040506\n", "2-byte key"),
     ("init 7 01020304 0102030405060708\n", "no map defines"),

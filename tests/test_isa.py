@@ -7,8 +7,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import (clone_state, make_state, point_into_packet,
-                      point_into_stack, run_step)
+from conftest import (clone_state, expand_extended, make_state,
+                      point_into_packet, point_into_stack, run_step)
 from xvliw.errors import (
     DanglingLddwSecondHalf,
     ProgramError,
@@ -30,7 +30,6 @@ from xvliw.isa import (
     build_program,
     decode,
     encode,
-    expand_extended,
     io_sets,
     reg,
     symbols_overlap,
@@ -238,6 +237,27 @@ class TestProgramInvariants:
     def test_width_six_restricted(self):
         with pytest.raises(ProgramError):
             build_program([Instruction(Kind.LOAD, width=6, dst=0, src=1),
+                           Instruction(Kind.EXIT)])
+
+    @pytest.mark.parametrize("width", [None, 0, 3, 5, 6, 7, 16])
+    @pytest.mark.parametrize("kind", [Kind.LOAD, Kind.STORE], ids=str)
+    def test_load_and_store_widths_are_1_2_4_or_8(self, kind, width):
+        """A width-3 load used to build, run as a 3-byte load, compile, and
+        then fail to dump with a ``KeyError``."""
+        access = Instruction(kind, width=width, dst=1, src=10, offset=-8)
+        if kind is Kind.STORE:
+            access = Instruction(kind, width=width, dst=10, src=1, offset=-8)
+        with pytest.raises(ProgramError,
+                           match=f"instruction 1: {kind.value} width {width} "
+                                 f"is not 1, 2, 4 or 8 bytes"):
+            build_program([Instruction(Kind.MOV_IMM, width=64, dst=1, imm=0),
+                           access, Instruction(Kind.MOV_IMM, width=64, dst=0, imm=0),
+                           Instruction(Kind.EXIT)])
+
+    @pytest.mark.parametrize("kind", [Kind.LOAD48, Kind.STORE48], ids=str)
+    def test_load48_and_store48_are_six_bytes(self, kind):
+        with pytest.raises(ProgramError, match="instruction 0: "):
+            build_program([Instruction(kind, width=4, dst=1, src=2),
                            Instruction(Kind.EXIT)])
 
     def test_exit_reachability_required(self):

@@ -12,12 +12,16 @@ from conftest import (provenance_states_dicts, reachable_instructions,
                       straight_line_source, touched_before)
 from xvliw.analysis import (build_program_cfg, live_after, program_cfg,
                             program_liveness)
-from xvliw.asm import parse_asm
+from xvliw.asm import format_asm, parse_asm
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, generate_case
-from xvliw.isa import Kind, Program, analysis_of, sets_conflict
+from xvliw.isa import (Instruction, Kind, Program, analysis_of, build_program,
+                       provenance_states, reg, sets_conflict)
 from xvliw.peephole import (
+    _find_store_pair,
     _live_after,
+    _match_load_pair,
+    _register_live_after,
     _zero_writes,
     _zeroing_target,
     fuse_early_exit,
@@ -402,21 +406,28 @@ def rewrites():
     corpus, fuzz cases 0-999 of run seed 20260810, the code-motion loop
     programs and four straight-line blocks: (parent, rewritten program,
     the CFG the rewritten program's record held when ``_apply`` returned
-    it)."""
-    real = peephole_module._apply
-    seen = []
+    it, the provenance states ``_carried_states`` carried or None)."""
+    real, real_states = peephole_module._apply, peephole_module._carried_states
+    seen, carried = [], []
 
     def recording(program, changes):
+        carried[:] = [None]
         out = real(program, changes)
         if out is not program:
-            seen.append((program, out, out.analysis.cfg))
+            seen.append((program, out, out.analysis.cfg, carried[0]))
         return out
+
+    def recording_states(*args):
+        carried[0] = real_states(*args)
+        return carried[0]
     peephole_module._apply = recording
+    peephole_module._carried_states = recording_states
     try:
         for program in _fact_programs():
             peephole(program)
     finally:
         peephole_module._apply = real
+        peephole_module._carried_states = real_states
     return seen
 
 
@@ -426,7 +437,7 @@ class TestProgramFacts:
 
     def test_carried_cfg_equals_a_fresh_build(self, rewrites):
         carried = fresh = 0
-        for parent, out, cfg in rewrites:
+        for parent, out, cfg, _ in rewrites:
             if cfg is None:
                 fresh += 1
                 continue
@@ -438,9 +449,62 @@ class TestProgramFacts:
     def test_a_removed_boundary_check_builds_its_cfg_afresh(self, rewrites):
         def branches(program):
             return sum(ins.kind is Kind.BRANCH for ins in program.instructions)
-        deleted = [cfg for parent, out, cfg in rewrites
+        deleted = [cfg for parent, out, cfg, _ in rewrites
                    if branches(out) < branches(parent)]
         assert len(deleted) > 50 and all(cfg is None for cfg in deleted)
+
+    def test_carried_states_equal_a_fresh_scan(self, rewrites):
+        """The main guard of the carry: a version without the replay of
+        each rewritten run carried wrong lists that both digest gates
+        missed."""
+        carried = rescanned_loops = 0
+        for parent, out, cfg, states in rewrites:
+            loops = any(s <= blk.id for blk in program_cfg(parent).blocks
+                        for s in blk.successors)
+            if states is None:
+                rescanned_loops += loops
+                continue
+            carried += 1
+            assert cfg is not None and not loops
+            assert analysis_of(out).provenance is states
+            assert states == provenance_states(out.instructions)
+            # every region, carried or annotated, is the one a fresh build gives
+            assert build_program(out.instructions, out.maps) == out
+        assert carried >= 1000 and rescanned_loops >= 1
+
+    def test_a_join_reached_first_by_one_path_carries_exact_states(self, monkeypatch):
+        """The fall-through reaches J first, with r6 the context pointer, so
+        a last-in first-out scan visits J twice and keeps the packet pointer
+        r7 held after the first visit, joined to ``any``, where the fused
+        load48 always gives a number. The sweep visits J once, after both
+        paths: the old program's r7 is a number too, and the carry exact."""
+        program = parse_asm("r6 = r1\nif r2 > 0 goto L\ngoto J\nL:\nr6 = r10\n"
+                            "J:\nr7 = *(u32 *)(r6 + 0)\nr8 = *(u16 *)(r6 + 4)\n"
+                            "*(u32 *)(r10 - 8) = r7\n*(u16 *)(r10 - 4) = r8\n"
+                            "r0 = 1\nexit\n")
+        assert analysis_of(program).provenance[6][7] == ("num",)
+        carried = []
+        real = peephole_module._carried_states
+        monkeypatch.setattr(peephole_module, "_carried_states",
+                            lambda *args: carried.append(real(*args)) or carried[-1])
+        program_cfg(program)
+        out = fuse_load_store_6b(program)
+        assert [ins.kind for ins in out.instructions[4:6]] == [Kind.LOAD48, Kind.STORE48]
+        assert carried[0] is analysis_of(out).provenance
+        assert carried[0] == provenance_states(out.instructions)
+
+    def test_a_run_is_replayed_up_to_each_new_instruction(self):
+        """The passes' own runs agree at every new instruction whenever
+        they agree at their end; this rewrite does not. ``r5 = r1`` leaves
+        r5 a context pointer where the old ``r5 = 1`` left a number, and
+        ``r5 = 2`` then hides the difference from the run's end."""
+        program = parse_asm("r5 = 1\nr5 = 2\nr0 = *(u32 *)(r5 + 0)\nexit\n")
+        program_cfg(program)
+        out = peephole_module._apply(program, {
+            0: Instruction(Kind.MOV_REG, width=64, dst=5, src=1),
+            1: Instruction(Kind.MOV_IMM, width=64, dst=5, imm=2)})
+        assert out.analysis.cfg is not None
+        assert analysis_of(out).provenance == provenance_states(out.instructions)
 
     def test_provenance_and_reachable_match_the_dict_scan(self, rewrites):
         programs = {id(p): p for pair in rewrites for p in pair[:2]}
@@ -482,12 +546,40 @@ class TestProgramFacts:
                 skipped += not blk.successors
         assert skipped > 1000
 
+    def test_register_liveness_settled_in_the_block_equals_live_after(self, rewrites):
+        """For every register zero write and every matched 6-byte pair's
+        scratch registers, the in-block answer is ``live_after``'s."""
+        programs = {id(p): p for pair in rewrites for p in pair[:2]}
+        zero_writes = pairs = 0
+        for program in programs.values():
+            instrs = program.instructions
+            for blk in program_cfg(program).blocks:
+                after = live_after(program, blk,
+                                   program_liveness(program).live_out[blk.id])
+                asked = []
+                for i in blk.indices():
+                    target = _zeroing_target(instrs[i])
+                    if target is not None and target[0] == "reg":
+                        asked.append((i, target[1]))
+                        zero_writes += 1
+                    lp = i + 1 <= blk.end and _match_load_pair(instrs, i)
+                    match = lp and _find_store_pair(instrs, blk, i, lp[0], lp[1])
+                    if match:
+                        asked += [(match[0] + 1, lp[0]), (match[0] + 1, lp[1])]
+                        pairs += 1
+                for i, r in asked:
+                    assert _register_live_after(program, blk, i, r) == \
+                        (reg(r) in after[i]), (format_asm(program), i, r)
+        assert zero_writes > 1000 and pairs > 50
+
 
 class TestLivenessOnDemand:
     """The passes compute liveness only for a candidate whose decision
-    reads it: a boundary check jumping to an abort block, or, in a block
-    with successors, a zero write that is not virgin or a matched 6-byte
-    load/store pair."""
+    reads it: a boundary check jumping to an abort block, a zero write to
+    the stack that is not virgin in a block with successors, or a register
+    that a zero write or a matched 6-byte load/store pair overwrites and
+    that its block's own later instructions neither read nor write, in a
+    block with successors."""
 
     @staticmethod
     def _reduce_counting_liveness(monkeypatch, program):
@@ -505,6 +597,33 @@ class TestLivenessOnDemand:
         program = parse_asm(straight_line_source(random.Random(901), 400))
         calls, stats = self._reduce_counting_liveness(monkeypatch, program)
         assert calls == 0 and sum(stats.as_dict().values()) > 0
+
+    DEAD_IN_BLOCK = """
+          r3 = 5
+          *(u64 *)(r10 - 8) = r3
+          r3 = 0
+          r3 = 7
+          if r3 > 2 goto out
+          r0 = 1
+          exit
+        out:
+          r0 = 2
+          exit
+    """
+
+    def test_a_register_written_later_in_its_block_computes_none(self, monkeypatch):
+        """``r3 = 0`` is not virgin and its block has successors, but the
+        block writes r3 before reading it."""
+        calls, stats = self._reduce_counting_liveness(
+            monkeypatch, parse_asm(self.DEAD_IN_BLOCK))
+        assert calls == 0 and stats.zeroing == 1
+
+    def test_a_register_the_block_leaves_open_computes_it(self, monkeypatch):
+        source = self.DEAD_IN_BLOCK.replace("r3 = 7", "r4 = 7").replace(
+            "if r3 > 2", "if r4 > 2")
+        calls, stats = self._reduce_counting_liveness(monkeypatch,
+                                                      parse_asm(source))
+        assert calls == 1 and stats.zeroing == 1
 
     def test_a_removed_boundary_check_computes_it(self, monkeypatch):
         program = parse_asm(CORPUS["simple_firewall"].source)

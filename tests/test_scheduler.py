@@ -1,15 +1,21 @@
 """List scheduling, lane assignment and upward code motion."""
 
+from itertools import permutations
+
 import pytest
 
+import xvliw.regalloc as regalloc_module
+import xvliw.scheduler as scheduler_module
 from conftest import brute_force_min_rows, dependence_sets
 from xvliw.analysis import build_ddg, build_program_cfg
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
+from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, compare_results, generate_case
-from xvliw.isa import Kind, written_register
+from xvliw.isa import JUMP_KINDS, Kind, io_sets, symbols_overlap, written_register
 from xvliw.schedule import LaneConstraints
-from xvliw.scheduler import assign_lanes, code_motion, list_schedule
+from xvliw.scheduler import (CodeMotion, assign_lanes, code_motion, lane_row,
+                             list_schedule)
 from xvliw.vliwsim import exec_vliw, hazard_check
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
@@ -402,6 +408,98 @@ class TestCodeMotion:
         for text in sources + [src for src, _ in self.LOOPS.values()]:
             compile_program(parse_asm(text), LaneConstraints(lanes=lanes))
         assert not clashes, clashes[:3]
+
+
+def _ids(laned):
+    """A laning as the identities of the slots on each lane."""
+    return [[None if s is None else id(s) for s in row] for row in laned]
+
+
+def _relaning_programs():
+    """The corpus at lanes 1-8, fuzz cases 0-299 of run seed 20260810 at
+    lanes 2, 4 and 8, and the code-motion loop programs at lanes 1-8."""
+    for name in names():
+        yield parse_asm(CORPUS[name].source), range(1, 9)
+    for i in range(300):
+        yield parse_asm(generate_case(case_seed(20260810, i)).program_text), (2, 4, 8)
+    for src, _ in TestCodeMotion.LOOPS.values():
+        yield parse_asm(src), range(1, 9)
+
+
+def _lane_row_by_search(slots, pred_rows, lanes):
+    """The permutation search alone, pins found pair by pair: the first
+    permutation, branches tried lowest-lane first, that puts each slot on
+    the lane of every producer it reads in ``pred_rows``."""
+    if len(slots) > lanes:
+        return None
+    order = sorted(slots, key=lambda s: (s.instr.kind not in JUMP_KINDS,
+                                         s.src_index))
+    branches = sum(s.instr.kind in JUMP_KINDS for s in slots)
+    pins = []
+    for s in order:
+        wanted = {lane for prev in pred_rows for lane, p in enumerate(prev)
+                  if p is not None and any(
+                      symbols_overlap(a, b) for a in io_sets(p.instr).outputs
+                      for b in io_sets(s.instr).inputs)}
+        if len(wanted) > 1:
+            return None
+        pins.append(wanted.pop() if wanted else None)
+    for perm in permutations(range(lanes), len(order)):
+        if all(pin in (None, lane) for pin, lane in zip(pins, perm)) \
+                and list(perm[:branches]) == sorted(perm[:branches]):
+            row = [None] * lanes
+            for s, lane in zip(order, perm):
+                row[lane] = s
+            return row
+    return None
+
+
+class TestIncrementalLaning:
+    """Code motion re-lanes a block from the row it changed, on the cached
+    laning of the rows before it, and ``lane_row`` gathers its producers
+    once. Each equals what it replaces."""
+
+    def test_every_laning_code_motion_keeps_or_tests_is_a_fresh_one(self, monkeypatch):
+        real = CodeMotion._relane
+        seen = {True: 0, False: 0}
+
+        def compared(self, bid, rows, r):
+            ok = real(self, bid, rows, r)
+            fresh = assign_lanes(rows, self.constraints.lanes)
+            assert ok == (fresh is not None)
+            if ok:
+                assert _ids(self._laned[bid]) == _ids(fresh)
+            seen[ok] += 1
+            return ok
+        monkeypatch.setattr(CodeMotion, "_relane", compared)
+        for program, widths in _relaning_programs():
+            for lanes in widths:
+                compile_program(program, LaneConstraints(lanes=lanes))
+        assert seen[True] > 1000 and seen[False] > 100
+
+    def test_lane_row_equals_the_permutation_search(self, monkeypatch):
+        real = lane_row
+        unpinned = pinned = 0
+
+        def compared(slots, pred_rows, lanes):
+            nonlocal unpinned, pinned
+            row = real(slots, pred_rows, lanes)
+            expected = _lane_row_by_search(slots, pred_rows, lanes)
+            assert (row is None) == (expected is None)
+            if row is not None:
+                assert _ids([row]) == _ids([expected])
+                if row[:len(slots)] == sorted(slots, key=lambda s: (
+                        s.instr.kind not in JUMP_KINDS, s.src_index)):
+                    unpinned += 1
+                else:
+                    pinned += 1
+            return row
+        monkeypatch.setattr(scheduler_module, "lane_row", compared)
+        monkeypatch.setattr(regalloc_module, "lane_row", compared)
+        for program, widths in _relaning_programs():
+            for lanes in widths:
+                compile_program(program, LaneConstraints(lanes=lanes))
+        assert unpinned > 1000 and pinned > 1000
 
 
 class TestMicroOptimality:
