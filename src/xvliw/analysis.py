@@ -321,7 +321,11 @@ def live_after(program: Program, blk: BasicBlock,
 @dataclass
 class DataDependenceGraph:
     """A block's dependence edges as adjacency sets over absolute
-    instruction indices; ``raw_preds`` keeps the read-after-write ones."""
+    instruction indices; ``raw_preds`` keeps the read-after-write ones.
+
+    The edges are those ``build_ddg`` keeps, not every pairwise conflict:
+    their transitive closure is the pairwise conflicts', and each kept
+    edge carries the pairwise RAW label."""
     block_id: int
     nodes: list[int]
     preds: dict[int, set]
@@ -343,24 +347,38 @@ def _earlier(index: dict, memory: list, sym) -> list:
 
 
 def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
-    """Dependence edges between a block's instructions, in program order.
+    """Dependence edges between a block's instructions, in program order,
+    keeping only those that order something.
 
-    The edges equal the pairwise Bernstein conflicts: i before j is a
-    predecessor of j when an output of i overlaps an input or an output of
-    j, or an input of i overlaps an output of j (``sets_conflict``); it is
-    a RAW predecessor when an output of i overlaps an input of j. They are
-    found through an index from each symbol to the earlier nodes reading
-    or writing it, so the work follows the edges rather than the pairs."""
+    i before j conflicts when an output of i overlaps an input or an
+    output of j, or an input of i overlaps an output of j
+    (``sets_conflict``); the conflict is RAW when an output of i overlaps
+    an input of j. An index holds, for each exact symbol, its last writer
+    and the nodes that have read it since; a write of the symbol replaces
+    both. j gets an edge from every node indexed under a symbol that
+    overlaps one of its own, so the work follows the kept edges.
+
+    A conflict i -> j is dropped only when a later writer k of one of i's
+    exact symbols, i < k < j, comes first. Every symbol overlaps itself,
+    so i -> k is a conflict and k -> j a kept edge, and by induction the
+    transitive closure equals the pairwise conflicts' closure: critical
+    paths and the row each node becomes ready in do not change. A
+    dropped RAW producer sits at least two rows before its reader, where
+    no forwarding check looks. A kept edge is RAW exactly when the
+    pairwise test says so."""
     nodes = list(block.indices())
     preds: dict[int, set] = {i: set() for i in nodes}
     succs: dict[int, set] = {i: set() for i in nodes}
     raw_preds: dict[int, set] = {i: set() for i in nodes}
-    readers: dict = {}                  # symbol -> earlier nodes reading it
-    writers: dict = {}                  # symbol -> earlier nodes writing it
+    readers: dict = {}                  # each symbol seen -> its readers
+                                        # since its last write
+    writers: dict = {}                  # symbol -> [its last writer]
     memory: list = []                   # distinct non-register symbols seen
+    outputs: dict = {}                  # node -> its output symbols
     instrs = program.instructions
     for j in nodes:
         io = io_sets(instrs[j])
+        outputs[j] = io.outputs
         raw = raw_preds[j]
         for sym in io.inputs:
             raw.update(_earlier(writers, memory, sym))
@@ -371,11 +389,17 @@ def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
             pred.update(_earlier(writers, memory, sym))
         for i in pred:
             succs[i].add(j)
-        for index, syms in ((readers, io.inputs), (writers, io.outputs)):
-            for sym in syms:
-                if sym[0] != "reg" and sym not in readers and sym not in writers:
-                    memory.append(sym)
-                index.setdefault(sym, []).append(j)
+            if i not in raw and sets_conflict(outputs[i], io.inputs):
+                raw.add(i)              # its RAW symbol has a later writer
+        for sym in io.inputs:
+            if sym not in readers and sym[0] != "reg":
+                memory.append(sym)
+            readers.setdefault(sym, []).append(j)
+        for sym in io.outputs:
+            if sym not in readers and sym[0] != "reg":
+                memory.append(sym)
+            writers[sym] = [j]
+            readers[sym] = []
     return DataDependenceGraph(block.id, nodes, preds, succs, raw_preds)
 
 

@@ -21,8 +21,11 @@ points of the opcode space given that the 32-bit conditional-jump class,
 atomics and local calls are rejected as unsupported.
 
 ``WIRE_FORMS``, the opcode table, is the one statement of the wire
-format: ``decode`` reads it and ``encode`` inverts it. Branch targets are
-resolved to absolute instruction indices at decode / parse time;
+format: ``decode`` reads it and ``encode`` inverts it, one byte per form.
+As the kernel verifier does ("uses reserved fields"), ``decode`` rejects
+``neg`` and ``call`` with the X (register source) bit set, bytes ``0x8c``,
+``0x8f`` and ``0x8d``; other unused fields are not checked yet. Branch
+targets are resolved to absolute instruction indices at decode / parse time;
 ``encode`` recomputes word-relative offsets (a ``lddw`` occupies two
 words). ``Instruction.region`` is the one memory annotation.
 
@@ -319,8 +322,8 @@ _WORD = struct.Struct("<BBhi")
 
 def _wire_forms() -> dict:
     """Each accepted single-word opcode byte and its form ``(kind, op,
-    width, fields kept)``: the Instruction fields the word carries. A form
-    under two bytes encodes as the first; an ALU3's op is in the offset."""
+    width, fields kept)``: the Instruction fields the word carries. No
+    form has two bytes; an ALU3's op is in the offset."""
     forms = {}
 
     def form(opcode, kind, op, width, *keep):
@@ -337,9 +340,8 @@ def _wire_forms() -> dict:
             if name == "mov":
                 form(k, Kind.MOV_IMM, None, width, "dst", "imm")
                 form(x, Kind.MOV_REG, None, width, "dst", "src")
-            elif name == "neg":                 # the X bit is ignored
+            elif name == "neg":                 # the X bit is reserved
                 form(k, Kind.ALU_UNARY, "neg", width, "dst")
-                form(x, Kind.ALU_UNARY, "neg", width, "dst")
             elif name == "end":                 # the X bit picks the order
                 form(k, Kind.ALU_UNARY, "le", width, "dst", "imm")
                 form(x, Kind.ALU_UNARY, "be", width, "dst", "imm")
@@ -350,9 +352,8 @@ def _wire_forms() -> dict:
         k, x = nib << 4 | CLS_JMP, nib << 4 | BPF_X | CLS_JMP
         if name == "ja":
             form(k, Kind.JUMP_ALWAYS, None, None, "offset")
-        elif name == "call":                    # the X bit is ignored
+        elif name == "call":                    # the X bit is reserved
             form(k, Kind.CALL, None, None, "imm")
-            form(x, Kind.CALL, None, None, "imm")
         elif name == "exit":                    # exit with X is early_exit
             form(k, Kind.EXIT, None, None)
         else:
@@ -371,7 +372,7 @@ WIRE_FORMS = _wire_forms()
 _ENCODINGS = {}
 for _opcode, (_kind, _op, _width, _keep) in WIRE_FORMS.items():
     _by_register = ("src2" if _kind is Kind.ALU_THREE_OP else "src") in _keep
-    _ENCODINGS.setdefault((_kind, _op, _width, _by_register), (_opcode, _keep))
+    _ENCODINGS[_kind, _op, _width, _by_register] = _opcode, _keep
 
 
 def decode(data: bytes) -> Program:

@@ -187,14 +187,15 @@ def _register_live_after(program: Program, blk: BasicBlock, i: int, r: int) -> b
 def _fuse_pairs(program: Program, fuse) -> Program:
     """Rewrite each adjacent pair (a, b) of one block, scanning forward,
     to ``fuse(a, b)`` where that is an instruction and not None. Fused
-    pairs do not overlap."""
+    pairs do not overlap; unreachable code, in no block, is left alone."""
     block_of = program_cfg(program).block_index.get
     instrs = program.instructions
     rewrites: dict[int, Instruction | None] = {}
     i = 0
     while i + 1 < len(instrs):
         fused = None
-        if block_of(i) == block_of(i + 1):
+        blk = block_of(i)
+        if blk is not None and blk == block_of(i + 1):
             fused = fuse(instrs[i], instrs[i + 1])
         if fused is None:
             i += 1

@@ -3,9 +3,10 @@
 Registers arrive physical (the source ISA's) and stay so: nothing is
 renamed. The third parallelizability condition per row - no two
 instructions of one row write the same register - holds by construction.
-The DDG's write-after-write edges keep a block's own writers of one
-register in different rows, and code motion places a mover only after
-every slot of its new block that it conflicts with.
+The DDG's last-writer edges, from each writer of a register to the next,
+keep a block's own writers of one register in different rows, and code
+motion places a mover only after every slot of its new block that it
+conflicts with.
 
 Lanes are assigned last, in one pass over the whole program: blocks' rows
 are laid out in block order, and each slot is pinned to the lane of its

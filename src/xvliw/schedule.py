@@ -104,6 +104,7 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
     checking each slot's fields (``isa.field_problem``) and row targets."""
     lanes = None
     rows: list[list[Slot | None]] = []
+    row_lines: list[int] = []           # the dump line each row came from
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -146,13 +147,14 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
                     pass
             row.append(Slot(ins, src_block, src_index, moved))
         rows.append(row)
+        row_lines.append(line_no)
     if not rows:
         raise AsmSyntaxError(0, "empty schedule dump")
-    for r, row in enumerate(rows):
+    for line_no, row in zip(row_lines, rows):
         for s in row:
             if s is not None and s.instr.kind in JUMP_KINDS:
                 if s.instr.target is None or not 0 <= s.instr.target < len(rows):
-                    raise AsmSyntaxError(r + 1, "branch row target out of range")
+                    raise AsmSyntaxError(line_no, "branch row target out of range")
     return VliwProgram(lane_count=lanes, rows=rows,
                        row_block=[-1] * len(rows), maps=tuple(maps))
 

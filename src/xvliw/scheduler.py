@@ -13,15 +13,17 @@ whole program (``regalloc.assign_registers``), with the same per-row step.
 Structural scheduling runs once per block, at the full lane width. It
 keeps a ready list (Gibbons & Muchnick, SIGPLAN '86): a count of unplaced
 DDG predecessors per instruction, and the instructions whose count is
-zero, ordered by critical path. Each row is one pass over that list. Row
-feasibility mirrors the hardware's forwarding check: every instruction
-has at most one producer in the immediately previous row (two producers
-would demand two lanes at once), and two consumers of the same
-previous-row producer cannot share a row either. No dependence edge can
-join two instructions of one row, because an instruction is ready only
-once all its predecessors sit in earlier rows; that alone keeps helper
-calls one per row, since every call writes r0. When nothing fits, a new
-row is opened.
+zero, ordered by critical path. The count is over the edges ``build_ddg``
+keeps; they have the pairwise conflicts' closure, so each instruction
+becomes ready in the row it would under every conflict. Each row is one
+pass over that list. Row feasibility mirrors the hardware's forwarding
+check: every instruction has at most one producer in the immediately
+previous row (two producers would demand two lanes at once), and two
+consumers of the same previous-row producer cannot share a row either.
+No dependence edge can join two instructions of one row, because an
+instruction is ready only once all its predecessors sit in earlier rows;
+that alone keeps helper calls one per row, since every call writes r0.
+When nothing fits, a new row is opened.
 
 Upward code motion then fills empty slots from later blocks. A mover keeps
 its registers: it goes into the earliest row of its new block that

@@ -451,16 +451,44 @@ def pairwise_ddg_edges(block, program):
     return edges
 
 
+def _closure(nodes, preds: dict) -> dict:
+    """Each node's transitive predecessors, as a bit set over indices."""
+    reach = {}
+    for j in nodes:
+        bits = 0
+        for i in preds[j]:
+            bits |= reach[i] | (1 << i)
+        reach[j] = bits
+    return reach
+
+
 class TestDDGMatchesPairwise:
-    """``build_ddg``'s predecessor, successor and RAW-predecessor sets
-    equal those of the pairwise oracle's edges."""
+    """``build_ddg`` keeps a subset of the pairwise oracle's edges with the
+    same closure: every kept edge is a pairwise conflict with the pairwise
+    RAW label, the transitive closures are equal, and every dropped RAW
+    pair has a later writer of the producer's symbol between them that
+    is itself a kept RAW predecessor of the reader."""
 
     @staticmethod
     def assert_blocks_match(program):
         for blk in build_program_cfg(program).blocks:
             ddg = build_ddg(blk, program)
-            assert (ddg.preds, ddg.succs, ddg.raw_preds) == dependence_sets(
-                blk.indices(), pairwise_ddg_edges(blk, program)), blk
+            nodes = list(blk.indices())
+            edges = pairwise_ddg_edges(blk, program)
+            preds, succs, raw_preds = dependence_sets(nodes, edges)
+            for j in nodes:
+                assert ddg.preds[j] <= preds[j], (blk, j)
+                assert ddg.raw_preds[j] == ddg.preds[j] & raw_preds[j], (blk, j)
+                assert ddg.succs[j] == {k for k in nodes if j in ddg.preds[k]}
+            assert _closure(nodes, ddg.preds) == _closure(nodes, preds), blk
+            for j in nodes:
+                inputs = io_sets(program[j]).inputs
+                for i in raw_preds[j] - ddg.raw_preds[j]:
+                    assert any(
+                        sym in io_sets(program[k]).outputs
+                        and sets_conflict({sym}, inputs)
+                        for k in ddg.raw_preds[j] if i < k
+                        for sym in io_sets(program[i]).outputs), (blk, i, j)
 
     @pytest.mark.parametrize("name", names())
     def test_corpus_before_and_after_peephole(self, name):
@@ -476,8 +504,11 @@ class TestDDGMatchesPairwise:
 
     def test_large_block_with_memory_and_maps(self):
         prog = parse_asm(straight_line_source(random.Random(300), 300))
-        assert len(build_program_cfg(prog).blocks) == 1
+        blocks = build_program_cfg(prog).blocks
+        assert len(blocks) == 1
         self.assert_blocks_match(prog)
+        ddg = build_ddg(blocks[0], prog)
+        assert sum(map(len, ddg.preds.values())) <= 4 * len(ddg.nodes)
 
 
 def _record_programs():

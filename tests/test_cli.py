@@ -233,6 +233,15 @@ def test_run_dump_with_bad_fields_fails(capsys, tmp_path, slot, message):
     assert err.startswith("error: line ") and message in err.splitlines()[0]
 
 
+def test_run_dump_names_the_line_of_a_bad_row_target(capsys, tmp_path):
+    dump = tmp_path / "far.vliw"
+    dump.write_text("# xvliw schedule lanes=2\nr0 = 1 | ---\n"
+                    "goto @9 | ---\nexit | ---\n")
+    rc, _, err = invoke(capsys, "run", str(dump), "--engine", "vliw")
+    assert rc == 1
+    assert err.startswith("error: line 3: branch row target out of range")
+
+
 def test_compile_with_a_leading_zero_literal_fails(capsys, tmp_path):
     listing = tmp_path / "zero.s"
     listing.write_text("r0 = 1\nr1 = *(u32 *)(r10 - 08)\nexit\n")

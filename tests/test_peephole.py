@@ -336,6 +336,11 @@ class TestEarlyExit:
 
 
 class TestDriver:
+    def test_unreachable_pairs_not_fused(self):
+        prog = parse_asm("r0 = 1\nexit\nr3 = r1\nr3 += 1\nr0 = 2\nexit\n")
+        _, stats = peephole(prog)
+        assert (stats.three_operand, stats.early_exit) == (0, 1)
+
     def test_no_patterns_identity(self):
         prog = parse_asm("r3 += r4\nr0 = r3\nexit\n")
         out, stats = peephole(prog)
