@@ -125,9 +125,11 @@ class Instruction:
     branch/jump destination. ``region``, set at Program build time, is the
     io symbol of the memory a load or store touches, or the ``("map",
     id)`` of a call whose map is known; None reads as all memory (all maps
-    for a call). ``io`` is the ``io_sets`` memo and ``step`` the execution
-    engines' decoded step (``vm.decode_step``): both outside ``__init__``,
-    equality, hashing and ``repr``, and never carried over by ``replace``.
+    for a call). ``io`` is the ``io_sets`` memo, ``checked`` is set once
+    ``field_problem`` passed the fields, and ``step`` is the execution
+    engines' decoded step (``vm.decode_step``): all three outside
+    ``__init__``, equality, hashing and ``repr``, and never carried over by
+    ``replace``.
     """
     kind: Kind
     op: str | None = None
@@ -141,6 +143,8 @@ class Instruction:
     region: tuple | None = None
     io: IoSets | None = field(default=None, init=False, repr=False,
                               compare=False)
+    checked: bool = field(default=False, init=False, repr=False,
+                          compare=False)
     step: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
 
@@ -225,6 +229,7 @@ class ProgramAnalysis:
 # the slots' own setters: a frozen dataclass refuses ``setattr``, and
 # ``object.__setattr__`` costs three times as much
 _keep_io = Instruction.io.__set__
+_keep_checked = Instruction.checked.__set__
 _keep_analysis = Program.analysis.__set__
 
 
@@ -271,7 +276,10 @@ def build_program(instructions, maps=(), states=None) -> Program:
 def field_problem(ins: Instruction) -> str | None:
     """What is wrong with one instruction's own fields, or None: a register
     outside r0-r10, a write to r10, or a width other than 1, 2, 4 or 8 for a
-    load or store and 6 for load48 and store48. Targets are not checked."""
+    load or store and 6 for load48 and store48. Targets are not checked.
+    Sound fields are marked ``checked`` and not checked again."""
+    if ins.checked:
+        return None
     for r in (ins.dst, ins.src, ins.src2):
         if r is not None and not 0 <= r < NUM_REGS:
             return f"register index {r} out of range"
@@ -284,6 +292,7 @@ def field_problem(ins: Instruction) -> str | None:
             return f"{k.value} width {ins.width} is not 1, 2, 4 or 8 bytes"
     elif (ins.width == 6) != (k is Kind.LOAD48 or k is Kind.STORE48):
         return "6-byte width outside load48/store48"
+    _keep_checked(ins, True)
     return None
 
 
@@ -584,7 +593,8 @@ def annotate_regions(instrs, states):
     """Set the ``region`` of each reachable memory op and helper call from
     the provenance scan's ``states`` (which read no region); an unreachable
     one keeps its region. An instruction whose region is unchanged is kept
-    as the same object, with its ``io_sets`` memo."""
+    as the same object, with its ``io_sets`` memo; a copy keeps the
+    ``checked`` mark, as ``field_problem`` reads no region."""
     annotated = []
     for ins, st in zip(instrs, states):
         k = ins.kind
@@ -593,7 +603,9 @@ def annotate_regions(instrs, states):
                     ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src)
             region = _region(st[base], ins)
             if region != ins.region:
+                checked = ins.checked
                 ins = replace(ins, region=region)
+                _keep_checked(ins, checked)
         annotated.append(ins)
     return annotated
 

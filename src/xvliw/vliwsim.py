@@ -1,26 +1,38 @@
 """Row-by-row simulator of the 4-lane, 4-stage soft processor.
 
-Within a row every lane reads the pre-row machine state (simultaneous
-issue); writes commit after the row. When several branch slots are taken
-the lowest lane index wins (lane order is taken-branch priority). An exit
-slot ends execution after its row commits.
+Within a row every lane reads the pre-row registers and memory
+(simultaneous issue) and its writes commit after the row; only a helper
+acts as its lane is evaluated, in lane order, so later lanes of the row
+read the maps, packet and bounds it left. When several branch slots are
+taken the lowest lane index wins (lane order is taken-branch priority).
+An exit slot ends execution after its row commits.
 
 Cycle accounting: one row per cycle in steady state plus the pipeline
 drain (depth - 1 cycles) at exit. The drain is waived when the
 terminating instruction is a parametrized exit, or a bare exit whose
 action register was not written in the previous in-flight rows - those
 are the cases the fetch stage can recognise and stop early, saving the
-three remaining cycles.
+three remaining cycles. A ``RunReport`` also gives the lane utilisation
+(instructions over rows times lanes) and the drain cycles.
 
 Each row is decoded once, on its first execution, into its lanes' steps
 (``vm.decode_step``, shared with the oracle wherever the instruction
-objects are shared) and its static facts: whether two lanes write one
-register, whether it holds two or more stores (only such rows run the
-overlap test), whether it writes r0, and where its controls sit. The
-cache is the program's declared ``VliwProgram.decoded`` field. Every
-dynamic check remains: both ``RowConflict``s, raised when the row
-executes and in lane order; the bounds guard on every access and again on
-every store at commit; the row budget and the row-pointer trap.
+objects are shared), kept in the program's ``VliwProgram.decoded`` field.
+The decode also settles, from the row's own facts and never its region
+annotations, whether the row may commit each lane as it runs, in lane
+order; no lane can tell that from the hardware order below when
+  (a) no lane reads a register an earlier lane writes (the registers among
+      its ``io_sets`` inputs; a call reads r1-r5),
+  (b) no two lanes write one register,
+  (c) no load, store or call follows a store, except disjoint frame
+      stores (``vm.frame_offset``); any lane may follow a call,
+  (d) and where a lane that can trap (``vm.TRAPPING``) follows a register
+      write, the row saves the registers and restores them on a ``VmTrap``.
+Any other row runs as the hardware implies: every lane is evaluated, the
+first ``RowConflict`` in lane order is raised, then the lanes commit; in a
+row that holds a call each store is located again at commit, as the
+helper (adjust_head, map_delete) may have moved the bounds. Both orders
+keep the bounds guard, the row budget and the row-pointer trap.
 
 Per-row trace lines are built only when a caller asks for them
 (``exec_vliw(..., trace=True)``); formatting them costs more than
@@ -34,19 +46,23 @@ from dataclasses import dataclass
 from .analysis import bernstein_ok
 from .asm import format_instruction
 from .errors import RowConflict, VmTrap
-from .isa import JUMP_KINDS, Kind
+from .isa import (FRAME_REG, JUMP_KINDS, NUM_REGS, R0, Kind, io_sets,
+                  reg as reg_symbol)
 from .schedule import VliwProgram, cross_lane_violations
 from .vm import (
     Limits,
     MachineState,
     MapStore,
     PacketContext,
-    STEP_EXIT,
+    STEP_BRANCH,
     STEP_STORE,
     STEP_WRITE,
     XDP_ABORTED,
     XdpResult,
+    TRAPPING,
+    commit_store,
     decode_step,
+    frame_offset,
     result_action,
     write_mem,
 )
@@ -62,6 +78,8 @@ class RunReport:
     instructions_executed: int
     cycles: int
     dynamic_ipc: float
+    lane_utilisation: float     # instructions / (rows x lanes)
+    drain_cycles: int           # cycles past one per row: the pipeline drain
     trace_lines: list[str] | None = None    # one line per row, when asked for
 
     def as_dict(self):
@@ -71,6 +89,8 @@ class RunReport:
             "instructions_executed": self.instructions_executed,
             "cycles": self.cycles,
             "dynamic_ipc": round(self.dynamic_ipc, 4),
+            "lane_utilisation": round(self.lane_utilisation, 4),
+            "drain_cycles": self.drain_cycles,
         }
 
 
@@ -112,49 +132,65 @@ def hazard_check(vliw: VliwProgram) -> list[str]:
 
 def _decode_row(row) -> tuple:
     """Decode one row into its lanes' steps and the row's static facts:
-    (lanes, stores, controls, check, writes_r0).
+    (lanes, undo, writes_r0, guard).
 
-    ``lanes`` holds (handler, instruction, k, reg) per occupied lane, in
-    lane order, ``reg`` the register the lane writes or None. ``stores``
-    holds the positions in ``lanes`` of the stores, ``controls`` (position,
-    exits, early exit) of each branch, jump or exit. ``check`` is true
-    only where a conflict is possible: two lanes write one register (which
-    one an instruction writes never depends on the state), or two or more
-    stores must be tested for overlap. ``writes_r0`` is whether a lane
-    writes r0."""
+    ``lanes`` holds (handler, instruction, k, reg, form, position) per
+    occupied lane, in lane order, ``reg`` the register the lane writes or
+    None. ``guard`` is None when the lanes may commit as they run (rules
+    (a)-(c) of the module docstring), and ``undo`` then is rule (d).
+    Otherwise ``guard`` is whether the row holds a call."""
     lanes = []
-    stores = controls = ()
-    written = 0                             # bit r: some lane writes r
-    check = False
+    written = set()             # the register symbols earlier lanes write
+    stores = []                 # each earlier store's frame byte span, or None
+    in_order = True
+    undo = False
     for s in row:
         if s is None:
             continue
         ins = s.instr
         handler, form, reg, k = ins.step or decode_step(ins)
-        if reg is not None:
-            if written >> reg & 1:
-                check = True
-            written |= 1 << reg
+        if written:
+            if not written.isdisjoint(
+                    _CALL_READS if ins.kind is Kind.CALL
+                    else (ins.io or io_sets(ins)).inputs) or \
+                    reg is not None and _REGS[reg] in written:  # (a), (b)
+                in_order = False
+            if handler in TRAPPING:                             # (d)
+                undo = True
         if form == STEP_STORE:
-            stores += (len(lanes),)
-        elif form != STEP_WRITE:
-            controls += ((len(lanes), form == STEP_EXIT,
-                          ins.kind is Kind.EARLY_EXIT),)
-        lanes.append((handler, ins, k, reg))
-    return tuple(lanes), stores, controls, check or len(stores) > 1, written & 1
+            off = frame_offset(ins) if ins.dst == FRAME_REG else None
+            span = None if off is None else (off, off + ins.width)
+            if stores and (span is None or any(
+                    sp is None or span[0] < sp[1] and sp[0] < span[1]
+                    for sp in stores)):                         # (c)
+                in_order = False
+            stores.append(span)
+        elif stores and ins.kind in _LOAD_OR_CALL:              # (c)
+            in_order = False
+        if reg is not None:
+            written.add(_REGS[reg])
+        lanes.append((handler, ins, k, reg, form, len(lanes)))
+    guard = None if in_order else any(
+        lane[1].kind is Kind.CALL for lane in lanes)
+    return lanes, undo and in_order, R0 in written, guard
 
 
-def _check_row(lanes, stores, values, rp):
+_REGS = tuple(map(reg_symbol, range(NUM_REGS)))
+_CALL_READS = frozenset(_REGS[1:6])     # a helper may read any of r1-r5
+_LOAD_OR_CALL = frozenset((Kind.LOAD, Kind.LOAD48, Kind.CALL))
+
+
+def _check_row(lanes, values, rp):
     """Raise the row's first ``RowConflict`` in lane order, if any: a
     register two lanes write, or a store overlapping an earlier one."""
     writes: set[int] = set()
     spans: list[tuple[int, int]] = []
-    for i, (_, _, _, reg) in enumerate(lanes):
+    for _, _, _, reg, form, i in lanes:
         if reg is not None:
             if reg in writes:
                 raise RowConflict(f"row {rp}: two lanes write r{reg}")
             writes.add(reg)
-        elif i in stores:
+        elif form == STEP_STORE:
             addr, data, _ = values[i]
             for lo, hi in spans:
                 if addr < hi and lo < addr + len(data):
@@ -182,13 +218,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
     rp = 0
     finished = False
     savings = False
-
-    def final_result(trapped=False, trap=None):
-        code = regs[0]
-        action = XDP_ABORTED if trapped else result_action(code)
-        return XdpResult(action, 0 if trapped else code, packet.visible(),
-                         maps.snapshot(), redirect_target=state.redirect_target,
-                         trapped=trapped, trap=trap)
+    saved = None
 
     try:
         while not finished:
@@ -199,59 +229,70 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
             row = decoded[rp]
             if row is None:
                 row = decoded[rp] = _decode_row(rows[rp])
-            lanes, stores, controls, check, writes_r0 = row
-            # every lane reads the pre-row state; writes commit after the row
-            values = []
-            for handler, ins, k, _ in lanes:
-                values.append(handler(state, regs, ins, k, rp))
-            if check:
-                _check_row(lanes, stores, values, rp)
-            for i, (_, _, _, reg) in enumerate(lanes):
-                if reg is not None:
-                    regs[reg] = values[i]
-                elif i in stores:
-                    # guarded again: a helper on another lane (adjust_head,
-                    # map_delete) may have moved the bounds since
-                    addr, data, _ = values[i]
-                    write_mem(state, addr, data, rp)
+            lanes, undo, writes_r0, guard = row
+            taken = None                    # position in ``lanes``
+            next_rp = rp + 1
+            values = None
+            if guard is not None:
+                # every lane reads the pre-row state; nothing commits
+                # before the whole row has run
+                values = [handler(state, regs, ins, k, rp)
+                          for handler, ins, k, _, _, _ in lanes]
+                _check_row(lanes, values, rp)
+            elif undo:
+                saved = regs.copy()
+            try:
+                # lanes commit in index order, so the first control wins
+                for handler, ins, k, reg, form, i in lanes:
+                    value = (handler(state, regs, ins, k, rp) if values is None
+                             else values[i])
+                    if form == STEP_WRITE:
+                        regs[reg] = value
+                    elif form == STEP_STORE:
+                        if guard:
+                            # located again: the row's helper (adjust_head,
+                            # map_delete) may have moved the bounds since
+                            write_mem(state, value[0], value[1], rp)
+                        else:
+                            commit_store(value[1], *value[2])
+                    elif form == STEP_BRANCH:
+                        if value is not None and taken is None:
+                            taken, next_rp = i, value
+                    else:
+                        if reg is not None:
+                            regs[reg] = value
+                        if taken is None:
+                            taken, finished = i, True
+            except VmTrap:
+                if undo:
+                    regs[:] = saved
+                raise
 
             rows_executed += 1
             instructions += len(lanes)
             if writes_r0:
                 last_r0_row = rows_executed
-
-            # lanes run in index order, so the first control wins
-            taken = None                    # position in ``lanes``
-            next_rp = rp + 1
-            for i, exits, early in controls:
-                if exits:
-                    finished = True
-                    savings = (early
-                               or rows_executed - last_r0_row >= PIPELINE_DEPTH)
-                elif values[i] is None:
-                    continue
-                else:
-                    next_rp = values[i]
-                taken = i
-                break
+            if finished:
+                savings = (lanes[taken][1].kind is Kind.EARLY_EXIT
+                           or rows_executed - last_r0_row >= PIPELINE_DEPTH)
             if lines is not None:
                 lines.append(_trace_line(rows_executed, rp, rows[rp], taken))
             rp = next_rp
     except VmTrap as exc:
         rows_executed = max(rows_executed, 1)
+        result = XdpResult(XDP_ABORTED, 0, packet.visible(), maps.snapshot(),
+                           redirect_target=state.redirect_target,
+                           trapped=True, trap=str(exc))
         cycles = rows_executed + PIPELINE_DEPTH - 1
-        report = RunReport(final_result(trapped=True, trap=str(exc)),
-                           rows_executed, instructions, cycles,
-                           instructions / rows_executed, lines)
-        return report, state
-
-    cycles = rows_executed
-    if not savings:
-        cycles += PIPELINE_DEPTH - 1
-    report = RunReport(final_result(), rows_executed, instructions, cycles,
-                       instructions / rows_executed if rows_executed else 0.0,
-                       lines)
-    return report, state
+    else:
+        code = regs[0]
+        result = XdpResult(result_action(code), code, packet.visible(),
+                           maps.snapshot(), redirect_target=state.redirect_target)
+        cycles = rows_executed if savings else rows_executed + PIPELINE_DEPTH - 1
+    return RunReport(result, rows_executed, instructions, cycles,
+                     instructions / rows_executed,
+                     instructions / (rows_executed * vliw.lane_count),
+                     cycles - rows_executed, lines), state
 
 
 def _trace_line(cycle, row_index, row, taken):

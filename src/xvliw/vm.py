@@ -29,13 +29,19 @@ sign-extended immediate, a constant result, a helper). The step is kept
 in the instruction's declared ``step`` field, so every later run of the
 program reuses it, and so does the VLIW simulator wherever it runs the
 same instruction objects. The handlers are the one definition of the
-instruction semantics. Decoding drops no dynamic check: every load and
-store is located by the guard when it is evaluated, and the instruction
-budget and the pc trap are as before. A store step returns the location
-it was given; the oracle writes there at once, as nothing runs between a
-step and its commit. The VLIW simulator guards every store again at
-commit, since a helper on another lane of the row may have moved the
-bounds.
+instruction semantics. Decoding first checks the instruction's own fields
+(``isa.field_problem``), also in a program built past ``build_program``,
+and raises ``ProgramError`` on a bad one. So no engine runs a write to
+r10, which holds the frame base all run long, and a load or store
+addressed from r10 whose bytes lie inside the stack window
+(``frame_offset``) never traps: it decodes to a handler that indexes the
+stack at a constant offset. Every other load and store is located by the
+guard when it is evaluated; a load then reads through a precompiled
+``struct``. The instruction budget and the pc trap are as before. A store
+step returns the location it was given; the oracle writes there at once,
+as nothing runs between a step and its commit. Only a helper can move
+the bounds, so the VLIW simulator locates a store again only in a row
+that holds a call.
 
 A result's map snapshot (``MapStore.snapshot``) holds, per map id, each
 allocated key's value bytes: every index of an array map, every live key
@@ -60,7 +66,8 @@ from .errors import (
     VmTrap,
 )
 from .helpers import HELPERS
-from .isa import FRAME_REG, Instruction, Kind, MapDef, NUM_REGS, STACK_SIZE, Program
+from .isa import (FRAME_REG, Instruction, Kind, MapDef, NUM_REGS, STACK_SIZE,
+                  Program, field_problem)
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -339,10 +346,10 @@ def read_mem(state: MachineState, addr: int, width: int, pc: int = -1) -> bytes:
 
 
 def write_mem(state: MachineState, addr: int, data: bytes, pc: int = -1):
-    _commit(data, *hardware_bounds_guard(state, addr, len(data), True, pc))
+    commit_store(data, *hardware_bounds_guard(state, addr, len(data), True, pc))
 
 
-def _commit(data: bytes, buf, off: int, m):
+def commit_store(data: bytes, buf, off: int, m):
     """Write ``data`` where the bounds guard located it: ``buf[off:]``,
     through the map ``m`` when there is one, so its value table follows."""
     if m is None:
@@ -474,11 +481,20 @@ def _le(state, regs, ins, k, pc):                   # k: the kept bits
     return regs[ins.dst] & k                        # truncate on this model
 
 
-def _load(state, regs, ins, k, pc):
-    width = ins.width
+# width -> unpack_from of a little-endian unsigned field of that width
+_UNPACK = {width: struct.Struct("<" + code).unpack_from
+           for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+_UNPACK[6] = lambda buf, off: (int.from_bytes(buf[off:off + 6], "little"),)
+
+
+def _load(state, regs, ins, k, pc):                 # k: the width's unpack
     buf, off, _ = hardware_bounds_guard(
-        state, (regs[ins.src] + ins.offset) & MASK64, width, False, pc)
-    return int.from_bytes(buf[off:off + width], "little")
+        state, (regs[ins.src] + ins.offset) & MASK64, ins.width, False, pc)
+    return k(buf, off)[0]
+
+
+def _frame_load(state, regs, ins, k, pc):           # k: (unpack, stack offset)
+    return k[0](state.stack, k[1])[0]
 
 
 def _store_reg(state, regs, ins, k, pc):            # k: the width's mask
@@ -491,6 +507,17 @@ def _store_reg(state, regs, ins, k, pc):            # k: the width's mask
 def _store_imm(state, regs, ins, k, pc):            # k: the stored bytes
     addr = (regs[ins.dst] + ins.offset) & MASK64
     return addr, k, hardware_bounds_guard(state, addr, ins.width, True, pc)
+
+
+def _frame_store_reg(state, regs, ins, k, pc):      # k: (mask, stack offset)
+    mask, off = k
+    data = (regs[ins.src] & mask).to_bytes(ins.width, "little")
+    return STACK_BASE + off, data, (state.stack, off, None)
+
+
+def _frame_store_imm(state, regs, ins, k, pc):      # k: (bytes, stack offset)
+    data, off = k
+    return STACK_BASE + off, data, (state.stack, off, None)
 
 
 def _jump(state, regs, ins, k, pc):
@@ -509,10 +536,17 @@ def _unknown_helper(state, regs, ins, k, pc):
     raise UnknownHelper(ins.imm)
 
 
+# the handlers that can raise a VmTrap: a frame access never does
+TRAPPING = frozenset((_load, _store_reg, _store_imm, _call, _unknown_helper))
+
+
 def decode_step(ins: Instruction) -> tuple:
     """Decode ``ins`` into its step and keep the step in the instruction's
     ``step`` field; the engines call this on an instruction's first
     execution and read the field after that."""
+    problem = field_problem(ins)
+    if problem is not None:
+        raise ProgramError(problem)
     k = ins.kind
     if k is Kind.ALU_BINARY:
         width = 64 if ins.width == 64 else 32
@@ -527,14 +561,20 @@ def decode_step(ins: Instruction) -> tuple:
     elif k is Kind.MOV_REG:
         step = (_mov64 if ins.width == 64 else _mov32, STEP_WRITE, ins.dst, None)
     elif k is Kind.LOAD or k is Kind.LOAD48:
-        step = (_load, STEP_WRITE, ins.dst, None)
+        off = frame_offset(ins) if ins.src == FRAME_REG else None
+        unpack = _UNPACK[ins.width]
+        step = ((_load, STEP_WRITE, ins.dst, unpack) if off is None
+                else (_frame_load, STEP_WRITE, ins.dst, (unpack, off)))
     elif k is Kind.STORE or k is Kind.STORE48:
         mask = (1 << (ins.width * 8)) - 1
+        off = frame_offset(ins) if ins.dst == FRAME_REG else None
         if ins.src is None:
-            step = (_store_imm, STEP_STORE, None,
-                    (sx32(ins.imm) & mask).to_bytes(ins.width, "little"))
+            data = (sx32(ins.imm) & mask).to_bytes(ins.width, "little")
+            step = ((_store_imm, STEP_STORE, None, data) if off is None
+                    else (_frame_store_imm, STEP_STORE, None, (data, off)))
         else:
-            step = (_store_reg, STEP_STORE, None, mask)
+            step = ((_store_reg, STEP_STORE, None, mask) if off is None
+                    else (_frame_store_reg, STEP_STORE, None, (mask, off)))
     elif k is Kind.BRANCH:
         handler = (_BRANCH_IMM if ins.src is None else _BRANCH_REG).get(ins.op)
         if handler is None:
@@ -576,6 +616,13 @@ def decode_step(ins: Instruction) -> tuple:
 # the slot's own setter: a frozen dataclass refuses ``setattr``, and
 # ``object.__setattr__`` costs three times as much
 _keep_step = Instruction.step.__set__
+
+
+def frame_offset(ins: Instruction) -> int | None:
+    """The stack offset of a load or store addressed from r10, when its
+    bytes lie inside the stack window; else None."""
+    off = STACK_SIZE + ins.offset
+    return off if 0 <= off <= STACK_SIZE - ins.width else None
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +799,7 @@ def exec_sequential(program: Program, packet: PacketContext, maps: MapStore,
             elif form == STEP_STORE:
                 # commit where the step located the store: nothing has
                 # run since
-                _commit(value[1], *value[2])
+                commit_store(value[1], *value[2])
                 pc += 1
             elif form == STEP_BRANCH:
                 pc = pc + 1 if value is None else value

@@ -89,6 +89,21 @@ def test_run_corpus_both_engines(capsys, tmp_path):
     assert "EQUIVALENT" in out and "PASS(2)" in out
 
 
+def test_run_json_report_has_lane_utilisation_and_drain(capsys, tmp_path):
+    entry = CORPUS["simple_firewall"]
+    pkts = tmp_path / "pkts.txt"
+    pkts.write_text(entry.packets[0][0] + "\n")
+    rc, out, _ = invoke(capsys, "run", "corpus:simple_firewall", "--packets",
+                        str(pkts), "--port", "1", "--engine", "vliw",
+                        "--lanes", "4", "--report", "json")
+    assert rc == 0
+    vliw = json.loads(out)["vliw"]
+    assert vliw["drain_cycles"] == vliw["cycles"] - vliw["rows_executed"]
+    assert vliw["lane_utilisation"] == round(
+        vliw["instructions_executed"] / (vliw["rows_executed"] * 4), 4)
+    assert 0 < vliw["lane_utilisation"] <= 1
+
+
 def test_run_drop_all(capsys, tmp_path):
     pkts = tmp_path / "pkts.txt"
     pkts.write_text("00" * 64 + "\n" + "11" * 80 + "\n")

@@ -5,7 +5,8 @@ import pytest
 from conftest import corpus_stores
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
-from xvliw.isa import Instruction, Kind
+from xvliw.errors import ProgramError
+from xvliw.isa import Instruction, Kind, Program
 from xvliw.schedule import Slot, VliwProgram, parse_dump
 from xvliw.vliwsim import PIPELINE_DEPTH, exec_vliw, hazard_check
 from xvliw.vm import (
@@ -87,7 +88,9 @@ class TestExecution:
         wide = Instruction(Kind.STORE, width=8, dst=10, imm=0x11, offset=-8)
         narrow = Instruction(Kind.STORE, width=4, dst=10, imm=0x22, offset=-4)
         apart = Instruction(Kind.STORE, width=4, dst=10, imm=0x33, offset=-12)
-        for lanes in ((wide, narrow), (narrow, wide), (apart, wide, narrow)):
+        of_r1 = Instruction(Kind.STORE, width=2, dst=10, src=1, offset=-6)
+        for lanes in ((wide, narrow), (narrow, wide), (apart, wide, narrow),
+                      (wide, of_r1)):
             rows = [row(*lanes), row(Instruction(Kind.EXIT))]
             rep, state = run(vliw_of(rows))
             assert rep.result.trapped, lanes
@@ -130,10 +133,12 @@ class TestExecution:
                      row(Instruction(Kind.EXIT))])
         rep, _ = run(v)
         assert rep.cycles == 2 + PIPELINE_DEPTH - 1
+        assert rep.drain_cycles == PIPELINE_DEPTH - 1
         # the fused form saves the drain and the mov row
         v2 = vliw_of([row(Instruction(Kind.EARLY_EXIT, imm=2))])
         rep2, _ = run(v2)
         assert rep2.cycles == 1
+        assert rep2.drain_cycles == 0
         assert rep.cycles - rep2.cycles == PIPELINE_DEPTH
         # a bare exit with r0 written long before also stops at fetch
         filler = [row(Instruction(Kind.ALU_BINARY, op="add", width=64,
@@ -256,6 +261,129 @@ class TestExecution:
             assert res.trapped and reason in res.trap, (name, res.trap)
 
 
+class TestCommitOrder:
+    """A row behaves as if every lane read the pre-row state: a row in
+    which a lane could see another's result keeps hardware order, and a
+    row that commits its lanes as they run restores its registers when a
+    later lane traps."""
+
+    def test_helper_sees_the_pre_row_r2(self):
+        prog = parse_asm("""
+        .map 1 hash 4 8 4
+          *(u32 *)(r10 - 4) = 1
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          r2 = 5
+          call map_lookup
+          exit
+        """)
+        ins = prog.instructions
+        rows = [row(i) for i in ins[:4]] + [row(ins[4], ins[5]), row(ins[6])]
+        maps = MapStore(prog.maps, [(1, b"\x01\0\0\0", bytes(range(8)))])
+        rep, state = run(vliw_of(rows), maps=maps)
+        assert not rep.result.trapped, rep.result.trap
+        assert state.regs[0] == maps.get(1).lookup(b"\x01\0\0\0") != 0
+        assert state.regs[2] == 5
+
+    def test_load_reads_the_pre_row_frame_bytes(self):
+        store = Instruction(Kind.STORE, width=4, dst=10, src=1, offset=-8)
+        load = Instruction(Kind.LOAD, width=4, dst=3, src=10, offset=-8)
+        rows = [row(store, load), row(Instruction(Kind.EXIT))]
+        rep, state = run(vliw_of(rows))
+        assert not rep.result.trapped
+        assert state.regs[3] == 0
+        assert state.stack[-8:-4] == state.regs[1].to_bytes(4, "little")
+
+    def test_a_trap_leaves_the_earlier_lanes_registers_unwritten(self):
+        # the mov commits before the load runs; the load's trap undoes it
+        rows = [row(Instruction(Kind.LOAD, width=4, dst=2, src=1, offset=0)),
+                row(Instruction(Kind.MOV_IMM, width=64, dst=3, imm=7),
+                    Instruction(Kind.LOAD, width=1, dst=4, src=2, offset=200)),
+                row(Instruction(Kind.EXIT))]
+        rep, state = run(vliw_of(rows), packet=b"\x00" * 20)
+        assert rep.result.trapped and "outside packet bounds" in rep.result.trap
+        assert state.regs[3] == 0 and state.regs[4] == 0
+
+    def test_a_lane_after_adjust_head_sees_the_moved_bounds(self):
+        # a helper acts as its lane is evaluated, so an access on a later
+        # lane is located against the bounds adjust_head left, and one on
+        # an earlier lane against the bounds from before the row
+        load = Instruction(Kind.LOAD, width=4, dst=6, src=1, offset=0)
+        call = Instruction(Kind.CALL, imm=44)              # adjust_head
+        tail = [row(Instruction(Kind.MOV_IMM, width=64, dst=0, imm=2)),
+                row(Instruction(Kind.EXIT))]
+        grow = Instruction(Kind.MOV_IMM, width=64, dst=2, imm=-8)
+        store = Instruction(Kind.STORE, width=1, dst=6, imm=1, offset=-4)
+        rep, state = run(vliw_of([row(load, grow), row(call, store)] + tail))
+        assert not rep.result.trapped, rep.result.trap
+        assert rep.result.packet_out[4] == state.packet.buf[60] == 1
+        rep, state = run(vliw_of([row(load, grow), row(store, call)] + tail))
+        assert rep.result.trapped and "outside packet bounds" in rep.result.trap
+        assert state.packet.buf[60] == 0
+        shrink = Instruction(Kind.MOV_IMM, width=64, dst=2, imm=8)
+        read = Instruction(Kind.LOAD, width=1, dst=3, src=6, offset=0)
+        packet = b"\x5a" + b"\x00" * 63
+        rep, state = run(vliw_of([row(load, shrink), row(call, read)] + tail),
+                         packet=packet)
+        assert rep.result.trapped and "outside packet bounds" in rep.result.trap
+        assert state.regs[3] == 0
+        rep, state = run(vliw_of([row(load, shrink), row(read, call)] + tail),
+                         packet=packet)
+        assert not rep.result.trapped, rep.result.trap
+        assert state.regs[3] == 0x5a
+
+    def test_a_load_after_map_update_reads_the_new_value(self):
+        prog = parse_asm("""
+        .map 1 hash 4 8 4
+          *(u32 *)(r10 - 4) = 1
+          *(u64 *)(r10 - 16) = 9
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          call map_lookup
+          r6 = r0
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          r3 = r10
+          r3 += -16
+          r4 = 0
+          call map_update
+          r7 = *(u64 *)(r6 + 0)
+          r0 = 2
+          exit
+        """)
+        ins = prog.instructions
+        old = int.from_bytes(bytes(range(8)), "little")
+        for pair, r7 in (((ins[13], ins[14]), 9), ((ins[14], ins[13]), old)):
+            rows = [row(i) for i in ins[:13]] + [row(*pair)] + \
+                [row(i) for i in ins[15:]]
+            maps = MapStore(prog.maps, [(1, b"\x01\0\0\0", bytes(range(8)))])
+            rep, state = run(vliw_of(rows), maps=maps)
+            assert not rep.result.trapped, rep.result.trap
+            assert state.regs[7] == r7, pair
+            assert maps.snapshot() == {1: {b"\x01\0\0\0": bytes([9] + [0] * 7)}}
+
+
+class TestFieldChecks:
+    """Both engines refuse an instruction whose own fields are bad, even in
+    a program built directly, past ``build_program`` and ``parse_dump``."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (Instruction(Kind.MOV_IMM, width=64, dst=10, imm=0), "r10 is read-only"),
+        (Instruction(Kind.LOAD, width=3, dst=2, src=10, offset=-4),
+         "load width 3 is not 1, 2, 4 or 8 bytes"),
+    ])
+    def test_both_engines_raise_program_error(self, bad, message):
+        exit_ = Instruction(Kind.EXIT)
+        with pytest.raises(ProgramError, match=message):
+            exec_sequential(Program((bad, exit_)), PacketContext(b"\x00" * 64),
+                            MapStore())
+        with pytest.raises(ProgramError, match=message):
+            run(vliw_of([row(bad), row(exit_)]))
+
+
 class TestHazardCheck:
     def test_compiler_output_clean(self):
         from xvliw.corpus import CORPUS
@@ -316,6 +444,8 @@ class TestMeasureIpc:
         assert v.static_ipc == pytest.approx((4 + 1) / 2)
         assert mean_dynamic_ipc(v, [(b"\x00" * 64, 0)]) == \
             pytest.approx((4 + 1) / 2)
+        rep, _ = run(v)
+        assert rep.lane_utilisation == pytest.approx((4 + 1) / (2 * 4))
 
     def test_one_per_row(self):
         rows = [row(Instruction(Kind.ALU_BINARY, op="add", width=64, dst=2,

@@ -8,8 +8,10 @@ commit exported with ``git archive``, and the working tree's tracked and
 untracked files (those ``.gitignore`` does not exclude). Neither run writes
 into the checkout. For every workload and seed, ``perfbench/run.py`` runs
 once on each side, alternating which side runs first from one pair to the
-next. One more traced pair per workload (``--trace 1``, first seed) shows
-where time moved between layers.
+next. Traced pairs (``--trace 1``) on the first three seeds show where time
+moved between layers: one traced pair cannot place a layer change under
+about 20%, so each side's per-layer metrics are also summarised by their
+median over the three.
 
 The output's header names the base commit, the Python version and the
 platform, since the same code times differently under another CPython.
@@ -101,6 +103,15 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def layer_medians(traced: list[dict]) -> dict:
+    """Per per-layer metric, each side's median over the traced pairs."""
+    names = traced[0]["parent"]["metrics"]
+    return {name: {side: statistics.median(p[side]["metrics"][name]
+                                           for p in traced)
+                   for side in SIDES}
+            for name in names}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -131,13 +142,16 @@ def main(argv=None) -> int:
                 pairs.append(run_pair(dirs, workload, seed, seconds, False,
                                       change_first=k % 2 == 1))
                 k += 1
-            traced = run_pair(dirs, workload, args.seeds[0], seconds, True,
-                              change_first=k % 2 == 1)
-            k += 1
+            traced = []
+            for seed in args.seeds[:3]:
+                traced.append(run_pair(dirs, workload, seed, seconds, True,
+                                       change_first=k % 2 == 1))
+                k += 1
             result["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarize(pairs, spec["end_to_end"]),
-                "traced_pair": traced,
+                "traced_pairs": traced,
+                "layer_medians": layer_medians(traced),
             }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, res in result["workloads"].items():
