@@ -16,12 +16,15 @@ Kernel-style mnemonics plus the infix sugar used throughout the listings:
 Labels are ``name:`` on their own line. ``w`` registers select the 32-bit
 ALU forms. Comments start with ``;`` or ``#``. A number is hex after
 ``0x``, else decimal; ``010``, which C reads as octal, does not parse.
+
+A line tries the one pattern its leading shape allows: a keyword, ``*(``
+(a store), the operator of ``rX op= ...`` or the right side of ``rX = ...``.
+Labels are found first, so that each branch is built with its target.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from .errors import AsmSyntaxError, UndefinedLabel, UnknownMnemonic
 from .helpers import HELPER_IDS, HELPERS
@@ -90,167 +93,173 @@ def _int(text):
 
 def parse_asm(text: str) -> Program:
     """Parse assembly text into a validated Program."""
-    instrs, maps, labels, fixups = _parse_lines(text)
-    resolved = []
-    for idx, ins in enumerate(instrs):
-        if idx in fixups:
-            name, line_no = fixups[idx]
-            if name not in labels:
-                raise UndefinedLabel(line_no, f"undefined label {name!r}")
-            ins = replace(ins, target=labels[name])
-        resolved.append(ins)
-    return build_program(resolved, maps)
-
-
-def _parse_lines(text):
+    labels: dict[str, int] = {}
+    lines = []                  # (line number, text, .map match or None)
+    count = 0                   # instruction lines so far
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = (re.split(r"[;#]", raw, maxsplit=1)[0] if ";" in raw or "#" in raw
+                else raw).strip()
+        if line[-1:] == ":" and (m := _re_label.match(line)):
+            labels[m.group(1)] = count
+        elif line:
+            m = _re_map_def.match(line) if line[0] == "." else None
+            lines.append((line_no, line, m))
+            count += m is None
     instrs: list[Instruction] = []
     maps: list[MapDef] = []
-    labels: dict[str, int] = {}
-    fixups: dict[int, tuple[str, int]] = {}
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"[;#]", raw, maxsplit=1)[0].strip()
-        if not line:
-            continue
-        m = _re_label.match(line)
-        if m:
-            labels[m.group(1)] = len(instrs)
-            continue
-        m = _re_map_def.match(line)
-        if m:
+    missing: list[UndefinedLabel] = []      # one per unknown target
+    for line_no, line, m in lines:
+        if m is None:
+            instrs.append(_parse_instruction(line, line_no, labels, missing))
+        else:
             maps.append(MapDef(int(m.group(1)), m.group(2), int(m.group(3)),
                                int(m.group(4)), int(m.group(5))))
-            continue
-        ins, label = _parse_instruction(line, line_no)
-        if label is not None:
-            fixups[len(instrs)] = (label, line_no)
-        instrs.append(ins)
-    return instrs, maps, labels, fixups
+    if missing:
+        raise missing[0]
+    return build_program(instrs, maps)
 
 
 def parse_instruction(line: str, line_no: int = 0) -> Instruction:
     """Parse a single instruction (no label targets). Used by the dump loader."""
-    ins, label = _parse_instruction(line.strip(), line_no)
-    if label is not None:
+    missing: list[UndefinedLabel] = []
+    ins = _parse_instruction(line.strip(), line_no, {}, missing)
+    if missing:
         raise AsmSyntaxError(line_no, "only @row targets allowed here")
     return ins
 
 
-def _parse_instruction(line, line_no):
-    if line == "exit":
-        return Instruction(Kind.EXIT), None
-    m = _re_early.match(line)
-    if m:
-        return Instruction(Kind.EARLY_EXIT, imm=_int(m.group(1))), None
-    m = _re_goto.match(line)
-    if m:
-        t = m.group(1)
-        if t.startswith("@"):
-            return Instruction(Kind.JUMP_ALWAYS, target=int(t[1:])), None
-        return Instruction(Kind.JUMP_ALWAYS, target=0), t
-    m = _re_call.match(line)
-    if m:
-        name = m.group(1)
-        if name.isdigit():
-            return Instruction(Kind.CALL, imm=int(name)), None
-        if name not in HELPER_IDS:
-            raise UnknownMnemonic(line_no, f"unknown helper {name!r}")
-        return Instruction(Kind.CALL, imm=HELPER_IDS[name]), None
-    m = _re_branch.match(line)
-    if m:
-        lcls, lreg, op, rcls, rreg, imm, target = m.groups()
-        if rcls is not None and lcls != rcls:
-            raise AsmSyntaxError(line_no, "mixed r/w registers in compare")
-        if lcls == "w":
-            raise UnknownMnemonic(line_no, "32-bit conditional jumps are unsupported")
-        kw = dict(op=CMP_SYMS[op], dst=int(lreg))
-        if rreg is not None:
-            kw["src"] = int(rreg)
-        else:
-            kw["imm"] = _int(imm)
-        if target.startswith("@"):
-            return Instruction(Kind.BRANCH, target=int(target[1:]), **kw), None
-        return Instruction(Kind.BRANCH, target=0, **kw), target
-    m = _re_load.match(line)
-    if m:
-        dst, wname, base, sign, off = m.group(1), m.group(2), m.group(3), m.group(4), m.group(5)
-        width = WIDTH_NAMES[wname]
-        offset = _int(off) * (-1 if sign == "-" else 1)
-        kind = Kind.LOAD48 if width == 6 else Kind.LOAD
-        return Instruction(kind, width=width, dst=int(dst), src=int(base),
-                           offset=offset), None
-    m = _re_store.match(line)
-    if m:
-        wname, base, sign, off, srcreg, imm = m.groups()
-        width = WIDTH_NAMES[wname]
-        offset = _int(off) * (-1 if sign == "-" else 1)
-        if width == 6:
-            if srcreg is None:
-                raise AsmSyntaxError(line_no, "store48 needs a register source")
-            return Instruction(Kind.STORE48, width=6, dst=int(base),
-                               src=int(srcreg), offset=offset), None
-        if srcreg is not None:
-            return Instruction(Kind.STORE, width=width, dst=int(base),
-                               src=int(srcreg), offset=offset), None
-        return Instruction(Kind.STORE, width=width, dst=int(base),
-                           offset=offset, imm=_int(imm)), None
-    m = _re_alu3.match(line)
-    if m:
-        dst, src, op, src2, imm = m.groups()
-        name = ALU_INFIX[op]
-        if name not in ALU3_OPS:
-            raise UnknownMnemonic(line_no, f"{op} not valid in three-operand form")
-        if src2 is not None:
-            return Instruction(Kind.ALU_THREE_OP, op=name, width=64, dst=int(dst),
-                               src=int(src), src2=int(src2)), None
-        return Instruction(Kind.ALU_THREE_OP, op=name, width=64, dst=int(dst),
-                           src=int(src), imm=_int(imm)), None
-    m = _re_neg.match(line)
-    if m:
-        dcls, dst, scls, src = m.groups()
-        if dst != src or dcls != scls:
-            raise AsmSyntaxError(line_no, "negation must be rX = -rX")
-        return Instruction(Kind.ALU_UNARY, op="neg",
-                           width=64 if dcls == "r" else 32, dst=int(dst)), None
-    m = _re_end.match(line)
-    if m:
-        dcls, dst, op, bits, scls, src = m.groups()
-        if dst != src:
-            raise AsmSyntaxError(line_no, "byteswap must be rX = be16 rX")
-        return Instruction(Kind.ALU_UNARY, op=op, width=64 if dcls == "r" else 32,
-                           dst=int(dst), imm=int(bits)), None
-    m = _re_lddw.match(line)
-    if m:
-        return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)),
-                           imm=int(m.group(2), 0) & 0xFFFFFFFFFFFFFFFF), None
-    m = _re_map_ref.match(line)
-    if m:
-        return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)), src=1,
-                           imm=_int(m.group(2))), None
-    m = _re_mov_reg.match(line)
-    if m:
-        dcls, dst, scls, src = m.groups()
-        if dcls != scls:
-            raise AsmSyntaxError(line_no, "mixed r/w registers in mov")
-        return Instruction(Kind.MOV_REG, width=64 if dcls == "r" else 32,
-                           dst=int(dst), src=int(src)), None
-    m = _re_mov_imm.match(line)
-    if m:
-        cls, dst, imm = m.groups()
-        return Instruction(Kind.MOV_IMM, width=64 if cls == "r" else 32,
-                           dst=int(dst), imm=_int(imm)), None
-    m = _re_alu.match(line)
-    if m:
-        dcls, dst, op, scls, src, imm = m.groups()
-        name = ALU_SYMS[op]
-        width = 64 if dcls == "r" else 32
-        if src is not None:
-            if dcls != scls:
+def _target(text, labels, line_no, missing):
+    """A ``@row`` or label target; an unknown label reads as 0, noted."""
+    if text[0] != "@" and text not in labels:
+        missing.append(UndefinedLabel(line_no, f"undefined label {text!r}"))
+    return int(text[1:]) if text[0] == "@" else labels.get(text, 0)
+
+
+def _operand(reg, imm):
+    """The ``(src, imm)`` fields of a register or an immediate operand."""
+    return (int(reg), 0) if reg is not None else (None, _int(imm))
+
+
+def _parse_instruction(line, line_no, labels, missing):
+    """One instruction, by the one pattern its leading shape allows."""
+    head = line[:1]
+    if head == "r" or head == "w":
+        eq = line.find("=")
+        if eq > 0 and line[:eq].rstrip()[-1].isdecimal():
+            return _parse_assignment(line, line_no, line[eq + 1:].lstrip())
+        m = _re_alu.match(line) if eq > 0 else None
+        if m:
+            dcls, dst, op, scls, src, imm = m.groups()
+            if src is not None and dcls != scls:
                 raise AsmSyntaxError(line_no, "mixed r/w registers in alu op")
-            return Instruction(Kind.ALU_BINARY, op=name, width=width,
-                               dst=int(dst), src=int(src)), None
-        return Instruction(Kind.ALU_BINARY, op=name, width=width,
-                           dst=int(dst), imm=_int(imm)), None
+            src, imm = _operand(src, imm)
+            return Instruction(Kind.ALU_BINARY, ALU_SYMS[op],
+                               64 if dcls == "r" else 32, int(dst), src, None,
+                               0, imm)
+    elif head == "*":
+        m = _re_store.match(line)
+        if m:
+            wname, base, sign, off, src, imm = m.groups()
+            width = WIDTH_NAMES[wname]
+            offset = _int(off) * (-1 if sign == "-" else 1)
+            if width == 6 and src is None:
+                raise AsmSyntaxError(line_no, "store48 needs a register source")
+            src, imm = _operand(src, imm)
+            return Instruction(Kind.STORE48 if width == 6 else Kind.STORE, None,
+                               width, int(base), src, None, offset, imm)
+    elif head == "i":
+        m = _re_branch.match(line)
+        if m:
+            lcls, lreg, op, rcls, rreg, imm, target = m.groups()
+            if rcls is not None and lcls != rcls:
+                raise AsmSyntaxError(line_no, "mixed r/w registers in compare")
+            if lcls == "w":
+                raise UnknownMnemonic(line_no, "32-bit conditional jumps are unsupported")
+            src, imm = _operand(rreg, imm)
+            return Instruction(Kind.BRANCH, CMP_SYMS[op], None, int(lreg), src,
+                               None, 0, imm,
+                               _target(target, labels, line_no, missing))
+    elif head == "g":
+        m = _re_goto.match(line)
+        if m:
+            return Instruction(Kind.JUMP_ALWAYS, target=_target(
+                m.group(1), labels, line_no, missing))
+    elif head == "e":
+        if line == "exit":
+            return Instruction(Kind.EXIT)
+        m = _re_early.match(line)
+        if m:
+            return Instruction(Kind.EARLY_EXIT, imm=_int(m.group(1)))
+    elif head == "c":
+        m = _re_call.match(line)
+        if m:
+            name = m.group(1)
+            if not name.isdecimal() and name not in HELPER_IDS:
+                raise UnknownMnemonic(line_no, f"unknown helper {name!r}")
+            return Instruction(Kind.CALL, imm=int(name) if name.isdecimal()
+                               else HELPER_IDS[name])
+    raise AsmSyntaxError(line_no, f"cannot parse {line!r}")
+
+
+def _parse_assignment(line, line_no, rhs):
+    """``rX = rhs``, by the one pattern the shape of ``rhs`` allows."""
+    head = rhs[:1]
+    width = 64 if line[0] == "r" else 32
+    if head == "*":
+        m = _re_load.match(line)
+        if m:
+            dst, wname, base, sign, off = m.groups()
+            size = WIDTH_NAMES[wname]
+            return Instruction(Kind.LOAD48 if size == 6 else Kind.LOAD, None,
+                               size, int(dst), int(base), None,
+                               _int(off) * (-1 if sign == "-" else 1))
+    elif head == "m":
+        m = _re_map_ref.match(line)
+        if m:
+            return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)), src=1,
+                               imm=_int(m.group(2)))
+    elif head == "b" or head == "l":
+        m = _re_end.match(line)
+        if m:
+            dcls, dst, op, bits, scls, src = m.groups()
+            if dst != src:
+                raise AsmSyntaxError(line_no, "byteswap must be rX = be16 rX")
+            return Instruction(Kind.ALU_UNARY, op=op, width=width, dst=int(dst),
+                               imm=int(bits))
+    elif head == "-" and rhs[1:].lstrip()[:1] in ("r", "w"):
+        m = _re_neg.match(line)
+        if m:
+            dcls, dst, scls, src = m.groups()
+            if dst != src or dcls != scls:
+                raise AsmSyntaxError(line_no, "negation must be rX = -rX")
+            return Instruction(Kind.ALU_UNARY, op="neg", width=width, dst=int(dst))
+    elif (head == "-" or head.isdecimal()) and rhs.endswith("ll"):
+        m = _re_lddw.match(line)
+        if m:
+            return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)),
+                               imm=int(m.group(2), 0) & 0xFFFFFFFFFFFFFFFF)
+    elif head == "-" or head.isdecimal():
+        m = _re_mov_imm.match(line)
+        if m:
+            return Instruction(Kind.MOV_IMM, None, width, int(m.group(2)), None,
+                               None, 0, _int(m.group(3)))
+    elif rhs[1:].isdecimal():
+        m = _re_mov_reg.match(line)
+        if m:
+            dcls, dst, scls, src = m.groups()
+            if dcls != scls:
+                raise AsmSyntaxError(line_no, "mixed r/w registers in mov")
+            return Instruction(Kind.MOV_REG, None, width, int(dst), int(src))
+    else:
+        m = _re_alu3.match(line)
+        if m:
+            dst, src, op, src2, imm = m.groups()
+            name = ALU_INFIX[op]
+            if name not in ALU3_OPS:
+                raise UnknownMnemonic(line_no, f"{op} not valid in three-operand form")
+            src2, imm = _operand(src2, imm)
+            return Instruction(Kind.ALU_THREE_OP, name, 64, int(dst), int(src),
+                               src2, 0, imm)
     raise AsmSyntaxError(line_no, f"cannot parse {line!r}")
 
 
@@ -261,6 +270,7 @@ def _parse_instruction(line, line_no):
 def format_instruction(ins: Instruction, target_text=None) -> str:
     """Render one instruction; branch target via ``target_text`` override."""
     k = ins.kind
+    c = "r" if ins.width == 64 else "w"
     if k is Kind.EXIT:
         return "exit"
     if k is Kind.EARLY_EXIT:
@@ -275,22 +285,18 @@ def format_instruction(ins: Instruction, target_text=None) -> str:
         return (f"if r{ins.dst} {_CMP_FOR[ins.op]} {rhs} "
                 f"goto {target_text or f'@{ins.target}'}")
     if k is Kind.MOV_REG:
-        c = "r" if ins.width == 64 else "w"
         return f"{c}{ins.dst} = {c}{ins.src}"
     if k is Kind.MOV_IMM:
-        c = "r" if ins.width == 64 else "w"
         return f"{c}{ins.dst} = {ins.imm}"
     if k is Kind.LOAD_IMM64:
         if ins.is_map_ref:
             return f"r{ins.dst} = map[{ins.imm}]"
         return f"r{ins.dst} = 0x{ins.imm:x} ll"
     if k is Kind.ALU_UNARY:
-        c = "r" if ins.width == 64 else "w"
         if ins.op == "neg":
             return f"{c}{ins.dst} = -{c}{ins.dst}"
         return f"{c}{ins.dst} = {ins.op}{ins.imm} {c}{ins.dst}"
     if k is Kind.ALU_BINARY:
-        c = "r" if ins.width == 64 else "w"
         rhs = f"{c}{ins.src}" if ins.src is not None else str(ins.imm)
         return f"{c}{ins.dst} {_ALU_FOR[ins.op]} {rhs}"
     if k is Kind.ALU_THREE_OP:
@@ -318,8 +324,6 @@ def format_asm(program: Program) -> str:
     for i, ins in enumerate(program.instructions):
         if i in targets:
             lines.append(f"L{i}:")
-        if ins.kind in JUMP_KINDS:
-            lines.append(f"  {format_instruction(ins, target_text=f'L{ins.target}')}")
-        else:
-            lines.append(f"  {format_instruction(ins)}")
+        target = f"L{ins.target}" if ins.kind in JUMP_KINDS else None
+        lines.append(f"  {format_instruction(ins, target_text=target)}")
     return "\n".join(lines) + "\n"

@@ -33,8 +33,8 @@ Two analyses are memoised on the objects they describe: ``io_sets`` on
 each ``Instruction``, and a ``ProgramAnalysis`` record on each
 ``Program``; so is each instruction's decoded step (``vm.decode_step``).
 That is sound because both classes are frozen, and every rewrite builds
-a new object, through ``dataclasses.replace`` (which never copies a memo)
-or ``build_program`` (which starts a fresh record). The memos live in
+a new object, through ``rebuilt`` (which never copies a memo) or
+``build_program`` (which starts a fresh record). The memos live in
 declared slots, not in an instance ``__dict__`` (the classes have none),
 so the engines' attribute reads on every step keep their fast path.
 
@@ -46,7 +46,7 @@ program; an instruction is reachable iff it has a state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     DanglingLddwSecondHalf,
@@ -128,8 +128,8 @@ class Instruction:
     for a call). ``io`` is the ``io_sets`` memo, ``checked`` is set once
     ``field_problem`` passed the fields, and ``step`` is the execution
     engines' decoded step (``vm.decode_step``): all three outside
-    ``__init__``, equality, hashing and ``repr``, and never carried over by
-    ``replace``.
+    ``__init__``, equality, hashing and ``repr``, and ``rebuilt`` carries
+    only ``checked``. ``__init__`` sets each slot through its own setter.
     """
     kind: Kind
     op: str | None = None
@@ -147,6 +147,22 @@ class Instruction:
                           compare=False)
     step: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
+
+    def __init__(self, kind, op=None, width=None, dst=None, src=None,
+                 src2=None, offset=0, imm=0, target=None, region=None):
+        _set_kind(self, kind)
+        _set_op(self, op)
+        _set_width(self, width)
+        _set_dst(self, dst)
+        _set_src(self, src)
+        _set_src2(self, src2)
+        _set_offset(self, offset)
+        _set_imm(self, imm)
+        _set_target(self, target)
+        _set_region(self, region)
+        _keep_io(self, None)
+        _keep_checked(self, False)
+        _keep_step(self, None)
 
     @property
     def is_control(self) -> bool:
@@ -228,9 +244,23 @@ class ProgramAnalysis:
 
 # the slots' own setters: a frozen dataclass refuses ``setattr``, and
 # ``object.__setattr__`` costs three times as much
-_keep_io = Instruction.io.__set__
-_keep_checked = Instruction.checked.__set__
+(_set_kind, _set_op, _set_width, _set_dst, _set_src, _set_src2, _set_offset,
+ _set_imm, _set_target, _set_region, _keep_io, _keep_checked, _keep_step) = (
+    getattr(Instruction, f.name).__set__ for f in fields(Instruction))
 _keep_analysis = Program.analysis.__set__
+_SAME = object()
+
+
+def rebuilt(ins: Instruction, *, offset=_SAME, target=_SAME, region=_SAME):
+    """A copy of ``ins`` with the given fields changed, built through the
+    constructor: no ``io`` or ``step`` memo, and the ``checked`` mark only
+    while the offset stays (``field_problem`` reads no target or region)."""
+    new = Instruction(ins.kind, ins.op, ins.width, ins.dst, ins.src, ins.src2,
+                      ins.offset if offset is _SAME else offset, ins.imm,
+                      ins.target if target is _SAME else target,
+                      ins.region if region is _SAME else region)
+    _keep_checked(new, ins.checked and offset is _SAME)
+    return new
 
 
 def analysis_of(program: Program) -> ProgramAnalysis:
@@ -411,7 +441,6 @@ def decode(data: bytes) -> Program:
 
     # resolve branch word offsets to instruction indices
     word_starts = sorted(index_of_word)
-    resolved = []
     for i, ins in enumerate(instrs):
         if ins.kind in JUMP_KINDS:
             tgt_word = word_starts[i] + 1 + ins.offset
@@ -420,9 +449,8 @@ def decode(data: bytes) -> Program:
             if tgt_word not in index_of_word:
                 raise UnreachableTarget(
                     f"instruction {i}: branch target lands inside a lddw pair")
-            ins = replace(ins, target=index_of_word[tgt_word], offset=0)
-        resolved.append(ins)
-    return build_program(resolved)
+            instrs[i] = rebuilt(ins, offset=0, target=index_of_word[tgt_word])
+    return build_program(instrs)
 
 
 def _decode_one(index, opcode, dst, src, off, imm):
@@ -467,7 +495,7 @@ def encode(program: Program) -> bytes:
             if not -(1 << 15) <= off < 1 << 15:
                 raise UnencodableInstruction(
                     f"instruction {i}: branch offset {off} words outside 16 bits")
-            ins = replace(ins, offset=off)
+            ins = rebuilt(ins, offset=off)
         elif not -(1 << 15) <= ins.offset < 1 << 15:
             raise UnencodableInstruction(
                 f"instruction {i}: offset {ins.offset} outside 16 bits")
@@ -593,8 +621,8 @@ def annotate_regions(instrs, states):
     """Set the ``region`` of each reachable memory op and helper call from
     the provenance scan's ``states`` (which read no region); an unreachable
     one keeps its region. An instruction whose region is unchanged is kept
-    as the same object, with its ``io_sets`` memo; a copy keeps the
-    ``checked`` mark, as ``field_problem`` reads no region."""
+    as the same object, with its ``io_sets`` memo; a copy (``rebuilt``)
+    keeps the ``checked`` mark."""
     annotated = []
     for ins, st in zip(instrs, states):
         k = ins.kind
@@ -603,9 +631,7 @@ def annotate_regions(instrs, states):
                     ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src)
             region = _region(st[base], ins)
             if region != ins.region:
-                checked = ins.checked
-                ins = replace(ins, region=region)
-                _keep_checked(ins, checked)
+                ins = rebuilt(ins, region=region)
         annotated.append(ins)
     return annotated
 

@@ -19,7 +19,7 @@ point by the :func:`peephole` driver:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analysis import (BasicBlock, ControlFlowGraph, live_after, program_cfg,
                        program_liveness, stack_ranges)
@@ -37,6 +37,7 @@ from .isa import (
     build_program,
     io_sets,
     jumps_forward,
+    rebuilt,
     reg,
     sets_conflict,
     successors,
@@ -82,7 +83,7 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
         if ins.kind in JUMP_KINDS:
             target = min(bisect_left(anchors, ins.target), len(anchors) - 1)
             if target != ins.target:
-                ins = replace(ins, target=target)
+                ins = rebuilt(ins, target=target)
         if states and i in rewrites and states[k] is not None:
             ins = annotate_regions([ins], [states[k]])[0]
         out.append(ins)

@@ -19,11 +19,9 @@ the pass runs again.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .analysis import ControlFlowGraph
 from .errors import CompileError
-from .isa import JUMP_KINDS
+from .isa import JUMP_KINDS, rebuilt
 from .schedule import (BlockSchedule, Slot, VliwProgram, cross_lane_violations,
                        row_successors)
 from .scheduler import lane_row
@@ -47,7 +45,7 @@ def _lay_out(schedules, cfg, lanes, maps):
     def placed(s: Slot) -> Slot:
         ins = s.instr
         if ins.kind in JUMP_KINDS:
-            ins = replace(ins, target=start[cfg.block_of(ins.target)])
+            ins = rebuilt(ins, target=start[cfg.block_of(ins.target)])
         return Slot(ins, s.src_block, s.src_index, s.moved)
 
     vliw = VliwProgram(lane_count=lanes, rows=[[None] * lanes for _ in row_block],

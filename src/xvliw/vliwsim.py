@@ -30,9 +30,9 @@ order; no lane can tell that from the hardware order below when
       write, the row saves the registers and restores them on a ``VmTrap``.
 Any other row runs as the hardware implies: every lane is evaluated, the
 first ``RowConflict`` in lane order is raised, then the lanes commit; in a
-row that holds a call each store is located again at commit, as the
-helper (adjust_head, map_delete) may have moved the bounds. Both orders
-keep the bounds guard, the row budget and the row-pointer trap.
+row that holds a call each store is located again at commit (the helper
+may have moved the bounds), and a trap there restores the registers as
+in (d). Both keep the bounds guard, row budget and row-pointer trap.
 
 Per-row trace lines are built only when a caller asks for them
 (``exec_vliw(..., trace=True)``); formatting them costs more than
@@ -137,8 +137,8 @@ def _decode_row(row) -> tuple:
     ``lanes`` holds (handler, instruction, k, reg, form, position) per
     occupied lane, in lane order, ``reg`` the register the lane writes or
     None. ``guard`` is None when the lanes may commit as they run (rules
-    (a)-(c) of the module docstring), and ``undo`` then is rule (d).
-    Otherwise ``guard`` is whether the row holds a call."""
+    (a)-(c) of the module docstring), and ``undo`` then is rule (d); else
+    ``guard`` says the row holds a call and ``undo`` a non-frame store too."""
     lanes = []
     written = set()             # the register symbols earlier lanes write
     stores = []                 # each earlier store's frame byte span, or None
@@ -172,7 +172,8 @@ def _decode_row(row) -> tuple:
         lanes.append((handler, ins, k, reg, form, len(lanes)))
     guard = None if in_order else any(
         lane[1].kind is Kind.CALL for lane in lanes)
-    return lanes, undo and in_order, R0 in written, guard
+    undo = undo if in_order else guard and None in stores
+    return lanes, undo, R0 in written, guard
 
 
 _REGS = tuple(map(reg_symbol, range(NUM_REGS)))
@@ -239,7 +240,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
                 values = [handler(state, regs, ins, k, rp)
                           for handler, ins, k, _, _, _ in lanes]
                 _check_row(lanes, values, rp)
-            elif undo:
+            if undo:
                 saved = regs.copy()
             try:
                 # lanes commit in index order, so the first control wins

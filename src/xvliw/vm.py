@@ -67,7 +67,7 @@ from .errors import (
 )
 from .helpers import HELPERS
 from .isa import (FRAME_REG, Instruction, Kind, MapDef, NUM_REGS, STACK_SIZE,
-                  Program, field_problem)
+                  Program, _keep_step, field_problem)
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -113,6 +113,7 @@ class PacketContext:
         self.buf = bytearray(self.head_room) + bytearray(self.data)
         self.start = self.head_room
         self.end = len(self.buf)
+        self._ctx = (None, b"")                 # ((start, end), their record)
 
     @property
     def data_addr(self):
@@ -127,10 +128,13 @@ class PacketContext:
 
     def ctx_record(self) -> bytes:
         """The context record: data, data_end, data_meta (equal to data)
-        and ingress port, each a little-endian u32."""
-        data = self.data_addr & MASK32
-        return _CTX_RECORD(data, self.data_end_addr & MASK32, data,
-                           self.ingress_port & MASK32)
+        and ingress port, each a little-endian u32, packed once per bounds."""
+        bounds = (self.start, self.end)
+        if self._ctx[0] != bounds:
+            data = self.data_addr & MASK32
+            self._ctx = bounds, _CTX_RECORD(data, self.data_end_addr & MASK32,
+                                            data, self.ingress_port & MASK32)
+        return self._ctx[1]
 
 
 _CTX_RECORD = struct.Struct("<4I").pack
@@ -304,8 +308,8 @@ def hardware_bounds_guard(state: MachineState, addr: int, width: int,
 
     Returns ``(buffer, offset, map)``: the access covers ``buffer[offset:
     offset + width]``, and ``map`` is the ``Map`` whose storage ``buffer``
-    is, or None for the packet, the stack and the context record (a fresh
-    copy, never written).
+    is, or None for the packet, the stack and the context record (bytes,
+    never written).
     """
     if PKT_BASE <= addr < STACK_BASE:
         pkt = state.packet
@@ -611,11 +615,6 @@ def decode_step(ins: Instruction) -> tuple:
         raise AssertionError(f"unhandled kind {k}")
     _keep_step(ins, step)
     return step
-
-
-# the slot's own setter: a frozen dataclass refuses ``setattr``, and
-# ``object.__setattr__`` costs three times as much
-_keep_step = Instruction.step.__set__
 
 
 def frame_offset(ins: Instruction) -> int | None:

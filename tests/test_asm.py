@@ -93,6 +93,18 @@ def test_unknown_helper_name_is_an_xvliw_error():
         parse_asm("call map_lookup_elem\nexit")
 
 
+def test_a_helper_number_is_decimal_digits():
+    # "\u00b2" is a digit to str.isdigit but not to int()
+    with pytest.raises(UnknownMnemonic, match="unknown helper"):
+        parse_asm("call \u00b2\nexit")
+    assert parse_asm("call 28\nexit")[0].imm == 28
+
+
+def test_blank_instruction_line_is_a_syntax_error():
+    with pytest.raises(AsmSyntaxError, match="line 2: cannot parse ''"):
+        parse_instruction("   ", 2)
+
+
 def test_alu32_forms():
     prog = parse_asm("w3 = 7\nw3 += w4\nw5 = w3\nexit\n")
     assert all(i.width == 32 for i in prog.instructions[:3])

@@ -3,7 +3,7 @@
 import copy
 import pickle
 import struct
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -30,7 +30,9 @@ from xvliw.isa import (
     build_program,
     decode,
     encode,
+    field_problem,
     io_sets,
+    rebuilt,
     reg,
     symbols_overlap,
 )
@@ -659,6 +661,63 @@ class TestMemos:
                      *reduced.instructions,
                      *(s.instr for row in vliw.rows for s in row if s)]
         assert all(not hasattr(x, "__dict__") for x in seen)
+
+
+class TestConstructor:
+    """``Instruction.__init__`` is written out and ``rebuilt`` copies
+    through it: both behave as the generated dataclass code would."""
+
+    def _load(self):
+        ins = Instruction(Kind.LOAD, width=4, dst=2, src=1, offset=4,
+                          region=SYM_PKT)
+        io_sets(ins)
+        decode_step(ins)
+        assert field_problem(ins) is None and ins.checked
+        return ins
+
+    def test_defaults_and_argument_order(self):
+        bare = Instruction(Kind.EXIT)
+        for f in fields(Instruction):
+            assert getattr(bare, f.name) == (Kind.EXIT if f.name == "kind"
+                                             else f.default), f.name
+        by_name = Instruction(Kind.STORE, op=None, width=4, dst=10, src=2,
+                              src2=None, offset=-8, imm=0, target=None,
+                              region=("stack", 504, 508))
+        assert by_name == Instruction(Kind.STORE, None, 4, 10, 2, None, -8, 0,
+                                      None, ("stack", 504, 508))
+
+    def test_setting_any_field_raises(self):
+        ins = self._load()
+        for f in fields(Instruction):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ins, f.name, getattr(ins, f.name))
+
+    def test_pickle_and_copy_round_trips(self):
+        for ins in (Instruction(Kind.ALU_THREE_OP, op="add", width=64, dst=1,
+                                src=2, src2=3),
+                    Instruction(Kind.BRANCH, op="jgt", dst=1, imm=-3, target=7),
+                    Instruction(Kind.STORE, width=2, dst=10, imm=5, offset=-2,
+                                region=("stack", 510, 512))):
+            io_sets(ins)
+            for twin in (pickle.loads(pickle.dumps(ins)), copy.copy(ins),
+                         copy.deepcopy(ins)):
+                assert twin == ins and hash(twin) == hash(ins)
+                assert repr(twin) == repr(ins)
+
+    @pytest.mark.parametrize("change", [
+        {}, {"target": 3}, {"region": None}, {"region": ("stack", 0, 4)},
+        {"target": 5, "region": SYM_STACK}, {"offset": 8},
+        {"offset": 0, "target": 2}])
+    def test_rebuilt_is_replace_without_the_memos(self, change):
+        ins = self._load()
+        made, expected = rebuilt(ins, **change), replace(ins, **change)
+        assert made is not ins
+        assert made == expected and hash(made) == hash(expected)
+        assert repr(made) == repr(expected)
+        assert made.io is None and made.step is None
+        assert made.checked == ("offset" not in change)
+        fresh = Instruction(Kind.LOAD, width=4, dst=2, src=1, offset=4)
+        assert not rebuilt(fresh, **change).checked
 
 
 class TestExpansion:

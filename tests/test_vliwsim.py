@@ -333,6 +333,21 @@ class TestCommitOrder:
         assert not rep.result.trapped, rep.result.trap
         assert state.regs[3] == 0x5a
 
+    @pytest.mark.parametrize("call_lane", [1, 2])
+    def test_a_row_that_traps_at_commit_writes_no_register(self, call_lane):
+        # adjust_head moves the start past the byte the store located before
+        # it; with the call last the row keeps hardware order and the store
+        # traps at commit, after the mov's lane, and either way r7 stays 0
+        load = Instruction(Kind.LOAD, width=4, dst=6, src=1, offset=0)
+        shrink = Instruction(Kind.MOV_IMM, width=64, dst=2, imm=8)
+        lanes = [Instruction(Kind.MOV_IMM, width=64, dst=7, imm=1),
+                 Instruction(Kind.STORE, width=1, dst=6, imm=1, offset=0)]
+        lanes.insert(call_lane, Instruction(Kind.CALL, imm=44))  # adjust_head
+        rep, state = run(vliw_of([row(load, shrink), row(*lanes),
+                                  row(Instruction(Kind.EXIT))]))
+        assert rep.result.trapped and "outside packet bounds" in rep.result.trap
+        assert state.regs[7] == 0
+
     def test_a_load_after_map_update_reads_the_new_value(self):
         prog = parse_asm("""
         .map 1 hash 4 8 4

@@ -375,6 +375,38 @@ class TestHelpers:
         assert res.packet_out[0] == 0x5A
         assert len(res.packet_out) == 96
 
+    @pytest.mark.parametrize("engine", ["oracle", "vliw"])
+    def test_context_load_after_adjust_head_sees_the_moved_packet(self, engine):
+        """The context record is packed once per packet bounds: loads of it
+        after adjust_head read the moved data pointer, not the cached one.
+        The program writes data_before - data and data_end - data at the
+        new packet start."""
+        from xvliw.compiler import compile_program
+        from xvliw.vliwsim import exec_vliw
+        prog = parse_asm("""
+          r9 = r1
+          r6 = *(u32 *)(r9 + 0)
+          r2 = -8
+          call adjust_head
+          r7 = *(u32 *)(r9 + 0)
+          r8 = *(u32 *)(r9 + 4)
+          r6 -= r7
+          r8 -= r7
+          *(u32 *)(r7 + 0) = r6
+          *(u32 *)(r7 + 4) = r8
+          r0 = 2
+          exit
+        """)
+        ctx = PacketContext(b"\x01" * 64)
+        if engine == "oracle":
+            res, _ = exec_sequential(prog, ctx, MapStore(prog.maps))
+        else:
+            res = exec_vliw(compile_program(prog)[0], ctx,
+                            MapStore(prog.maps))[0].result
+        assert res.action == XDP_PASS and len(res.packet_out) == 72
+        assert res.packet_out[:8] == (8).to_bytes(4, "little") + \
+            (72).to_bytes(4, "little")
+
     def test_redirect_map(self):
         res, st = run("""
         .map 2 array 4 4 8
