@@ -116,7 +116,7 @@ def parse_asm(text: str) -> Program:
                                int(m.group(4)), int(m.group(5))))
     if missing:
         raise missing[0]
-    return build_program(instrs, maps)
+    return build_program(instrs, maps, fresh=True)
 
 
 def parse_instruction(line: str, line_no: int = 0) -> Instruction:
@@ -145,7 +145,7 @@ def _parse_instruction(line, line_no, labels, missing):
     head = line[:1]
     if head == "r" or head == "w":
         eq = line.find("=")
-        if eq > 0 and line[:eq].rstrip()[-1].isdecimal():
+        if eq > 0 and (line[eq - 1].isdecimal() or line[eq - 1].isspace()):
             return _parse_assignment(line, line_no, line[eq + 1:].lstrip())
         m = _re_alu.match(line) if eq > 0 else None
         if m:

@@ -252,9 +252,8 @@ _SAME = object()
 
 
 def rebuilt(ins: Instruction, *, offset=_SAME, target=_SAME, region=_SAME):
-    """A copy of ``ins`` with the given fields changed, built through the
-    constructor: no ``io`` or ``step`` memo, and the ``checked`` mark only
-    while the offset stays (``field_problem`` reads no target or region)."""
+    """A copy of ``ins`` through the constructor, without the ``io`` and
+    ``step`` memos; ``checked`` stays unless the offset changes."""
     new = Instruction(ins.kind, ins.op, ins.width, ins.dst, ins.src, ins.src2,
                       ins.offset if offset is _SAME else offset, ins.imm,
                       ins.target if target is _SAME else target,
@@ -273,11 +272,11 @@ def analysis_of(program: Program) -> ProgramAnalysis:
     return record
 
 
-def build_program(instructions, maps=(), states=None) -> Program:
-    """Validate instructions, annotate them from the provenance scan and
-    wrap them in a Program, whose analysis record the scan starts. Given the
-    ``states`` of already annotated instructions (``peephole._apply``), it
-    skips the scan and the annotation, but no check."""
+def build_program(instructions, maps=(), states=None, fresh=False) -> Program:
+    """Validate instructions, annotate them (in place when ``fresh``) from
+    the provenance scan and wrap them in a Program, whose analysis record
+    the scan starts. Given the ``states`` of annotated instructions
+    (``peephole._apply``), it skips the scan and the annotation, not a check."""
     instrs = list(instructions)
     n = len(instrs)
     if n == 0:
@@ -291,7 +290,7 @@ def build_program(instructions, maps=(), states=None) -> Program:
             raise ProgramError(f"instruction {i}: {problem}")
     if states is None:
         states = provenance_states(instrs)
-        instrs = annotate_regions(instrs, states)
+        instrs = annotate_regions(instrs, states, fresh)
     if states[-1] is not None and n in successors(instrs[-1], n - 1):
         raise ProgramError(f"instruction {n - 1}: control falls past the "
                            f"last instruction")
@@ -450,7 +449,7 @@ def decode(data: bytes) -> Program:
                 raise UnreachableTarget(
                     f"instruction {i}: branch target lands inside a lddw pair")
             instrs[i] = rebuilt(ins, offset=0, target=index_of_word[tgt_word])
-    return build_program(instrs)
+    return build_program(instrs, fresh=True)
 
 
 def _decode_one(index, opcode, dst, src, off, imm):
@@ -617,12 +616,12 @@ def jumps_forward(instrs) -> bool:
                if ins.kind in JUMP_KINDS)
 
 
-def annotate_regions(instrs, states):
+def annotate_regions(instrs, states, fresh=False):
     """Set the ``region`` of each reachable memory op and helper call from
     the provenance scan's ``states`` (which read no region); an unreachable
-    one keeps its region. An instruction whose region is unchanged is kept
-    as the same object, with its ``io_sets`` memo; a copy (``rebuilt``)
-    keeps the ``checked`` mark."""
+    one keeps its region. An unchanged instruction stays the same object,
+    with its ``io_sets`` memo; a changed one is copied (``rebuilt``), or,
+    when ``fresh`` (made for this call, unshared, no memo), set in place."""
     annotated = []
     for ins, st in zip(instrs, states):
         k = ins.kind
@@ -630,7 +629,9 @@ def annotate_regions(instrs, states):
             base = (1 if k is Kind.CALL else
                     ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src)
             region = _region(st[base], ins)
-            if region != ins.region:
+            if region != ins.region and fresh:
+                _set_region(ins, region)
+            elif region != ins.region:
                 ins = rebuilt(ins, region=region)
         annotated.append(ins)
     return annotated
