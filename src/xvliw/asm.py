@@ -116,7 +116,7 @@ def parse_asm(text: str) -> Program:
                                int(m.group(4)), int(m.group(5))))
     if missing:
         raise missing[0]
-    return build_program(instrs, maps, fresh=True)
+    return build_program(instrs, maps)
 
 
 def parse_instruction(line: str, line_no: int = 0) -> Instruction:
@@ -145,7 +145,7 @@ def _parse_instruction(line, line_no, labels, missing):
     head = line[:1]
     if head == "r" or head == "w":
         eq = line.find("=")
-        if eq > 0 and (line[eq - 1].isdecimal() or line[eq - 1].isspace()):
+        if eq > 0 and line[:eq].rstrip()[-1].isdecimal():
             return _parse_assignment(line, line_no, line[eq + 1:].lstrip())
         m = _re_alu.match(line) if eq > 0 else None
         if m:
@@ -270,7 +270,6 @@ def _parse_assignment(line, line_no, rhs):
 def format_instruction(ins: Instruction, target_text=None) -> str:
     """Render one instruction; branch target via ``target_text`` override."""
     k = ins.kind
-    c = "r" if ins.width == 64 else "w"
     if k is Kind.EXIT:
         return "exit"
     if k is Kind.EARLY_EXIT:
@@ -285,18 +284,22 @@ def format_instruction(ins: Instruction, target_text=None) -> str:
         return (f"if r{ins.dst} {_CMP_FOR[ins.op]} {rhs} "
                 f"goto {target_text or f'@{ins.target}'}")
     if k is Kind.MOV_REG:
+        c = "r" if ins.width == 64 else "w"
         return f"{c}{ins.dst} = {c}{ins.src}"
     if k is Kind.MOV_IMM:
+        c = "r" if ins.width == 64 else "w"
         return f"{c}{ins.dst} = {ins.imm}"
     if k is Kind.LOAD_IMM64:
         if ins.is_map_ref:
             return f"r{ins.dst} = map[{ins.imm}]"
         return f"r{ins.dst} = 0x{ins.imm:x} ll"
     if k is Kind.ALU_UNARY:
+        c = "r" if ins.width == 64 else "w"
         if ins.op == "neg":
             return f"{c}{ins.dst} = -{c}{ins.dst}"
         return f"{c}{ins.dst} = {ins.op}{ins.imm} {c}{ins.dst}"
     if k is Kind.ALU_BINARY:
+        c = "r" if ins.width == 64 else "w"
         rhs = f"{c}{ins.src}" if ins.src is not None else str(ins.imm)
         return f"{c}{ins.dst} {_ALU_FOR[ins.op]} {rhs}"
     if k is Kind.ALU_THREE_OP:
@@ -324,6 +327,8 @@ def format_asm(program: Program) -> str:
     for i, ins in enumerate(program.instructions):
         if i in targets:
             lines.append(f"L{i}:")
-        target = f"L{ins.target}" if ins.kind in JUMP_KINDS else None
-        lines.append(f"  {format_instruction(ins, target_text=target)}")
+        if ins.kind in JUMP_KINDS:
+            lines.append(f"  {format_instruction(ins, target_text=f'L{ins.target}')}")
+        else:
+            lines.append(f"  {format_instruction(ins)}")
     return "\n".join(lines) + "\n"

@@ -46,7 +46,7 @@ program; an instruction is reachable iff it has a state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import (
     DanglingLddwSecondHalf,
@@ -244,9 +244,19 @@ class ProgramAnalysis:
 
 # the slots' own setters: a frozen dataclass refuses ``setattr``, and
 # ``object.__setattr__`` costs three times as much
-(_set_kind, _set_op, _set_width, _set_dst, _set_src, _set_src2, _set_offset,
- _set_imm, _set_target, _set_region, _keep_io, _keep_checked, _keep_step) = (
-    getattr(Instruction, f.name).__set__ for f in fields(Instruction))
+_set_kind = Instruction.kind.__set__
+_set_op = Instruction.op.__set__
+_set_width = Instruction.width.__set__
+_set_dst = Instruction.dst.__set__
+_set_src = Instruction.src.__set__
+_set_src2 = Instruction.src2.__set__
+_set_offset = Instruction.offset.__set__
+_set_imm = Instruction.imm.__set__
+_set_target = Instruction.target.__set__
+_set_region = Instruction.region.__set__
+_keep_io = Instruction.io.__set__
+_keep_checked = Instruction.checked.__set__
+_keep_step = Instruction.step.__set__
 _keep_analysis = Program.analysis.__set__
 _SAME = object()
 
@@ -272,11 +282,11 @@ def analysis_of(program: Program) -> ProgramAnalysis:
     return record
 
 
-def build_program(instructions, maps=(), states=None, fresh=False) -> Program:
-    """Validate instructions, annotate them (in place when ``fresh``) from
-    the provenance scan and wrap them in a Program, whose analysis record
-    the scan starts. Given the ``states`` of annotated instructions
-    (``peephole._apply``), it skips the scan and the annotation, not a check."""
+def build_program(instructions, maps=(), states=None) -> Program:
+    """Validate instructions, annotate them from the provenance scan and
+    wrap them in a Program, whose analysis record the scan starts. Given the
+    ``states`` of already annotated instructions (``peephole._apply``), it
+    skips the scan and the annotation, but no check."""
     instrs = list(instructions)
     n = len(instrs)
     if n == 0:
@@ -290,7 +300,7 @@ def build_program(instructions, maps=(), states=None, fresh=False) -> Program:
             raise ProgramError(f"instruction {i}: {problem}")
     if states is None:
         states = provenance_states(instrs)
-        instrs = annotate_regions(instrs, states, fresh)
+        instrs = annotate_regions(instrs, states)
     if states[-1] is not None and n in successors(instrs[-1], n - 1):
         raise ProgramError(f"instruction {n - 1}: control falls past the "
                            f"last instruction")
@@ -449,7 +459,7 @@ def decode(data: bytes) -> Program:
                 raise UnreachableTarget(
                     f"instruction {i}: branch target lands inside a lddw pair")
             instrs[i] = rebuilt(ins, offset=0, target=index_of_word[tgt_word])
-    return build_program(instrs, fresh=True)
+    return build_program(instrs)
 
 
 def _decode_one(index, opcode, dst, src, off, imm):
@@ -616,12 +626,12 @@ def jumps_forward(instrs) -> bool:
                if ins.kind in JUMP_KINDS)
 
 
-def annotate_regions(instrs, states, fresh=False):
+def annotate_regions(instrs, states):
     """Set the ``region`` of each reachable memory op and helper call from
     the provenance scan's ``states`` (which read no region); an unreachable
-    one keeps its region. An unchanged instruction stays the same object,
-    with its ``io_sets`` memo; a changed one is copied (``rebuilt``), or,
-    when ``fresh`` (made for this call, unshared, no memo), set in place."""
+    one keeps its region. An instruction whose region is unchanged is kept
+    as the same object, with its ``io_sets`` memo; a copy (``rebuilt``)
+    keeps the ``checked`` mark."""
     annotated = []
     for ins, st in zip(instrs, states):
         k = ins.kind
@@ -629,9 +639,7 @@ def annotate_regions(instrs, states, fresh=False):
             base = (1 if k is Kind.CALL else
                     ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src)
             region = _region(st[base], ins)
-            if region != ins.region and fresh:
-                _set_region(ins, region)
-            elif region != ins.region:
+            if region != ins.region:
                 ins = rebuilt(ins, region=region)
         annotated.append(ins)
     return annotated

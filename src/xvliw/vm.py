@@ -113,7 +113,7 @@ class PacketContext:
         self.buf = bytearray(self.head_room) + bytearray(self.data)
         self.start = self.head_room
         self.end = len(self.buf)
-        self._ctx = (None, b"")                 # ((start, end), their record)
+        self._ctx = (None, b"")     # (key: start, end, ingress_port; record)
 
     @property
     def data_addr(self):
@@ -128,12 +128,12 @@ class PacketContext:
 
     def ctx_record(self) -> bytes:
         """The context record: data, data_end, data_meta (equal to data)
-        and ingress port, each a little-endian u32, packed once per bounds."""
-        bounds = (self.start, self.end)
-        if self._ctx[0] != bounds:
+        and ingress port, each a little-endian u32, packed once per key."""
+        key = (self.start, self.end, self.ingress_port)
+        if self._ctx[0] != key:
             data = self.data_addr & MASK32
-            self._ctx = bounds, _CTX_RECORD(data, self.data_end_addr & MASK32,
-                                            data, self.ingress_port & MASK32)
+            self._ctx = key, _CTX_RECORD(data, self.data_end_addr & MASK32,
+                                         data, self.ingress_port & MASK32)
         return self._ctx[1]
 
 

@@ -719,16 +719,13 @@ class TestConstructor:
         fresh = Instruction(Kind.LOAD, width=4, dst=2, src=1, offset=4)
         assert not rebuilt(fresh, **change).checked
 
-    def test_fresh_instructions_take_their_regions_in_place(self):
+    def test_annotation_copies_and_leaves_the_given_instructions(self):
         prog = parse_asm("r2 = *(u32 *)(r1 + 0)\n*(u64 *)(r10 - 8) = r2\n"
                          "r0 = 2\nexit\n")
         assert prog[0].region == ("ctx",) and prog[1].region == ("stack", 504, 512)
         bare = [replace(ins, region=None) for ins in prog.instructions]
-        copied = build_program(bare)
-        assert copied == prog and all(ins.region is None for ins in bare)
-        in_place = build_program(bare, fresh=True)
-        assert in_place == prog
-        assert all(x is y for x, y in zip(in_place.instructions, bare))
+        assert build_program(bare) == prog
+        assert all(ins.region is None for ins in bare)
 
 
 class TestExpansion:

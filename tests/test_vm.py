@@ -225,6 +225,12 @@ class TestBoundsGuard:
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, CTX_BASE, 4, write=True)
 
+    def test_ctx_record_follows_a_changed_ingress_port(self):
+        ctx = PacketContext(b"\x00" * 16, ingress_port=3)
+        assert ctx.ctx_record()[12:] == (3).to_bytes(4, "little")
+        ctx.ingress_port = 9
+        assert ctx.ctx_record()[12:] == (9).to_bytes(4, "little")
+
     def test_oob_becomes_aborted_action(self):
         res, _ = run("""
           r2 = *(u32 *)(r1 + 0)
