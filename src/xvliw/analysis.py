@@ -4,9 +4,9 @@ Basic blocks, the CFG with dominator/post-dominator sets, backward
 liveness over register and memory-region symbols, per-block data
 dependence graphs and the pairwise parallelizability predicate.
 
-Post-dominance uses a virtual exit node joining every block without
-successors; blocks that cannot reach an exit keep conservative (full)
-post-dominator sets.
+Post-dominators are the dominators (``_dominators``) of the reversed
+graph, rooted at a virtual exit node joining every block without
+successors; blocks that cannot reach an exit keep full sets.
 
 A program's CFG and its liveness over ``block_code`` are memoised in its
 ``isa.ProgramAnalysis`` record (``program_cfg``, ``program_liveness``), so
@@ -107,44 +107,35 @@ class ControlFlowGraph:
         return a in self.pdom[b]
 
 
-def build_cfg(blocks: list[BasicBlock]) -> ControlFlowGraph:
-    """Attach dominator and post-dominator sets (iterative dataflow)."""
-    ids = [b.id for b in blocks]
-    preds = {b.id: list(b.predecessors) for b in blocks}
-    succs = {b.id: list(b.successors) for b in blocks}
-
-    dom = {b: set(ids) for b in ids}
-    dom[0] = {0}
+def _dominators(nodes, into, root) -> dict[int, set]:
+    """Each node's dominators from ``root``, given the nodes ``into[n]``
+    with an edge into each node n: the greatest fixed point of dom(n) =
+    {n} | the intersection of dom(p) over p in ``into[n]``."""
+    dom = {n: set(nodes) for n in nodes}
+    dom[root] = {root}
     changed = True
     while changed:
         changed = False
-        for b in ids:
-            if b == 0:
+        for n in nodes:
+            if n == root:
                 continue
-            new = set(ids)
-            for p in preds[b]:
+            new = set(nodes)
+            for p in into[n]:
                 new &= dom[p]
-            new |= {b}
-            if new != dom[b]:
-                dom[b] = new
+            new.add(n)
+            if new != dom[n]:
+                dom[n] = new
                 changed = True
+    return dom
 
-    rsuccs = {b: (succs[b] or [_EXITV]) for b in ids}
-    universe = set(ids) | {_EXITV}
-    pdom = {b: set(universe) for b in ids}
-    pdom[_EXITV] = {_EXITV}
-    changed = True
-    while changed:
-        changed = False
-        for b in ids:
-            new = set(universe)
-            for s in rsuccs[b]:
-                new &= pdom[s]
-            new |= {b}
-            if new != pdom[b]:
-                pdom[b] = new
-                changed = True
 
+def build_cfg(blocks: list[BasicBlock]) -> ControlFlowGraph:
+    """Attach dominator and post-dominator sets. Post-dominators are the
+    dominators of the reversed graph, rooted at the virtual exit."""
+    ids = [b.id for b in blocks]
+    dom = _dominators(ids, {b.id: b.predecessors for b in blocks}, 0)
+    pdom = _dominators(ids + [_EXITV],
+                       {b.id: b.successors or (_EXITV,) for b in blocks}, _EXITV)
     return ControlFlowGraph(
         blocks=list(blocks),
         dom={b: frozenset(dom[b]) for b in ids},
@@ -234,7 +225,6 @@ def stack_ranges(syms) -> list:
 
 @dataclass
 class LivenessInfo:
-    cfg: ControlFlowGraph
     live_in: dict[int, frozenset]
     live_out: dict[int, frozenset]
 
@@ -286,8 +276,7 @@ def liveness(cfg: ControlFlowGraph,
                 live_in[blk.id] = new_in
                 changed = True
 
-    return LivenessInfo(cfg,
-                        {b: frozenset(live_in[b]) for b in live_in},
+    return LivenessInfo({b: frozenset(live_in[b]) for b in live_in},
                         {b: frozenset(live_out[b]) for b in live_out})
 
 
@@ -301,17 +290,29 @@ def program_liveness(program: Program) -> LivenessInfo:
     return record.liveness
 
 
-def live_after(program: Program, blk: BasicBlock,
-               live_out) -> dict[int, frozenset]:
-    """Symbols live immediately after each instruction of ``blk``, given
-    ``live_out`` live after the block, from one backward walk."""
+def live_after(program: Program, blk: BasicBlock, i: int, sym) -> bool:
+    """Whether ``sym``, a register or an exact stack range, is live right
+    after instruction ``i`` of ``blk``: some path from there reads a symbol
+    overlapping it before a write kills that symbol (``_kill``'s rule). The
+    scan runs forward; a register is dead once written. Only past the end
+    of a block with successors does the program's liveness decide."""
     instrs = program.instructions
-    out = {blk.end: live_out}
-    for i in range(blk.end, blk.start, -1):
-        io = io_sets(instrs[i])
-        out[i - 1] = frozenset(_kill(out[i], io.outputs, stack_ranges(io.outputs))
-                               | io.inputs)
-    return out
+    defs: set = set()
+    stack_defs: list = []               # the stack ranges in defs
+    for k in range(i + 1, blk.end + 1):
+        io = io_sets(instrs[k])
+        if sym[0] == "reg":             # read, live; written, dead
+            if sym in io.inputs:
+                return True
+            if sym in io.outputs:
+                return False
+        elif sets_conflict({sym}, _kill(io.inputs, defs, stack_defs)):
+            return True
+        else:
+            stack_defs += stack_ranges(io.outputs - defs)
+            defs |= io.outputs
+    return bool(blk.successors) and sets_conflict(
+        {sym}, _kill(program_liveness(program).live_out[blk.id], defs, stack_defs))
 
 
 # ---------------------------------------------------------------------------

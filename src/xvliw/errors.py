@@ -14,20 +14,16 @@ class DecodeError(XvliwError):
 class UnknownOpcode(DecodeError):
     def __init__(self, index, opcode):
         super().__init__(f"unknown opcode 0x{opcode:02x} at instruction {index}")
-        self.index = index
-        self.opcode = opcode
 
 
 class TruncatedStream(DecodeError):
     def __init__(self, nbytes):
         super().__init__(f"byte stream length {nbytes} is not a whole number of instructions")
-        self.nbytes = nbytes
 
 
 class DanglingLddwSecondHalf(DecodeError):
     def __init__(self, index):
         super().__init__(f"lddw at instruction {index} has no valid second half")
-        self.index = index
 
 
 class UnencodableInstruction(XvliwError):
@@ -39,7 +35,6 @@ class UnencodableInstruction(XvliwError):
 class AsmError(XvliwError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class AsmSyntaxError(AsmError):
@@ -73,23 +68,16 @@ class VmTrap(XvliwError):
 class MemoryTrap(VmTrap):
     def __init__(self, pc, addr, width, why):
         super().__init__(f"pc {pc}: bad {width}B access at 0x{addr:x} ({why})")
-        self.pc = pc
-        self.addr = addr
-        self.width = width
-        self.why = why
 
 
 class UnknownHelper(VmTrap):
     def __init__(self, helper_id):
         super().__init__(f"unknown helper id {helper_id}")
-        self.helper_id = helper_id
 
 
 class BadHelperArgs(VmTrap):
     def __init__(self, name, why):
         super().__init__(f"helper {name}: {why}")
-        self.name = name
-        self.why = why
 
 
 class InstructionLimitExceeded(VmTrap):

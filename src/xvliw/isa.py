@@ -24,7 +24,9 @@ atomics and local calls are rejected as unsupported.
 format: ``decode`` reads it and ``encode`` inverts it, one byte per form.
 As the kernel verifier does ("uses reserved fields"), ``decode`` rejects
 ``neg`` and ``call`` with the X (register source) bit set, bytes ``0x8c``,
-``0x8f`` and ``0x8d``; other unused fields are not checked yet. Branch
+``0x8f`` and ``0x8d``, and a word with a nonzero field its form does not
+keep (an ALU3 keeps only its operation and ``src2`` nibbles of the
+offset; a ``lddw``'s first word keeps no offset). Branch
 targets are resolved to absolute instruction indices at decode / parse time;
 ``encode`` recomputes word-relative offsets (a ``lddw`` occupies two
 words). ``Instruction.region`` is the one memory annotation.
@@ -50,6 +52,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DanglingLddwSecondHalf,
+    DecodeError,
     ProgramError,
     TruncatedStream,
     UnencodableInstruction,
@@ -128,8 +131,9 @@ class Instruction:
     for a call). ``io`` is the ``io_sets`` memo, ``checked`` is set once
     ``field_problem`` passed the fields, and ``step`` is the execution
     engines' decoded step (``vm.decode_step``): all three outside
-    ``__init__``, equality, hashing and ``repr``, and ``rebuilt`` carries
-    only ``checked``. ``__init__`` sets each slot through its own setter.
+    ``__init__``, equality, hashing and ``repr``; ``rebuilt`` carries only
+    ``checked``, and a pickle or copy none. ``__init__`` sets each slot
+    through its own setter.
     """
     kind: Kind
     op: str | None = None
@@ -163,6 +167,11 @@ class Instruction:
         _keep_io(self, None)
         _keep_checked(self, False)
         _keep_step(self, None)
+
+    def __reduce__(self):
+        return Instruction, (self.kind, self.op, self.width, self.dst, self.src,
+                             self.src2, self.offset, self.imm, self.target,
+                             self.region)
 
     @property
     def is_control(self) -> bool:
@@ -305,7 +314,7 @@ def build_program(instructions, maps=(), states=None) -> Program:
         raise ProgramError(f"instruction {n - 1}: control falls past the "
                            f"last instruction")
     if not any(st is not None and ins.kind in (Kind.EXIT, Kind.EARLY_EXIT)
-               for ins, st in zip(instrs, states)):
+               for ins, st in zip(reversed(instrs), reversed(states))):
         raise ProgramError("no exit reachable from entry")
     program = Program(tuple(instrs), tuple(maps))
     _keep_analysis(program, ProgramAnalysis.of_states(states, annotated=True))
@@ -436,6 +445,8 @@ def decode(data: bytes) -> Program:
         opcode, regs, off, imm = words[word]
         dst, src = regs & 0xF, regs >> 4
         if opcode == OP_LDDW:
+            if off:
+                raise _reserved(len(instrs), opcode, "offset")
             if word + 1 >= len(words):
                 raise DanglingLddwSecondHalf(len(instrs))
             op2, regs2, off2, imm2 = words[word + 1]
@@ -475,8 +486,16 @@ def _decode_one(index, opcode, dst, src, off, imm):
         nib = (off >> 8) & 0xF
         if nib >= len(ALU_OPS) or ALU_OPS[nib] not in ALU3_OPS:
             raise UnknownOpcode(index, opcode)
-        op, wire["src2"] = ALU_OPS[nib], off & 0xF
+        op, wire["src2"], wire["offset"] = ALU_OPS[nib], off & 0xF, off & ~0xF0F
+    for name, value in wire.items():
+        if value and name not in keep:
+            raise _reserved(index, opcode, name)
     return Instruction(kind, op=op, width=width, **{f: wire[f] for f in keep})
+
+
+def _reserved(index, opcode, name) -> DecodeError:
+    return DecodeError(f"instruction {index}: opcode 0x{opcode:02x} uses "
+                       f"reserved field {name}")
 
 
 def encode(program: Program) -> bytes:
@@ -780,13 +799,15 @@ def io_sets(ins: Instruction) -> IoSets:
     return io
 
 
+def _registers(*indices) -> frozenset:
+    """The register symbols of ``indices``, None left out."""
+    return frozenset(reg(r) for r in indices if r is not None)
+
+
 def _io_sets(ins: Instruction) -> IoSets:
     k = ins.kind
     if k is Kind.ALU_BINARY:
-        ins_set = {reg(ins.dst)}
-        if ins.src is not None:
-            ins_set.add(reg(ins.src))
-        return IoSets(frozenset(ins_set), frozenset({reg(ins.dst)}))
+        return IoSets(_registers(ins.dst, ins.src), frozenset({reg(ins.dst)}))
     if k is Kind.ALU_UNARY:
         return IoSets(frozenset({reg(ins.dst)}), frozenset({reg(ins.dst)}))
     if k is Kind.MOV_IMM or k is Kind.LOAD_IMM64:
@@ -794,23 +815,15 @@ def _io_sets(ins: Instruction) -> IoSets:
     if k is Kind.MOV_REG:
         return IoSets(frozenset({reg(ins.src)}), frozenset({reg(ins.dst)}))
     if k is Kind.ALU_THREE_OP:
-        ins_set = {reg(ins.src)}
-        if ins.src2 is not None:
-            ins_set.add(reg(ins.src2))
-        return IoSets(frozenset(ins_set), frozenset({reg(ins.dst)}))
+        return IoSets(_registers(ins.src, ins.src2), frozenset({reg(ins.dst)}))
     if k in (Kind.LOAD, Kind.LOAD48):
         return IoSets(frozenset({reg(ins.src), ins.region or SYM_MEM}),
                       frozenset({reg(ins.dst)}))
     if k in (Kind.STORE, Kind.STORE48):
-        ins_set = {reg(ins.dst)}
-        if ins.src is not None:
-            ins_set.add(reg(ins.src))
-        return IoSets(frozenset(ins_set), frozenset({ins.region or SYM_MEM}))
+        return IoSets(_registers(ins.dst, ins.src),
+                      frozenset({ins.region or SYM_MEM}))
     if k is Kind.BRANCH:
-        ins_set = {reg(ins.dst)}
-        if ins.src is not None:
-            ins_set.add(reg(ins.src))
-        return IoSets(frozenset(ins_set), frozenset())
+        return IoSets(_registers(ins.dst, ins.src), frozenset())
     if k is Kind.JUMP_ALWAYS:
         return IoSets(frozenset(), frozenset())
     if k is Kind.EXIT:

@@ -14,6 +14,8 @@ point by the :func:`peephole` driver:
 * 6-byte load/store fusion - the MAC-copy idiom (adjacent 4B+2B load pair
   plus the matching adjacent store pair) into load48 + store48.
 * early-exit fusion - (mov r0, imm; exit) into one parametrized exit.
+
+Every liveness question a pass asks is one call of ``analysis.live_after``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .analysis import (BasicBlock, ControlFlowGraph, live_after, program_cfg,
-                       program_liveness, stack_ranges)
+                       stack_ranges)
 from .isa import (
     ALU3_OPS,
     CONTROL_KINDS,
@@ -163,28 +165,6 @@ def _carried_cfg(program: Program, rewrites, anchors) -> ControlFlowGraph | None
         cfg.dom, cfg.pdom)
 
 
-def _live_after(program: Program, blk: BasicBlock) -> dict[int, frozenset]:
-    """``live_after`` over ``blk``. Nothing is live after a block without
-    successors, so only a block with some computes the program's liveness."""
-    live_out = (program_liveness(program).live_out[blk.id] if blk.successors
-                else frozenset())
-    return live_after(program, blk, live_out)
-
-
-def _register_live_after(program: Program, blk: BasicBlock, i: int, r: int) -> bool:
-    """Whether register ``r`` is live after instruction ``i`` of ``blk``
-    (``_live_after``): read before written, live; written first, dead; the
-    program's liveness decides only past the end of a block with successors."""
-    sym, instrs = reg(r), program.instructions
-    for k in range(i + 1, blk.end + 1):
-        io = io_sets(instrs[k])
-        if sym in io.inputs:
-            return True
-        if sym in io.outputs:
-            return False
-    return bool(blk.successors) and sym in program_liveness(program).live_out[blk.id]
-
-
 def _fuse_pairs(program: Program, fuse) -> Program:
     """Rewrite each adjacent pair (a, b) of one block, scanning forward,
     to ``fuse(a, b)`` where that is an instruction and not None. Fused
@@ -238,23 +218,14 @@ def remove_boundary_checks(program: Program):
     for blk in cfg.blocks:
         i = blk.start
         while i + 1 <= blk.end:
-            if i in consumed:
-                i += 1
-                continue
             window = _match_check(instrs, states, blk, i)
             if window is None:
                 i += 1
                 continue
             branch_idx = window[-1]
             br = instrs[branch_idx]
-            tgt_block = cfg.blocks[cfg.block_of(br.target)]
-            fall_block = cfg.block_of(branch_idx + 1)
-            if not _is_abort_block(program, tgt_block) or fall_block is None:
-                i += 1
-                continue
-            scratch = reg(br.dst)
-            live_in = program_liveness(program).live_in
-            if scratch in live_in[tgt_block.id] or scratch in live_in[fall_block]:
+            if not _is_abort_block(program, cfg.blocks[cfg.block_of(br.target)]) \
+                    or live_after(program, blk, branch_idx, reg(br.dst)):
                 i += 1
                 continue
             consumed.update(window)
@@ -303,17 +274,9 @@ def remove_zeroing(program: Program):
         return program, []
     removed = []
     for blk, writes in _zero_writes(program, program_cfg(program)):
-        after = None                 # stack liveness after each instruction
         for i, target, virgin in writes:
-            if not virgin:
-                if target[0] == "reg":
-                    if _register_live_after(program, blk, i, target[1]):
-                        continue
-                else:
-                    after = after or _live_after(program, blk)
-                    if sets_conflict({target}, after[i]):
-                        continue
-            removed.append(i)
+            if virgin or not live_after(program, blk, i, target):
+                removed.append(i)
     return _apply(program, dict.fromkeys(removed)), removed
 
 
@@ -430,7 +393,7 @@ def fuse_load_store_6b(program: Program) -> Program:
                 continue
             j, d_base, p_off = match
             # the fused form changes both scratch registers' contents
-            if any(_register_live_after(program, blk, j + 1, r) for r in (a_reg, c_reg)):
+            if any(live_after(program, blk, j + 1, reg(r)) for r in (a_reg, c_reg)):
                 continue
             rewrites[i] = Instruction(Kind.LOAD48, width=6, dst=a_reg,
                                       src=base, offset=off)

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from conftest import (dependence_sets, n_checks, provenance_states_dicts,
-                      reachable_instructions, straight_line_source)
+from conftest import (dependence_sets, n_checks, reachable_instructions,
+                      straight_line_source)
 from xvliw.analysis import (
     bernstein_ok,
     block_code,
@@ -294,11 +294,9 @@ class TestLiveness:
 
     def test_live_before(self):
         prog = parse_asm("r3 = 1\nr4 = r3\nr0 = r4\nexit\n")
-        cfg = build_program_cfg(prog)
-        info = liveness(cfg, block_code(cfg, prog))
-        after = live_after(prog, cfg.blocks[0], info.live_out[0])  # before i + 1
-        assert reg(3) in after[0]
-        assert reg(3) not in after[1]
+        blk = build_program_cfg(prog).blocks[0]
+        assert live_after(prog, blk, 0, reg(3))        # before i + 1
+        assert not live_after(prog, blk, 1, reg(3))
 
     def test_live_after_kills_a_covered_stack_range(self):
         # the load reads bytes 504-508 of the stack; the two-byte store
@@ -311,24 +309,28 @@ class TestLiveness:
           r0 = r2
           exit
         """)
-        cfg = build_program_cfg(prog)
-        info = liveness(cfg, block_code(cfg, prog))
-        after = live_after(prog, cfg.blocks[0], info.live_out[0])
+        blk = build_program_cfg(prog).blocks[0]
         read = ("stack", 504, 508)
-        assert read in after[2] and read in after[1]
-        assert read not in after[0]
+        assert live_after(prog, blk, 2, read) and live_after(prog, blk, 1, read)
+        assert not live_after(prog, blk, 0, read)
 
     @pytest.mark.parametrize("name", names())
     def test_live_after_is_live_before_the_next(self, name):
+        """Every register and every exact stack range the program touches,
+        after every instruction, against the backward fold."""
         prog = parse_asm(CORPUS[name].source)
-        cfg = build_program_cfg(prog)
-        info = liveness(cfg, block_code(cfg, prog))
-        for blk in cfg.blocks:
-            after = live_after(prog, blk, info.live_out[blk.id])
-            assert sorted(after) == list(blk.indices())
-            assert after[blk.end] == info.live_out[blk.id]
-            for i in range(blk.start, blk.end):
-                assert after[i] == _backward_step(after[i + 1], prog[i + 1])
+        info = program_liveness(prog)
+        syms = {reg(r) for r in range(11)}
+        for ins in prog.instructions:
+            io = io_sets(ins)
+            syms |= {s for s in io.inputs | io.outputs
+                     if s[0] == "stack" and len(s) == 3}
+        for blk in program_cfg(prog).blocks:
+            after = folded_live_after(prog, blk, info.live_out[blk.id])
+            for i in blk.indices():
+                for sym in syms:
+                    assert live_after(prog, blk, i, sym) == \
+                        sets_conflict({sym}, after[i]), (i, sym)
 
 
 def _backward_step(live_after, ins):
@@ -343,6 +345,15 @@ def _backward_step(live_after, ins):
               or (s[0] == "stack" and len(s) == 3
                   and any(d[1] <= s[1] and s[2] <= d[2] for d in ranges))}
     return (live_after - killed) | io.inputs
+
+
+def folded_live_after(prog, blk, live_out) -> dict:
+    """The symbols live right after each instruction of ``blk``: a fold of
+    ``_backward_step`` from ``live_out``."""
+    after = {blk.end: frozenset(live_out)}
+    for i in range(blk.end, blk.start, -1):
+        after[i - 1] = _backward_step(after[i], prog[i])
+    return after
 
 
 class TestDDG:

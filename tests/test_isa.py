@@ -11,6 +11,7 @@ from conftest import (clone_state, expand_extended, make_state,
                       point_into_packet, point_into_stack, run_step)
 from xvliw.errors import (
     DanglingLddwSecondHalf,
+    DecodeError,
     ProgramError,
     TruncatedStream,
     UnencodableInstruction,
@@ -202,10 +203,35 @@ class TestOpcodeTable:
     }
 
     @staticmethod
-    def _program(opcode):
-        # dst r1 and src r0 (a helper call needs src 0); offset 0 is an
-        # alu3 add of r0 and a jump to the exit; imm 16 is a swap width
-        return struct.pack("<BBhi", opcode, 0x01, 0, 16) + bytes.fromhex(
+    def _kept(opcode) -> tuple:
+        """The fields a word of ``opcode`` carries, by its class and
+        operation bits; an ALU3's offset carries its operation."""
+        op, x, cls = opcode >> 4, opcode & 0x08, opcode & 0x07
+        if opcode in (0x16, 0x1e):
+            return ("dst", "src", "offset") + (("imm",) if x else ())
+        if opcode == 0x9d:
+            return ("imm",)
+        if cls in (0x04, 0x07):                 # ALU32, ALU64
+            if op == 0x8:
+                return ("dst",)
+            return ("dst", "src") if x and op != 0xd else ("dst", "imm")
+        if cls == 0x05:                         # JMP
+            return {0x0: ("offset",), 0x8: ("imm",), 0x9: ()}.get(
+                op, ("dst", "src", "offset") if x else ("dst", "offset", "imm"))
+        if cls == 0x02:                         # ST
+            return ("dst", "offset", "imm")
+        return ("dst", "src", "offset")         # LDX, STX, load48, store48
+
+    PROBE = {"dst": 1, "src": 2, "offset": 0, "imm": 16}
+
+    @classmethod
+    def _program(cls, opcode, **fields):
+        # the kept fields only: dst r1, src r2, offset 0 (an alu3 add of
+        # r0, a jump to the exit) and imm 16 (a swap width); then ``fields``
+        word = {f: cls.PROBE[f] if f in cls._kept(opcode) else 0
+                for f in cls.PROBE} | fields
+        return struct.pack("<BBhi", opcode, word["dst"] | word["src"] << 4,
+                           word["offset"], word["imm"]) + bytes.fromhex(
             "9500000000000000")
 
     def test_accepted_set(self):
@@ -227,7 +253,38 @@ class TestOpcodeTable:
             prog = decode(self._program(opcode))
             data = encode(prog)
             assert data[0] == opcode, hex(opcode)
+            assert data == self._program(opcode)
             assert decode(data) == prog
+
+    def test_a_field_the_form_does_not_keep_is_reserved(self):
+        """As the kernel verifier's "uses reserved fields"; a call with a
+        source register is a local call, an unknown opcode."""
+        rejected = 0
+        for opcode in sorted(self.ACCEPTED):
+            for name, value in (("dst", 3), ("src", 4), ("offset", 1), ("imm", 1)):
+                if name in self._kept(opcode):
+                    continue
+                data = self._program(opcode, **{name: value})
+                if (opcode, name) == (0x85, "src"):
+                    with pytest.raises(UnknownOpcode):
+                        decode(data)
+                    continue
+                with pytest.raises(DecodeError,
+                                   match=f"uses reserved field {name}$"):
+                    decode(data)
+                rejected += 1
+        assert rejected == 159
+
+    @pytest.mark.parametrize("hex_words, field", [
+        ("9512050001000000", "dst"),            # exit with dst, src, off, imm
+        ("1e12100000000000", "offset"),         # alu3 imm: bits 4-7 of offset
+        ("1e12010000000000", "src2"),           # alu3 imm with a src2 nibble
+        ("1612001000000000", "offset"),         # alu3 reg: bits 12-15
+        ("1801010002000000" "0000000000000000", "offset"),   # lddw offset
+    ])
+    def test_reserved_field_regressions(self, hex_words, field):
+        with pytest.raises(DecodeError, match=f"uses reserved field {field}$"):
+            decode(bytes.fromhex(hex_words + "9500000000000000"))
 
 
 class TestProgramInvariants:
@@ -693,16 +750,24 @@ class TestConstructor:
                 setattr(ins, f.name, getattr(ins, f.name))
 
     def test_pickle_and_copy_round_trips(self):
+        """Every copy is rebuilt through the constructor: equal, without
+        the ``io`` and ``step`` memos. A run LOAD's step holds a
+        ``struct.Struct`` method, which cannot be pickled."""
+        run = Instruction(Kind.LOAD, width=4, dst=2, src=1)
+        decode_step(run)
         for ins in (Instruction(Kind.ALU_THREE_OP, op="add", width=64, dst=1,
                                 src=2, src2=3),
                     Instruction(Kind.BRANCH, op="jgt", dst=1, imm=-3, target=7),
                     Instruction(Kind.STORE, width=2, dst=10, imm=5, offset=-2,
-                                region=("stack", 510, 512))):
+                                region=("stack", 510, 512)), run):
             io_sets(ins)
             for twin in (pickle.loads(pickle.dumps(ins)), copy.copy(ins),
                          copy.deepcopy(ins)):
                 assert twin == ins and hash(twin) == hash(ins)
                 assert repr(twin) == repr(ins)
+                assert twin is not ins
+                assert twin.step is None and twin.io is None
+        assert run.step is not None
 
     @pytest.mark.parametrize("change", [
         {}, {"target": 3}, {"region": None}, {"region": ("stack", 0, 4)},

@@ -2,6 +2,7 @@
 behaviour, and semantic preservation through the interpreter."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ import xvliw.analysis as analysis_module
 import xvliw.peephole as peephole_module
 from conftest import (provenance_states_dicts, reachable_instructions,
                       straight_line_source, touched_before)
+from test_analysis import folded_live_after
 from xvliw.analysis import (build_program_cfg, live_after, program_cfg,
                             program_liveness)
 from xvliw.asm import format_asm, parse_asm
@@ -19,9 +21,8 @@ from xvliw.isa import (Instruction, Kind, Program, analysis_of, build_program,
                        provenance_states, reg, sets_conflict)
 from xvliw.peephole import (
     _find_store_pair,
-    _live_after,
+    _match_check,
     _match_load_pair,
-    _register_live_after,
     _zero_writes,
     _zeroing_target,
     fuse_early_exit,
@@ -539,52 +540,79 @@ class TestProgramFacts:
             decisions += [virgin for _target, virgin in got.values()]
         assert set(decisions) == {True, False}
 
-    def test_live_after_skips_only_what_full_liveness_gives_empty(self, rewrites):
-        """``_live_after`` computes no liveness for a block without
-        successors; every block's sets equal those full liveness gives."""
+    def test_live_after_skips_only_what_full_liveness_gives_empty(
+            self, rewrites, monkeypatch):
+        """``live_after`` computes no liveness for a question in a block
+        without successors, and answers it as full liveness does."""
+        def refused(program):
+            raise AssertionError("liveness computed")
         programs = {id(p): p for pair in rewrites for p in pair[:2]}
         skipped = 0
         for program in programs.values():
-            for blk in program_cfg(program).blocks:
-                full = program_liveness(program).live_out[blk.id]
-                assert _live_after(program, blk) == live_after(program, blk, full)
-                skipped += not blk.successors
+            for _pass, blk, i, sym in _liveness_questions(program):
+                if not blk.successors:
+                    with monkeypatch.context() as m:
+                        m.setattr(analysis_module, "program_liveness", refused)
+                        live = live_after(program, blk, i, sym)
+                    after = folded_live_after(program, blk, frozenset())
+                    assert live == sets_conflict({sym}, after[i])
+                    skipped += 1
         assert skipped > 1000
 
-    def test_register_liveness_settled_in_the_block_equals_live_after(self, rewrites):
-        """For every register zero write and every matched 6-byte pair's
-        scratch registers, the in-block answer is ``live_after``'s."""
+    def test_live_after_equals_the_backward_fold(self, rewrites):
+        """Every liveness question the passes ask, on every program they
+        make: a zero write's register or stack target, both scratch
+        registers of a matched 6-byte pair, and a boundary check's scratch
+        register. ``live_after``'s forward scan answers each as a fold of
+        ``_backward_step`` from the block's full live-out set does."""
         programs = {id(p): p for pair in rewrites for p in pair[:2]}
-        zero_writes = pairs = 0
+        asked = Counter()
         for program in programs.values():
-            instrs = program.instructions
-            for blk in program_cfg(program).blocks:
-                after = live_after(program, blk,
-                                   program_liveness(program).live_out[blk.id])
-                asked = []
-                for i in blk.indices():
-                    target = _zeroing_target(instrs[i])
-                    if target is not None and target[0] == "reg":
-                        asked.append((i, target[1]))
-                        zero_writes += 1
-                    lp = i + 1 <= blk.end and _match_load_pair(instrs, i)
-                    match = lp and _find_store_pair(instrs, blk, i, lp[0], lp[1])
-                    if match:
-                        asked += [(match[0] + 1, lp[0]), (match[0] + 1, lp[1])]
-                        pairs += 1
-                for i, r in asked:
-                    assert _register_live_after(program, blk, i, r) == \
-                        (reg(r) in after[i]), (format_asm(program), i, r)
-        assert zero_writes > 1000 and pairs > 50
+            live_out = program_liveness(program).live_out
+            folds = {}
+            for pass_name, blk, i, sym in _liveness_questions(program):
+                if blk.id not in folds:
+                    folds[blk.id] = folded_live_after(program, blk,
+                                                      live_out[blk.id])
+                assert live_after(program, blk, i, sym) == \
+                    sets_conflict({sym}, folds[blk.id][i]), \
+                    (format_asm(program), i, sym)
+                asked[sym[0]] += 1
+                asked[pass_name] += 1
+        assert asked["reg"] > 1000 and asked["stack"] > 1000
+        assert asked["load_store_6b"] > 100 and asked["boundary_checks"] > 100
+
+
+def _liveness_questions(program):
+    """Each liveness question a pass may ask of ``program``, as (pass,
+    block, index, symbol): every zero write's target after it, both scratch
+    registers of a matched 6-byte pair after its stores, and every matched
+    boundary check's scratch register after its branch."""
+    instrs = program.instructions
+    states = analysis_of(program).provenance
+    for blk in program_cfg(program).blocks:
+        for i in blk.indices():
+            target = _zeroing_target(instrs[i])
+            if target is not None:
+                yield "zeroing", blk, i, target
+            lp = i + 1 <= blk.end and _match_load_pair(instrs, i)
+            match = lp and _find_store_pair(instrs, blk, i, lp[0], lp[1])
+            if match:
+                yield "load_store_6b", blk, match[0] + 1, reg(lp[0])
+                yield "load_store_6b", blk, match[0] + 1, reg(lp[1])
+            window = _match_check(instrs, states, blk, i)
+            if window is not None:
+                yield "boundary_checks", blk, window[-1], \
+                    reg(instrs[window[-1]].dst)
 
 
 class TestLivenessOnDemand:
-    """The passes compute liveness only for a candidate whose decision
-    reads it: a boundary check jumping to an abort block, a zero write to
-    the stack that is not virgin in a block with successors, or a register
-    that a zero write or a matched 6-byte load/store pair overwrites and
-    that its block's own later instructions neither read nor write, in a
-    block with successors."""
+    """The passes ask every liveness question through
+    ``analysis.live_after``, which computes the program's liveness only for
+    a question its block leaves open: in a block with successors, a symbol
+    that the block's later instructions do not read (a register: nor write
+    first). A boundary check jumping to an abort block asks at its block's
+    end, so it always leaves the question open."""
 
     @staticmethod
     def _reduce_counting_liveness(monkeypatch, program):

@@ -70,7 +70,7 @@ def test_no_conflicts_identity_map():
     assert rep.renames == []
 
 
-def test_same_row_conflict_renamed_and_propagated():
+def test_conflicting_writers_keep_their_registers_in_separate_rows():
     # code motion once renamed "r4 = 9" here; every writer now keeps its
     # register and no row holds two writers of one
     vliw, _ = _check_equivalence(CONFLICT)
@@ -84,7 +84,7 @@ def test_same_row_conflict_renamed_and_propagated():
         assert len(written) == len(set(written))
 
 
-def test_rename_propagates_to_unmoved_cross_block_use():
+def test_cross_block_use_reads_the_register_its_writer_keeps():
     vliw, _ = _check_equivalence(CROSS_BLOCK_USE)
     stores = [s.instr for row in vliw.rows for s in row
               if s is not None and s.instr.kind is Kind.STORE
@@ -92,7 +92,7 @@ def test_rename_propagates_to_unmoved_cross_block_use():
     assert stores and stores[0].src == 4
 
 
-def test_rename_through_read_modify_write():
+def test_read_modify_write_keeps_its_register():
     # the moved definition feeds an alu that reads and redefines the register
     src = """
       r2 = *(u32 *)(r1 + 0)
@@ -118,7 +118,7 @@ def test_rename_through_read_modify_write():
     assert stores and stores[0].src == 4
 
 
-def test_renames_preserved_under_fuzz():
+def test_fuzz_run_seed_77_matches_the_oracle():
     from xvliw.fuzz import fuzz
     summary = fuzz(150, seed=77, minimize_failures=False)
     assert summary.ok
@@ -152,7 +152,7 @@ L3:
 """
 
 
-def test_later_rename_keeps_clear_of_earlier_renamed_value():
+def test_two_values_moved_into_one_block_match_the_oracle():
     case = generate_case(2882299465595)
     mini = FuzzCase(case.seed, TWO_RENAMES, case.packet_hex,
                     case.ingress_port, case.map_config)
