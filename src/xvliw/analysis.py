@@ -1,8 +1,11 @@
 """Control and data flow analysis.
 
-Basic blocks, the CFG with dominator/post-dominator sets, backward
-liveness over register and memory-region symbols, per-block data
-dependence graphs and the pairwise parallelizability predicate.
+Basic blocks, the CFG with dominator/post-dominator sets and the block
+walk (``walk_blocks``), backward liveness over register and memory-region
+symbols, per-block data dependence graphs and the pairwise
+parallelizability predicate. Which blocks code motion may take
+instructions from is the scheduler's question (``scheduler.motion_sources``),
+answered from these dominator sets and walks.
 
 Post-dominators are the dominators (``_dominators``) of the reversed
 graph, rooted at a virtual exit node joining every block without
@@ -171,30 +174,6 @@ def walk_blocks(cfg: ControlFlowGraph, start: int, forward: bool = True,
                 if t not in stop:
                     work.append(t)
     return seen
-
-
-def control_equivalent(cfg: ControlFlowGraph, b: int) -> set[int]:
-    """Blocks executed iff ``b`` executes: two-sided dom/post-dom."""
-    out = {b}
-    for c in (blk.id for blk in cfg.blocks):
-        if c == b:
-            continue
-        if (cfg.dominates(b, c) and cfg.postdominates(c, b)) or \
-           (cfg.dominates(c, b) and cfg.postdominates(b, c)):
-            out.add(c)
-    return out
-
-
-def candidate_blocks(cfg: ControlFlowGraph, b: int) -> set[int]:
-    """Code-motion sources: control-equivalent blocks plus their dominated
-    successors; ``b`` itself is never a source."""
-    ce = control_equivalent(cfg, b) - {b}
-    out = set(ce)
-    for x in ce:
-        for s in cfg.blocks[x].successors:
-            if s != b and cfg.dominates(x, s):
-                out.add(s)
-    return out
 
 
 # ---------------------------------------------------------------------------

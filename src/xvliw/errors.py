@@ -1,8 +1,15 @@
 """Exception types shared across the toolkit."""
 
+import copyreg
+
 
 class XvliwError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # ``args`` holds the formatted message, which a subclass constructor
+        # taking other arguments cannot rebuild from: create without it
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None
 
 
 # --- decode / encode ---

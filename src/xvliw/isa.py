@@ -332,7 +332,9 @@ def field_problem(ins: Instruction) -> str | None:
         if r is not None and not 0 <= r < NUM_REGS:
             return f"register index {r} out of range"
     # only a register an instruction writes through dst can be r10
-    if ins.dst == FRAME_REG and written_register(ins) == FRAME_REG:
+    if ins.dst == FRAME_REG and ins.kind in (
+            Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
+            Kind.LOAD, Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.LOAD48):
         return "r10 is read-only"
     k = ins.kind
     if k is Kind.LOAD or k is Kind.STORE:
@@ -357,17 +359,6 @@ def successors(ins: Instruction, i: int) -> tuple[int, ...]:
     if k is Kind.BRANCH:
         return (ins.target, i + 1)
     return (i + 1,)
-
-
-def written_register(ins: Instruction):
-    """The register an instruction defines, None for stores/branches (calls
-    and parametrized exits define r0)."""
-    if ins.kind in (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
-                    Kind.LOAD, Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.LOAD48):
-        return ins.dst
-    if ins.kind in (Kind.CALL, Kind.EARLY_EXIT):
-        return 0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +443,9 @@ def decode(data: bytes) -> Program:
             op2, regs2, off2, imm2 = words[word + 1]
             if op2 != 0 or regs2 != 0 or off2 != 0:
                 raise DanglingLddwSecondHalf(len(instrs))
+            if src not in (0, PSEUDO_MAP_FD):
+                raise DecodeError(f"instruction {len(instrs)}: lddw src {src} "
+                                  f"is neither 0 nor a map fd")
             value = (imm & 0xFFFFFFFF) | ((imm2 & 0xFFFFFFFF) << 32)
             instrs.append(Instruction(Kind.LOAD_IMM64, dst=dst, src=src, imm=value))
             word += 2

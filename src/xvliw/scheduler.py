@@ -25,15 +25,19 @@ instruction is ready only once all its predecessors sit in earlier rows;
 that alone keeps helper calls one per row, since every call writes r0.
 When nothing fits, a new row is opened.
 
-Upward code motion then fills empty slots from later blocks. A mover keeps
-its registers: it goes into the earliest row of its new block that
-follows every slot it fails the pairwise Bernstein test against, has a
-free lane and leaves the block's lanes assignable, so no row ever holds
-two writers of one register and nothing is renamed. A speculative mover
-(one from a block that does not always run when its new block does) must
-write nothing that is live into a block where control leaves the path to
-its source, judged by the liveness of the schedules as code motion has
-transformed them so far.
+Upward code motion then fills empty slots from later blocks. One
+generator, ``motion_sources``, says where a block may take instructions
+from: the blocks control-equivalent to it below it and their dominated
+successors, none in a loop the block is not in or the reverse, each with
+the blocks a move from it crosses. A mover passes the pairwise Bernstein
+test against every slot of those crossed blocks. It keeps its registers:
+it goes into the earliest row of its new block that follows every slot it
+fails that test against, has a free lane and leaves the block's lanes
+assignable, so no row ever holds two writers of one register and nothing
+is renamed. A speculative mover (one from a block that does not always
+run when its new block does) must write nothing that is live into a
+block where control leaves the path to its source, judged by the
+liveness of the schedules as code motion has transformed them so far.
 """
 
 from __future__ import annotations
@@ -45,12 +49,10 @@ from .analysis import (
     ControlFlowGraph,
     DataDependenceGraph,
     bernstein_ok,
-    candidate_blocks,
-    control_equivalent,
     liveness,
     walk_blocks,
 )
-from .isa import JUMP_KINDS, Instruction, Kind, Program, io_sets, sets_conflict
+from .isa import JUMP_KINDS, Kind, Program, io_sets, sets_conflict
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -209,18 +211,37 @@ def assign_lanes(rows: list[list[Slot]], lanes: int, laned=()):
 # upward code motion
 # ---------------------------------------------------------------------------
 
-def _blocks_between(cfg: ControlFlowGraph, b: int, s: int) -> set[int]:
-    """Blocks an instruction moved from s up into b crosses: those on a
-    path b -> s, both endpoints excluded. The forward walk does not go on
-    past s. When b and s share a loop, a block reached only that way (s ->
-    ... -> b) runs before the instruction both before and after the move,
+def motion_sources(cfg: ControlFlowGraph, b: int):
+    """The blocks upward code motion may take instructions from into block
+    ``b``, in block order, each as ``(source, control_equivalent,
+    crossed)`` (Bernstein & Rodeh, PLDI 1991).
+
+    The sources lie below ``b``, or a move would sink definitions past
+    their uses: the blocks ``b`` dominates that post-dominate it (the
+    control-equivalent ones, run exactly when ``b`` is) and each such
+    block's successors that it dominates. A source in a loop ``b`` is not
+    in, or the reverse, is left out, or its movers would run more or fewer
+    times. ``crossed`` holds the blocks on a path from ``b`` to the source,
+    both excluded, the walk not going on past the source. When ``b`` and
+    the source share a loop, a block reached only that way (source -> ...
+    -> ``b``) runs before the instruction both before and after the move,
     so it is not crossed."""
-    return (walk_blocks(cfg, b, stop={s}) & walk_blocks(cfg, s, forward=False)) \
-        - {b, s}
+    equivalent = {c for c in cfg.pdom[b] if c != b and cfg.dominates(b, c)}
+    sources = equivalent | {s for c in equivalent
+                            for s in cfg.blocks[c].successors
+                            if cfg.dominates(c, s)}
+    for s in sorted(sources):
+        ahead = walk_blocks(cfg, b, stop={s})
+        if b in ahead or s in walk_blocks(cfg, s, stop={b}):
+            continue
+        crossed = (ahead & walk_blocks(cfg, s, forward=False)) - {b, s}
+        yield s, s in equivalent, crossed
 
 
 class CodeMotion:
-    """Moves ready instructions from candidate blocks into empty slots."""
+    """Fills each block's empty slots from its ``motion_sources``, a mover
+    checked against every slot of the blocks it crosses and, if it is
+    speculative, for liveness where control leaves the path to its source."""
 
     def __init__(self, schedules, cfg, constraints, program, ddgs):
         self.schedules: dict[int, BlockSchedule] = schedules
@@ -232,35 +253,16 @@ class CodeMotion:
         self._live_in = None       # of the current schedules; None when stale
         self._laned: dict[int, list] = {}   # block id -> its rows, laned
 
-    def run(self):
-        for blk in self.cfg.blocks:
-            self._pull_into(blk.id)
-            self._pull_branches(blk.id)
-        return self.schedules
-
     # -- general motion ----------------------------------------------------
 
     def _pull_into(self, b: int):
-        bs = self.schedules[b]
-        if not bs.rows:
+        if not self.schedules[b].rows:
             return
-        ctrl_eq = control_equivalent(self.cfg, b)
-        for cand in sorted(candidate_blocks(self.cfg, b)):
-            # anticipation only: the source must lie below b, or the "move"
-            # would sink a definition past its uses
-            if not self.cfg.dominates(b, cand):
-                continue
-            if not self.schedules[cand].rows:
-                continue
-            # neither b nor the source may sit in a loop the other is not
-            # in, or the moved instruction would run more or fewer times
-            if cand in walk_blocks(self.cfg, cand, stop={b}) or \
-                    b in walk_blocks(self.cfg, b, stop={cand}):
-                continue
-            between = _blocks_between(self.cfg, b, cand)
-            self._move_from(b, cand, cand in ctrl_eq, between)
+        for cand, is_ctrl_eq, crossed in motion_sources(self.cfg, b):
+            if self.schedules[cand].rows:
+                self._move_from(b, cand, is_ctrl_eq, crossed)
 
-    def _move_from(self, b, cand, is_ctrl_eq, between):
+    def _move_from(self, b, cand, is_ctrl_eq, crossed):
         bs = self.schedules[b]
         cs = self.schedules[cand]
         ddg = self.ddgs[cand]
@@ -272,12 +274,16 @@ class CodeMotion:
                 for slot in list(row):
                     if slot.src_block != cand:     # already migrated once
                         continue
-                    if not self._movable_kind(slot.instr, is_ctrl_eq):
+                    # speculative loads could trap on paths that never
+                    # reach the source
+                    kind = slot.instr.kind
+                    if not (kind in MOVABLE_PURE or
+                            is_ctrl_eq and kind in MOVABLE_LOADS):
                         continue
                     node = slot.src_index
                     if any(p not in moved_nodes for p in ddg.preds[node]):
                         continue
-                    if not self._interference_free(slot, b, cand, between,
+                    if not self._interference_free(slot, b, cand, crossed,
                                                    is_ctrl_eq):
                         continue
                     if not self._place(bs, slot):
@@ -307,28 +313,19 @@ class CodeMotion:
                     changed = True
                     break
 
-    def _movable_kind(self, ins: Instruction, is_ctrl_eq: bool) -> bool:
-        if ins.kind in MOVABLE_PURE:
-            return True
-        # speculative loads could trap on paths that never reach the source
-        return ins.kind in MOVABLE_LOADS and is_ctrl_eq
-
-    def _interference_free(self, slot, b, cand, between, is_ctrl_eq):
-        io = io_sets(slot.instr)
-        for t in between:
-            t_in, t_out = self._current_block_io(t)
-            if sets_conflict(t_out, io.inputs):
-                return False
-            if sets_conflict(t_out, io.outputs) or sets_conflict(t_in, io.outputs):
-                return False
+    def _interference_free(self, slot, b, cand, crossed, is_ctrl_eq):
+        if not all(bernstein_ok(other.instr, slot.instr) for t in crossed
+                   for row in self.schedules[t].rows for other in row):
+            return False
         # instructions still in the source block ahead of the mover are its
         # DDG predecessors (already required to have moved); nothing to check.
         if not is_ctrl_eq:
             # a speculative mover's output must be dead on every path that
             # leaves the region without reaching the source, in the program
             # as transformed so far (Bernstein & Rodeh, PLDI 1991)
+            io = io_sets(slot.instr)
             live_in = self._current_live_in()
-            region = set(between) | {b}
+            region = crossed | {b}
             inside = region | {cand}
             for e in region:
                 for t in self.cfg.blocks[e].successors:
@@ -344,16 +341,6 @@ class CodeMotion:
                     for bid, bs in self.schedules.items()}
             self._live_in = liveness(self.cfg, code).live_in
         return self._live_in
-
-    def _current_block_io(self, bid):
-        ins_syms: set = set()
-        out_syms: set = set()
-        for row in self.schedules[bid].rows:
-            for s in row:
-                io = io_sets(s.instr)
-                ins_syms |= io.inputs
-                out_syms |= io.outputs
-        return ins_syms, out_syms
 
     def _place(self, bs: BlockSchedule, slot: Slot) -> bool:
         """Add ``slot`` to the earliest row of b that follows every slot of
@@ -441,9 +428,11 @@ class CodeMotion:
 
 def code_motion(schedules, cfg, constraints: LaneConstraints,
                 program: Program, ddgs):
-    """Move ready instructions upward from candidate blocks; pull trailing
-    single-branch blocks up for parallel branching. Returns (schedules,
-    moved_log)."""
+    """Move ready instructions upward from each block's ``motion_sources``;
+    pull trailing single-branch blocks up for parallel branching. Returns
+    (schedules, moved_log)."""
     cm = CodeMotion(schedules, cfg, constraints, program, ddgs)
-    cm.run()
+    for blk in cfg.blocks:
+        cm._pull_into(blk.id)
+        cm._pull_branches(blk.id)
     return schedules, cm.moved_log

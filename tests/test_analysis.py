@@ -1,4 +1,4 @@
-"""Blocks, dominators, control equivalence, liveness, dependence graphs.
+"""Blocks, dominators, code-motion sources, liveness, dependence graphs.
 
 Dominator and post-dominator results are cross-checked against simple-path
 enumeration on every graph up to 8 nodes that the tests build.
@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import test_scheduler
 from conftest import (dependence_sets, n_checks, reachable_instructions,
                       straight_line_source)
 from xvliw.analysis import (
@@ -17,9 +18,7 @@ from xvliw.analysis import (
     block_code,
     build_ddg,
     build_program_cfg,
-    candidate_blocks,
     cfg_to_dot,
-    control_equivalent,
     find_basic_blocks,
     live_after,
     liveness,
@@ -34,6 +33,7 @@ from xvliw.isa import (Instruction, Kind, Program, analysis_of, io_sets,
                        provenance_states, reg, sets_conflict)
 from xvliw.peephole import _PASSES, peephole
 from xvliw.schedule import LaneConstraints
+from xvliw.scheduler import motion_sources
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
 DIAMOND = """
@@ -63,6 +63,24 @@ top:
   r1 += -1
   if r1 > 0 goto top
   r0 = 0
+  exit
+"""
+
+# every block of the loop runs once per iteration, so they may share
+# instructions; a move from the latch into "mid" crosses nothing, although
+# "top" lies on the way back round
+SHARED_LOOP = """
+  r1 = 3
+top:
+  r2 += 1
+  goto mid
+mid:
+  r3 += 1
+  goto latch
+latch:
+  r1 += -1
+  if r1 > 0 goto top
+  r0 = r2
   exit
 """
 
@@ -99,6 +117,10 @@ def brute_postdominates(succs, exits, a, b):
         if enumerate_simple_paths(succs, b, e, avoid=a):
             return False
     return True
+
+
+def sources(cfg, b):
+    return list(motion_sources(cfg, b))
 
 
 def assert_dom_matches_bruteforce(cfg):
@@ -192,22 +214,30 @@ class TestDominance:
 
 
 class TestControlEquivalence:
+    """``scheduler.motion_sources``: the blocks code motion may take
+    instructions from into a block, whether each is control-equivalent to
+    it, and the blocks a move from each crosses."""
+
     def test_chain_all_equivalent(self):
         cfg = build_program_cfg(parse_asm(CHAIN))
-        for b in (0, 1, 2):
-            assert control_equivalent(cfg, b) == {0, 1, 2}
+        assert sources(cfg, 0) == [(1, True, set()), (2, True, {1})]
+        assert sources(cfg, 1) == [(2, True, set())]
+        assert sources(cfg, 2) == []
 
     def test_diamond(self):
+        # blocks: 0=head, 1=then, 2=else, 3=join; the arms are equivalent
+        # to no other block, and a move from the join crosses both
         cfg = build_program_cfg(parse_asm(DIAMOND))
-        assert control_equivalent(cfg, 0) == {0, 3}
-        assert control_equivalent(cfg, 1) == {1}
+        assert sources(cfg, 0) == [(3, True, {1, 2})]
+        assert sources(cfg, 1) == sources(cfg, 2) == sources(cfg, 3) == []
 
     def test_loop_body_not_equivalent_to_tail(self):
         cfg = build_program_cfg(parse_asm(LOOP))
         # the loop body (block 0) exits conditionally; the tail (block 1)
         # runs exactly once while the body may run many times
-        assert 1 in control_equivalent(cfg, 0)  # structurally two-sided here
-        prog = parse_asm("""
+        assert cfg.dominates(0, 1) and cfg.postdominates(1, 0)  # two-sided
+        assert sources(cfg, 0) == []
+        cfg = build_program_cfg(parse_asm("""
         top:
           r1 += -1
           if r1 > 0 goto top
@@ -217,36 +247,65 @@ class TestControlEquivalence:
         out2:
           r0 = 2
           exit
-        """)
-        cfg = build_program_cfg(prog)
-        assert 2 not in control_equivalent(cfg, 1)
+        """))
+        assert sources(cfg, 0) == sources(cfg, 1) == []
+        # a block before the loop takes from the tail, across the loop
+        cfg = build_program_cfg(parse_asm("r1 = 3\n" + LOOP))
+        assert sources(cfg, 0) == [(2, True, {1})]
+        cfg = build_program_cfg(parse_asm(SHARED_LOOP))
+        assert sources(cfg, 0) == [(4, True, {1, 2, 3})]
+        assert sources(cfg, 1) == [(2, True, set()), (3, True, {2})]
+        assert sources(cfg, 2) == [(3, True, set())]
 
     def test_candidates_single_block(self):
         cfg = build_program_cfg(parse_asm("exit\n"))
-        assert candidate_blocks(cfg, 0) == set()
+        assert sources(cfg, 0) == []
 
     def test_candidates_diamond(self):
-        cfg = build_program_cfg(parse_asm(DIAMOND))
-        assert candidate_blocks(cfg, 0) == {3}
+        # the arms, dominated successors of block 1, are speculative
+        # sources of block 0, which block 1 is equivalent to; a block's own
+        # successors are not its sources
+        cfg = build_program_cfg(parse_asm("goto h\nh:\n" + DIAMOND))
+        assert sources(cfg, 0) == [(1, True, set()), (2, False, {1}),
+                                   (3, False, {1}), (4, True, {1, 2, 3})]
+        assert sources(cfg, 1) == [(4, True, {2, 3})]
 
     def test_candidates_chain(self):
         cfg = build_program_cfg(parse_asm(CHAIN))
-        assert candidate_blocks(cfg, 0) == {1, 2}
+        assert [s for s, _, _ in sources(cfg, 0)] == [1, 2]
 
     def test_candidates_match_definition_on_random_cfgs(self):
-        from xvliw.fuzz import generate_case
-        for i in range(25):
-            prog = parse_asm(generate_case(11000 + i).program_text)
-            cfg = build_program_cfg(prog)
-            for b in (blk.id for blk in cfg.blocks):
-                ce = {c for c in (x.id for x in cfg.blocks)
+        """On 25 random CFGs and the loop programs: the sources
+        by two-sided dominance, the loop rule by simple paths back to a
+        block, and the crossed blocks by path enumeration."""
+        texts = [generate_case(11000 + i).program_text for i in range(25)]
+        texts += [src for src, _ in test_scheduler.TestCodeMotion.LOOPS.values()]
+        for text in texts + [LOOP, SHARED_LOOP]:
+            cfg = build_program_cfg(parse_asm(text))
+            ids = [blk.id for blk in cfg.blocks]
+            succs = {blk.id: blk.successors for blk in cfg.blocks}
+
+            def reaches(a, x, avoid=None):
+                return bool(enumerate_simple_paths(succs, a, x, avoid=avoid))
+
+            def on_cycle(x, avoid):
+                return any(reaches(t, x, avoid) for t in succs[x])
+
+            for b in ids:
+                ce = {c for c in ids
                       if (cfg.dominates(b, c) and cfg.postdominates(c, b)) or
                          (cfg.dominates(c, b) and cfg.postdominates(b, c))}
-                expect = (ce - {b}) | {
-                    s for x in ce - {b}
-                    for s in cfg.blocks[x].successors
+                candidates = (ce - {b}) | {
+                    s for x in ce - {b} for s in succs[x]
                     if s != b and cfg.dominates(x, s)}
-                assert candidate_blocks(cfg, b) == expect
+                expect = [
+                    (s, s in ce, {x for x in ids if x not in (b, s)
+                                  and any(reaches(t, x, s) for t in succs[b])
+                                  and reaches(x, s)})
+                    for s in sorted(candidates)
+                    if cfg.dominates(b, s)
+                    and not on_cycle(s, b) and not on_cycle(b, s)]
+                assert sources(cfg, b) == expect, (text, b)
 
 
 class TestLiveness:

@@ -286,6 +286,20 @@ class TestOpcodeTable:
         with pytest.raises(DecodeError, match=f"uses reserved field {field}$"):
             decode(bytes.fromhex(hex_words + "9500000000000000"))
 
+    def test_lddw_src_is_0_or_a_map_fd(self):
+        """A lddw whose src is a kernel pseudo kind other than a map fd (2, a
+        map value) once decoded to ``r1 = 0x7 ll`` and returned 7, where the
+        kernel would load a pointer into a map's value."""
+        with pytest.raises(DecodeError, match="instruction 0: lddw src 2 "):
+            decode(bytes.fromhex("1821000007000000" "0000000000000000"
+                                 "bf10000000000000" "9500000000000000"))
+        for src in range(3, 16):
+            with pytest.raises(DecodeError, match=f"lddw src {src} "):
+                decode(bytes([OP_LDDW, src << 4 | 1]) + bytes(14)
+                       + bytes.fromhex("9500000000000000"))
+        assert decode(bytes([OP_LDDW, 1]) + bytes(14)
+                      + bytes.fromhex("9500000000000000"))[0].src == 0
+
 
 class TestProgramInvariants:
     def test_r10_read_only(self):

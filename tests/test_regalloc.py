@@ -13,7 +13,7 @@ from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS
 from xvliw.fuzz import FuzzCase, case_seed, compare_results, generate_case, run_case
-from xvliw.isa import Kind, written_register
+from xvliw.isa import Kind, io_sets
 from xvliw.schedule import LaneConstraints
 from xvliw.vliwsim import exec_vliw, hazard_check
 from xvliw.vm import MapStore, PacketContext, exec_sequential
@@ -79,8 +79,8 @@ def test_conflicting_writers_keep_their_registers_in_separate_rows():
                for i in texts)
     assert any(i.kind is Kind.ALU_THREE_OP and i.src == 4 for i in texts)
     for row in vliw.rows:
-        written = [written_register(s.instr) for s in row if s is not None]
-        written = [r for r in written if r is not None]
+        written = [sym for s in row if s is not None
+                   for sym in io_sets(s.instr).outputs if sym[0] == "reg"]
         assert len(written) == len(set(written))
 
 
@@ -182,7 +182,7 @@ skip0:
 
 
 @pytest.mark.parametrize("lanes", range(1, 9))
-def test_rename_keeps_clear_of_plainly_moved_value(lanes):
+def test_value_moved_across_a_loop_matches_the_oracle(lanes):
     _check_equivalence(PLAIN_MOVE, lanes)
 
 

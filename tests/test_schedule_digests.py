@@ -11,9 +11,11 @@ and says in its description which entries moved and why.
     PYTHONPATH=src python tests/test_schedule_digests.py --wide
 
 prints ``name sha256`` lines over a wider set (the corpus at lanes 1-8,
-fuzz cases 0-299 at lanes 1, 2, 3, 4 and 8, and straight-line blocks of
-seeds 4242 and 901 at those lanes). ``diff`` of its output from two
-commits proves a byte-identical claim beyond the golden entries.
+fuzz cases 0-299 at lanes 1, 2, 3, 4 and 8, straight-line blocks of
+seeds 4242 and 901 at those lanes, and the code-motion loop programs,
+``test_scheduler.TestCodeMotion.LOOPS``, at lanes 1-8: the only entries
+with a back edge). ``diff`` of its output from two commits proves a
+byte-identical claim beyond the golden entries.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import random
 import sys
 from pathlib import Path
 
+import test_scheduler
 from conftest import straight_line_source
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
@@ -68,7 +71,11 @@ def schedule_digests() -> dict[str, str]:
 
 
 def wide_digests() -> dict[str, str]:
-    return _digests(WIDE_FUZZ_CASES, WIDE_LANES, WIDE_BLOCK_SEEDS, WIDE_LANES)
+    out = _digests(WIDE_FUZZ_CASES, WIDE_LANES, WIDE_BLOCK_SEEDS, WIDE_LANES)
+    for name, (source, _) in sorted(test_scheduler.TestCodeMotion.LOOPS.items()):
+        for lanes in range(1, 9):
+            out[f"loops/{name}/lanes{lanes}"] = _digest(source, lanes)
+    return out
 
 
 def _read_golden() -> dict[str, str]:

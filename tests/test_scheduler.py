@@ -12,7 +12,7 @@ from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, compare_results, generate_case
-from xvliw.isa import JUMP_KINDS, Kind, io_sets, symbols_overlap, written_register
+from xvliw.isa import JUMP_KINDS, Kind, io_sets, symbols_overlap
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import (CodeMotion, assign_lanes, code_motion, lane_row,
                              list_schedule)
@@ -396,8 +396,8 @@ class TestCodeMotion:
         def checked(schedules, cfg, lanes, maps=()):
             for bs in schedules.values():
                 for row in bs.rows:
-                    written = [written_register(s.instr) for s in row]
-                    written = [r for r in written if r is not None]
+                    written = [sym for s in row for sym in io_sets(s.instr).outputs
+                               if sym[0] == "reg"]
                     if len(written) != len(set(written)):
                         clashes.append((text, [s.instr for s in row]))
             return real(schedules, cfg, lanes, maps)
