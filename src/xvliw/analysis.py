@@ -1,11 +1,18 @@
 """Control and data flow analysis.
 
 Basic blocks, the CFG with dominator/post-dominator sets and the block
-walk (``walk_blocks``), backward liveness over register and memory-region
-symbols, per-block data dependence graphs and the pairwise
-parallelizability predicate. Which blocks code motion may take
-instructions from is the scheduler's question (``scheduler.motion_sources``),
-answered from these dominator sets and walks.
+walk (``walk_blocks``), backward liveness over ``isa``'s atom masks,
+per-block data dependence graphs and the pairwise parallelizability
+predicate. Which blocks code motion may take instructions from is the
+scheduler's question (``scheduler.motion_sources``), answered from these
+dominator sets and walks.
+
+Liveness is byte-precise. A live set is a mask of atoms, and only what
+an instruction surely overwrites (``io_sets``'s ``kills``: the registers
+it writes and the bytes of an exact frame store) ends a live range, one
+byte at a time, also inside a live ``mem`` extent. That is sound because
+an exact frame store writes every byte its region names; a store through
+any other pointer kills nothing.
 
 Post-dominators are the dominators (``_dominators``) of the reversed
 graph, rooted at a virtual exit node joining every block without
@@ -26,8 +33,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction
 from .errors import ProgramError
-from .isa import (CONTROL_KINDS, Instruction, Program, analysis_of, io_sets,
-                  sets_conflict, successors, symbols_overlap)
+from .isa import (CONTROL_KINDS, MEMORY, REGISTERS, Instruction, Program,
+                  analysis_of, io_sets, successors)
 
 _EXITV = -1
 
@@ -180,32 +187,10 @@ def walk_blocks(cfg: ControlFlowGraph, start: int, forward: bool = True,
 # liveness
 # ---------------------------------------------------------------------------
 
-def _kill(live, defs, stack_defs) -> set:
-    """``live`` less the symbols a write of all of ``defs`` definitely
-    overwrites: a register only by itself, an exact stack range by a
-    range in ``stack_defs`` (the exact stack ranges of ``defs``) that
-    covers it. Anything else stays live."""
-    out = set()
-    for s in live:
-        if s[0] == "reg":
-            if s in defs:
-                continue
-        elif len(s) == 3 and s[0] == "stack" and \
-                any(d[1] <= s[1] and s[2] <= d[2] for d in stack_defs):
-            continue
-        out.add(s)
-    return out
-
-
-def stack_ranges(syms) -> list:
-    """The exact stack ranges ``("stack", lo, hi)`` among ``syms``."""
-    return [s for s in syms if len(s) == 3 and s[0] == "stack"]
-
-
 @dataclass
 class LivenessInfo:
-    live_in: dict[int, frozenset]
-    live_out: dict[int, frozenset]
+    live_in: dict[int, int]
+    live_out: dict[int, int]
 
 
 def block_code(cfg: ControlFlowGraph, program: Program) -> dict[int, list]:
@@ -221,42 +206,33 @@ def liveness(cfg: ControlFlowGraph,
     block's instructions in execution order: a program's (``block_code``)
     or a schedule's rows flattened in order. Instructions sharing a row
     pass the pairwise Bernstein test, so their order within the row does
-    not matter. Memory-region symbols participate like registers; only
-    register writes and exact stack ranges kill (anything else is an
-    over-approximation kept live)."""
-    use: dict[int, set] = {}
-    defs: dict[int, set] = {}
-    stack_defs: dict[int, list] = {}
+    not matter. Over masks of atoms, live_in = use | (live_out & ~kills),
+    byte-precise as the module docstring says."""
+    use: dict[int, int] = {}
+    kills: dict[int, int] = {}
     for blk in cfg.blocks:
-        u: set = set()
-        d: set = set()
-        sd: list = []                   # the stack ranges in d
+        u = d = 0
         for ins in code[blk.id]:
             io = io_sets(ins)
-            u |= _kill(io.inputs, d, sd)
-            sd += stack_ranges(io.outputs - d)
-            d |= io.outputs
-        use[blk.id] = u
-        defs[blk.id] = d
-        stack_defs[blk.id] = sd
+            u |= io.reads & ~d
+            d |= io.kills
+        use[blk.id], kills[blk.id] = u, d
 
-    live_in = {b.id: set() for b in cfg.blocks}
-    live_out = {b.id: set() for b in cfg.blocks}
+    live_in = dict.fromkeys(use, 0)
+    live_out = dict.fromkeys(use, 0)
     changed = True
     while changed:
         changed = False
         for blk in reversed(cfg.blocks):
-            out: set = set()
+            out = 0
             for s in blk.successors:
                 out |= live_in[s]
-            new_in = use[blk.id] | _kill(out, defs[blk.id], stack_defs[blk.id])
+            new_in = use[blk.id] | (out & ~kills[blk.id])
             if out != live_out[blk.id] or new_in != live_in[blk.id]:
                 live_out[blk.id] = out
                 live_in[blk.id] = new_in
                 changed = True
-
-    return LivenessInfo({b: frozenset(live_in[b]) for b in live_in},
-                        {b: frozenset(live_out[b]) for b in live_out})
+    return LivenessInfo(live_in, live_out)
 
 
 def program_liveness(program: Program) -> LivenessInfo:
@@ -269,29 +245,22 @@ def program_liveness(program: Program) -> LivenessInfo:
     return record.liveness
 
 
-def live_after(program: Program, blk: BasicBlock, i: int, sym) -> bool:
-    """Whether ``sym``, a register or an exact stack range, is live right
-    after instruction ``i`` of ``blk``: some path from there reads a symbol
-    overlapping it before a write kills that symbol (``_kill``'s rule). The
-    scan runs forward; a register is dead once written. Only past the end
-    of a block with successors does the program's liveness decide."""
+def live_after(program: Program, blk: BasicBlock, i: int, mask: int) -> bool:
+    """Whether any atom of ``mask`` is live right after instruction ``i``
+    of ``blk``: some path from there reads it before a write kills it, by
+    ``liveness``'s rule. The scan runs forward, dropping each atom once
+    killed; only past the end of a block with successors does the
+    program's liveness decide."""
     instrs = program.instructions
-    defs: set = set()
-    stack_defs: list = []               # the stack ranges in defs
     for k in range(i + 1, blk.end + 1):
         io = io_sets(instrs[k])
-        if sym[0] == "reg":             # read, live; written, dead
-            if sym in io.inputs:
-                return True
-            if sym in io.outputs:
-                return False
-        elif sets_conflict({sym}, _kill(io.inputs, defs, stack_defs)):
+        if io.reads & mask:
             return True
-        else:
-            stack_defs += stack_ranges(io.outputs - defs)
-            defs |= io.outputs
-    return bool(blk.successors) and sets_conflict(
-        {sym}, _kill(program_liveness(program).live_out[blk.id], defs, stack_defs))
+        mask &= ~io.kills
+        if not mask:
+            return False
+    return bool(blk.successors) and \
+        bool(program_liveness(program).live_out[blk.id] & mask)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +282,29 @@ class DataDependenceGraph:
     raw_preds: dict[int, set]
 
 
-def _earlier(index: dict, memory: list, sym) -> list:
-    """Nodes in ``index`` under a symbol overlapping ``sym``: a register
-    overlaps only itself, a memory symbol is tested against each distinct
-    memory symbol seen so far."""
-    if sym[0] == "reg":
-        return index.get(sym, [])
+def _keys(mask: int) -> list:
+    """The DDG index keys of an io mask: one per register bit, then its
+    memory atoms as one extent."""
+    keys = []
+    regs = mask & REGISTERS
+    while regs:
+        low = regs & -regs
+        keys.append(low)
+        regs ^= low
+    if mask > REGISTERS:
+        keys.append(mask & MEMORY)
+    return keys
+
+
+def _earlier(index: dict, memory: list, key: int) -> list:
+    """Nodes in ``index`` under a key overlapping ``key``: a register
+    overlaps only itself, a memory extent is tested against each distinct
+    extent seen so far."""
+    if key <= REGISTERS:
+        return index.get(key, [])
     found = []
     for m in memory:
-        if m in index and symbols_overlap(m, sym):
+        if m & key and m in index:
             found += index[m]
     return found
 
@@ -330,17 +313,17 @@ def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
     """Dependence edges between a block's instructions, in program order,
     keeping only those that order something.
 
-    i before j conflicts when an output of i overlaps an input or an
-    output of j, or an input of i overlaps an output of j
-    (``sets_conflict``); the conflict is RAW when an output of i overlaps
-    an input of j. An index holds, for each exact symbol, its last writer
-    and the nodes that have read it since; a write of the symbol replaces
-    both. j gets an edge from every node indexed under a symbol that
+    i before j conflicts when the writes of i overlap the reads or the
+    writes of j, or the reads of i overlap the writes of j; the conflict
+    is RAW when the writes of i overlap the reads of j. An index holds,
+    for each key (a register, or one exact memory extent), its last writer
+    and the nodes that have read it since; a write of the key replaces
+    both. j gets an edge from every node indexed under a key that
     overlaps one of its own, so the work follows the kept edges.
 
     A conflict i -> j is dropped only when a later writer k of one of i's
-    exact symbols, i < k < j, comes first. Every symbol overlaps itself,
-    so i -> k is a conflict and k -> j a kept edge, and by induction the
+    exact keys, i < k < j, comes first. Every key overlaps itself, so
+    i -> k is a conflict and k -> j a kept edge, and by induction the
     transitive closure equals the pairwise conflicts' closure: critical
     paths and the row each node becomes ready in do not change. A
     dropped RAW producer sits at least two rows before its reader, where
@@ -350,46 +333,45 @@ def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
     preds: dict[int, set] = {i: set() for i in nodes}
     succs: dict[int, set] = {i: set() for i in nodes}
     raw_preds: dict[int, set] = {i: set() for i in nodes}
-    readers: dict = {}                  # each symbol seen -> its readers
+    readers: dict = {}                  # each key seen -> its readers
                                         # since its last write
-    writers: dict = {}                  # symbol -> [its last writer]
-    memory: list = []                   # distinct non-register symbols seen
-    outputs: dict = {}                  # node -> its output symbols
+    writers: dict = {}                  # key -> [its last writer]
+    memory: list = []                   # distinct memory extents seen
+    writes: dict = {}                   # node -> its write mask
     instrs = program.instructions
     for j in nodes:
         io = io_sets(instrs[j])
-        outputs[j] = io.outputs
+        writes[j] = io.writes
+        read_keys, write_keys = _keys(io.reads), _keys(io.writes)
         raw = raw_preds[j]
-        for sym in io.inputs:
-            raw.update(_earlier(writers, memory, sym))
+        for key in read_keys:
+            raw.update(_earlier(writers, memory, key))
         pred = preds[j]
         pred |= raw
-        for sym in io.outputs:
-            pred.update(_earlier(readers, memory, sym))
-            pred.update(_earlier(writers, memory, sym))
+        for key in write_keys:
+            pred.update(_earlier(readers, memory, key))
+            pred.update(_earlier(writers, memory, key))
         for i in pred:
             succs[i].add(j)
-            if i not in raw and sets_conflict(outputs[i], io.inputs):
-                raw.add(i)              # its RAW symbol has a later writer
-        for sym in io.inputs:
-            if sym not in readers and sym[0] != "reg":
-                memory.append(sym)
-            readers.setdefault(sym, []).append(j)
-        for sym in io.outputs:
-            if sym not in readers and sym[0] != "reg":
-                memory.append(sym)
-            writers[sym] = [j]
-            readers[sym] = []
+            if i not in raw and writes[i] & io.reads:
+                raw.add(i)              # its RAW key has a later writer
+        for key in read_keys:
+            if key not in readers and key > REGISTERS:
+                memory.append(key)
+            readers.setdefault(key, []).append(j)
+        for key in write_keys:
+            if key not in readers and key > REGISTERS:
+                memory.append(key)
+            writers[key] = [j]
+            readers[key] = []
     return DataDependenceGraph(block.id, nodes, preds, succs, raw_preds)
 
 
 def bernstein_ok(i: Instruction, j: Instruction) -> bool:
     """True iff the two instructions may execute in parallel: both
-    input/output crossings and the output/output intersection are empty."""
+    read/write crossings and the write/write intersection are empty."""
     a, b = io_sets(i), io_sets(j)
-    return not (sets_conflict(a.inputs, b.outputs)
-                or sets_conflict(a.outputs, b.inputs)
-                or sets_conflict(a.outputs, b.outputs))
+    return not (a.reads & b.writes or a.writes & (b.reads | b.writes))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,17 @@ so the engines' attribute reads on every step keep their fast path.
 ``build_program`` checks every field first (``field_problem``, branch
 targets in range), so the provenance scan only ever indexes inside the
 program; an instruction is reachable iff it has a state.
+
+``io_sets`` gives an instruction's reads and writes (may-sets) and its
+``kills`` (what it surely overwrites: the registers it writes and an exact
+frame store's bytes) as masks over one atom layout, so two sets overlap
+iff their ``&`` is nonzero. Bits 0-10 are r0-r10, then the packet, the
+context record, one bit per stack byte 0-511 and one per map id 0-511.
+``extent`` is the one constructor of a region's atoms: ``("maps",)`` is
+every map bit, ``("mem",)`` every bit but the registers. The bounds are
+exact because ``annotate_regions`` names a frame or map value access only
+inside the 512-byte frame or a defined map's value slot (map ids are below
+512), and widens any other to all memory or all maps.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ from .helpers import HELPERS
 NUM_REGS = 11
 FRAME_REG = 10          # r10: frame pointer, read-only
 STACK_SIZE = 512
+MAP_IDS = 512           # map ids 0-511
 
 ALU_OPS = ("add", "sub", "mul", "div", "or", "and", "lsh", "rsh",
            "neg", "mod", "xor", "mov", "arsh", "end")
@@ -125,10 +137,13 @@ class Instruction:
 
     ``width`` is 32/64 for ALU kinds and the byte count (1/2/4/6/8) for
     memory kinds. ``target`` is the absolute instruction index of a
-    branch/jump destination. ``region``, set at Program build time, is the
-    io symbol of the memory a load or store touches, or the ``("map",
-    id)`` of a call whose map is known; None reads as all memory (all maps
-    for a call). ``io`` is the ``io_sets`` memo, ``checked`` is set once
+    branch/jump destination. ``region``, set at Program build time, names
+    the memory a load or store touches: ``("stack", lo, hi)`` for frame
+    bytes lo to hi - 1, ``("map", id)``, ``("maps",)``, ``("pkt",)``,
+    ``("ctx",)`` or ``("mem",)``. A call's is the ``("map", id)`` of a
+    defined map it is passed, or ``("maps",)``. None reads as all memory
+    (all maps for a call); ``extent`` gives a region's atoms. ``io`` is
+    the ``io_sets`` memo, ``checked`` is set once
     ``field_problem`` passed the fields, and ``step`` is the execution
     engines' decoded step (``vm.decode_step``): all three outside
     ``__init__``, equality, hashing and ``repr``; ``rebuilt`` carries only
@@ -193,8 +208,8 @@ class MapDef:
     def __post_init__(self):
         if self.kind not in ("array", "hash", "lru_hash"):
             raise ProgramError(f"map {self.id}: unknown kind {self.kind!r}")
-        if not 0 <= self.id < 512:
-            raise ProgramError(f"map id {self.id} out of range [0, 512)")
+        if not 0 <= self.id < MAP_IDS:
+            raise ProgramError(f"map id {self.id} out of range [0, {MAP_IDS})")
         if self.kind == "array" and self.key_size != 4:
             raise ProgramError(f"map {self.id}: array maps need 4-byte keys")
         if not (1 <= self.key_size <= 512 and 1 <= self.value_size <= 512):
@@ -309,7 +324,7 @@ def build_program(instructions, maps=(), states=None) -> Program:
             raise ProgramError(f"instruction {i}: {problem}")
     if states is None:
         states = provenance_states(instrs)
-        instrs = annotate_regions(instrs, states)
+        instrs = annotate_regions(instrs, states, maps)
     if states[-1] is not None and n in successors(instrs[-1], n - 1):
         raise ProgramError(f"instruction {n - 1}: control falls past the "
                            f"last instruction")
@@ -323,11 +338,15 @@ def build_program(instructions, maps=(), states=None) -> Program:
 
 def field_problem(ins: Instruction) -> str | None:
     """What is wrong with one instruction's own fields, or None: a register
-    outside r0-r10, a write to r10, or a width other than 1, 2, 4 or 8 for a
-    load or store and 6 for load48 and store48. Targets are not checked.
+    outside r0-r10, a write to r10, a width other than 1, 2, 4 or 8 for a
+    load or store and 6 for load48 and store48, or a ``lddw`` src that
+    ``decode`` would refuse. Targets are not checked.
     Sound fields are marked ``checked`` and not checked again."""
     if ins.checked:
         return None
+    k = ins.kind
+    if k is Kind.LOAD_IMM64 and ins.src not in (None, 0, PSEUDO_MAP_FD):
+        return f"lddw src {ins.src} is neither 0 nor a map fd"
     for r in (ins.dst, ins.src, ins.src2):
         if r is not None and not 0 <= r < NUM_REGS:
             return f"register index {r} out of range"
@@ -336,7 +355,6 @@ def field_problem(ins: Instruction) -> str | None:
             Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
             Kind.LOAD, Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.LOAD48):
         return "r10 is read-only"
-    k = ins.kind
     if k is Kind.LOAD or k is Kind.STORE:
         if ins.width not in (1, 2, 4, 8):
             return f"{k.value} width {ins.width} is not 1, 2, 4 or 8 bytes"
@@ -493,7 +511,8 @@ def _reserved(index, opcode, name) -> DecodeError:
 
 
 def encode(program: Program) -> bytes:
-    """Encode a Program back to wire-format bytes. decode(encode(p)) == p.
+    """Encode a Program back to wire-format bytes. decode(encode(p)) == p
+    when p has no maps, which the wire format does not carry.
     Raises UnencodableInstruction for a field outside its signed wire
     field: an immediate outside 32 bits (a lddw's 64-bit immediate
     excepted), or a memory or branch word offset outside 16 bits."""
@@ -639,40 +658,48 @@ def jumps_forward(instrs) -> bool:
                if ins.kind in JUMP_KINDS)
 
 
-def annotate_regions(instrs, states):
+def annotate_regions(instrs, states, maps):
     """Set the ``region`` of each reachable memory op and helper call from
-    the provenance scan's ``states`` (which read no region); an unreachable
-    one keeps its region. An instruction whose region is unchanged is kept
-    as the same object, with its ``io_sets`` memo; a copy (``rebuilt``)
-    keeps the ``checked`` mark."""
+    the provenance scan's ``states`` (which read no region) and the map
+    definitions ``maps``; an unreachable one keeps its region. An
+    instruction whose region is unchanged is kept as the same object, with
+    its ``io_sets`` memo; a copy (``rebuilt``) keeps the ``checked`` mark."""
+    value_sizes = {m.id: m.value_size for m in maps}
     annotated = []
     for ins, st in zip(instrs, states):
         k = ins.kind
         if st is not None and (k in MEMORY_KINDS or k is Kind.CALL):
             base = (1 if k is Kind.CALL else
                     ins.dst if k is Kind.STORE or k is Kind.STORE48 else ins.src)
-            region = _region(st[base], ins)
+            region = _region(st[base], ins, value_sizes)
             if region != ins.region:
                 ins = rebuilt(ins, region=region)
         annotated.append(ins)
     return annotated
 
 
-def _region(prov, ins: Instruction):
-    """The io symbol of what ``ins`` reaches through a base register of
+def _region(prov, ins: Instruction, value_sizes):
+    """The region of what ``ins`` reaches through a base register of
     provenance ``prov``: the memory a load or store touches, or the map a
-    call is passed in r1 (None when the map is not known)."""
+    call is passed in r1 (None when r1 holds no map). Only an access that
+    stays inside the frame or a defined map's value slot is exact."""
     tag = prov[0]
     if ins.kind is Kind.CALL:
-        return ("map", prov[1]) if tag == "mapfd" else None
+        if tag != "mapfd":
+            return None
+        return ("map", prov[1]) if prov[1] in value_sizes else SYM_MAPS
     if tag == "stack":
         if prov[1] is None:
-            return SYM_STACK
+            return SYM_MEM
         lo = STACK_SIZE + prov[1] + ins.offset
-        return ("stack", lo, lo + ins.width)
+        hi = lo + ins.width
+        return ("stack", lo, hi) if 0 <= lo and hi <= STACK_SIZE else SYM_MEM
     if tag == "mapval":
-        return SYM_MAPS if prov[1] is None else ("map", prov[1])
-    # a packet or context provenance is its own symbol
+        size = value_sizes.get(prov[1])
+        if size is None or not 0 <= ins.offset <= size - ins.width:
+            return SYM_MAPS
+        return ("map", prov[1])
+    # a packet or context provenance is its own region
     return prov if prov in (SYM_PKT, SYM_CTX) else SYM_MEM
 
 
@@ -738,54 +765,46 @@ def _alu_prov(op, width, a, b, imm):
 
 
 # ---------------------------------------------------------------------------
-# input/output symbol sets
+# input/output sets
 # ---------------------------------------------------------------------------
 
-def reg(i):
-    return ("reg", i)
-
-
-R0, R1, R2, R3, R4, R5 = (reg(i) for i in range(6))
-SYM_STACK = ("stack",)
+REGISTERS = (1 << NUM_REGS) - 1
+_STACK_AT = NUM_REGS + 2        # after the pkt and ctx atoms
+_MAP_AT = _STACK_AT + STACK_SIZE
+MEMORY = (1 << (_MAP_AT + MAP_IDS)) - 1 - REGISTERS
+_WHOLE = {"pkt": 1 << NUM_REGS, "ctx": 1 << (NUM_REGS + 1),
+          "maps": ((1 << MAP_IDS) - 1) << _MAP_AT, "mem": MEMORY}
 SYM_PKT = ("pkt",)
 SYM_CTX = ("ctx",)
 SYM_MAPS = ("maps",)
 SYM_MEM = ("mem",)
 
 
-@dataclass(frozen=True)
+def extent(region) -> int:
+    """The atoms of the memory ``region``, an ``Instruction.region`` or a
+    helper table tag as a 1-tuple; None is all memory."""
+    if region is None:
+        return MEMORY
+    tag = region[0]
+    if tag == "stack":
+        return ((1 << (region[2] - region[1])) - 1) << (_STACK_AT + region[1])
+    if tag == "map":
+        return 1 << (_MAP_AT + region[1])
+    return _WHOLE[tag]
+
+
+@dataclass(frozen=True, slots=True)
 class IoSets:
-    inputs: frozenset = field(default_factory=frozenset)
-    outputs: frozenset = field(default_factory=frozenset)
-
-
-def symbols_overlap(a, b) -> bool:
-    if a[0] == "reg" or b[0] == "reg":
-        return a == b
-    if a[0] == "mem" or b[0] == "mem":
-        return True
-    if a[0] == "stack" and b[0] == "stack":
-        if len(a) == 1 or len(b) == 1:
-            return True
-        return a[1] < b[2] and b[1] < a[2]
-    if a[0] in ("map", "maps") and b[0] in ("map", "maps"):
-        if a[0] == "maps" or b[0] == "maps":
-            return True
-        return a[1] == b[1]
-    return a[0] == b[0]
-
-
-def sets_conflict(sa, sb) -> bool:
-    for a in sa:
-        for b in sb:
-            if symbols_overlap(a, b):
-                return True
-    return False
+    """What one instruction may read and may write, and what it surely
+    overwrites, each a mask of atoms."""
+    reads: int = 0
+    writes: int = 0
+    kills: int = 0
 
 
 def io_sets(ins: Instruction) -> IoSets:
-    """Complete input/output symbol sets, memory regions included; computed
-    once per instruction and kept in ``ins.io``."""
+    """Complete input/output sets, memory regions included; computed once
+    per instruction and kept in ``ins.io``."""
     io = ins.io
     if io is None:
         io = _io_sets(ins)
@@ -793,48 +812,40 @@ def io_sets(ins: Instruction) -> IoSets:
     return io
 
 
-def _registers(*indices) -> frozenset:
-    """The register symbols of ``indices``, None left out."""
-    return frozenset(reg(r) for r in indices if r is not None)
-
-
 def _io_sets(ins: Instruction) -> IoSets:
     k = ins.kind
-    if k is Kind.ALU_BINARY:
-        return IoSets(_registers(ins.dst, ins.src), frozenset({reg(ins.dst)}))
-    if k is Kind.ALU_UNARY:
-        return IoSets(frozenset({reg(ins.dst)}), frozenset({reg(ins.dst)}))
+    dst = 0 if ins.dst is None else 1 << ins.dst
+    src = 0 if ins.src is None else 1 << ins.src
+    if k is Kind.ALU_BINARY or k is Kind.ALU_UNARY:
+        return IoSets(dst | src, dst, dst)
     if k is Kind.MOV_IMM or k is Kind.LOAD_IMM64:
-        return IoSets(frozenset(), frozenset({reg(ins.dst)}))
+        return IoSets(0, dst, dst)
     if k is Kind.MOV_REG:
-        return IoSets(frozenset({reg(ins.src)}), frozenset({reg(ins.dst)}))
+        return IoSets(src, dst, dst)
     if k is Kind.ALU_THREE_OP:
-        return IoSets(_registers(ins.src, ins.src2), frozenset({reg(ins.dst)}))
-    if k in (Kind.LOAD, Kind.LOAD48):
-        return IoSets(frozenset({reg(ins.src), ins.region or SYM_MEM}),
-                      frozenset({reg(ins.dst)}))
-    if k in (Kind.STORE, Kind.STORE48):
-        return IoSets(_registers(ins.dst, ins.src),
-                      frozenset({ins.region or SYM_MEM}))
-    if k is Kind.BRANCH:
-        return IoSets(_registers(ins.dst, ins.src), frozenset())
-    if k is Kind.JUMP_ALWAYS:
-        return IoSets(frozenset(), frozenset())
+        return IoSets(src | (0 if ins.src2 is None else 1 << ins.src2), dst, dst)
+    if k is Kind.LOAD or k is Kind.LOAD48:
+        return IoSets(src | extent(ins.region), dst, dst)
+    if k is Kind.STORE or k is Kind.STORE48:
+        mem = extent(ins.region)
+        exact = ins.region is not None and ins.region[0] == "stack"
+        return IoSets(dst | src, mem, mem if exact else 0)
+    if k is Kind.BRANCH or k is Kind.JUMP_ALWAYS:
+        return IoSets(dst | src)
     if k is Kind.EXIT:
-        return IoSets(frozenset({R0}), frozenset())
+        return IoSets(1)
     if k is Kind.EARLY_EXIT:
-        return IoSets(frozenset(), frozenset({R0}))
+        return IoSets(0, 1, 1)
     if k is Kind.CALL:
         helper = HELPERS.get(ins.imm)
         if helper is None:
-            return IoSets(frozenset({reg(i) for i in range(1, 6)}),
-                          frozenset({R0, SYM_MEM}))
-        ins_set = {reg(i) for i in range(1, helper.arity + 1)}
-        out_set = {R0}
-        map_sym = ins.region or SYM_MAPS
+            return IoSets(0b111110, 1 | MEMORY, 1)          # r1-r5
+        maps = extent(ins.region or SYM_MAPS)
+        reads = (1 << (helper.arity + 1)) - 2               # r1 to r<arity>
         for tag in helper.reads:
-            ins_set.add(map_sym if tag == "map" else (tag,))
+            reads |= maps if tag == "map" else extent((tag,))
+        writes = 1
         for tag in helper.writes:
-            out_set.add(map_sym if tag == "map" else (tag,))
-        return IoSets(frozenset(ins_set), frozenset(out_set))
+            writes |= maps if tag == "map" else extent((tag,))
+        return IoSets(reads, writes, 1)
     raise AssertionError(f"unhandled kind {k}")

@@ -23,8 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .analysis import (BasicBlock, ControlFlowGraph, live_after, program_cfg,
-                       stack_ranges)
+from .analysis import BasicBlock, ControlFlowGraph, live_after, program_cfg
 from .isa import (
     ALU3_OPS,
     CONTROL_KINDS,
@@ -40,8 +39,6 @@ from .isa import (
     io_sets,
     jumps_forward,
     rebuilt,
-    reg,
-    sets_conflict,
     successors,
 )
 
@@ -87,7 +84,7 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
             if target != ins.target:
                 ins = rebuilt(ins, target=target)
         if states and i in rewrites and states[k] is not None:
-            ins = annotate_regions([ins], [states[k]])[0]
+            ins = annotate_regions([ins], [states[k]], program.maps)[0]
         out.append(ins)
     rewritten = build_program(out, program.maps, states)
     rewritten.analysis.cfg = cfg
@@ -225,7 +222,7 @@ def remove_boundary_checks(program: Program):
             branch_idx = window[-1]
             br = instrs[branch_idx]
             if not _is_abort_block(program, cfg.blocks[cfg.block_of(br.target)]) \
-                    or live_after(program, blk, branch_idx, reg(br.dst)):
+                    or live_after(program, blk, branch_idx, 1 << br.dst):
                 i += 1
                 continue
             consumed.update(window)
@@ -280,16 +277,13 @@ def remove_zeroing(program: Program):
     return _apply(program, dict.fromkeys(removed)), removed
 
 
-def _zeroing_target(ins: Instruction):
-    """The register or exact stack range a write of immediate zero
-    overwrites; None for any other instruction."""
-    if ins.kind is Kind.MOV_IMM and ins.imm == 0:
-        return reg(ins.dst)
-    if ins.kind is Kind.STORE and ins.src is None and ins.imm == 0:
-        ranges = stack_ranges(io_sets(ins).outputs)
-        if ranges:
-            return ranges[0]
-    return None
+def _zeroing_target(ins: Instruction) -> int:
+    """The atoms a write of immediate zero surely overwrites, a register
+    or the bytes of an exact frame store; 0 for any other instruction."""
+    if ins.imm == 0 and (ins.kind is Kind.MOV_IMM or
+                         ins.kind is Kind.STORE and ins.src is None):
+        return io_sets(ins).kills
+    return 0
 
 
 def _zero_writes(program: Program, cfg):
@@ -297,28 +291,27 @@ def _zero_writes(program: Program, cfg):
     virgin): virgin when no path from the entry reads or writes the target
     before the write. r1/r10 are live-in, so touched at the entry.
 
-    One forward walk of each block finds the symbols its body touches and,
+    One forward walk of each block finds the atoms its body touches and,
     for each zero write, whether the block touched the target before it. A
-    may-analysis over blocks then finds the symbols touched on some path to
+    may-analysis over blocks then finds the atoms touched on some path to
     each block's entry; a write is virgin when neither touched its target."""
     instrs = program.instructions
-    touched = {}                     # block id -> symbols its body touches
+    touched = {}                     # block id -> atoms its body touches
     writes = {}                      # block id -> [(index, target, touched in block)]
     for blk in cfg.blocks:
-        t: set = set()
+        t = 0
         found = []
         for i in blk.indices():
             ins = instrs[i]
             target = _zeroing_target(ins)
-            if target is not None:
-                found.append((i, target, sets_conflict({target}, t)))
+            if target:
+                found.append((i, target, bool(target & t)))
             io = io_sets(ins)
-            t |= io.inputs
-            t |= io.outputs
+            t |= io.reads | io.writes
         touched[blk.id] = t
         writes[blk.id] = found
-    block_in: dict[int, frozenset | None] = {b.id: None for b in cfg.blocks}
-    block_in[0] = frozenset({reg(1), reg(FRAME_REG)})
+    block_in: dict[int, int | None] = {b.id: None for b in cfg.blocks}
+    block_in[0] = 1 << 1 | 1 << FRAME_REG
     changed = True
     while changed:
         changed = False
@@ -336,7 +329,7 @@ def _zero_writes(program: Program, cfg):
     for blk in cfg.blocks:
         entry = block_in[blk.id]
         yield blk, [(i, target, entry is not None and not inside and
-                     not sets_conflict({target}, entry))
+                     not target & entry)
                     for i, target, inside in writes[blk.id]]
 
 
@@ -393,7 +386,7 @@ def fuse_load_store_6b(program: Program) -> Program:
                 continue
             j, d_base, p_off = match
             # the fused form changes both scratch registers' contents
-            if any(live_after(program, blk, j + 1, reg(r)) for r in (a_reg, c_reg)):
+            if live_after(program, blk, j + 1, 1 << a_reg | 1 << c_reg):
                 continue
             rewrites[i] = Instruction(Kind.LOAD48, width=6, dst=a_reg,
                                       src=base, offset=off)
@@ -431,7 +424,7 @@ def _find_store_pair(instrs, blk, load_idx, a_reg, c_reg):
                 and s2.offset == s1.offset + a_w):
             return j, s1.dst, s1.offset
         io = io_sets(s1)
-        if not {reg(a_reg), reg(c_reg)}.isdisjoint(io.inputs | io.outputs):
+        if (io.reads | io.writes) & (1 << a_reg | 1 << c_reg):
             return None
     return None
 

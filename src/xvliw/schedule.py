@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
 from .errors import AsmSyntaxError, CompileError
-from .isa import (JUMP_KINDS, Instruction, Kind, field_problem, io_sets,
-                  sets_conflict)
+from .isa import JUMP_KINDS, Instruction, Kind, field_problem, io_sets
 
 
 @dataclass(frozen=True)
@@ -191,10 +190,10 @@ def cross_lane_violations(vliw: VliwProgram, transitions=None):
         for lane_r, producer in enumerate(vliw.rows[r]):
             if producer is None:
                 continue
-            pouts = io_sets(producer.instr).outputs
+            writes = io_sets(producer.instr).writes
             for lane_n, reader in enumerate(vliw.rows[nr]):
                 if reader is None or lane_n == lane_r:
                     continue
-                if sets_conflict(pouts, io_sets(reader.instr).inputs):
+                if writes & io_sets(reader.instr).reads:
                     out.append((r, nr, reader, lane_n, lane_r))
     return out

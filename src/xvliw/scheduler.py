@@ -52,7 +52,7 @@ from .analysis import (
     liveness,
     walk_blocks,
 )
-from .isa import JUMP_KINDS, Kind, Program, io_sets, sets_conflict
+from .isa import JUMP_KINDS, Kind, Program, io_sets
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -173,13 +173,12 @@ def lane_row(slots: list[Slot], pred_rows, lanes: int):
         return None
     order = sorted(slots, key=lambda s: (s.instr.kind not in JUMP_KINDS,
                                          s.src_index))
-    producers = [(lane, io_sets(p.instr).outputs) for prev in pred_rows
+    producers = [(lane, io_sets(p.instr).writes) for prev in pred_rows
                  for lane, p in enumerate(prev) if p is not None]
     pins = []
     for s in order:
-        inputs = io_sets(s.instr).inputs
-        wanted = {lane for lane, outputs in producers
-                  if sets_conflict(outputs, inputs)}
+        reads = io_sets(s.instr).reads
+        wanted = {lane for lane, writes in producers if writes & reads}
         if len(wanted) > 1:
             return None
         pins.append(wanted.pop() if wanted else None)
@@ -323,13 +322,13 @@ class CodeMotion:
             # a speculative mover's output must be dead on every path that
             # leaves the region without reaching the source, in the program
             # as transformed so far (Bernstein & Rodeh, PLDI 1991)
-            io = io_sets(slot.instr)
+            writes = io_sets(slot.instr).writes
             live_in = self._current_live_in()
             region = crossed | {b}
             inside = region | {cand}
             for e in region:
                 for t in self.cfg.blocks[e].successors:
-                    if t not in inside and sets_conflict(io.outputs, live_in[t]):
+                    if t not in inside and writes & live_in[t]:
                         return False
         return True
 

@@ -22,7 +22,7 @@ The decode also settles, from the row's own facts and never its region
 annotations, whether the row may commit each lane as it runs, in lane
 order; no lane can tell that from the hardware order below when
   (a) no lane reads a register an earlier lane writes (the registers among
-      its ``io_sets`` inputs; a call reads r1-r5),
+      its ``io_sets`` reads; a call reads its helper's arguments),
   (b) no two lanes write one register,
   (c) no load, store or call follows a store, except disjoint frame
       stores (``vm.frame_offset``); any lane may follow a call,
@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from .analysis import bernstein_ok
 from .asm import format_instruction
 from .errors import RowConflict, VmTrap
-from .isa import (FRAME_REG, JUMP_KINDS, NUM_REGS, R0, Kind, io_sets,
-                  reg as reg_symbol)
+from .isa import FRAME_REG, JUMP_KINDS, MEMORY, Kind, extent, io_sets
 from .schedule import VliwProgram, cross_lane_violations
 from .vm import (
     Limits,
@@ -140,8 +139,9 @@ def _decode_row(row) -> tuple:
     (a)-(c) of the module docstring), and ``undo`` then is rule (d); else
     ``guard`` says the row holds a call and ``undo`` a non-frame store too."""
     lanes = []
-    written = set()             # the register symbols earlier lanes write
-    stores = []                 # each earlier store's frame byte span, or None
+    written = 0                 # the registers earlier lanes write
+    stored = 0                  # the atoms earlier stores may write: their
+                                # frame bytes, or all memory
     in_order = True
     undo = False
     for s in row:
@@ -150,34 +150,29 @@ def _decode_row(row) -> tuple:
         ins = s.instr
         handler, form, reg, k = ins.step or decode_step(ins)
         if written:
-            if not written.isdisjoint(
-                    _CALL_READS if ins.kind is Kind.CALL
-                    else (ins.io or io_sets(ins)).inputs) or \
-                    reg is not None and _REGS[reg] in written:  # (a), (b)
+            if written & (ins.io or io_sets(ins)).reads or \
+                    reg is not None and written >> reg & 1:     # (a), (b)
                 in_order = False
             if handler in TRAPPING:                             # (d)
                 undo = True
         if form == STEP_STORE:
             off = frame_offset(ins) if ins.dst == FRAME_REG else None
-            span = None if off is None else (off, off + ins.width)
-            if stores and (span is None or any(
-                    sp is None or span[0] < sp[1] and sp[0] < span[1]
-                    for sp in stores)):                         # (c)
+            span = MEMORY if off is None else \
+                extent(("stack", off, off + ins.width))
+            if stored & span:                                   # (c)
                 in_order = False
-            stores.append(span)
-        elif stores and ins.kind in _LOAD_OR_CALL:              # (c)
+            stored |= span
+        elif stored and ins.kind in _LOAD_OR_CALL:              # (c)
             in_order = False
         if reg is not None:
-            written.add(_REGS[reg])
+            written |= 1 << reg
         lanes.append((handler, ins, k, reg, form, len(lanes)))
     guard = None if in_order else any(
         lane[1].kind is Kind.CALL for lane in lanes)
-    undo = undo if in_order else guard and None in stores
-    return lanes, undo, R0 in written, guard
+    undo = undo if in_order else guard and stored == MEMORY
+    return lanes, undo, bool(written & 1), guard
 
 
-_REGS = tuple(map(reg_symbol, range(NUM_REGS)))
-_CALL_READS = frozenset(_REGS[1:6])     # a helper may read any of r1-r5
 _LOAD_OR_CALL = frozenset((Kind.LOAD, Kind.LOAD48, Kind.CALL))
 
 

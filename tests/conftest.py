@@ -10,7 +10,7 @@ import pytest
 
 from xvliw.helpers import HELPERS
 from xvliw.isa import (FRAME_REG, NUM_REGS, Instruction, Kind, MapDef,
-                       _alu_prov, _join, io_sets, reg, successors)
+                       _alu_prov, _join, extent, io_sets, successors)
 from xvliw.vm import (
     MapStore,
     PacketContext,
@@ -111,13 +111,35 @@ def _transfer_dict(ins: Instruction, st: dict) -> dict:
     return st
 
 
+def symbols_overlap(a, b) -> bool:
+    """Whether two io symbols share an atom, by case analysis over their
+    tuple form: a register ``("reg", i)`` or an ``Instruction.region``. The
+    oracle that ``isa.extent``'s masks are checked against."""
+    if a[0] == "reg" or b[0] == "reg":
+        return a == b
+    if a[0] == "mem" or b[0] == "mem":
+        return True
+    if a[0] == "stack" and b[0] == "stack":
+        return a[1] < b[2] and b[1] < a[2]
+    if a[0] in ("map", "maps") and b[0] in ("map", "maps"):
+        if a[0] == "maps" or b[0] == "maps":
+            return True
+        return a[1] == b[1]
+    return a[0] == b[0]
+
+
+def atoms(symbol) -> int:
+    """The mask of an io symbol: a register's bit, or a region's extent."""
+    return 1 << symbol[1] if symbol[0] == "reg" else extent(symbol)
+
+
 def touched_before(program, cfg) -> list:
-    """Per instruction, the symbols read or written on some path from the
+    """Per instruction, the atoms read or written on some path from the
     entry to it (None if unreachable), by an instruction-level walk of
     every block at every round; r1 and r10 are touched at the entry."""
     n = len(program)
     block_in: dict = {b.id: None for b in cfg.blocks}
-    block_in[0] = frozenset({reg(1), reg(FRAME_REG)})
+    block_in[0] = 1 << 1 | 1 << FRAME_REG
     result: list = [None] * n
     changed = True
     while changed:
@@ -126,13 +148,13 @@ def touched_before(program, cfg) -> list:
             cur = block_in[blk.id]
             if cur is None:
                 continue
-            t = set(cur)
+            t = cur
             for i in blk.indices():
-                result[i] = frozenset(t)
+                result[i] = t
                 io = io_sets(program[i])
-                t |= io.inputs | io.outputs
+                t |= io.reads | io.writes
             for s in blk.successors:
-                merged = frozenset(t if block_in[s] is None else block_in[s] | t)
+                merged = t if block_in[s] is None else block_in[s] | t
                 if merged != block_in[s]:
                     block_in[s] = merged
                     changed = True

@@ -29,8 +29,8 @@ from xvliw.asm import parse_asm
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, generate_case
 from xvliw.compiler import compile_program
-from xvliw.isa import (Instruction, Kind, Program, analysis_of, io_sets,
-                       provenance_states, reg, sets_conflict)
+from xvliw.isa import (MEMORY, REGISTERS, Instruction, Kind, Program,
+                       analysis_of, extent, io_sets, provenance_states)
 from xvliw.peephole import _PASSES, peephole
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import motion_sources
@@ -313,16 +313,16 @@ class TestLiveness:
         prog = parse_asm("r4 = 7\nexit\n")
         cfg = build_program_cfg(prog)
         info = liveness(cfg, block_code(cfg, prog))
-        assert reg(4) not in info.live_out[0]
+        assert not info.live_out[0] & 1 << 4
 
     def test_diamond_flow(self):
         # B defines r3 used only in D
         prog = parse_asm(DIAMOND)
         cfg = build_program_cfg(prog)
         info = liveness(cfg, block_code(cfg, prog))
-        assert reg(3) in info.live_out[1]
-        assert reg(3) in info.live_in[3]
-        assert reg(3) not in info.live_in[0]
+        assert info.live_out[1] & 1 << 3
+        assert info.live_in[3] & 1 << 3
+        assert not info.live_in[0] & 1 << 3
 
     def test_loop_carried(self):
         prog = parse_asm("""
@@ -337,8 +337,8 @@ class TestLiveness:
         cfg = build_program_cfg(prog)
         info = liveness(cfg, block_code(cfg, prog))
         body = cfg.block_of(1)
-        assert reg(6) in info.live_in[body]
-        assert reg(6) in info.live_out[body]
+        assert info.live_in[body] & 1 << 6
+        assert info.live_out[body] & 1 << 6
 
     def test_least_fixed_point(self):
         # one more backward iteration changes nothing
@@ -346,16 +346,16 @@ class TestLiveness:
         cfg = build_program_cfg(prog)
         info = liveness(cfg, block_code(cfg, prog))
         for blk in cfg.blocks:
-            out = set()
+            out = 0
             for s in blk.successors:
                 out |= info.live_in[s]
-            assert frozenset(out) == info.live_out[blk.id]
+            assert out == info.live_out[blk.id]
 
     def test_live_before(self):
         prog = parse_asm("r3 = 1\nr4 = r3\nr0 = r4\nexit\n")
         blk = build_program_cfg(prog).blocks[0]
-        assert live_after(prog, blk, 0, reg(3))        # before i + 1
-        assert not live_after(prog, blk, 1, reg(3))
+        assert live_after(prog, blk, 0, 1 << 3)        # before i + 1
+        assert not live_after(prog, blk, 1, 1 << 3)
 
     def test_live_after_kills_a_covered_stack_range(self):
         # the load reads bytes 504-508 of the stack; the two-byte store
@@ -369,9 +369,34 @@ class TestLiveness:
           exit
         """)
         blk = build_program_cfg(prog).blocks[0]
-        read = ("stack", 504, 508)
+        read = extent(("stack", 504, 508))
         assert live_after(prog, blk, 2, read) and live_after(prog, blk, 1, read)
         assert not live_after(prog, blk, 0, read)
+
+    def test_stores_that_together_cover_a_range_kill_it(self):
+        # neither two-byte store covers the four bytes the load reads, and
+        # a call's read of all memory leaves the other stack bytes live;
+        # together the stores kill bytes 504-508, byte by byte
+        prog = parse_asm("""
+          .map 1 hash 4 8 4
+          r1 = map[1]
+          r2 = r10
+          r2 += -16
+          *(u16 *)(r10 - 8) = 0
+          *(u16 *)(r10 - 6) = 0
+          r3 = *(u32 *)(r10 - 8)
+          call map_lookup
+          r0 = r3
+          exit
+        """)
+        cfg = build_program_cfg(prog)
+        blk = cfg.blocks[0]
+        read = extent(("stack", 504, 508))
+        assert not live_after(prog, blk, 2, read)
+        assert live_after(prog, blk, 3, read)
+        assert live_after(prog, blk, 2, extent(("stack", 496, 504)))
+        info = liveness(cfg, block_code(cfg, prog))
+        assert info.live_in[0] & MEMORY == MEMORY & ~read
 
     @pytest.mark.parametrize("name", names())
     def test_live_after_is_live_before_the_next(self, name):
@@ -379,37 +404,33 @@ class TestLiveness:
         after every instruction, against the backward fold."""
         prog = parse_asm(CORPUS[name].source)
         info = program_liveness(prog)
-        syms = {reg(r) for r in range(11)}
-        for ins in prog.instructions:
-            io = io_sets(ins)
-            syms |= {s for s in io.inputs | io.outputs
-                     if s[0] == "stack" and len(s) == 3}
+        masks = {1 << r for r in range(11)}
+        masks |= {extent(ins.region) for ins in prog.instructions
+                  if ins.region is not None and ins.region[0] == "stack"}
         for blk in program_cfg(prog).blocks:
             after = folded_live_after(prog, blk, info.live_out[blk.id])
             for i in blk.indices():
-                for sym in syms:
-                    assert live_after(prog, blk, i, sym) == \
-                        sets_conflict({sym}, after[i]), (i, sym)
+                for mask in masks:
+                    assert live_after(prog, blk, i, mask) == \
+                        bool(mask & after[i]), (i, mask)
 
 
 def _backward_step(live_after, ins):
-    """Reference for the symbols live before ``ins``, given those live
-    after it: a register is killed by a write of itself, an exact stack
-    range by a write of an exact range covering it; what ``ins`` reads is
-    live."""
+    """Reference for the atoms live before ``ins``, given those live after
+    it: a register is killed by a write of itself, and the bytes of an
+    exact frame store by that store; what ``ins`` reads is live."""
     io = io_sets(ins)
-    ranges = [d for d in io.outputs if d[0] == "stack" and len(d) == 3]
-    killed = {s for s in live_after
-              if (s[0] == "reg" and s in io.outputs)
-              or (s[0] == "stack" and len(s) == 3
-                  and any(d[1] <= s[1] and s[2] <= d[2] for d in ranges))}
-    return (live_after - killed) | io.inputs
+    killed = io.writes & REGISTERS
+    if ins.kind in (Kind.STORE, Kind.STORE48) and ins.region is not None \
+            and ins.region[0] == "stack":
+        killed |= extent(ins.region)
+    return (live_after & ~killed) | io.reads
 
 
 def folded_live_after(prog, blk, live_out) -> dict:
-    """The symbols live right after each instruction of ``blk``: a fold of
+    """The atoms live right after each instruction of ``blk``: a fold of
     ``_backward_step`` from ``live_out``."""
-    after = {blk.end: frozenset(live_out)}
+    after = {blk.end: live_out}
     for i in range(blk.end, blk.start, -1):
         after[i - 1] = _backward_step(after[i], prog[i])
     return after
@@ -422,7 +443,7 @@ class TestDDG:
         ddg = build_ddg(cfg.blocks[0], prog)
         assert ddg.raw_preds[1] == ddg.preds[1] == {0}
         assert ddg.succs[0] == {1}
-        assert sets_conflict(io_sets(prog[0]).outputs, io_sets(prog[1]).outputs)
+        assert io_sets(prog[0]).writes & io_sets(prog[1]).writes
 
     def test_independent_loads_no_edges(self):
         prog = parse_asm("""
@@ -510,11 +531,11 @@ def pairwise_ddg_edges(block, program):
     for a, i in enumerate(nodes):
         for j in nodes[a + 1:]:
             kinds = set()
-            if sets_conflict(ios[i].outputs, ios[j].inputs):
+            if ios[i].writes & ios[j].reads:
                 kinds.add("RAW")
-            if sets_conflict(ios[i].inputs, ios[j].outputs):
+            if ios[i].reads & ios[j].writes:
                 kinds.add("WAR")
-            if sets_conflict(ios[i].outputs, ios[j].outputs):
+            if ios[i].writes & ios[j].writes:
                 kinds.add("WAW")
             if kinds:
                 edges[(i, j)] = frozenset(kinds)
@@ -530,6 +551,14 @@ def _closure(nodes, preds: dict) -> dict:
             bits |= reach[i] | (1 << i)
         reach[j] = bits
     return reach
+
+
+def _write_keys(ins) -> list:
+    """What an instruction writes, as the DDG indexes it: each register
+    alone, and its memory atoms as one extent."""
+    writes = io_sets(ins).writes
+    keys = [1 << r for r in range(11) if writes & 1 << r]
+    return keys + [writes & MEMORY] if writes & MEMORY else keys
 
 
 class TestDDGMatchesPairwise:
@@ -552,13 +581,12 @@ class TestDDGMatchesPairwise:
                 assert ddg.succs[j] == {k for k in nodes if j in ddg.preds[k]}
             assert _closure(nodes, ddg.preds) == _closure(nodes, preds), blk
             for j in nodes:
-                inputs = io_sets(program[j]).inputs
+                reads = io_sets(program[j]).reads
                 for i in raw_preds[j] - ddg.raw_preds[j]:
                     assert any(
-                        sym in io_sets(program[k]).outputs
-                        and sets_conflict({sym}, inputs)
+                        key in _write_keys(program[k]) and key & reads
                         for k in ddg.raw_preds[j] if i < k
-                        for sym in io_sets(program[i]).outputs), (blk, i, j)
+                        for key in _write_keys(program[i])), (blk, i, j)
 
     @pytest.mark.parametrize("name", names())
     def test_corpus_before_and_after_peephole(self, name):
@@ -646,7 +674,7 @@ class TestBernstein:
         a = Instruction(Kind.CALL, imm=1)
         b = Instruction(Kind.CALL, imm=28)
         ioa, iob = io_sets(a), io_sets(b)
-        assert reg(0) in ioa.outputs and reg(0) in iob.outputs
+        assert ioa.writes & iob.writes == 1 << 0
         assert not bernstein_ok(a, b)
 
     def test_symmetry(self, rng):

@@ -7,8 +7,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from conftest import (clone_state, expand_extended, make_state,
-                      point_into_packet, point_into_stack, run_step)
+from conftest import (atoms, clone_state, expand_extended, make_state,
+                      point_into_packet, point_into_stack, run_step,
+                      symbols_overlap)
 from xvliw.errors import (
     DanglingLddwSecondHalf,
     DecodeError,
@@ -25,17 +26,18 @@ from xvliw.isa import (
     OP_EARLY_EXIT,
     OP_LDDW,
     Program,
+    MEMORY,
+    REGISTERS,
+    SYM_MEM,
     SYM_PKT,
-    SYM_STACK,
     analysis_of,
     build_program,
     decode,
     encode,
+    extent,
     field_problem,
     io_sets,
     rebuilt,
-    reg,
-    symbols_overlap,
 )
 from xvliw.asm import parse_asm
 from xvliw.schedule import VliwProgram
@@ -173,7 +175,10 @@ class TestEncode:
             prog = parse_asm(generate_case(9000 + i).program_text)
             data = encode(prog)
             again = decode(data)
-            assert again.instructions == prog.instructions
+            # the wire format carries no map definitions, and a region
+            # names a map only where the program defines it
+            assert again.instructions == build_program(prog.instructions).instructions
+            assert build_program(again.instructions, prog.maps) == prog
             assert encode(again) == data
             total += len(prog)
         assert total > 1000   # a real corpus of random valid instructions
@@ -302,6 +307,22 @@ class TestOpcodeTable:
 
 
 class TestProgramInvariants:
+    def test_lddw_src_is_checked_as_decode_checks_it(self):
+        """``build_program`` once took a ``lddw`` src of 2-15 that ``encode``
+        wrote and ``decode`` then refused."""
+        tail = [Instruction(Kind.MOV_REG, width=64, dst=0, src=1),
+                Instruction(Kind.EXIT)]
+        for src in range(2, 16):
+            with pytest.raises(ProgramError, match=f"instruction 0: lddw src "
+                                                   f"{src} is neither 0 nor a map fd"):
+                build_program([Instruction(Kind.LOAD_IMM64, dst=1, src=src,
+                                           imm=7)] + tail)
+        for src in (None, 0, 1):
+            prog = build_program([Instruction(Kind.LOAD_IMM64, dst=1, src=src,
+                                              imm=7)] + tail)
+            again = decode(encode(prog))
+            assert again[0].imm == 7 and (again[0].src or 0) == (src or 0)
+
     def test_r10_read_only(self):
         with pytest.raises(ProgramError):
             build_program([Instruction(Kind.MOV_IMM, width=64, dst=10, imm=0),
@@ -405,66 +426,84 @@ class TestKind:
         assert pickle.loads(pickle.dumps(ins)).kind is kind
 
 
+def _byte(i: int) -> int:
+    """The atom of stack byte ``i``."""
+    return extent(("stack", i, i + 1))
+
+
 class TestIoSets:
     def test_alu3_by_operand_roles(self):
         ins = Instruction(Kind.ALU_THREE_OP, op="add", width=64, dst=4, src=1,
                           imm=20)
         io = io_sets(ins)
-        assert io.inputs == frozenset({reg(1)})
-        assert io.outputs == frozenset({reg(4)})
+        assert (io.reads, io.writes, io.kills) == (1 << 1, 1 << 4, 1 << 4)
 
     def test_store_slot_range(self):
         ins = Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
                           region=("stack", 504, 508))
         io = io_sets(ins)
-        assert reg(2) in io.inputs and reg(10) in io.inputs
-        assert ("stack", 504, 508) in io.outputs
+        assert io.reads == 1 << 2 | 1 << 10
+        assert io.writes == io.kills == extent(("stack", 504, 508))
+        assert [i for i in range(512) if io.kills & _byte(i)] == \
+            [504, 505, 506, 507]
+
+    def test_only_an_exact_frame_store_kills_memory(self):
+        for region in (SYM_PKT, ("map", 3), ("maps",), ("mem",), None):
+            io = io_sets(Instruction(Kind.STORE, width=4, dst=2, src=3,
+                                     region=region))
+            assert io.writes == extent(region) and io.kills == 0
 
     def test_call_effect_table(self):
         ins = Instruction(Kind.CALL, imm=1)     # lookup, unresolved map
         io = io_sets(ins)
-        assert {reg(1), reg(2)} <= io.inputs
-        assert ("maps",) in io.inputs
-        assert io.outputs == frozenset({reg(0)})
+        assert io.reads & REGISTERS == 1 << 1 | 1 << 2
+        assert io.reads & extent(("maps",)) == extent(("maps",))
+        assert io.writes == io.kills == 1 << 0
 
     def test_symbol_overlap_rules(self):
-        assert symbols_overlap(("stack", 0, 8), ("stack", 4, 12))
-        assert not symbols_overlap(("stack", 0, 8), ("stack", 8, 16))
-        assert symbols_overlap(("stack",), ("stack", 8, 16))
-        assert symbols_overlap(("mem",), ("map", 3))
-        assert not symbols_overlap(("map", 3), ("map", 4))
-        assert symbols_overlap(("maps",), ("map", 4))
-        assert not symbols_overlap(("pkt",), ("stack", 0, 8))
+        assert extent(("stack", 0, 8)) & extent(("stack", 4, 12))
+        assert not extent(("stack", 0, 8)) & extent(("stack", 8, 16))
+        assert extent(("mem",)) & extent(("map", 3))
+        assert not extent(("map", 3)) & extent(("map", 4))
+        assert extent(("maps",)) & extent(("map", 4))
+        assert not extent(("pkt",)) & extent(("stack", 0, 8))
+        assert not extent(("mem",)) & REGISTERS
+
+    def test_unknown_helper_reads_r1_to_r5_and_writes_all_memory(self):
+        io = io_sets(Instruction(Kind.CALL, imm=999))
+        assert io.reads == sum(1 << r for r in range(1, 6))
+        assert io.writes == 1 | MEMORY and io.kills == 1
 
     def test_soundness_on_randomized_state_pairs(self, rng):
-        """Byte-level effect tracer: states agreeing on the input set make
-        identical changes, and every changed byte lies inside an output
-        region (registers likewise)."""
+        """Byte-level effect tracer: states agreeing on the reads, and on
+        the writes an instruction may leave alone, make identical changes;
+        so every atom of ``kills`` is overwritten. Every changed byte lies
+        inside the writes (registers likewise)."""
         pool = self._instruction_pool(rng)
         for _ in range(300):
             ins = rng.choice(pool)
             io = io_sets(ins)
+            assert io.kills & ~io.writes == 0
             s1 = make_state(rng)
             s2 = make_state(rng)
             self._prepare_bases(ins, s1, rng)
-            self._copy_inputs(io.inputs | io.outputs, s1, s2)
+            self._copy_inputs(io.reads | io.writes & ~io.kills, s1, s2)
             r1 = self._run(ins, s1)
             r2 = self._run(ins, s2)
-            self._assert_outputs_agree(io.outputs, r1, r2)
-            self._assert_frame(io.outputs, self._effect_diff(s1, r1))
-            self._assert_frame(io.outputs, self._effect_diff(s2, r2))
+            self._assert_outputs_agree(io.writes, r1, r2)
+            self._assert_frame(io.writes, self._effect_diff(s1, r1))
+            self._assert_frame(io.writes, self._effect_diff(s2, r2))
 
     @staticmethod
-    def _assert_outputs_agree(outputs, r1, r2):
-        for sym in outputs:
-            if sym[0] == "reg":
-                assert r1.regs[sym[1]] == r2.regs[sym[1]]
-            elif sym[0] == "stack" and len(sym) == 3:
-                assert r1.stack[sym[1]:sym[2]] == r2.stack[sym[1]:sym[2]]
-            elif sym[0] in ("stack", "mem"):
-                assert r1.stack == r2.stack
-            elif sym[0] == "pkt":
-                assert r1.packet.buf == r2.packet.buf
+    def _assert_outputs_agree(writes, r1, r2):
+        for r in range(11):
+            if writes & 1 << r:
+                assert r1.regs[r] == r2.regs[r]
+        for i in range(512):
+            if writes & _byte(i):
+                assert r1.stack[i] == r2.stack[i]
+        if writes & extent(SYM_PKT):
+            assert r1.packet.buf == r2.packet.buf
 
     @staticmethod
     def _effect_diff(before, after):
@@ -482,19 +521,14 @@ class TestIoSets:
         return diff
 
     @staticmethod
-    def _assert_frame(outputs, diff):
-        out_regs = {s[1] for s in outputs if s[0] == "reg"}
-        stack_ok = any(s[0] in ("stack", "mem") for s in outputs)
-        stack_ranges = [s for s in outputs if s[0] == "stack" and len(s) == 3]
-        pkt_ok = any(s[0] in ("pkt", "mem") for s in outputs)
+    def _assert_frame(writes, diff):
         for key in diff:
             if key[0] == "reg":
-                assert key[1] in out_regs
+                assert writes & 1 << key[1]
             elif key[0] == "stack_byte":
-                assert stack_ok or any(lo <= key[1] < hi
-                                       for _, lo, hi in stack_ranges)
+                assert writes & _byte(key[1])
             else:
-                assert pkt_ok
+                assert writes & extent(SYM_PKT)
 
     def _instruction_pool(self, rng):
         return [
@@ -506,9 +540,15 @@ class TestIoSets:
                         src2=9),
             Instruction(Kind.ALU_UNARY, op="be", width=64, dst=6, imm=32),
             Instruction(Kind.LOAD, width=4, dst=4, src=7, offset=-8,
-                        region=SYM_STACK),
+                        region=SYM_MEM),
             Instruction(Kind.STORE, width=8, dst=7, src=3, offset=-16,
-                        region=SYM_STACK),
+                        region=SYM_MEM),
+            Instruction(Kind.LOAD, width=8, dst=4, src=10, offset=-16,
+                        region=("stack", 496, 504)),
+            Instruction(Kind.STORE, width=4, dst=10, src=2, offset=-8,
+                        region=("stack", 504, 508)),
+            Instruction(Kind.STORE48, width=6, dst=10, src=3, offset=-16,
+                        region=("stack", 496, 502)),
             Instruction(Kind.LOAD48, width=6, dst=5, src=8, offset=2,
                         region=SYM_PKT),
             Instruction(Kind.STORE48, width=6, dst=8, src=2, offset=4,
@@ -516,26 +556,24 @@ class TestIoSets:
         ]
 
     def _prepare_bases(self, ins, state, rng):
-        if ins.region == SYM_STACK:
-            base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
+        base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
+        if ins.region == SYM_MEM:
             point_into_stack(state, base, rng, span=32)
         elif ins.region == SYM_PKT:
-            base = ins.dst if ins.kind in (Kind.STORE, Kind.STORE48) else ins.src
             point_into_packet(state, base, rng, span=32)
 
-    def _copy_inputs(self, inputs, s1, s2):
-        for sym in inputs:
-            if sym[0] == "reg":
-                s2.regs[sym[1]] = s1.regs[sym[1]]
-            elif sym[0] == "stack" and len(sym) == 3:
-                s2.stack[sym[1]:sym[2]] = s1.stack[sym[1]:sym[2]]
-            elif sym[0] == "stack":
-                s2.stack[:] = s1.stack
-            elif sym[0] in ("pkt", "ctx"):
-                s2.packet.buf[:] = s1.packet.buf
-                s2.packet.start = s1.packet.start
-                s2.packet.end = s1.packet.end
-                s2.packet.ingress_port = s1.packet.ingress_port
+    def _copy_inputs(self, mask, s1, s2):
+        for r in range(11):
+            if mask & 1 << r:
+                s2.regs[r] = s1.regs[r]
+        for i in range(512):
+            if mask & _byte(i):
+                s2.stack[i] = s1.stack[i]
+        if mask & (extent(SYM_PKT) | extent(("ctx",))):
+            s2.packet.buf[:] = s1.packet.buf
+            s2.packet.start = s1.packet.start
+            s2.packet.end = s1.packet.end
+            s2.packet.ingress_port = s1.packet.ingress_port
 
     def _run(self, ins, state):
         out = clone_state(state)
@@ -543,9 +581,57 @@ class TestIoSets:
         return out
 
 
+class TestExtent:
+    """``extent`` against the tuple case analysis of ``conftest``."""
+
+    @staticmethod
+    def _symbols():
+        """Every register, and every region and helper tag that the corpus,
+        fuzz cases 0-999 of run seed 20260810 and the code-motion loop
+        programs produce."""
+        import test_scheduler
+        from xvliw.corpus import CORPUS
+        from xvliw.fuzz import case_seed, generate_case
+        from xvliw.helpers import HELPERS
+        texts = [CORPUS[name].source for name in CORPUS]
+        texts += [generate_case(case_seed(20260810, i)).program_text
+                  for i in range(1000)]
+        texts += [src for src, _ in test_scheduler.TestCodeMotion.LOOPS.values()]
+        found = {("reg", r) for r in range(11)}
+        found |= {(tag,) for h in HELPERS.values()
+                  for tag in h.reads + h.writes if tag != "map"}
+        for text in texts:
+            found |= {ins.region for ins in parse_asm(text).instructions
+                      if ins.region is not None}
+        return found
+
+    def test_masks_agree_with_the_case_analysis(self):
+        found = self._symbols()
+        assert {s[0] for s in found} == {"reg", "stack", "map", "pkt", "ctx",
+                                         "mem"}
+        edges = {("stack", 0, 1), ("stack", 511, 512), ("stack", 0, 512),
+                 ("stack", 8, 16), ("stack", 16, 24), ("stack", 504, 510),
+                 ("stack", 510, 512), ("stack", 2, 8), ("map", 0),
+                 ("map", 511), ("maps",), ("mem",)}
+        symbols = sorted(found | edges)
+        for a in symbols:
+            for b in symbols:
+                assert bool(atoms(a) & atoms(b)) == symbols_overlap(a, b), (a, b)
+
+    def test_layout_bounds(self):
+        every = REGISTERS | MEMORY
+        assert REGISTERS & MEMORY == 0
+        assert extent(("mem",)) == MEMORY and extent(None) == MEMORY
+        assert every == (1 << every.bit_length()) - 1
+        assert extent(("map", 511)) == 1 << (every.bit_length() - 1)
+        assert extent(("stack", 0, 512)) | extent(("maps",)) | \
+            extent(SYM_PKT) | extent(("ctx",)) == MEMORY
+
+
 class TestRegions:
     """``build_program`` sets each access's region from pointer
-    provenance, and ``io_sets`` reads the memory symbol from it."""
+    provenance and the map definitions, and ``io_sets`` reads the memory
+    atoms from it."""
     MAP = ".map 3 hash 4 8 16\n"
     KEY = "r2 = r10\nr2 += -8\n"
 
@@ -553,30 +639,117 @@ class TestRegions:
         ("*(u32 *)(r10 - 8) = r1", ("stack", 504, 508)),
         ("r2 = r10\nr2 += -16\n*(u64 *)(r2 + 4) = 1", ("stack", 500, 508)),
         ("r2 = r10\nif r1 == 0 goto j\nr2 += -8\nj:\n*(u32 *)(r2 + 0) = 1",
-         ("stack",)),
+         ("mem",)),
         ("r2 = *(u32 *)(r1 + 0)\nr3 = *(u8 *)(r2 + 12)", ("pkt",)),
         ("r3 = *(u32 *)(r1 + 12)", ("ctx",)),
         (f"r1 = map[3]\n{KEY}call map_lookup\nr3 = *(u32 *)(r0 + 0)",
          ("map", 3)),
         (f"r1 = r6\n{KEY}call map_lookup\n*(u32 *)(r0 + 0) = 1", ("maps",)),
         ("r3 = 7\nr4 = *(u32 *)(r3 + 0)", ("mem",)),
+        # a frame access is exact only inside the 512-byte frame
+        ("*(u8 *)(r10 - 512) = r1", ("stack", 0, 1)),
+        ("*(u8 *)(r10 - 1) = r1", ("stack", 511, 512)),
+        ("*(u64 *)(r10 - 516) = r1", ("mem",)),
+        ("*(u64 *)(r10 - 4) = r1", ("mem",)),
+        ("r2 = r10\nr2 += 0x203FFE00\n*(u64 *)(r2 + 0) = 7", ("mem",)),
+        # a map value access is exact only inside its 8-byte value
+        (f"r1 = map[3]\n{KEY}call map_lookup\nr3 = *(u64 *)(r0 + 0)",
+         ("map", 3)),
+        (f"r1 = map[3]\n{KEY}call map_lookup\nr3 = *(u64 *)(r0 + 4)",
+         ("maps",)),
+        (f"r1 = map[3]\n{KEY}call map_lookup\n*(u8 *)(r0 - 1) = 1",
+         ("maps",)),
     ])
     def test_access(self, source, symbol):
         prog = parse_asm(f"{self.MAP}{source}\nr0 = 0\nexit\n")
         access = [ins for ins in prog.instructions if ins.kind in MEMORY_KINDS][-1]
+        assert access.region == symbol
         io = io_sets(access)
-        touched = io.outputs if access.kind is Kind.STORE else io.inputs
-        assert {s for s in touched if s[0] != "reg"} == {symbol}
+        touched = io.writes if access.kind is Kind.STORE else io.reads
+        assert touched & MEMORY == extent(symbol)
 
     @pytest.mark.parametrize("setup, symbol", [("r1 = map[3]", ("map", 3)),
-                                               ("r1 = r6", ("maps",))])
+                                               ("r1 = r6", ("maps",)),
+                                               ("r1 = map[5]", ("maps",))])
     def test_call(self, setup, symbol):
+        """A call names the map it is passed only when that map is
+        defined; with no map in r1 its region is None, all maps."""
         prog = parse_asm(f"{self.MAP}{setup}\n{self.KEY}call map_update\n"
                          f"r0 = 0\nexit\n")
         call = next(ins for ins in prog.instructions if ins.kind is Kind.CALL)
+        assert call.region == (None if setup == "r1 = r6" else symbol)
         io = io_sets(call)
-        assert {s for s in io.inputs if s[0] in ("map", "maps")} == {symbol}
-        assert {s for s in io.outputs if s[0] in ("map", "maps")} == {symbol}
+        maps = extent(("maps",))
+        assert io.reads & MEMORY == MEMORY      # map_update reads "mem"
+        assert io.writes & maps == extent(symbol)
+        assert io.writes & ~maps == 1 << 0
+
+
+def _lanes_agree_with_the_oracle(source):
+    """``source`` compiled at lanes 1-8: hazard-free, and equal to the
+    oracle on a zero packet."""
+    from xvliw.compiler import compile_program
+    from xvliw.fuzz import compare_results
+    from xvliw.schedule import LaneConstraints
+    from xvliw.vliwsim import exec_vliw, hazard_check
+    from xvliw.vm import MapStore, PacketContext, exec_sequential
+    prog = parse_asm(source)
+    oracle, _ = exec_sequential(prog, PacketContext(bytes(64)), MapStore(prog.maps))
+    for lanes in range(1, 9):
+        vliw, _ = compile_program(prog, LaneConstraints(lanes=lanes))
+        assert hazard_check(vliw) == [], lanes
+        run, _ = exec_vliw(vliw, PacketContext(bytes(64)), MapStore(prog.maps))
+        assert compare_results(oracle, run.result) == (True, "equal"), lanes
+    return oracle
+
+
+class TestRegionSoundness:
+    """A pointer's provenance names its region only while the access stays
+    inside it. Each program once returned 7 on the oracle and 0 on the
+    VLIW core at every lane width: the store's region did not overlap the
+    load's, so the load was scheduled first, and ``hazard_check`` saw
+    nothing."""
+    LOOKUP = """
+      *(u32 *)(r10 - 4) = {key}
+      r1 = map[{map}]
+      r2 = r10
+      r2 += -4
+      call map_lookup
+      if r0 == 0 goto {out}
+    """
+    TAIL = "  exit\nout:\n  r0 = 0\n  exit\nout2:\n  r0 = 0\n  exit\n"
+    # (a) a frame pointer 0x203FFE00 bytes up lands in map 1's first value;
+    # the store's region was ("stack", 541065216, 541065224)
+    FRAME_CONSTANT = (".map 1 array 4 8 4\n"
+                      + LOOKUP.format(key=0, map=1, out="out") + """
+      r7 = r0
+      r6 = r10
+      r6 += 0x203FFE00
+      *(u64 *)(r6 + 0) = 7
+      r0 = *(u64 *)(r7 + 0)
+    """ + TAIL)
+    # (b) the same through a register: the region was ("stack",)
+    FRAME_REGISTER = FRAME_CONSTANT.replace("r6 += 0x203FFE00",
+                                            "r3 = 0x203FFE00\n      r6 += r3")
+    # (c) 8 bytes below map 2's first value is map 1's last slot; the
+    # store's region was ("map", 2)
+    MAP_BELOW = (".map 1 array 4 64 65536\n.map 2 array 4 8 4\n"
+                 + LOOKUP.format(key=0, map=2, out="out") + "  r7 = r0\n"
+                 + LOOKUP.format(key=65535, map=1, out="out2") + """
+      *(u64 *)(r7 - 8) = 7
+      r0 = *(u64 *)(r0 + 56)
+    """ + TAIL)
+
+    @pytest.mark.parametrize("name, region", [
+        ("FRAME_CONSTANT", ("mem",)), ("FRAME_REGISTER", ("mem",)),
+        ("MAP_BELOW", ("maps",))])
+    def test_store_outside_its_region(self, name, region):
+        source = getattr(self, name)
+        store = next(ins for ins in parse_asm(source).instructions
+                     if ins.kind is Kind.STORE and ins.imm == 7)
+        assert store.region == region
+        oracle = _lanes_agree_with_the_oracle(source)
+        assert (oracle.trapped, oracle.code) == (False, 7)
 
 
 def _memo_program():
@@ -616,7 +789,7 @@ class TestMemos:
         assert ins.io is io and io_sets(ins) is io
         assert replace(ins).io is None
         assert replace(ins, src=4).io is None
-        assert io_sets(replace(ins, src=4)).inputs == {reg(2), reg(4)}
+        assert io_sets(replace(ins, src=4)).reads == 1 << 2 | 1 << 4
         step = decode_step(ins)
         assert ins.step is step
         assert replace(ins).step is None and replace(ins, src=4).step is None
@@ -785,7 +958,7 @@ class TestConstructor:
 
     @pytest.mark.parametrize("change", [
         {}, {"target": 3}, {"region": None}, {"region": ("stack", 0, 4)},
-        {"target": 5, "region": SYM_STACK}, {"offset": 8},
+        {"target": 5, "region": SYM_MEM}, {"offset": 8},
         {"offset": 0, "target": 2}])
     def test_rebuilt_is_replace_without_the_memos(self, change):
         ins = self._load()

@@ -15,10 +15,11 @@ from test_analysis import folded_live_after
 from xvliw.analysis import (build_program_cfg, live_after, program_cfg,
                             program_liveness)
 from xvliw.asm import format_asm, parse_asm
+from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
-from xvliw.fuzz import case_seed, generate_case
-from xvliw.isa import (Instruction, Kind, Program, analysis_of, build_program,
-                       provenance_states, reg, sets_conflict)
+from xvliw.fuzz import case_seed, compare_results, generate_case
+from xvliw.isa import (REGISTERS, Instruction, Kind, Program, analysis_of,
+                       build_program, provenance_states)
 from xvliw.peephole import (
     _find_store_pair,
     _match_check,
@@ -32,6 +33,8 @@ from xvliw.peephole import (
     remove_boundary_checks,
     remove_zeroing,
 )
+from xvliw.schedule import LaneConstraints
+from xvliw.vliwsim import exec_vliw, hazard_check
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
 ETH_CHECK = """
@@ -183,6 +186,39 @@ class TestZeroing:
         """)
         out, removed = remove_zeroing(prog)
         assert removed == []
+
+    def test_zero_store_overwritten_before_a_memory_read_removed(self):
+        """The exact store of r3 kills the zero store's bytes, although the
+        helper call reads all memory after it; the zero store was once kept,
+        since no store killed any part of a live ``mem`` extent."""
+        source = """
+          .map 1 hash 4 8 4
+          *(u64 *)(r10 - 16) = r1
+          *(u64 *)(r10 - 16) = 0
+          r3 = 5
+          *(u64 *)(r10 - 16) = r3
+          r4 = 1
+          *(u32 *)(r10 - 4) = r4
+          r1 = map[1]
+          r2 = r10
+          r2 += -4
+          call map_lookup
+          r0 = 2
+          exit
+        """
+        prog = parse_asm(source)
+        out, removed = remove_zeroing(prog)
+        assert removed == [1]
+        _same_behaviour(prog, out)
+        for lanes in range(1, 9):
+            vliw, _ = compile_program(prog, LaneConstraints(lanes=lanes))
+            assert not any(s.instr.kind is Kind.STORE and s.instr.src is None
+                           and s.instr.offset == -16
+                           for row in vliw.rows for s in row if s is not None)
+            assert hazard_check(vliw) == []
+            o, _ = exec_sequential(prog, PacketContext(bytes(64)), MapStore(prog.maps))
+            v, _ = exec_vliw(vliw, PacketContext(bytes(64)), MapStore(prog.maps))
+            assert compare_results(o, v.result) == (True, "equal")
 
 
 class TestThreeOperand:
@@ -531,9 +567,9 @@ class TestProgramFacts:
             for blk in cfg.blocks:
                 for i in blk.indices():
                     target = _zeroing_target(program[i])
-                    if target is not None:
+                    if target:
                         expected[i] = (target, touched[i] is not None and
-                                       not sets_conflict({target}, touched[i]))
+                                       not target & touched[i])
             got = {i: (target, virgin) for _blk, writes in _zero_writes(program, cfg)
                    for i, target, virgin in writes}
             assert got == expected
@@ -554,14 +590,14 @@ class TestProgramFacts:
                     with monkeypatch.context() as m:
                         m.setattr(analysis_module, "program_liveness", refused)
                         live = live_after(program, blk, i, sym)
-                    after = folded_live_after(program, blk, frozenset())
-                    assert live == sets_conflict({sym}, after[i])
+                    after = folded_live_after(program, blk, 0)
+                    assert live == bool(sym & after[i])
                     skipped += 1
         assert skipped > 1000
 
     def test_live_after_equals_the_backward_fold(self, rewrites):
         """Every liveness question the passes ask, on every program they
-        make: a zero write's register or stack target, both scratch
+        make: a zero write's register or stack target, the two scratch
         registers of a matched 6-byte pair, and a boundary check's scratch
         register. ``live_after``'s forward scan answers each as a fold of
         ``_backward_step`` from the block's full live-out set does."""
@@ -575,9 +611,9 @@ class TestProgramFacts:
                     folds[blk.id] = folded_live_after(program, blk,
                                                       live_out[blk.id])
                 assert live_after(program, blk, i, sym) == \
-                    sets_conflict({sym}, folds[blk.id][i]), \
+                    bool(sym & folds[blk.id][i]), \
                     (format_asm(program), i, sym)
-                asked[sym[0]] += 1
+                asked["reg" if sym <= REGISTERS else "stack"] += 1
                 asked[pass_name] += 1
         assert asked["reg"] > 1000 and asked["stack"] > 1000
         assert asked["load_store_6b"] > 100 and asked["boundary_checks"] > 100
@@ -585,7 +621,7 @@ class TestProgramFacts:
 
 def _liveness_questions(program):
     """Each liveness question a pass may ask of ``program``, as (pass,
-    block, index, symbol): every zero write's target after it, both scratch
+    block, index, mask): every zero write's target after it, the two scratch
     registers of a matched 6-byte pair after its stores, and every matched
     boundary check's scratch register after its branch."""
     instrs = program.instructions
@@ -593,17 +629,16 @@ def _liveness_questions(program):
     for blk in program_cfg(program).blocks:
         for i in blk.indices():
             target = _zeroing_target(instrs[i])
-            if target is not None:
+            if target:
                 yield "zeroing", blk, i, target
             lp = i + 1 <= blk.end and _match_load_pair(instrs, i)
             match = lp and _find_store_pair(instrs, blk, i, lp[0], lp[1])
             if match:
-                yield "load_store_6b", blk, match[0] + 1, reg(lp[0])
-                yield "load_store_6b", blk, match[0] + 1, reg(lp[1])
+                yield "load_store_6b", blk, match[0] + 1, 1 << lp[0] | 1 << lp[1]
             window = _match_check(instrs, states, blk, i)
             if window is not None:
                 yield "boundary_checks", blk, window[-1], \
-                    reg(instrs[window[-1]].dst)
+                    1 << instrs[window[-1]].dst
 
 
 class TestLivenessOnDemand:

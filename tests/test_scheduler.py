@@ -12,7 +12,7 @@ from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, compare_results, generate_case
-from xvliw.isa import JUMP_KINDS, Kind, io_sets, symbols_overlap
+from xvliw.isa import JUMP_KINDS, REGISTERS, Kind, io_sets
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import (CodeMotion, assign_lanes, code_motion, lane_row,
                              list_schedule)
@@ -396,9 +396,7 @@ class TestCodeMotion:
         def checked(schedules, cfg, lanes, maps=()):
             for bs in schedules.values():
                 for row in bs.rows:
-                    written = [sym for s in row for sym in io_sets(s.instr).outputs
-                               if sym[0] == "reg"]
-                    if len(written) != len(set(written)):
+                    if writes_a_register_twice(s.instr for s in row):
                         clashes.append((text, [s.instr for s in row]))
             return real(schedules, cfg, lanes, maps)
 
@@ -408,6 +406,17 @@ class TestCodeMotion:
         for text in sources + [src for src, _ in self.LOOPS.values()]:
             compile_program(parse_asm(text), LaneConstraints(lanes=lanes))
         assert not clashes, clashes[:3]
+
+
+def writes_a_register_twice(instrs) -> bool:
+    """Whether two of ``instrs`` write one register."""
+    seen = 0
+    for ins in instrs:
+        written = io_sets(ins).writes & REGISTERS
+        if seen & written:
+            return True
+        seen |= written
+    return False
 
 
 def _ids(laned):
@@ -438,9 +447,8 @@ def _lane_row_by_search(slots, pred_rows, lanes):
     pins = []
     for s in order:
         wanted = {lane for prev in pred_rows for lane, p in enumerate(prev)
-                  if p is not None and any(
-                      symbols_overlap(a, b) for a in io_sets(p.instr).outputs
-                      for b in io_sets(s.instr).inputs)}
+                  if p is not None
+                  and io_sets(p.instr).writes & io_sets(s.instr).reads}
         if len(wanted) > 1:
             return None
         pins.append(wanted.pop() if wanted else None)

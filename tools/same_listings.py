@@ -4,13 +4,15 @@
     python3 tools/same_listings.py --base HEAD~1
 
 The listings are the schedule digests' and the engine digests' ``--wide``
-sets and the parse outcomes' ``--list``, each printed by its test module.
-Each side runs from its own copy under a temporary directory, made as
-``tools/bench_ab.py`` makes them: the base commit exported with ``git
-archive``, and the working tree's tracked and untracked files. For each
-listing the script prints its line count on both sides and, where they
-differ, the first differing lines. It exits 1 on any difference, else 0.
-Only the standard library is used.
+sets and the parse outcomes' ``--list``, each printed by its test module:
+one ``name outcome`` line per entry, each name once. Each side runs from
+its own copy under a temporary directory, made as ``tools/bench_ab.py``
+makes them: the base commit exported with ``git archive``, and the working
+tree's tracked and untracked files. The two sides are compared by name.
+For each listing the script prints its entry count on both sides and the
+changed, removed and added entries, the first few of each. It exits 1 when
+an entry changed or was removed, else 0: an entry the base lacks is new
+coverage, not a difference. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 
 from bench_ab import export_commit, export_working_tree, git
@@ -30,7 +31,7 @@ LISTINGS = {
     "engine --wide": ["tests/test_engine_digests.py", "--wide"],
     "parse outcomes --list": ["tests/test_parse_outcomes.py", "--list"],
 }
-SHOWN = 5                               # differing lines printed per listing
+SHOWN = 5                               # entries printed per kind and listing
 
 
 def listing(side: Path, args: list[str]) -> list[str]:
@@ -40,6 +41,26 @@ def listing(side: Path, args: list[str]) -> list[str]:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(args)} failed in {side}:\n{proc.stderr}")
     return proc.stdout.splitlines()
+
+
+def entries(lines: list[str]) -> dict[str, str]:
+    """Each ``name outcome`` line as name -> outcome."""
+    out = {}
+    for line in lines:
+        name, _, outcome = line.partition(" ")
+        if name in out:
+            raise SystemExit(f"entry {name} is listed twice")
+        out[name] = outcome
+    return out
+
+
+def compare(old: list[str], new: list[str]) -> dict[str, list[str]]:
+    """The names of the entries that changed, were removed and were added
+    between two listings, each in its listing's order."""
+    a, b = entries(old), entries(new)
+    return {"changed": [n for n in a if n in b and a[n] != b[n]],
+            "removed": [n for n in a if n not in b],
+            "added": [n for n in b if n not in a]}
 
 
 def main(argv=None) -> int:
@@ -55,13 +76,14 @@ def main(argv=None) -> int:
         export_working_tree(change)
         for name, cmd in LISTINGS.items():
             old, new = listing(parent, cmd), listing(change, cmd)
-            pairs = zip_longest(old, new, fillvalue="(no line)")
-            diffs = [(n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b]
-            print(f"{name}: {len(old)} lines at {base[:12]}, {len(new)} in "
-                  f"the working tree, {'differ' if diffs else 'identical'}")
-            for n, a, b in diffs[:SHOWN]:
-                print(f"  line {n}:\n    - {a}\n    + {b}")
-            differ = differ or bool(diffs)
+            found = compare(old, new)
+            print(f"{name}: {len(old)} entries at {base[:12]}, {len(new)} in "
+                  f"the working tree; " + ", ".join(
+                      f"{len(names)} {kind}" for kind, names in found.items()))
+            for kind, names in found.items():
+                for entry in names[:SHOWN]:
+                    print(f"  {kind}: {entry}")
+            differ = differ or bool(found["changed"] or found["removed"])
     return 1 if differ else 0
 
 
