@@ -281,10 +281,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except XvliwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (XvliwError, OSError, UnicodeDecodeError) as exc:
+        # the last: a text input (assembly, packets, maps, dump) not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

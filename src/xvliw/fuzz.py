@@ -7,8 +7,13 @@ no-unbounded-cycles rule) and keep every memory access in bounds by
 construction: packet cursors come from the context record, offsets stay
 inside the guaranteed minimum packet size, head-room adjustments only
 grow the window, and map-value dereferences sit behind a null check.
-Bounds-check idioms are emitted with constants the packet always
-satisfies, so removing them cannot change observable behaviour.
+Bounds-check idioms are emitted with constants that the generated packet
+always satisfies, so on the full-length packets emitted here, removing
+them cannot change observable behaviour. On a shorter packet (leg 1: the
+source against the reduced program) the source may take the abort branch
+of a removed check; the reduced program then traps on a packet access
+(the paper's hardware bounds check) or runs to the end, as the corpus's
+``tx_mac_swap`` does on a 12-byte packet: it checks 14 bytes, touches 12.
 
 A case is fully reproducible from its integer seed.
 """

@@ -76,6 +76,7 @@ NUM_REGS = 11
 FRAME_REG = 10          # r10: frame pointer, read-only
 STACK_SIZE = 512
 MAP_IDS = 512           # map ids 0-511
+PACKET_BUFFER = 1 << 16  # most bytes of a packet buffer, head room and data
 
 ALU_OPS = ("add", "sub", "mul", "div", "or", "and", "lsh", "rsh",
            "neg", "mod", "xor", "mov", "arsh", "end")
@@ -577,7 +578,7 @@ def _encode_one(ins: Instruction) -> bytes:
 # pointer provenance / region annotation
 # ---------------------------------------------------------------------------
 
-# lattice values: ('ctx',) ('pkt',) ('pkt_end',) ('stack', delta|None)
+# lattice values: ('ctx',) ('pkt', delta|None) ('pkt_end',) ('stack', delta|None)
 # ('mapfd', id) ('mapval', id|None) ('num',) ('any',)
 _NUM = ("num",)
 _ANY = ("any",)
@@ -590,10 +591,8 @@ def _join(a, b):
         return b
     if b is None:
         return a
-    if a[0] == b[0] == "stack":
-        return ("stack", None)
-    if a[0] == b[0] == "mapval":
-        return ("mapval", None)
+    if a[0] == b[0] in ("stack", "pkt", "mapval"):
+        return (a[0], None)
     if _NUM in (a, b) and {a[0], b[0]} <= {"num", "pkt_end"}:
         return _NUM
     return _ANY
@@ -601,7 +600,7 @@ def _join(a, b):
 
 # the provenance of a 32-bit context load at each offset: data, data_end,
 # data_meta; any other field is a number
-_CTX_FIELDS = {0: ("pkt",), 4: ("pkt_end",), 8: ("pkt",)}
+_CTX_FIELDS = {0: ("pkt", 0), 4: ("pkt_end",), 8: ("pkt", 0)}
 _ENTRY = tuple(("ctx",) if r == 1 else ("stack", 0) if r == FRAME_REG else _NUM
                for r in range(NUM_REGS))
 
@@ -682,7 +681,10 @@ def _region(prov, ins: Instruction, value_sizes):
     """The region of what ``ins`` reaches through a base register of
     provenance ``prov``: the memory a load or store touches, or the map a
     call is passed in r1 (None when r1 holds no map). Only an access that
-    stays inside the frame or a defined map's value slot is exact."""
+    stays inside the frame or a defined map's value slot is exact. A packet
+    access is ``("pkt",)`` only at a known offset within ``PACKET_BUFFER``
+    bytes of the data pointer: the buffer holds at most that many, so it
+    then reaches no other region's addresses."""
     tag = prov[0]
     if ins.kind is Kind.CALL:
         if tag != "mapfd":
@@ -699,8 +701,10 @@ def _region(prov, ins: Instruction, value_sizes):
         if size is None or not 0 <= ins.offset <= size - ins.width:
             return SYM_MAPS
         return ("map", prov[1])
-    # a packet or context provenance is its own region
-    return prov if prov in (SYM_PKT, SYM_CTX) else SYM_MEM
+    if tag == "pkt":
+        near = prov[1] is not None and abs(prov[1] + ins.offset) <= PACKET_BUFFER
+        return SYM_PKT if near else SYM_MEM
+    return SYM_CTX if prov == SYM_CTX else SYM_MEM
 
 
 def _transfer(ins: Instruction, st: list) -> None:
@@ -740,24 +744,23 @@ def _alu_prov(op, width, a, b, imm):
     if width != 64:
         return _NUM
     if op == "add":
-        if a is not None and a[0] == "pkt":
-            return ("pkt",)
-        if a is not None and a[0] == "stack":
+        if a is not None and a[0] in ("pkt", "stack"):
             if imm is not None and a[1] is not None:
-                return ("stack", a[1] + imm)
-            return ("stack", None)
+                return (a[0], a[1] + imm)
+            return (a[0], None)
         if b is not None and b[0] in ("pkt", "stack") and imm is None:
-            return (b[0],) if b[0] == "pkt" else ("stack", None)
+            return (b[0], None)
         if a == _NUM and (b == _NUM or imm is not None):
             return _NUM
         return _ANY
     if op == "sub":
-        if a is not None and a[0] == "pkt":
-            return _NUM if (imm is None and b is not None and b[0] == "pkt") else ("pkt",)
-        if a is not None and a[0] == "stack":
+        if a is not None and a[0] == "pkt" and imm is None and \
+                b is not None and b[0] == "pkt":
+            return _NUM
+        if a is not None and a[0] in ("pkt", "stack"):
             if imm is not None and a[1] is not None:
-                return ("stack", a[1] - imm)
-            return ("stack", None)
+                return (a[0], a[1] - imm)
+            return (a[0], None)
         if a == _NUM and (b == _NUM or imm is not None):
             return _NUM
         return _ANY

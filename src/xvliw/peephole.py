@@ -232,9 +232,9 @@ def remove_boundary_checks(program: Program):
 
 
 def _match_check(instrs, states, blk, i):
-    def prov(idx, r):
+    def tag(idx, r):
         st = states[idx]
-        return st[r] if st else None
+        return st[r][0] if st else None
 
     a = instrs[i]
     # mov T, P ; T += C ; if T > E goto abort
@@ -244,8 +244,8 @@ def _match_check(instrs, states, blk, i):
                 and b.dst == a.dst and b.src is None and b.imm > 0
                 and c.kind is Kind.BRANCH and c.op == "jgt"
                 and c.dst == a.dst and c.src is not None
-                and prov(i, a.src) == ("pkt",)
-                and prov(i + 2, c.src) == ("pkt_end",)):
+                and tag(i, a.src) == "pkt"
+                and tag(i + 2, c.src) == "pkt_end"):
             return (i, i + 1, i + 2)
     # T = P + C ; if T > E goto abort
     if a.kind is Kind.ALU_THREE_OP and a.op == "add" and a.src2 is None \
@@ -253,8 +253,8 @@ def _match_check(instrs, states, blk, i):
         c = instrs[i + 1]
         if (c.kind is Kind.BRANCH and c.op == "jgt" and c.dst == a.dst
                 and c.src is not None
-                and prov(i, a.src) == ("pkt",)
-                and prov(i + 1, c.src) == ("pkt_end",)):
+                and tag(i, a.src) == "pkt"
+                and tag(i + 1, c.src) == "pkt_end"):
             return (i, i + 1)
     return None
 

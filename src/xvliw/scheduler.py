@@ -1,14 +1,7 @@
 """List scheduling and upward code motion.
 
-Scheduling is structural first (which instructions share a row). A row
-takes its lanes in ``lane_row``, a small permutation search that honours
-the two hardware rules: back-to-back dependents share a lane, and a
-row's branches occupy ascending lanes in original program order (lane
-index is taken-branch priority). Code motion asks ``assign_lanes``, which
-lays out a block on its own, whether a move or a branch pull keeps the
-block's lanes valid (its only test of the forwarding rule), re-laning
-from the row it changed. The final lanes come from one pass over the
-whole program (``regalloc.assign_registers``), with the same per-row step.
+Scheduling is structural: it says which instructions share a row, and
+``regalloc`` chooses their lanes.
 
 Structural scheduling runs once per block, at the full lane width. It
 keeps a ready list (Gibbons & Muchnick, SIGPLAN '86): a count of unplaced
@@ -32,18 +25,17 @@ successors, none in a loop the block is not in or the reverse, each with
 the blocks a move from it crosses. A mover passes the pairwise Bernstein
 test against every slot of those crossed blocks. It keeps its registers:
 it goes into the earliest row of its new block that follows every slot it
-fails that test against, has a free lane and leaves the block's lanes
-assignable, so no row ever holds two writers of one register and nothing
-is renamed. A speculative mover (one from a block that does not always
-run when its new block does) must write nothing that is live into a
-block where control leaves the path to its source, judged by the
+fails that test against, has a free lane and keeps the forwarding rule
+with its neighbour rows, so no row ever holds two writers of one register
+and nothing is renamed. A speculative mover (one from a block that does
+not always run when its new block does) must write nothing that is live
+into a block where control leaves the path to its source, judged by the
 liveness of the schedules as code motion has transformed them so far.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import permutations
 
 from .analysis import (
     ControlFlowGraph,
@@ -53,6 +45,7 @@ from .analysis import (
     walk_blocks,
 )
 from .isa import JUMP_KINDS, Kind, Program, io_sets
+from .regalloc import assign_lanes, forwarding_ok
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -158,55 +151,6 @@ def list_schedule(block, ddg: DataDependenceGraph, constraints: LaneConstraints,
 
 
 # ---------------------------------------------------------------------------
-# lane assignment
-# ---------------------------------------------------------------------------
-
-def lane_row(slots: list[Slot], pred_rows, lanes: int):
-    """Lane-indexed row for ``slots``, or None when no assignment exists.
-    ``pred_rows`` are the lane-indexed rows that can run right before this
-    one; each slot is pinned to the lane of its read-after-write producer
-    in every one of them (two producers on different lanes cannot both
-    forward to it). The first valid permutation is taken, branches tried
-    lowest-lane first, so a lone unpinned branch lands on lane 0 and
-    pulled branch groups come out ascending in original order."""
-    if len(slots) > lanes:
-        return None
-    order = sorted(slots, key=lambda s: (s.instr.kind not in JUMP_KINDS,
-                                         s.src_index))
-    producers = [(lane, io_sets(p.instr).writes) for prev in pred_rows
-                 for lane, p in enumerate(prev) if p is not None]
-    pins = []
-    for s in order:
-        reads = io_sets(s.instr).reads
-        wanted = {lane for lane, writes in producers if writes & reads}
-        if len(wanted) > 1:
-            return None
-        pins.append(wanted.pop() if wanted else None)
-    branches = sum(s.instr.kind in JUMP_KINDS for s in slots)
-    for perm in permutations(range(lanes), len(order)):
-        if all(pin is None or pin == lane for pin, lane in zip(pins, perm)) \
-                and list(perm[:branches]) == sorted(perm[:branches]):
-            placed = dict(zip(perm, order))
-            return [placed.get(lane) for lane in range(lanes)]
-    return None
-
-
-def assign_lanes(rows: list[list[Slot]], lanes: int, laned=()):
-    """Lane-indexed rows for one block on its own, each row's only
-    predecessor being the row before it; None when some row has no valid
-    assignment. A row's lanes depend only on its slots and the laned row
-    before it, so ``laned``, the lane-indexed form of a prefix of ``rows``,
-    is taken as it is and laning goes on from the row after it."""
-    out: list[list[Slot | None]] = list(laned)
-    for slots in rows[len(out):]:
-        row = lane_row(slots, out[-1:], lanes)
-        if row is None:
-            return None
-        out.append(row)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # upward code motion
 # ---------------------------------------------------------------------------
 
@@ -250,7 +194,6 @@ class CodeMotion:
         self.ddgs = ddgs
         self.moved_log: list[tuple[int, int, int]] = []   # (src_index, from, to)
         self._live_in = None       # of the current schedules; None when stale
-        self._laned: dict[int, list] = {}   # block id -> its rows, laned
 
     # -- general motion ----------------------------------------------------
 
@@ -262,55 +205,46 @@ class CodeMotion:
                 self._move_from(b, cand, is_ctrl_eq, crossed)
 
     def _move_from(self, b, cand, is_ctrl_eq, crossed):
+        """One scan of ``cand``'s rows in order, so a mover's DDG
+        predecessors are tried before it."""
         bs = self.schedules[b]
-        cs = self.schedules[cand]
         ddg = self.ddgs[cand]
         moved_nodes: set[int] = set()
-        progressed = True
-        while progressed:
-            progressed = False
-            for row in list(cs.rows):
-                for slot in list(row):
-                    if slot.src_block != cand:     # already migrated once
-                        continue
-                    # speculative loads could trap on paths that never
-                    # reach the source
-                    kind = slot.instr.kind
-                    if not (kind in MOVABLE_PURE or
-                            is_ctrl_eq and kind in MOVABLE_LOADS):
-                        continue
-                    node = slot.src_index
-                    if any(p not in moved_nodes for p in ddg.preds[node]):
-                        continue
-                    if not self._interference_free(slot, b, cand, crossed,
-                                                   is_ctrl_eq):
-                        continue
-                    if not self._place(bs, slot):
-                        continue
-                    row.remove(slot)
-                    self._laned.pop(cand, None)
-                    slot.moved = True
-                    self._live_in = None
-                    moved_nodes.add(node)
-                    self.moved_log.append((node, cand, b))
-                    progressed = True
-        self._compact(cs)
+        for row in self.schedules[cand].rows:
+            for slot in list(row):
+                if slot.src_block != cand:     # already migrated once
+                    continue
+                # a speculative load could trap where the source never runs
+                kind = slot.instr.kind
+                if not (kind in MOVABLE_PURE or
+                        is_ctrl_eq and kind in MOVABLE_LOADS):
+                    continue
+                node = slot.src_index
+                if any(p not in moved_nodes for p in ddg.preds[node]):
+                    continue
+                if not self._interference_free(slot, b, cand, crossed,
+                                               is_ctrl_eq):
+                    continue
+                if not self._place(bs, slot):
+                    continue
+                row.remove(slot)
+                moved_nodes.add(node)
+                self._record(slot, cand, b)
+        self._compact(self.schedules[cand])
 
     def _compact(self, bs: BlockSchedule):
-        """Drop empty rows where the forwarding distances still work out
-        (an empty row keeping two same-row producers away from a common
-        consumer must stay)."""
-        changed = True
-        while changed:
-            changed = False
-            for k, row in enumerate(bs.rows):
-                if row:
+        """Drop, in one sweep, each empty row whose removal keeps the
+        forwarding rule (an empty row keeping two same-row producers away
+        from a common consumer must stay)."""
+        rows = bs.rows
+        k = 0
+        while k < len(rows):
+            if not rows[k]:
+                del rows[k]
+                if self._keeps_lanes(rows, k):
                     continue
-                trial = bs.rows[:k] + bs.rows[k + 1:]
-                if self._relane(bs.block_id, trial, k):
-                    bs.rows = trial
-                    changed = True
-                    break
+                rows.insert(k, [])
+            k += 1
 
     def _interference_free(self, slot, b, cand, crossed, is_ctrl_eq):
         if not all(bernstein_ok(other.instr, slot.instr) for t in crossed
@@ -344,8 +278,8 @@ class CodeMotion:
     def _place(self, bs: BlockSchedule, slot: Slot) -> bool:
         """Add ``slot`` to the earliest row of b that follows every slot of
         b it conflicts with, no later than b's control instruction, has
-        room, and leaves b's lanes assignable (``assign_lanes``, the one
-        judge of forwarding); False, with b unchanged, if there is none."""
+        room, and keeps b's lanes assignable (``_keeps_lanes``); False, with
+        b unchanged, if there is none."""
         lanes = self.constraints.lanes
         earliest = 0
         last_control = None
@@ -359,21 +293,26 @@ class CodeMotion:
         for r, row in enumerate(bs.rows[earliest:limit + 1], earliest):
             if len(row) < lanes:
                 row.append(slot)
-                if self._relane(bs.block_id, bs.rows, r):
+                if self._keeps_lanes(bs.rows, r):
                     return True
                 row.pop()
         return False
 
-    def _relane(self, bid: int, rows, r: int) -> bool:
-        """Whether block ``bid``'s ``rows``, changed at row ``r`` and not
-        before, can be laned (``assign_lanes``) from the cached laning of the
-        rows before ``r``. Callers keep valid rows, so their laning is cached."""
-        laned = assign_lanes(rows, self.constraints.lanes,
-                             self._laned.get(bid, ())[:r])
-        if laned is None:
-            return False
-        self._laned[bid] = laned
-        return True
+    def _keeps_lanes(self, rows, r: int) -> bool:
+        """Whether a block's ``rows``, assignable before row ``r`` changed,
+        still are: the forwarding rule on row ``r`` and the row after it.
+        A last row of pulled branches, whose lanes must also ascend, takes
+        ``assign_lanes`` over the whole block."""
+        if rows and sum(s.instr.kind in JUMP_KINDS for s in rows[-1]) > 1:
+            return assign_lanes(rows, self.constraints.lanes) is not None
+        return all(forwarding_ok(rows[t - 1], rows[t])
+                   for t in (r, r + 1) if 0 < t < len(rows))
+
+    def _record(self, slot: Slot, source: int, b: int):
+        """Log ``slot``'s move from block ``source`` into block ``b``."""
+        slot.moved = True
+        self._live_in = None
+        self.moved_log.append((slot.src_index, source, b))
 
     # -- parallel branching -------------------------------------------------
 
@@ -415,14 +354,11 @@ class CodeMotion:
             if not all(bernstein_ok(other.instr, fslot.instr) for other in last):
                 return
             last.append(fslot)
-            if not self._relane(b, bs.rows, len(bs.rows) - 1):
+            if not self._keeps_lanes(bs.rows, len(bs.rows) - 1):
                 last.pop()
                 return
-            fslot.moved = True
             self.schedules[fb].rows = []
-            self._laned.pop(fb, None)
-            self._live_in = None
-            self.moved_log.append((fslot.src_index, fb, b))
+            self._record(fslot, fb, b)
 
 
 def code_motion(schedules, cfg, constraints: LaneConstraints,

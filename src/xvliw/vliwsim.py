@@ -79,6 +79,7 @@ class RunReport:
     dynamic_ipc: float
     lane_utilisation: float     # instructions / (rows x lanes)
     drain_cycles: int           # cycles past one per row: the pipeline drain
+    empty_rows: int             # rows executed that hold no instruction
     trace_lines: list[str] | None = None    # one line per row, when asked for
 
     def as_dict(self):
@@ -90,6 +91,7 @@ class RunReport:
             "dynamic_ipc": round(self.dynamic_ipc, 4),
             "lane_utilisation": round(self.lane_utilisation, 4),
             "drain_cycles": self.drain_cycles,
+            "empty_rows": self.empty_rows,
         }
 
 
@@ -209,6 +211,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
     budget = limits.max_instructions
     rows_executed = 0
     instructions = 0
+    empty_rows = 0
     last_r0_row = -PIPELINE_DEPTH           # last executed row that wrote r0
     lines: list[str] | None = [] if trace else None
     rp = 0
@@ -266,6 +269,8 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
 
             rows_executed += 1
             instructions += len(lanes)
+            if not lanes:
+                empty_rows += 1
             if writes_r0:
                 last_r0_row = rows_executed
             if finished:
@@ -288,7 +293,7 @@ def exec_vliw(vliw: VliwProgram, packet: PacketContext, maps: MapStore,
     return RunReport(result, rows_executed, instructions, cycles,
                      instructions / rows_executed,
                      instructions / (rows_executed * vliw.lane_count),
-                     cycles - rows_executed, lines), state
+                     cycles - rows_executed, empty_rows, lines), state
 
 
 def _trace_line(cycle, row_index, row, taken):

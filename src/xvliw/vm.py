@@ -66,8 +66,8 @@ from .errors import (
     VmTrap,
 )
 from .helpers import HELPERS
-from .isa import (FRAME_REG, Instruction, Kind, MapDef, NUM_REGS, STACK_SIZE,
-                  Program, _keep_step, field_problem)
+from .isa import (FRAME_REG, PACKET_BUFFER, Instruction, Kind, MapDef, NUM_REGS,
+                  STACK_SIZE, Program, _keep_step, field_problem)
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -102,7 +102,9 @@ def sx32(v: int) -> int:
 
 @dataclass
 class PacketContext:
-    """Packet buffer with head room for adjust_head."""
+    """Packet buffer with head room for adjust_head. It holds at most
+    ``PACKET_BUFFER`` bytes, so an access the compiler gives the packet's
+    region (``isa._region``) cannot reach the context or the stack."""
     data: bytes
     head_room: int = 64
     ingress_port: int = 0
@@ -110,6 +112,10 @@ class PacketContext:
     def __post_init__(self):
         if self.head_room < 0:
             raise ProgramError(f"head room {self.head_room} is negative")
+        if self.head_room + len(self.data) > PACKET_BUFFER:
+            raise ProgramError(f"head room {self.head_room} and a "
+                               f"{len(self.data)}-byte packet exceed "
+                               f"{PACKET_BUFFER} bytes")
         self.buf = bytearray(self.head_room) + bytearray(self.data)
         self.start = self.head_room
         self.end = len(self.buf)

@@ -97,7 +97,7 @@ def _transfer_dict(ins: Instruction, st: dict) -> dict:
                                 ins.imm if ins.src2 is None else None)
     elif k in (Kind.LOAD, Kind.LOAD48):
         if st.get(ins.src) == ("ctx",) and ins.width == 4 and k is Kind.LOAD:
-            st[ins.dst] = {0: ("pkt",), 4: ("pkt_end",), 8: ("pkt",)}.get(
+            st[ins.dst] = {0: ("pkt", 0), 4: ("pkt_end",), 8: ("pkt", 0)}.get(
                 ins.offset, num)
         else:
             st[ins.dst] = num

@@ -99,6 +99,7 @@ def test_run_json_report_has_lane_utilisation_and_drain(capsys, tmp_path):
     assert rc == 0
     vliw = json.loads(out)["vliw"]
     assert vliw["drain_cycles"] == vliw["cycles"] - vliw["rows_executed"]
+    assert vliw["empty_rows"] == 0
     assert vliw["lane_utilisation"] == round(
         vliw["instructions_executed"] / (vliw["rows_executed"] * 4), 4)
     assert 0 < vliw["lane_utilisation"] <= 1
@@ -201,10 +202,31 @@ def test_trace_output(capsys, tmp_path):
     assert "cycle " in out and "row " in out
 
 
+@pytest.mark.parametrize("argv", [("compile", "{bad}.s"), ("disasm", "{bad}.s"),
+                                  ("run", "corpus:drop_all", "--packets", "{bad}.hex"),
+                                  ("run", "corpus:drop_all", "--maps", "{bad}.cfg"),
+                                  ("run", "{bad}.vliw", "--engine", "vliw")])
+def test_a_text_file_that_is_not_utf8_fails(capsys, tmp_path, argv):
+    for ext in ("s", "hex", "cfg", "vliw"):
+        (tmp_path / f"latin1.{ext}").write_bytes(b"\xff\xfe r0 = 1\n")
+    bad = str(tmp_path / "latin1")
+    rc, _, err = invoke(capsys, *(arg.format(bad=bad) for arg in argv))
+    assert rc == 1
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_run_negative_head_room_fails(capsys):
     rc, _, err = invoke(capsys, "run", "corpus:drop_all", "--head-room", "-5")
     assert rc == 1
     assert err.startswith("error: head room -5 is negative")
+
+
+def test_run_head_room_past_the_packet_buffer_fails(capsys):
+    rc, _, err = invoke(capsys, "run", "corpus:drop_all", "--head-room",
+                        str(0x1000_0000))
+    assert rc == 1
+    assert err.startswith("error: head room 268435456 and a 64-byte packet "
+                          "exceed 65536 bytes")
 
 
 @pytest.mark.parametrize("argv", [("compile", "corpus:drop_all", "--lanes", "9"),

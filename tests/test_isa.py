@@ -659,6 +659,15 @@ class TestRegions:
          ("maps",)),
         (f"r1 = map[3]\n{KEY}call map_lookup\n*(u8 *)(r0 - 1) = 1",
          ("maps",)),
+        # a packet access is exact only at a known offset within the
+        # largest packet buffer's bytes of the data pointer
+        ("r2 = *(u32 *)(r1 + 8)\nr2 += 65532\nr3 = *(u32 *)(r2 + 4)", ("pkt",)),
+        ("r2 = *(u32 *)(r1 + 0)\nr2 += 65532\nr3 = *(u32 *)(r2 + 5)", ("mem",)),
+        ("r2 = *(u32 *)(r1 + 0)\nr2 -= 65536\nr3 = *(u8 *)(r2 + 0)", ("pkt",)),
+        ("r2 = *(u32 *)(r1 + 0)\nr2 -= 65536\nr3 = *(u8 *)(r2 - 1)", ("mem",)),
+        ("r2 = *(u32 *)(r1 + 0)\nr2 += r4\nr3 = *(u8 *)(r2 + 0)", ("mem",)),
+        ("r2 = *(u32 *)(r1 + 0)\nif r4 == 0 goto j\nr2 += 4\nj:\n"
+         "r3 = *(u8 *)(r2 + 0)", ("mem",)),
     ])
     def test_access(self, source, symbol):
         prog = parse_asm(f"{self.MAP}{source}\nr0 = 0\nexit\n")
@@ -740,9 +749,20 @@ class TestRegionSoundness:
       r0 = *(u64 *)(r0 + 56)
     """ + TAIL)
 
+    # (d) a packet pointer 0x0FFFFFC0 bytes up, past 64 bytes of head
+    # room, lands on the frame's first byte; the store's region was ("pkt",)
+    PACKET_FAR = """
+      r2 = *(u32 *)(r1 + 0)
+      r2 += 0x0FFFFFC0
+      *(u64 *)(r2 + 0) = 7
+      r4 = *(u64 *)(r10 - 512)
+      r0 = r4
+      exit
+    """
+
     @pytest.mark.parametrize("name, region", [
         ("FRAME_CONSTANT", ("mem",)), ("FRAME_REGISTER", ("mem",)),
-        ("MAP_BELOW", ("maps",))])
+        ("MAP_BELOW", ("maps",)), ("PACKET_FAR", ("mem",))])
     def test_store_outside_its_region(self, name, region):
         source = getattr(self, name)
         store = next(ins for ins in parse_asm(source).instructions

@@ -223,6 +223,17 @@ def test_cross_lane_back_edge_pads_loop_header(lanes):
     assert rep.padding_rows == int(padded)
 
 
+def test_run_report_counts_the_empty_rows_it_executed():
+    """At 4 lanes ``BACK_EDGE``'s loop header is one padded row, and the
+    loop runs six times: the run executes six empty rows, the rows its
+    trace shows with every lane empty."""
+    vliw, _ = _check_equivalence(BACK_EDGE, 4)
+    run, _ = exec_vliw(vliw, PacketContext(bytes(64)), MapStore(), trace=True)
+    empty = [line for line in run.trace_lines if line.endswith("--- | " * 3 + "---")]
+    assert run.empty_rows == len(empty) == 6
+    assert run.as_dict()["empty_rows"] == 6
+
+
 def test_back_edge_check_finds_what_the_full_walk_finds(monkeypatch):
     """``_lay_out`` checks forwarding only on the back-edge transitions it
     collects; on every attempt that lays out all its rows, the blocks that

@@ -5,7 +5,6 @@ from itertools import permutations
 import pytest
 
 import xvliw.regalloc as regalloc_module
-import xvliw.scheduler as scheduler_module
 from conftest import brute_force_min_rows, dependence_sets
 from xvliw.analysis import build_ddg, build_program_cfg
 from xvliw.asm import parse_asm
@@ -13,9 +12,9 @@ from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, compare_results, generate_case
 from xvliw.isa import JUMP_KINDS, REGISTERS, Kind, io_sets
+from xvliw.regalloc import assign_lanes, lane_row
 from xvliw.schedule import LaneConstraints
-from xvliw.scheduler import (CodeMotion, assign_lanes, code_motion, lane_row,
-                             list_schedule)
+from xvliw.scheduler import CodeMotion, code_motion, list_schedule
 from xvliw.vliwsim import exec_vliw, hazard_check
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
@@ -463,23 +462,20 @@ def _lane_row_by_search(slots, pred_rows, lanes):
 
 
 class TestIncrementalLaning:
-    """Code motion re-lanes a block from the row it changed, on the cached
-    laning of the rows before it, and ``lane_row`` gathers its producers
-    once. Each equals what it replaces."""
+    """Code motion judges a change by the forwarding rule on the rows it
+    touched, and ``lane_row`` gathers its producers once. Each equals what
+    it replaces."""
 
-    def test_every_laning_code_motion_keeps_or_tests_is_a_fresh_one(self, monkeypatch):
-        real = CodeMotion._relane
+    def test_every_lane_answer_is_a_fresh_assign_lanes(self, monkeypatch):
+        real = CodeMotion._keeps_lanes
         seen = {True: 0, False: 0}
 
-        def compared(self, bid, rows, r):
-            ok = real(self, bid, rows, r)
-            fresh = assign_lanes(rows, self.constraints.lanes)
-            assert ok == (fresh is not None)
-            if ok:
-                assert _ids(self._laned[bid]) == _ids(fresh)
+        def compared(self, rows, r):
+            ok = real(self, rows, r)
+            assert ok == (assign_lanes(rows, self.constraints.lanes) is not None)
             seen[ok] += 1
             return ok
-        monkeypatch.setattr(CodeMotion, "_relane", compared)
+        monkeypatch.setattr(CodeMotion, "_keeps_lanes", compared)
         for program, widths in _relaning_programs():
             for lanes in widths:
                 compile_program(program, LaneConstraints(lanes=lanes))
@@ -502,7 +498,6 @@ class TestIncrementalLaning:
                 else:
                     pinned += 1
             return row
-        monkeypatch.setattr(scheduler_module, "lane_row", compared)
         monkeypatch.setattr(regalloc_module, "lane_row", compared)
         for program, widths in _relaning_programs():
             for lanes in widths:

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import fold16, rfc1071_sum16, run_step
 from xvliw.asm import parse_asm
-from xvliw.errors import BadHelperArgs, MemoryTrap, UnknownHelper
-from xvliw.isa import Instruction, Kind, MapDef
+from xvliw.errors import BadHelperArgs, MemoryTrap, ProgramError, UnknownHelper
+from xvliw.isa import PACKET_BUFFER, Instruction, Kind, MapDef
 from xvliw.vm import (
     CTX_BASE,
     Limits,
@@ -217,6 +217,17 @@ class TestBoundsGuard:
             hardware_bounds_guard(st, r10 - 516, 8)
         with pytest.raises(MemoryTrap):
             hardware_bounds_guard(st, r10 - 4, 8)
+
+    def test_packet_buffer_is_bounded(self):
+        """Head room and data fill at most ``PACKET_BUFFER`` bytes, so an
+        access within that many bytes of the data pointer reaches neither
+        the context record nor the stack (``isa._region``)."""
+        assert len(PacketContext(bytes(PACKET_BUFFER - 64), 64).buf) == PACKET_BUFFER
+        for data, head_room in ((PACKET_BUFFER - 63, 64), (64, 0x1000_0000 - 64)):
+            with pytest.raises(ProgramError, match="exceed 65536 bytes"):
+                PacketContext(bytes(data), head_room)
+        assert CTX_BASE + 16 <= PKT_BASE - PACKET_BUFFER
+        assert PKT_BASE + 2 * PACKET_BUFFER + 8 <= STACK_BASE
 
     def test_ctx_read_only(self):
         st = _bare_state()

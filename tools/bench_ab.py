@@ -2,13 +2,15 @@
 
     python3 tools/bench_ab.py --out BENCH_8.json
     python3 tools/bench_ab.py --out /tmp/ab.json --base HEAD~1 --seeds 1 2 3 4 5 --seconds 30
+    python3 tools/bench_ab.py --out /tmp/ab.json --workloads fuzz_diff firewall_flows
 
 Each side runs from its own copy under a temporary directory: the base
 commit exported with ``git archive``, and the working tree's tracked and
 untracked files (those ``.gitignore`` does not exclude). Neither run writes
 into the checkout. For every workload and seed, ``perfbench/run.py`` runs
 once on each side, alternating which side runs first from one pair to the
-next. Traced pairs (``--trace 1``) on the first three seeds show where time
+next. ``--workloads`` runs only the named workloads, in BENCHMARK.json's
+order; the default is all of them. Traced pairs (``--trace 1``) on the first three seeds show where time
 moved between layers: one traced pair cannot place a layer change under
 about 20%, so each side's per-layer metrics are also summarised by their
 median over the three.
@@ -112,7 +114,9 @@ def layer_medians(traced: list[dict]) -> dict:
             for name in names}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None):
+    """The parsed options and BENCHMARK.json; ``workloads`` holds the names
+    to run, in BENCHMARK.json's order. A name it lacks is an error."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--base", default="HEAD",
@@ -120,12 +124,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     parser.add_argument("--seconds", type=float,
                         help="seconds per run (default: BENCHMARK.json's)")
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="workloads to run (default: all)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if len(args.seeds) < 2:
         parser.error("--seeds needs at least two seeds to give quartiles")
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [name for name in args.workloads or () if name not in known]
+    if unknown:
+        parser.error(f"--workloads: BENCHMARK.json has no {', '.join(unknown)}")
+    args.workloads = [name for name in known
+                      if args.workloads is None or name in args.workloads]
+    return args, spec
+
+
+def main(argv=None) -> int:
+    args, spec = parse_args(argv)
     seconds = args.seconds or spec["run_seconds"]
-    workloads = [w["name"] for w in spec["workloads"]]
     base = git("rev-parse", args.base).decode().strip()
 
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
@@ -136,7 +152,7 @@ def main(argv=None) -> int:
                   "python": sys.version, "platform": platform.platform(),
                   "seconds": seconds, "seeds": args.seeds, "workloads": {}}
         k = 0
-        for workload in workloads:
+        for workload in args.workloads:
             pairs = []
             for seed in args.seeds:
                 pairs.append(run_pair(dirs, workload, seed, seconds, False,
