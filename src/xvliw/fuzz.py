@@ -35,6 +35,8 @@ from .vliwsim import exec_vliw, hazard_check
 from .vm import Limits, MapStore, PacketContext, exec_sequential
 
 MIN_PKT = 64
+LIMITS = Limits(max_instructions=200_000)   # per engine run of a case
+MINIMIZE_ROUNDS = 8
 HEAD_ROOM = 64
 SCRATCH = (0, 2, 3, 4, 5, 7, 8, 9)      # r6 pins the context, r1 helper arg
 ALU_OPS = ("+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", "s>>=")
@@ -336,10 +338,9 @@ def generate_case(seed: int) -> FuzzCase:
 
 
 def run_case(case: FuzzCase, lanes: int = 4, passes=None,
-             enable_code_motion: bool = True, limits: Limits | None = None):
-    """Compile and run one case through both engines; the compiled output
-    is also statically hazard-checked. Returns (ok, detail)."""
-    limits = limits or Limits(max_instructions=200_000)
+             enable_code_motion: bool = True):
+    """Compile and run one case through both engines (``LIMITS`` each); the
+    compiled output is also statically hazard-checked. Returns (ok, detail)."""
     program = parse_asm(case.program_text)
     vliw, _report = compile_program(
         program, LaneConstraints(lanes=lanes), passes=passes,
@@ -351,10 +352,10 @@ def run_case(case: FuzzCase, lanes: int = 4, passes=None,
     setup = parse_map_config(case.map_config)
     oracle_res, _ = exec_sequential(
         program, PacketContext(case.packet(), HEAD_ROOM, case.ingress_port),
-        MapStore(*setup), limits)
+        MapStore(*setup), LIMITS)
     vliw_rep, _ = exec_vliw(
         vliw, PacketContext(case.packet(), HEAD_ROOM, case.ingress_port),
-        MapStore(*setup), limits)
+        MapStore(*setup), LIMITS)
     return compare_results(oracle_res, vliw_rep.result)
 
 
@@ -421,15 +422,15 @@ def _failure_class(case: FuzzCase, lanes, passes, motion):
         return f"{type(exc).__name__}: {re.sub(r'[0-9]+', 'N', str(exc))}"
 
 
-def minimize(case: FuzzCase, lanes=4, passes=None, motion=True,
-             max_rounds: int = 8) -> str:
+def minimize(case: FuzzCase, lanes=4, passes=None, motion=True) -> str:
     """Shrink a diverging case by deleting instruction lines while the same
-    failure class persists. Label and directive lines stay."""
+    failure class persists, in at most ``MINIMIZE_ROUNDS`` sweeps. Label
+    and directive lines stay."""
     want = _failure_class(case, lanes, passes, motion)
     if want is None:
         return case.program_text
     lines = case.program_text.splitlines()
-    for _ in range(max_rounds):
+    for _ in range(MINIMIZE_ROUNDS):
         shrunk = False
         i = 0
         while i < len(lines):

@@ -340,8 +340,9 @@ def build_program(instructions, maps=(), states=None) -> Program:
 def field_problem(ins: Instruction) -> str | None:
     """What is wrong with one instruction's own fields, or None: a register
     outside r0-r10, a write to r10, a width other than 1, 2, 4 or 8 for a
-    load or store and 6 for load48 and store48, or a ``lddw`` src that
-    ``decode`` would refuse. Targets are not checked.
+    load or store and 6 for load48 and store48, a ``lddw`` src that
+    ``decode`` would refuse, or an immediate outside 32 signed bits in
+    anything but a ``lddw``. Targets are not checked.
     Sound fields are marked ``checked`` and not checked again."""
     if ins.checked:
         return None
@@ -361,6 +362,8 @@ def field_problem(ins: Instruction) -> str | None:
             return f"{k.value} width {ins.width} is not 1, 2, 4 or 8 bytes"
     elif (ins.width == 6) != (k is Kind.LOAD48 or k is Kind.STORE48):
         return "6-byte width outside load48/store48"
+    if k is not Kind.LOAD_IMM64 and not -2**31 <= ins.imm < 2**31:
+        return f"immediate {ins.imm} outside 32 bits"
     _keep_checked(ins, True)
     return None
 

@@ -14,22 +14,23 @@ taken-branch priority). ``lane_row`` lanes one row under both rules.
 Code motion checks the first on the rows a change touched
 (``forwarding_ok``), and lays out a block with pulled branches on its
 own (``assign_lanes``). The final lanes come from one pass over the
-whole program: blocks' rows are laid out in block order, and each slot is
-pinned to the lane of its producer in every runtime predecessor row
-already laid out. A back edge cannot be pinned ahead of time; when one
-forwards across lanes, or a row's pins cannot all be met, the block gets
-one leading empty row and the pass runs again.
+blocks in order, each block laned with the rows that can run right before
+it pinning its first row. A block whose pins cannot all be met gets one
+leading empty row, which no value forwards across. A back edge cannot be
+pinned ahead of time; when one forwards across lanes into the row it
+lands on (the first row at or after its target block, which code motion
+may have emptied), that row's block gets the empty row in place, which
+leaves every lane chosen so far valid.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from .analysis import ControlFlowGraph
 from .errors import CompileError
-from .isa import JUMP_KINDS, io_sets, rebuilt
-from .schedule import (BlockSchedule, Slot, VliwProgram, cross_lane_violations,
-                       row_successors)
+from .isa import JUMP_KINDS, Kind, io_sets, rebuilt
+from .schedule import BlockSchedule, Slot, VliwProgram, crossings
 
 
 def lane_row(slots: list[Slot], pred_rows, lanes: int):
@@ -62,13 +63,14 @@ def lane_row(slots: list[Slot], pred_rows, lanes: int):
     return None
 
 
-def assign_lanes(rows: list[list[Slot]], lanes: int):
-    """Lane-indexed rows for one block on its own, each row's only
-    predecessor being the row before it; None when some row has no valid
-    assignment."""
+def assign_lanes(rows: list[list[Slot]], lanes: int, entry=()):
+    """Lane-indexed rows for one block, or None when some row has no
+    valid assignment. The ``entry`` rows, the lane-indexed rows that can
+    run right before the block, pin its first row; each later row is
+    pinned by the row before it."""
     out: list[list[Slot | None]] = []
     for slots in rows:
-        row = lane_row(slots, out[-1:], lanes)
+        row = lane_row(slots, out[-1:] or entry, lanes)
         if row is None:
             return None
         out.append(row)
@@ -91,20 +93,50 @@ def forwarding_ok(prev: list[Slot], row: list[Slot]) -> bool:
     return True
 
 
-def _lay_out(schedules, cfg, lanes, maps):
-    """One lane-assignment pass over the assembled program. Blocks' rows
-    are laid out in block order with branch targets as row indices, and
-    rows are laned in layout order, each slot pinned to the lane of its
-    producer in every runtime predecessor row laid out before it. Returns
-    the program and the blocks that need a leading empty row: the block
-    of the first row with no valid assignment under its pins, or else
-    every block whose first row a back edge reaches across lanes (a
-    forward transition ``lane_row`` has pinned, by the same test)."""
-    start: dict[int, int] = {}
-    row_block: list[int] = []
+def assign_registers(schedules: dict[int, BlockSchedule],
+                     cfg: ControlFlowGraph, lanes: int, maps=()):
+    """Assemble the final program with globally consistent lanes. Returns
+    (program, padding rows). A block's entry rows are forward jumps into
+    it and the previous row when that row falls through; a block emptied
+    by a branch pull passes them on. Jump targets become row indices once
+    every block is laid out.
+
+    Only lanes are assigned; the name is kept for the callers that wrap
+    it. Registers need no work: no row holds two writers of a register
+    (see the module docstring)."""
+    laid: dict[int, list] = {}
+    jumps_into: dict[int, list] = {blk.id: [] for blk in cfg.blocks}
+    entry: list = []
+    padding = 0
     for blk in cfg.blocks:
-        start[blk.id] = len(row_block)
-        row_block += [blk.id] * len(schedules[blk.id].rows)
+        rows = schedules[blk.id].rows
+        entry += jumps_into[blk.id]
+        out = assign_lanes(rows, lanes, entry)
+        if out is None:
+            padding += 1
+            out = assign_lanes([[], *rows], lanes)
+            if out is None:
+                raise CompileError(f"block {blk.id}: no valid lane assignment")
+        laid[blk.id] = out
+        if not out:
+            continue
+        last = out[-1]
+        for target in {cfg.block_of(s.instr.target) for s in last
+                       if s and s.instr.kind in JUMP_KINDS}:
+            if target > blk.id:
+                jumps_into[target].append(last)
+                continue
+            # the jump lands on the first row at or after its target block
+            first = next(laid[b] for b in range(target, blk.id + 1) if laid[b])
+            if crossings(last, first[0]):
+                first.insert(0, [None] * lanes)
+                padding += 1
+        ends = any(s and s.instr.is_control and s.instr.kind is not Kind.BRANCH
+                   for s in last)
+        entry = [] if ends else [last]
+
+    start = dict(zip(laid, accumulate(map(len, laid.values()), initial=0)))
+    row_block = [bid for bid, out in laid.items() for _ in out]
 
     def placed(s: Slot) -> Slot:
         ins = s.instr
@@ -112,43 +144,6 @@ def _lay_out(schedules, cfg, lanes, maps):
             ins = rebuilt(ins, target=start[cfg.block_of(ins.target)])
         return Slot(ins, s.src_block, s.src_index, s.moved)
 
-    vliw = VliwProgram(lane_count=lanes, rows=[[None] * lanes for _ in row_block],
-                       row_block=row_block, maps=maps)
-    preds: list[list[int]] = [[] for _ in row_block]
-    back = []                        # (row, earlier or same row it can reach)
-    slot_rows = (row for blk in cfg.blocks for row in schedules[blk.id].rows)
-    for r, slots in enumerate(slot_rows):
-        row = lane_row([placed(s) for s in slots],
-                       [vliw.rows[p] for p in preds[r]], lanes)
-        if row is None:
-            return vliw, {row_block[r]}
-        vliw.rows[r] = row
-        for n in row_successors(vliw, r):
-            if n > r:
-                preds[n].append(r)
-            else:
-                back.append((r, n))
-    return vliw, {row_block[to] for _, to, *_ in cross_lane_violations(vliw, back)}
-
-
-def assign_registers(schedules: dict[int, BlockSchedule],
-                     cfg: ControlFlowGraph, lanes: int, maps=()):
-    """Assemble the final program with globally consistent lanes. Returns
-    (program, padding rows). A block gets one leading empty row, which no
-    value forwards across, only where ``_lay_out`` finds it needs one;
-    every retry pads a block not padded before.
-
-    Only lanes are assigned; the name is kept for the callers that wrap
-    it. Registers need no work: no row holds two writers of a register
-    (see the module docstring)."""
-    padded: set[int] = set()
-    while True:
-        vliw, pad = _lay_out(schedules, cfg, lanes, maps)
-        if not pad:
-            return vliw, len(padded)
-        if pad <= padded:
-            raise CompileError(f"blocks {sorted(pad)}: no valid lane "
-                               f"assignment")
-        for bid in pad - padded:
-            schedules[bid].rows.insert(0, [])
-        padded |= pad
+    rows = [[s and placed(s) for s in row] for out in laid.values() for row in out]
+    return VliwProgram(lane_count=lanes, rows=rows, row_block=row_block,
+                       maps=maps), padding

@@ -7,9 +7,10 @@ branch ordering, one helper per row, per-lane forwarding); the simulator
 revalidates on load. One helper per row needs no rule of its own in the
 compiler: every call writes r0, so two calls never pass the pairwise
 test. ``row_successors`` states which rows can run right after a row;
-``cross_lane_violations`` states the per-lane forwarding rule over those
-transitions for both the register assigner and the simulator's hazard
-check.
+``crossings`` states the per-lane forwarding rule for one row pair; the
+lane pass (``regalloc.assign_registers``) checks back edges with it, and
+``cross_lane_violations`` applies it over those transitions for the
+simulator's hazard check (``vliwsim.hazard_check``).
 
 In a ``VliwProgram`` branch targets are row indices; the dump format
 writes them as ``@row``. One row per line::
@@ -177,23 +178,23 @@ def row_successors(vliw: VliwProgram, r: int) -> list[int]:
     return sorted(n for n in nexts if 0 <= n < len(vliw.rows))
 
 
+def crossings(prev: list, row: list):
+    """(reader, reader_lane, producer_lane) for each slot of lane-indexed
+    ``row`` that reads what lane-indexed ``prev`` writes on another lane.
+    Per-lane forwarding lets a row read what the previous row wrote only on
+    the lane that wrote it."""
+    return [(s, ls, lp) for lp, p in enumerate(prev) if p is not None
+            for writes in [io_sets(p.instr).writes]
+            for ls, s in enumerate(row) if s is not None and ls != lp
+            and writes & io_sets(s.instr).reads]
+
+
 def cross_lane_violations(vliw: VliwProgram, transitions=None):
     """Cross-lane back-to-back read-after-write pairs over ``transitions``
     (row, next row), by default every runtime row transition: (from_row,
-    to_row, reader, reader_lane, producer_lane). Per-lane forwarding lets a
-    row read what the previous row wrote only on the lane that wrote it."""
+    to_row, reader, reader_lane, producer_lane)."""
     if transitions is None:
         transitions = ((r, nr) for r in range(len(vliw.rows))
                        for nr in row_successors(vliw, r))
-    out = []
-    for r, nr in transitions:
-        for lane_r, producer in enumerate(vliw.rows[r]):
-            if producer is None:
-                continue
-            writes = io_sets(producer.instr).writes
-            for lane_n, reader in enumerate(vliw.rows[nr]):
-                if reader is None or lane_n == lane_r:
-                    continue
-                if writes & io_sets(reader.instr).reads:
-                    out.append((r, nr, reader, lane_n, lane_r))
-    return out
+    return [(r, nr, *c) for r, nr in transitions
+            for c in crossings(vliw.rows[r], vliw.rows[nr])]

@@ -69,12 +69,12 @@ def _schedule_structural(ddg, cp, program, budget):
     """Greedy row construction at a given lane budget. Returns row lists of
     node indices. Critical-path priority, original order breaking ties.
 
-    Row r is one pass over the ready list, taking each node that fits.
-    Nodes made ready by row r's placements join the list from row r + 1.
-    One pass is enough: a node is turned away for a full row, a previous-row
-    producer already forwarding to this row, or two producers in the
-    previous row, and none of these can lift as the row fills. The block's
-    control instruction, its last, then joins or follows the last row."""
+    Every node is placed through one test, ``fits(n, r)``: row r has room
+    and keeps the forwarding rule of the module docstring. Row r is one
+    pass over the ready list; nodes made ready by its placements join the
+    list from row r + 1. One pass is enough: no reason to turn a node away
+    lifts as the row fills. The block's control instruction, its last,
+    then takes the first row from the last one on that fits it."""
     preds, succs, raw = ddg.preds, ddg.succs, ddg.raw_preds
     control = [n for n in ddg.nodes if program[n].is_control]
     unplaced = {n: len(preds[n]) for n in ddg.nodes}
@@ -83,53 +83,45 @@ def _schedule_structural(ddg, cp, program, budget):
     heapify(ready)
     placed_row: dict[int, int] = {}
     rows: list[list[int]] = []
-    remaining = len(ddg.nodes) - len(control)
 
+    def fits(n, r):
+        prev = {p for p in raw[n] if placed_row[p] == r - 1}
+        return len(rows[r]) < budget and (not prev or len(prev) == 1 and
+                                          not any(prev & raw[m] for m in rows[r]))
+
+    remaining = len(ddg.nodes) - len(control)
     while remaining:
         r = len(rows)
-        row: list[int] = []
-        used_producers: set[int] = set()
+        rows.append([])
         turned_away = []
-        while ready and len(row) < budget:
+        while ready and len(rows[r]) < budget:
             entry = heappop(ready)
-            n = entry[1]
-            prev_raw = {p for p in raw[n] if placed_row[p] == r - 1}
-            if len(prev_raw) > 1 or (prev_raw & used_producers):
+            if fits(entry[1], r):
+                rows[r].append(entry[1])
+                placed_row[entry[1]] = r
+            else:
                 turned_away.append(entry)
-                continue
-            row.append(n)
-            used_producers |= prev_raw
-            placed_row[n] = r
         for entry in turned_away:
             heappush(ready, entry)
-        for n in row:
+        for n in rows[r]:
             for s in succs[n]:
                 unplaced[s] -= 1
                 if not unplaced[s] and not program[s].is_control:
                     heappush(ready, (-cp[s], s))
-        remaining -= len(row)
-        rows.append(row)     # may be empty when all ready nodes need distance 2
+        # empty when every ready node reads two producers of the row before
+        remaining -= len(rows[r])
 
-    # control instruction joins or follows the last row; it has no
-    # successor in the block and its predecessors sit before ``earliest``
+    # its predecessors sit before ``r``, and it has no successor in the block
     for n in control:
-        earliest = max((placed_row[p] + 1 for p in preds[n]), default=0)
-        target = max(earliest, len(rows) - 1 if rows else 0)
+        r = max([0, len(rows) - 1] + [placed_row[p] + 1 for p in preds[n]])
         while True:
-            if target == len(rows):
+            if r == len(rows):
                 rows.append([])
-            row = rows[target]
-            producers = {p for p in raw[n] if placed_row[p] == target - 1}
-            taken = {p for m in row for p in raw[m]
-                     if placed_row[p] == target - 1}
-            if len(row) >= budget or len(producers) > 1 or (producers & taken):
-                target += 1
-                continue
-            row.append(n)
-            placed_row[n] = target
-            break
-    while rows and not rows[-1]:
-        rows.pop()
+            if fits(n, r):
+                break
+            r += 1
+        rows[r].append(n)
+        placed_row[n] = r
     return rows
 
 
@@ -142,8 +134,6 @@ def list_schedule(block, ddg: DataDependenceGraph, constraints: LaneConstraints,
     straight-line seeds) at 2, 3, 4 and 8 lanes, and on only 2 of 20,000
     random dense synthetic dependence graphs (3-24 nodes, 2-8 lanes). So
     row counts can, rarely, grow when lanes are added."""
-    if not ddg.nodes:
-        return BlockSchedule(block.id, [])
     rows = _schedule_structural(ddg, _critical_path(ddg), program,
                                 constraints.lanes)
     return BlockSchedule(block.id, [[Slot(program[n], block.id, n) for n in row]
@@ -317,44 +307,28 @@ class CodeMotion:
     # -- parallel branching -------------------------------------------------
 
     def _pull_branches(self, b: int):
-        bs = self.schedules[b]
-        if not bs.rows:
+        """Pull blocks b + 1, b + 2, ..., the fall-through of b and of each
+        branch pulled, into b's last row while each is one branch reached
+        only from the block before it. A block gains movers only in its own
+        ``_pull_into``, which runs later, so its schedule is that branch."""
+        rows = self.schedules[b].rows
+        end = self.program[self.cfg.blocks[b].end]
+        if not rows or end.is_control and end.kind is not Kind.BRANCH:
             return
-        lanes = self.constraints.lanes
-        prev_block = b
-        while True:
-            last = bs.rows[-1]
-            branches = [s for s in last if s.instr.kind is Kind.BRANCH]
-            if len(last) >= lanes:
-                return
-            if branches:
-                tail = max(branches, key=lambda s: s.src_index)
-                fall_index = tail.src_index + 1
-                prev_block = self.cfg.block_of(tail.src_index) \
-                    if tail.moved else prev_block
-            else:
-                blk = self.cfg.blocks[b]
-                if self.program[blk.end].is_control:
-                    return
-                fall_index = blk.end + 1
-            fb = self.cfg.block_of(fall_index)
-            if fb is None:
-                return
+        last = rows[-1]
+        for fb in range(b + 1, len(self.cfg.blocks)):
             fblk = self.cfg.blocks[fb]
-            if fblk.predecessors != (prev_block,) or len(fblk) != 1 or \
+            pulled = self.schedules[fb].rows
+            if len(last) >= self.constraints.lanes or \
+                    fblk.predecessors != (fb - 1,) or len(fblk) != 1 or \
                     self.program[fblk.start].kind is not Kind.BRANCH or \
-                    not self.schedules[fb].rows:
+                    not pulled:
                 return
-            fslot = None
-            for s in self.schedules[fb].rows[0]:
-                if s.src_index == fblk.start:
-                    fslot = s
-            if fslot is None:
-                return
+            fslot = pulled[0][0]
             if not all(bernstein_ok(other.instr, fslot.instr) for other in last):
                 return
             last.append(fslot)
-            if not self._keeps_lanes(bs.rows, len(bs.rows) - 1):
+            if not self._keeps_lanes(rows, len(rows) - 1):
                 last.pop()
                 return
             self.schedules[fb].rows = []

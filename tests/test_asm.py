@@ -165,6 +165,19 @@ def test_a_decimal_with_a_leading_zero_is_a_syntax_error(line, literal):
     assert literal in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["r2 = 0x100000000", "r2 += 0x100000000",
+                                  "call 4294967296", "r2 = -2147483649"])
+def test_an_immediate_outside_32_bits_is_refused(line):
+    """Both engines would run such an immediate as its low 32 bits and
+    ``encode`` could not write it, so the program is refused."""
+    with pytest.raises(XvliwError, match="outside 32 bits"):
+        parse_asm(f"{line}\nr0 = 0\nexit\n")
+
+
+def test_a_32_bit_hex_immediate_is_its_signed_value():
+    assert parse_asm("r2 = 0xffffffff\nr0 = 0\nexit\n")[0].imm == -1
+
+
 def test_comments_ignored():
     prog = parse_asm("; leading comment\nr0 = 1 # trailing\nexit\n")
     assert len(prog) == 2

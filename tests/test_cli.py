@@ -255,6 +255,7 @@ def test_run_dump_with_bad_lane_header_fails(capsys, tmp_path):
     ("r11 = 5", "line 3: lane 1: register index 11 out of range"),
     ("r2 = *(u64 *)(r12 + 0)", "line 3: lane 1: register index 12 out of range"),
     ("r10 = 5", "line 3: lane 1: r10 is read-only"),
+    ("r2 = 0x100000000", "line 3: lane 1: immediate 4294967296 outside 32 bits"),
     ("goto @2exit1", "line 3: cannot parse 'goto @2exit1'"),
     ("if r1 > 0 goto @x", "line 3: cannot parse 'if r1 > 0 goto @x'"),
     ("goto @9", "branch row target out of range"),

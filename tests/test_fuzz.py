@@ -8,8 +8,10 @@ import pytest
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.formats import parse_map_config
+from xvliw.corpus import CORPUS
 from xvliw.fuzz import (
     HEAD_ROOM,
+    LIMITS,
     FuzzCase,
     case_seed,
     compare_results,
@@ -18,10 +20,10 @@ from xvliw.fuzz import (
     minimize,
     run_case,
 )
-from xvliw.peephole import peephole
+from xvliw.peephole import peephole, remove_boundary_checks
 from xvliw.schedule import LaneConstraints
 from xvliw.vliwsim import exec_vliw
-from xvliw.vm import Limits, MapStore, PacketContext, exec_sequential
+from xvliw.vm import MapStore, PacketContext, exec_sequential
 
 
 def test_generator_deterministic():
@@ -171,7 +173,6 @@ def test_short_packets_reduced_program_against_the_schedule():
     0-199 of run seed 777001 with packets cut to 14 and 33 bytes and kept
     whole, at lanes 1, 2, 4 and 8. The cut packets make loads trap in the
     middle of a row, where a row's earlier lanes have already run."""
-    limits = Limits(max_instructions=200_000)
     lanes = (1, 2, 4, 8)
     divergent, vliw_traps = [], 0
     for i in range(200):
@@ -185,14 +186,64 @@ def test_short_packets_reduced_program_against_the_schedule():
             data = case.packet()[:cut]
             oracle, _ = exec_sequential(
                 reduced, PacketContext(data, HEAD_ROOM, case.ingress_port),
-                MapStore(*setup), limits)
+                MapStore(*setup), LIMITS)
             for n, vliw in zip(lanes, vliws):
                 rep, _ = exec_vliw(
                     vliw, PacketContext(data, HEAD_ROOM, case.ingress_port),
-                    MapStore(*setup), limits)
+                    MapStore(*setup), LIMITS)
                 vliw_traps += rep.result.trapped
                 ok, detail = compare_results(oracle, rep.result)
                 if not ok:
                     divergent.append((i, cut, n, detail))
     assert not divergent, divergent[:5]
     assert vliw_traps > 0
+
+
+def _leg_one(program, data, port, setup):
+    """How the oracle runs of ``program`` and of its peephole output on
+    ``data`` relate: "equal"; "completes" or "traps" when the source took
+    the abort branch of a check ``remove_boundary_checks`` removed and the
+    reduced run then runs to the end or traps on a packet access; else
+    None."""
+    reduced, _ = peephole(program)
+    aborts = {(w[-1], program[w[-1]].target)
+              for w in remove_boundary_checks(program)[1]}
+    source, _ = exec_sequential(program, PacketContext(data, HEAD_ROOM, port),
+                                MapStore(*setup), LIMITS, trace=True)
+    out, _ = exec_sequential(reduced, PacketContext(data, HEAD_ROOM, port),
+                             MapStore(*setup), LIMITS)
+    if compare_results(source, out)[0]:
+        return "equal"
+    if not aborts & set(zip(source.trace, source.trace[1:])):
+        return None
+    if not out.trapped:
+        return "completes"
+    return "traps" if "outside packet bounds" in out.trap else None
+
+
+def test_short_packets_source_against_the_reduced_program():
+    """Short packets, leg 1: the source against its peephole output, both
+    under the oracle, on fuzz cases 0-199 of run seed 777001 with packets
+    cut to 14 and 33 bytes, and on ``tx_mac_swap`` with a 12-byte packet
+    (it checks 14 bytes and touches 12). The runs are equal, or the source
+    took the abort branch of a removed bounds check and the reduced program
+    runs to the end or traps on a packet access, which the paper leaves to
+    the hardware bounds check. Any other outcome is a divergence."""
+    runs = []
+    for i in range(200):
+        case = generate_case(case_seed(777001, i))
+        program = parse_asm(case.program_text)
+        setup = parse_map_config(case.map_config)
+        for cut in (14, 33):
+            runs.append((i, cut, program, case.packet()[:cut],
+                         case.ingress_port, setup))
+    data, port = CORPUS["tx_mac_swap"].packet_bytes()[0]
+    runs.append(("tx_mac_swap", 12, parse_asm(CORPUS["tx_mac_swap"].source),
+                 data[:12], port, ()))
+    outcomes = {}
+    for name, cut, program, data, port, setup in runs:
+        outcomes[name, cut] = _leg_one(program, data, port, setup)
+    outside = [key for key, kind in outcomes.items() if kind is None]
+    assert not outside, outside[:5]
+    assert outcomes["tx_mac_swap", 12] == "completes"
+    assert {"equal", "completes", "traps"} <= set(outcomes.values())

@@ -149,7 +149,14 @@ class TestEncode:
         (Instruction(Kind.STORE, width=4, dst=10, src=1, offset=1 << 15), "offset"),
     ])
     def test_field_outside_its_wire_width(self, ins, field):
-        prog = build_program([ins, Instruction(Kind.EXIT)])
+        """``build_program`` refuses an immediate outside 32 bits, so
+        ``encode`` sees one only in a program built directly."""
+        prog = Program((ins, Instruction(Kind.EXIT)))
+        if field == "immediate":
+            with pytest.raises(ProgramError, match="instruction 0: immediate"):
+                build_program(prog.instructions)
+        else:
+            prog = build_program(prog.instructions)
         with pytest.raises(UnencodableInstruction, match=f"instruction 0: {field}"):
             encode(prog)
 

@@ -8,13 +8,12 @@ hazard-free, oracle-equal regressions of moves that keep their registers.
 import pytest
 
 import test_scheduler
-import xvliw.regalloc as regalloc
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS
 from xvliw.fuzz import FuzzCase, case_seed, compare_results, generate_case, run_case
-from xvliw.isa import Kind
-from xvliw.schedule import LaneConstraints
+from xvliw.isa import JUMP_KINDS, Kind
+from xvliw.schedule import LaneConstraints, cross_lane_violations
 from xvliw.vliwsim import exec_vliw, hazard_check
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
@@ -223,6 +222,39 @@ def test_cross_lane_back_edge_pads_loop_header(lanes):
     assert rep.padding_rows == int(padded)
 
 
+# from 2 lanes up, code motion pulls "r2 = 1" into top's branch row and
+# leaves mid with no rows; side's back edge to mid then lands on join's
+# first row. Alone, the jump forwards nothing; beside "r3 += 3" on
+# another lane it forwards into join's "r3 += 1", so join is padded in place
+EMPTIED_BACK_TARGET = """
+top:
+  if r3 > 5 goto side
+mid:
+  r2 = 1
+join:
+  r3 += 1
+  if r3 < 3 goto join
+  if r3 < 9 goto top
+  r0 = r2
+  exit
+side:
+  {side}
+  goto mid
+"""
+
+
+@pytest.mark.parametrize("side, pads", [("", False), ("r3 += 3", True)])
+@pytest.mark.parametrize("lanes", range(1, 9))
+def test_back_edge_into_an_emptied_block_checks_the_row_it_lands_on(
+        lanes, side, pads):
+    vliw, rep = _check_equivalence(EMPTIED_BACK_TARGET.format(side=side), lanes)
+    emptied = lanes > 1
+    assert (1 not in vliw.row_block) == emptied
+    join = vliw.row_block.index(2)
+    assert all(s is None for s in vliw.rows[join]) == (emptied and pads)
+    assert rep.padding_rows == int(emptied and pads)
+
+
 def test_run_report_counts_the_empty_rows_it_executed():
     """At 4 lanes ``BACK_EDGE``'s loop header is one padded row, and the
     loop runs six times: the run executes six empty rows, the rows its
@@ -234,21 +266,11 @@ def test_run_report_counts_the_empty_rows_it_executed():
     assert run.as_dict()["empty_rows"] == 6
 
 
-def test_back_edge_check_finds_what_the_full_walk_finds(monkeypatch):
-    """``_lay_out`` checks forwarding only on the back-edge transitions it
-    collects; on every attempt that lays out all its rows, the blocks that
-    check returns equal those of the walk over every transition."""
-    real = regalloc.cross_lane_violations
-    attempts = []
-
-    def both(vliw, transitions=None):
-        out = real(vliw, transitions)
-        blocks = {vliw.row_block[to] for _, to, *_ in out}
-        assert blocks == {vliw.row_block[to] for _, to, *_ in real(vliw)}
-        attempts.append(bool(blocks))
-        return out
-    monkeypatch.setattr(regalloc, "cross_lane_violations", both)
-
+def test_back_edge_check_finds_what_the_full_walk_finds():
+    """The lane pass checks forwarding on a back edge only when it lays out
+    the jump, and pads the target in place. Over these compiles the walk
+    over every runtime transition finds no cross-lane read, and at least
+    one compile pads a loop header for a back edge."""
     compiles = [(entry.source, lanes) for entry in CORPUS.values()
                 for lanes in range(1, 9)]
     compiles += [(generate_case(case_seed(20260810, i)).program_text, lanes)
@@ -256,6 +278,16 @@ def test_back_edge_check_finds_what_the_full_walk_finds(monkeypatch):
     compiles += [(src, lanes) for src in
                  [src for src, _ in test_scheduler.TestCodeMotion.LOOPS.values()]
                  + [BACK_EDGE] for lanes in range(1, 9)]
+    back_edge_pads = 0
     for src, lanes in compiles:
-        compile_program(parse_asm(src), LaneConstraints(lanes=lanes))
-    assert len(attempts) >= len(compiles) and any(attempts)
+        vliw, _ = compile_program(parse_asm(src), LaneConstraints(lanes=lanes))
+        assert cross_lane_violations(vliw) == []
+        # a back edge into an empty row whose next row would read across
+        # lanes from the jump row: the pad is the back edge's
+        back_edge_pads += any(
+            t <= r and not any(vliw.rows[t])
+            and cross_lane_violations(vliw, [(r, t + 1)])
+            for r, row in enumerate(vliw.rows) for s in row
+            if s is not None and s.instr.kind in JUMP_KINDS
+            for t in [s.instr.target])
+    assert back_edge_pads

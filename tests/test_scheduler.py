@@ -6,12 +6,13 @@ import pytest
 
 import xvliw.regalloc as regalloc_module
 from conftest import brute_force_min_rows, dependence_sets
-from xvliw.analysis import build_ddg, build_program_cfg
+from xvliw.analysis import build_ddg, build_program_cfg, program_cfg
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
 from xvliw.fuzz import case_seed, compare_results, generate_case
 from xvliw.isa import JUMP_KINDS, REGISTERS, Kind, io_sets
+from xvliw.peephole import peephole
 from xvliw.regalloc import assign_lanes, lane_row
 from xvliw.schedule import LaneConstraints
 from xvliw.scheduler import CodeMotion, code_motion, list_schedule
@@ -520,6 +521,54 @@ class TestMicroOptimality:
             rows = _schedule_synthetic(n, edges)
             best = brute_force_min_rows(n, edges, 4)
             assert rows <= best + 1, (trial, n, sorted(edges))
+
+
+    # blocks list scheduling gives more rows than the oracle: name ->
+    # (rows, oracle rows), per lane count
+    REAL_BLOCK_GAPS = {
+        2: {"fuzz5/b0": (4, 3), "fuzz24/b4": (4, 3), "fuzz39/b3": (5, 4),
+            "fuzz46/b3": (5, 4), "fuzz66/b5": (5, 4), "fuzz102/b3": (3, 2),
+            "fuzz114/b4": (4, 3), "fuzz149/b4": (3, 2), "fuzz152/b3": (7, 6),
+            "fuzz190/b2": (4, 3), "fuzz195/b1": (4, 3), "fuzz211/b4": (5, 4),
+            "fuzz226/b2": (5, 4), "fuzz263/b5": (6, 5), "fuzz290/b0": (7, 6)},
+        4: {"fuzz263/b5": (5, 4)},
+    }
+
+    def test_real_blocks_against_the_exhaustive_optimum(self):
+        """Every distinct dependence graph of a reduced block of at most 10
+        instructions, from the corpus and fuzz cases 0-299 of run seed
+        20260810 (named after its first block), at lanes 2 and 4: list
+        scheduling needs no fewer rows than the exhaustive oracle, and more
+        only on the blocks pinned in ``REAL_BLOCK_GAPS``. The oracle does
+        not keep the block's control instruction last, so a gap can come
+        from that rule as well as from the greedy choice."""
+        programs = [(name, parse_asm(CORPUS[name].source)) for name in names()]
+        programs += [(f"fuzz{i}", parse_asm(generate_case(
+            case_seed(20260810, i)).program_text)) for i in range(300)]
+        blocks = {}
+        for name, program in programs:
+            reduced, _ = peephole(program)
+            for blk in program_cfg(reduced).blocks:
+                if len(blk) > 10:
+                    continue
+                ddg = build_ddg(blk, reduced)
+                edges = {(i - blk.start, j - blk.start):
+                         frozenset({"RAW" if i in ddg.raw_preds[j] else "other"})
+                         for j in ddg.nodes for i in ddg.preds[j]}
+                key = (len(blk), frozenset(edges.items()),
+                       reduced[blk.end].is_control)
+                blocks.setdefault(key, (f"{name}/b{blk.id}", blk, ddg, reduced))
+        assert len(blocks) > 450
+        for lanes, pinned in self.REAL_BLOCK_GAPS.items():
+            gaps = {}
+            for (n, edges, _), (name, blk, ddg, reduced) in blocks.items():
+                rows = len(list_schedule(blk, ddg, LaneConstraints(lanes),
+                                         reduced).rows)
+                best = brute_force_min_rows(n, dict(edges), lanes)
+                assert rows >= best, (name, lanes)
+                if rows > best:
+                    gaps[name] = (rows, best)
+            assert gaps == pinned, lanes
 
 
 def _schedule_synthetic(n, edges):

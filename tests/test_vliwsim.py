@@ -5,7 +5,7 @@ import pytest
 from conftest import corpus_stores
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
-from xvliw.errors import ProgramError
+from xvliw.errors import AsmSyntaxError, ProgramError
 from xvliw.isa import Instruction, Kind, Program
 from xvliw.schedule import Slot, VliwProgram, parse_dump
 from xvliw.vliwsim import PIPELINE_DEPTH, exec_vliw, hazard_check
@@ -529,6 +529,12 @@ class TestDumpRoundTrip:
         r2, _ = run(again)
         assert r1.result.action == r2.result.action
         assert r1.cycles == r2.cycles
+
+    def test_a_slot_immediate_outside_32_bits_is_refused(self):
+        text = "# xvliw schedule lanes=2\nr2 = 0x100000000 | ---\nexit | ---\n"
+        with pytest.raises(AsmSyntaxError, match="line 2: lane 0: immediate "
+                                                  "4294967296 outside 32 bits"):
+            parse_dump(text)
 
     def test_hand_edited_dump_detected(self):
         text = ("# xvliw schedule lanes=4\n"
