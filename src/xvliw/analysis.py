@@ -14,9 +14,14 @@ byte at a time, also inside a live ``mem`` extent. That is sound because
 an exact frame store writes every byte its region names; a store through
 any other pointer kills nothing.
 
-Post-dominators are the dominators (``_dominators``) of the reversed
-graph, rooted at a virtual exit node joining every block without
-successors; blocks that cannot reach an exit keep full sets.
+Dominators, post-dominators, liveness and the peephole's touched-before
+set (``peephole._zero_writes``) are one mask dataflow, ``solve``. Each is
+monotone over a finite lattice, so from its top (every block for a
+must-analysis, nothing for a may-analysis) the loop reaches the unique
+extremal fixed point in whatever order it visits the blocks (Kildall,
+POPL 1973; Kam & Ullman, Acta Informatica 1977); the order only sets the
+number of passes. A block that reaches no exit keeps every block as
+post-dominators.
 
 A program's CFG and its liveness over ``block_code`` are memoised in its
 ``isa.ProgramAnalysis`` record (``program_cfg``, ``program_liveness``), so
@@ -35,8 +40,6 @@ from .asm import format_instruction
 from .errors import ProgramError
 from .isa import (CONTROL_KINDS, MEMORY, REGISTERS, Instruction, Program,
                   analysis_of, io_sets, successors)
-
-_EXITV = -1
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,35 @@ def find_basic_blocks(program: Program) -> list[BasicBlock]:
             for bid, (start, end) in enumerate(spans)]
 
 
+def solve(blocks: list[BasicBlock], gen: list[int], boundary: dict[int, int],
+          forward: bool, must: bool = False, kill: list[int] | None = None):
+    """The extremal fixed point of value[b] = gen[b] | (met[b] & ~kill[b])
+    over ``blocks`` (ids are indices), as the lists (met, value). met[b]
+    is the union, or when ``must`` the intersection, of ``boundary[b]`` if
+    given and the values of b's predecessors (successors unless
+    ``forward``). A ``kill`` of None kills nothing."""
+    top = (1 << len(blocks)) - 1 if must else 0
+    met, value = [0] * len(blocks), [top] * len(blocks)
+    changed = True
+    while changed:
+        changed = False
+        for b in blocks if forward else reversed(blocks):
+            i = b.id
+            m = boundary.get(i, top)
+            for p in b.predecessors if forward else b.successors:
+                m = m & value[p] if must else m | value[p]
+            met[i] = m
+            v = gen[i] | (m & ~kill[i] if kill else m)
+            if v != value[i]:
+                value[i], changed = v, True
+    return met, value
+
+
 @dataclass
 class ControlFlowGraph:
     blocks: list[BasicBlock]
-    dom: dict[int, frozenset]
-    pdom: dict[int, frozenset]
+    dom: list[int]                  # by block id: the mask of its dominators
+    pdom: list[int]                 # and of its post-dominators
     # instruction index -> id of the block holding it, built once
     block_index: dict[int, int] = field(init=False, repr=False)
 
@@ -111,45 +138,21 @@ class ControlFlowGraph:
         return self.block_index.get(instr_index)
 
     def dominates(self, a: int, b: int) -> bool:
-        return a in self.dom[b]
+        return self.dom[b] >> a & 1 == 1
 
     def postdominates(self, a: int, b: int) -> bool:
-        return a in self.pdom[b]
-
-
-def _dominators(nodes, into, root) -> dict[int, set]:
-    """Each node's dominators from ``root``, given the nodes ``into[n]``
-    with an edge into each node n: the greatest fixed point of dom(n) =
-    {n} | the intersection of dom(p) over p in ``into[n]``."""
-    dom = {n: set(nodes) for n in nodes}
-    dom[root] = {root}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n == root:
-                continue
-            new = set(nodes)
-            for p in into[n]:
-                new &= dom[p]
-            new.add(n)
-            if new != dom[n]:
-                dom[n] = new
-                changed = True
-    return dom
+        return self.pdom[b] >> a & 1 == 1
 
 
 def build_cfg(blocks: list[BasicBlock]) -> ControlFlowGraph:
-    """Attach dominator and post-dominator sets. Post-dominators are the
-    dominators of the reversed graph, rooted at the virtual exit."""
-    ids = [b.id for b in blocks]
-    dom = _dominators(ids, {b.id: b.predecessors for b in blocks}, 0)
-    pdom = _dominators(ids + [_EXITV],
-                       {b.id: b.successors or (_EXITV,) for b in blocks}, _EXITV)
-    return ControlFlowGraph(
-        blocks=list(blocks),
-        dom={b: frozenset(dom[b]) for b in ids},
-        pdom={b: frozenset(pdom[b] - {_EXITV}) for b in ids})
+    """Attach dominators, a must-analysis over predecessors with nothing
+    flowing into the entry, and post-dominators, the same over successors
+    with nothing flowing into a block without successors."""
+    own = [1 << b.id for b in blocks]
+    _, dom = solve(blocks, own, {0: 0}, forward=True, must=True)
+    _, pdom = solve(blocks, own, {b.id: 0 for b in blocks if not b.successors},
+                    forward=False, must=True)
+    return ControlFlowGraph(list(blocks), dom, pdom)
 
 
 def build_program_cfg(program: Program) -> ControlFlowGraph:
@@ -189,8 +192,8 @@ def walk_blocks(cfg: ControlFlowGraph, start: int, forward: bool = True,
 
 @dataclass
 class LivenessInfo:
-    live_in: dict[int, int]
-    live_out: dict[int, int]
+    live_in: list[int]              # by block id
+    live_out: list[int]
 
 
 def block_code(cfg: ControlFlowGraph, program: Program) -> dict[int, list]:
@@ -202,36 +205,22 @@ def block_code(cfg: ControlFlowGraph, program: Program) -> dict[int, list]:
 
 def liveness(cfg: ControlFlowGraph,
              code: dict[int, Sequence[Instruction]]) -> LivenessInfo:
-    """Backward dataflow to the least fixed point over ``code``, each
+    """Backward may-analysis (``solve``) over ``code``, each
     block's instructions in execution order: a program's (``block_code``)
     or a schedule's rows flattened in order. Instructions sharing a row
     pass the pairwise Bernstein test, so their order within the row does
     not matter. Over masks of atoms, live_in = use | (live_out & ~kills),
     byte-precise as the module docstring says."""
-    use: dict[int, int] = {}
-    kills: dict[int, int] = {}
+    use, kills = [], []
     for blk in cfg.blocks:
         u = d = 0
         for ins in code[blk.id]:
             io = io_sets(ins)
             u |= io.reads & ~d
             d |= io.kills
-        use[blk.id], kills[blk.id] = u, d
-
-    live_in = dict.fromkeys(use, 0)
-    live_out = dict.fromkeys(use, 0)
-    changed = True
-    while changed:
-        changed = False
-        for blk in reversed(cfg.blocks):
-            out = 0
-            for s in blk.successors:
-                out |= live_in[s]
-            new_in = use[blk.id] | (out & ~kills[blk.id])
-            if out != live_out[blk.id] or new_in != live_in[blk.id]:
-                live_out[blk.id] = out
-                live_in[blk.id] = new_in
-                changed = True
+        use.append(u)
+        kills.append(d)
+    live_out, live_in = solve(cfg.blocks, use, {}, forward=False, kill=kills)
     return LivenessInfo(live_in, live_out)
 
 
@@ -275,7 +264,6 @@ class DataDependenceGraph:
     The edges are those ``build_ddg`` keeps, not every pairwise conflict:
     their transitive closure is the pairwise conflicts', and each kept
     edge carries the pairwise RAW label."""
-    block_id: int
     nodes: list[int]
     preds: dict[int, set]
     succs: dict[int, set]
@@ -364,7 +352,7 @@ def build_ddg(block: BasicBlock, program: Program) -> DataDependenceGraph:
                 memory.append(key)
             writers[key] = [j]
             readers[key] = []
-    return DataDependenceGraph(block.id, nodes, preds, succs, raw_preds)
+    return DataDependenceGraph(nodes, preds, succs, raw_preds)
 
 
 def bernstein_ok(i: Instruction, j: Instruction) -> bool:

@@ -236,8 +236,10 @@ def _parse_assignment(line, line_no, rhs):
     elif (head == "-" or head.isdecimal()) and rhs.endswith("ll"):
         m = _re_lddw.match(line)
         if m:
+            imm = int(m.group(2), 0)        # field_problem refuses > 64 bits
             return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)),
-                               imm=int(m.group(2), 0) & 0xFFFFFFFFFFFFFFFF)
+                               imm=imm & 0xFFFFFFFFFFFFFFFF
+                               if -2**63 <= imm < 2**64 else imm)
     elif head == "-" or head.isdecimal():
         m = _re_mov_imm.match(line)
         if m:

@@ -58,6 +58,7 @@ inside the 512-byte frame or a defined map's value slot (map ids are below
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass, field
 
@@ -339,10 +340,11 @@ def build_program(instructions, maps=(), states=None) -> Program:
 
 def field_problem(ins: Instruction) -> str | None:
     """What is wrong with one instruction's own fields, or None: a register
-    outside r0-r10, a write to r10, a width other than 1, 2, 4 or 8 for a
-    load or store and 6 for load48 and store48, a ``lddw`` src that
-    ``decode`` would refuse, or an immediate outside 32 signed bits in
-    anything but a ``lddw``. Targets are not checked.
+    outside r0-r10, a write to r10, a ``lddw`` src that ``decode`` would
+    refuse or an immediate outside [-2^63, 2^64); in any other kind an
+    immediate outside 32 signed bits, a form the opcode table
+    (``_ENCODINGS``) lacks or a register that form keeps left unset, or a
+    byte swap of other than 16, 32 or 64 bits. Targets are not checked.
     Sound fields are marked ``checked`` and not checked again."""
     if ins.checked:
         return None
@@ -357,13 +359,21 @@ def field_problem(ins: Instruction) -> str | None:
             Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
             Kind.LOAD, Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.LOAD48):
         return "r10 is read-only"
-    if k is Kind.LOAD or k is Kind.STORE:
-        if ins.width not in (1, 2, 4, 8):
-            return f"{k.value} width {ins.width} is not 1, 2, 4 or 8 bytes"
-    elif (ins.width == 6) != (k is Kind.LOAD48 or k is Kind.STORE48):
-        return "6-byte width outside load48/store48"
-    if k is not Kind.LOAD_IMM64 and not -2**31 <= ins.imm < 2**31:
+    if k is Kind.LOAD_IMM64:
+        if not -2**63 <= ins.imm < 2**64:
+            return f"immediate {ins.imm} outside 64 bits"
+    elif not -2**31 <= ins.imm < 2**31:
         return f"immediate {ins.imm} outside 32 bits"
+    else:
+        found = _ENCODINGS.get(key := _form(ins))
+        if found is None or k is Kind.ALU_THREE_OP and ins.op not in ALU3_OPS:
+            return (f"no {k.value} opcode for op {ins.op}, width {ins.width}"
+                    f" and {'a register' if key[3] else 'an immediate'} source")
+        for name in found[1]:
+            if name in ("dst", "src", "src2") and getattr(ins, name) is None:
+                return f"{k.value} without its {name} register"
+        if ins.op in ("be", "le") and ins.imm not in (16, 32, 64):
+            return f"{ins.op} of {ins.imm} bits"
     _keep_checked(ins, True)
     return None
 
@@ -560,14 +570,19 @@ def _s32(v):
     return v - (1 << 32) if v >= (1 << 31) else v
 
 
+def _form(ins: Instruction) -> tuple:
+    """The ``_ENCODINGS`` key of ``ins``: kind, op (None for an ALU3, whose
+    op the offset carries), width and whether its source is a register."""
+    alu3 = ins.kind is Kind.ALU_THREE_OP
+    return (ins.kind, None if alu3 else ins.op, ins.width,
+            (ins.src2 if alu3 else ins.src) is not None)
+
+
 def _encode_one(ins: Instruction) -> bytes:
     k = ins.kind
     alu3 = k is Kind.ALU_THREE_OP
-    by_register = (ins.src2 if alu3 else ins.src) is not None
-    found = _ENCODINGS.get((k, None if alu3 else ins.op, ins.width, by_register))
-    if found is None:
-        if k is Kind.LOAD or k is Kind.STORE:
-            raise UnencodableInstruction(f"bad memory width {ins.width}")
+    found = _ENCODINGS.get(_form(ins))
+    if found is None:                   # in a program built past field_problem
         raise UnencodableInstruction(f"cannot encode {ins}")
     opcode, keep = found
     kept = {name: getattr(ins, name) or 0 for name in keep}
@@ -614,10 +629,11 @@ def provenance_states(instrs):
 
     Register state at entry: r1 holds the context pointer, r10 the frame
     base, everything else zero. Joins at control-flow merges widen to the
-    unknown region, which io_sets treats as whole-memory. When every jump
-    goes forward (``jumps_forward``), one sweep in index order makes each
-    state the join of its predecessors' final ones. Else a last-in first-out
-    worklist may visit an instruction before its predecessors settle; the
+    unknown region, which io_sets treats as whole-memory. A worklist visits
+    the lowest pending index first, so when every jump goes forward
+    (``jumps_forward``) each instruction is visited once, after all its
+    predecessors, and its state is the join of their final ones. With a
+    loop an instruction may be visited before its predecessors settle; the
     transfer is not monotone (``pkt - pkt`` is a number, ``pkt - any`` a
     packet pointer), so another order could settle on other states.
     """
@@ -625,13 +641,9 @@ def provenance_states(instrs):
     state_in: list = [None] * n
     state_in[0] = _ENTRY
     state_out: list = [None] * n
-    sweep = jumps_forward(instrs)
-    work = list(range(n - 1, -1, -1)) if sweep else [0]
-    push = (lambda s: None) if sweep else work.append
+    work = [0]
     while work:
-        i = work.pop()
-        if state_in[i] is None:         # swept, unreachable
-            continue
+        i = heapq.heappop(work)
         ins = instrs[i]
         st = list(state_in[i])
         _transfer(ins, st)
@@ -645,12 +657,12 @@ def provenance_states(instrs):
             cur = state_in[s]
             if cur is None:
                 state_in[s] = out
-                push(s)
+                heapq.heappush(work, s)
             elif cur != out:
                 merged = tuple(map(_join, cur, out))
                 if merged != cur:
                     state_in[s] = merged
-                    push(s)
+                    heapq.heappush(work, s)
     return state_in
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .analysis import BasicBlock, ControlFlowGraph, live_after, program_cfg
+from .analysis import (BasicBlock, ControlFlowGraph, live_after, program_cfg,
+                       solve)
 from .isa import (
     ALU3_OPS,
     CONTROL_KINDS,
@@ -94,14 +95,15 @@ def _apply(program: Program, rewrites: dict[int, Instruction | None]) -> Program
 def _carried_states(program: Program, rewrites, anchors) -> list | None:
     """``program``'s provenance states at the surviving old indices
     ``anchors``, for the rewrite whose CFG ``_carried_cfg`` carries; None
-    when a fresh scan might differ. A program with a loop is rescanned: its
-    worklist scan can visit an instruction with a state that is not its
-    final one. Else the scan is one sweep (``isa.provenance_states``), and
-    each run of consecutive rewritten indices in one block is replayed from
-    the old state before it through the old and the new instructions
-    (``isa._transfer``). Both must agree before each new instruction, which
-    takes its index's state, and after the run unless it ends in an exit;
-    then every state after the run is the old one too."""
+    when a fresh scan might differ. The scan (``isa.provenance_states``)
+    visits the lowest pending index first. A program with a loop is
+    rescanned, since the scan can visit an instruction with a state that is
+    not its final one. Else it visits each instruction once, after all its
+    predecessors, and each run of consecutive rewritten indices in one block
+    is replayed from the old state before it through the old and the new
+    instructions (``isa._transfer``). Both must agree before each new
+    instruction, which takes its index's state, and after the run unless it
+    ends in an exit; then every state after the run is the old one too."""
     record = analysis_of(program)
     cfg = record.cfg
     if not record.annotated or not jumps_forward(program.instructions):
@@ -293,11 +295,12 @@ def _zero_writes(program: Program, cfg):
 
     One forward walk of each block finds the atoms its body touches and,
     for each zero write, whether the block touched the target before it. A
-    may-analysis over blocks then finds the atoms touched on some path to
-    each block's entry; a write is virgin when neither touched its target."""
+    forward may-analysis over blocks (``analysis.solve``) then finds the
+    atoms touched on some path to each block's entry; a write is virgin
+    when neither touched its target."""
     instrs = program.instructions
-    touched = {}                     # block id -> atoms its body touches
-    writes = {}                      # block id -> [(index, target, touched in block)]
+    touched = []                     # by block id: the atoms its body touches
+    writes = []                      # by block id: [(index, target, touched in block)]
     for blk in cfg.blocks:
         t = 0
         found = []
@@ -308,28 +311,12 @@ def _zero_writes(program: Program, cfg):
                 found.append((i, target, bool(target & t)))
             io = io_sets(ins)
             t |= io.reads | io.writes
-        touched[blk.id] = t
-        writes[blk.id] = found
-    block_in: dict[int, int | None] = {b.id: None for b in cfg.blocks}
-    block_in[0] = 1 << 1 | 1 << FRAME_REG
-    changed = True
-    while changed:
-        changed = False
-        for blk in cfg.blocks:
-            cur = block_in[blk.id]
-            if cur is None:
-                continue
-            out = cur | touched[blk.id]
-            for s in blk.successors:
-                merged = out if block_in[s] is None else block_in[s] | out
-                if merged != block_in[s]:
-                    block_in[s] = merged
-                    changed = True
-
-    for blk in cfg.blocks:
-        entry = block_in[blk.id]
-        yield blk, [(i, target, entry is not None and not inside and
-                     not target & entry)
+        touched.append(t)
+        writes.append(found)
+    block_in, _ = solve(cfg.blocks, touched, {0: 1 << 1 | 1 << FRAME_REG},
+                        forward=True)
+    for blk, entry in zip(cfg.blocks, block_in):
+        yield blk, [(i, target, not inside and not target & entry)
                     for i, target, inside in writes[blk.id]]
 
 

@@ -50,7 +50,6 @@ class Slot:
 
 @dataclass
 class BlockSchedule:
-    block_id: int
     rows: list[list[Slot]]           # occupied slots only, order pre-lane
 
 
@@ -189,12 +188,9 @@ def crossings(prev: list, row: list):
             and writes & io_sets(s.instr).reads]
 
 
-def cross_lane_violations(vliw: VliwProgram, transitions=None):
-    """Cross-lane back-to-back read-after-write pairs over ``transitions``
-    (row, next row), by default every runtime row transition: (from_row,
-    to_row, reader, reader_lane, producer_lane)."""
-    if transitions is None:
-        transitions = ((r, nr) for r in range(len(vliw.rows))
-                       for nr in row_successors(vliw, r))
-    return [(r, nr, *c) for r, nr in transitions
+def cross_lane_violations(vliw: VliwProgram):
+    """Cross-lane back-to-back read-after-write pairs over every runtime row
+    transition: (from_row, to_row, reader, reader_lane, producer_lane)."""
+    return [(r, nr, *c) for r in range(len(vliw.rows))
+            for nr in row_successors(vliw, r)
             for c in crossings(vliw.rows[r], vliw.rows[nr])]

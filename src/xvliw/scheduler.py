@@ -136,8 +136,8 @@ def list_schedule(block, ddg: DataDependenceGraph, constraints: LaneConstraints,
     row counts can, rarely, grow when lanes are added."""
     rows = _schedule_structural(ddg, _critical_path(ddg), program,
                                 constraints.lanes)
-    return BlockSchedule(block.id, [[Slot(program[n], block.id, n) for n in row]
-                                    for row in rows])
+    return BlockSchedule([[Slot(program[n], block.id, n) for n in row]
+                          for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,8 @@ def motion_sources(cfg: ControlFlowGraph, b: int):
     the source share a loop, a block reached only that way (source -> ...
     -> ``b``) runs before the instruction both before and after the move,
     so it is not crossed."""
-    equivalent = {c for c in cfg.pdom[b] if c != b and cfg.dominates(b, c)}
+    equivalent = {c for c in range(len(cfg.blocks))
+                  if c != b and cfg.postdominates(c, b) and cfg.dominates(b, c)}
     sources = equivalent | {s for c in equivalent
                             for s in cfg.blocks[c].successors
                             if cfg.dominates(c, s)}

@@ -119,6 +119,56 @@ def brute_postdominates(succs, exits, a, b):
     return True
 
 
+# cyclic CFGs beyond LOOP: the entry inside a two-block loop, a cycle that
+# reaches no exit, both together, and two loops sharing a header
+CYCLIC = {
+    "entry_in_loop": """
+top:
+  r2 += 1
+  if r2 > 5 goto out
+  r3 += r2
+  goto top
+out:
+  r0 = r3
+  exit
+""",
+    "no_exit_cycle": """
+  if r1 == 0 goto spin
+  r0 = 1
+  exit
+spin:
+  r2 += 1
+  goto spin
+""",
+    "entry_in_loop_and_no_exit_cycle": """
+top:
+  r1 += -1
+  if r1 == 0 goto spin
+  if r1 > 3 goto top
+  r0 = 0
+  exit
+spin:
+  r2 += 1
+  goto spin
+""",
+    "two_loops_one_header": """
+  r1 = 0
+head:
+  r1 += 1
+  if r1 > 9 goto done
+  if r1 > 4 goto odd
+  r2 += 1
+  goto head
+odd:
+  r3 += r1
+  goto head
+done:
+  r0 = r2
+  exit
+""",
+}
+
+
 def sources(cfg, b):
     return list(motion_sources(cfg, b))
 
@@ -133,6 +183,42 @@ def assert_dom_matches_bruteforce(cfg):
                 (a, b, "dom")
             assert cfg.postdominates(a, b) == \
                 brute_postdominates(succs, exits, a, b), (a, b, "pdom")
+
+
+def assert_least_liveness(prog):
+    """One more backward iteration changes nothing, and an atom is live into
+    a block only when some path from the block's entry reads it before an
+    instruction on the path kills it."""
+    cfg = build_program_cfg(prog)
+    info = liveness(cfg, block_code(cfg, prog))
+    use, kills = {}, {}
+    for blk in cfg.blocks:
+        use[blk.id] = kills[blk.id] = 0
+        for i in blk.indices():
+            io = io_sets(prog[i])
+            use[blk.id] |= io.reads & ~kills[blk.id]
+            kills[blk.id] |= io.kills
+    for blk in cfg.blocks:
+        out = 0
+        for s in blk.successors:
+            out |= info.live_in[s]
+        assert out == info.live_out[blk.id]
+        assert info.live_in[blk.id] == \
+            use[blk.id] | (out & ~kills[blk.id])
+    atoms = [1 << k for k in range(max(use.values()).bit_length())
+             if any(u >> k & 1 for u in use.values())]
+    for blk in cfg.blocks:
+        for atom in atoms:
+            seen, work, read = {blk.id}, [blk.id], False
+            while work and not read:
+                x = work.pop()
+                read = bool(use[x] & atom)
+                if not kills[x] & atom:
+                    for s in cfg.blocks[x].successors:
+                        if s not in seen:
+                            seen.add(s)
+                            work.append(s)
+            assert bool(info.live_in[blk.id] & atom) == read, (blk.id, atom)
 
 
 class TestBlocks:
@@ -187,7 +273,8 @@ class TestBlocks:
 class TestDominance:
     def test_single_block(self):
         cfg = build_program_cfg(parse_asm("exit\n"))
-        assert cfg.dom[0] == frozenset({0})
+        assert cfg.dom == cfg.pdom == [0b1]
+        assert cfg.dominates(0, 0) and cfg.postdominates(0, 0)
 
     def test_diamond(self):
         cfg = build_program_cfg(parse_asm(DIAMOND))
@@ -199,6 +286,17 @@ class TestDominance:
     def test_loop(self):
         cfg = build_program_cfg(parse_asm(LOOP))
         assert_dom_matches_bruteforce(cfg)
+
+    @pytest.mark.parametrize("name", CYCLIC)
+    def test_cyclic(self, name):
+        cfg = build_program_cfg(parse_asm(CYCLIC[name]))
+        assert_dom_matches_bruteforce(cfg)
+
+    def test_a_block_reaching_no_exit_has_every_post_dominator(self):
+        cfg = build_program_cfg(parse_asm(CYCLIC["no_exit_cycle"]))
+        spin = cfg.block_of(3)
+        assert cfg.pdom[spin] == (1 << len(cfg.blocks)) - 1
+        assert cfg.dom[spin] == 1 << 0 | 1 << spin
 
     def test_random_graphs_vs_bruteforce(self, rng):
         from xvliw.fuzz import generate_case
@@ -341,15 +439,8 @@ class TestLiveness:
         assert info.live_out[body] & 1 << 6
 
     def test_least_fixed_point(self):
-        # one more backward iteration changes nothing
-        prog = parse_asm(DIAMOND)
-        cfg = build_program_cfg(prog)
-        info = liveness(cfg, block_code(cfg, prog))
-        for blk in cfg.blocks:
-            out = 0
-            for s in blk.successors:
-                out |= info.live_in[s]
-            assert out == info.live_out[blk.id]
+        for text in [DIAMOND, LOOP, SHARED_LOOP, *CYCLIC.values()]:
+            assert_least_liveness(parse_asm(text))
 
     def test_live_before(self):
         prog = parse_asm("r3 = 1\nr4 = r3\nr0 = r4\nexit\n")

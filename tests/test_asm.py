@@ -174,6 +174,21 @@ def test_an_immediate_outside_32_bits_is_refused(line):
         parse_asm(f"{line}\nr0 = 0\nexit\n")
 
 
+@pytest.mark.parametrize("line", ["r0 = 0x1ffffffffffffffff ll",
+                                  "r0 = -0x8000000000000001 ll"])
+def test_a_lddw_immediate_outside_64_bits_is_refused(line):
+    """Such a literal was wrapped to its low 64 bits, so the first ran as
+    0xffffffffffffffff and the second as 0x7fffffffffffffff."""
+    with pytest.raises(XvliwError, match="outside 64 bits"):
+        parse_asm(f"{line}\nexit\n")
+
+
+def test_a_negative_lddw_immediate_is_its_64_bit_pattern():
+    prog = parse_asm("r0 = -1 ll\nr1 = -0x8000000000000000 ll\nexit\n")
+    assert prog[0] == parse_asm("r0 = 0xffffffffffffffff ll\nexit\n")[0]
+    assert prog[1].imm == 1 << 63
+
+
 def test_a_32_bit_hex_immediate_is_its_signed_value():
     assert parse_asm("r2 = 0xffffffff\nr0 = 0\nexit\n")[0].imm == -1
 

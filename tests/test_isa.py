@@ -330,6 +330,46 @@ class TestProgramInvariants:
             again = decode(encode(prog))
             assert again[0].imm == 7 and (again[0].src or 0) == (src or 0)
 
+    def test_lddw_immediate_is_within_64_bits(self):
+        tail = [Instruction(Kind.EXIT)]
+        for imm in (2**64, -2**63 - 1):
+            with pytest.raises(ProgramError, match=f"instruction 0: immediate "
+                                                   f"{imm} outside 64 bits"):
+                build_program([Instruction(Kind.LOAD_IMM64, dst=0, imm=imm)]
+                              + tail)
+        for imm in (2**64 - 1, -2**63):
+            build_program([Instruction(Kind.LOAD_IMM64, dst=0, imm=imm)] + tail)
+
+    @pytest.mark.parametrize("bad, message", [
+        (Instruction(Kind.MOV_IMM, width=16, dst=0, imm=5),
+         "no mov_imm opcode for op None, width 16 and an immediate source"),
+        (Instruction(Kind.MOV_IMM, width=7, dst=0, imm=5),
+         "no mov_imm opcode for op None, width 7 and an immediate source"),
+        (Instruction(Kind.MOV_IMM, dst=0, imm=5),
+         "no mov_imm opcode for op None, width None and an immediate "
+         "source"),
+        (Instruction(Kind.ALU_BINARY, op="nope", width=64, dst=0, src=1),
+         "no alu_binary opcode for op nope, width 64 and a register source"),
+        (Instruction(Kind.ALU_THREE_OP, op="neg", width=64, dst=0, src=1, imm=3),
+         "no alu_three_op opcode for op neg, width 64 and an immediate "
+         "source"),
+        (Instruction(Kind.BRANCH, op="jeq", imm=0, target=1),
+         "branch without its dst register"),
+        (Instruction(Kind.ALU_UNARY, op="be", width=64, dst=0, imm=7),
+         "be of 7 bits"),
+        (Instruction(Kind.ALU_UNARY, op="be", width=64, dst=0, imm=128),
+         "be of 128 bits"),
+    ], ids=["mov16", "mov7", "mov_no_width", "alu_nope", "alu3_neg",
+            "branch_no_dst", "be7", "be128"])
+    def test_an_instruction_is_a_form_the_opcode_table_writes(self, bad,
+                                                              message):
+        """Each of these once built: the moves ran as 32-bit ones and
+        printed as ``w0 = 5``, the unknown op raised ``KeyError`` in
+        ``decode_step``, the branch ``TypeError``, ``be 7``
+        ``OverflowError`` and ``be 128`` left a 128-bit value in r0."""
+        with pytest.raises(ProgramError, match=f"instruction 0: {message}"):
+            build_program([bad, Instruction(Kind.EXIT)])
+
     def test_r10_read_only(self):
         with pytest.raises(ProgramError):
             build_program([Instruction(Kind.MOV_IMM, width=64, dst=10, imm=0),
@@ -349,8 +389,8 @@ class TestProgramInvariants:
         if kind is Kind.STORE:
             access = Instruction(kind, width=width, dst=10, src=1, offset=-8)
         with pytest.raises(ProgramError,
-                           match=f"instruction 1: {kind.value} width {width} "
-                                 f"is not 1, 2, 4 or 8 bytes"):
+                           match=f"instruction 1: no {kind.value} opcode for "
+                                 f"op None, width {width} and a register source"):
             build_program([Instruction(Kind.MOV_IMM, width=64, dst=1, imm=0),
                            access, Instruction(Kind.MOV_IMM, width=64, dst=0, imm=0),
                            Instruction(Kind.EXIT)])

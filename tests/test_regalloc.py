@@ -13,7 +13,7 @@ from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS
 from xvliw.fuzz import FuzzCase, case_seed, compare_results, generate_case, run_case
 from xvliw.isa import JUMP_KINDS, Kind
-from xvliw.schedule import LaneConstraints, cross_lane_violations
+from xvliw.schedule import LaneConstraints, cross_lane_violations, crossings
 from xvliw.vliwsim import exec_vliw, hazard_check
 from xvliw.vm import MapStore, PacketContext, exec_sequential
 
@@ -286,7 +286,7 @@ def test_back_edge_check_finds_what_the_full_walk_finds():
         # lanes from the jump row: the pad is the back edge's
         back_edge_pads += any(
             t <= r and not any(vliw.rows[t])
-            and cross_lane_violations(vliw, [(r, t + 1)])
+            and crossings(vliw.rows[r], vliw.rows[t + 1])
             for r, row in enumerate(vliw.rows) for s in row
             if s is not None and s.instr.kind in JUMP_KINDS
             for t in [s.instr.target])

@@ -579,7 +579,7 @@ def _schedule_synthetic(n, edges):
     instrs = [Instruction(Kind.ALU_BINARY, op="add", width=64, dst=1, imm=i)
               for i in range(n)]
     block = BasicBlock(0, 0, n - 1, (), ())
-    ddg = DataDependenceGraph(0, list(range(n)),
+    ddg = DataDependenceGraph(list(range(n)),
                               *dependence_sets(range(n), edges))
     bs = list_schedule(block, ddg, LaneConstraints(lanes=4), instrs)
     return len(bs.rows)

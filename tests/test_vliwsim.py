@@ -388,7 +388,7 @@ class TestFieldChecks:
     @pytest.mark.parametrize("bad, message", [
         (Instruction(Kind.MOV_IMM, width=64, dst=10, imm=0), "r10 is read-only"),
         (Instruction(Kind.LOAD, width=3, dst=2, src=10, offset=-4),
-         "load width 3 is not 1, 2, 4 or 8 bytes"),
+         "no load opcode for op None, width 3 and a register source"),
     ])
     def test_both_engines_raise_program_error(self, bad, message):
         exit_ = Instruction(Kind.EXIT)
