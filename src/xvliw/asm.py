@@ -237,7 +237,7 @@ def _parse_assignment(line, line_no, rhs):
         m = _re_lddw.match(line)
         if m:
             imm = int(m.group(2), 0)        # field_problem refuses > 64 bits
-            return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)),
+            return Instruction(Kind.LOAD_IMM64, dst=int(m.group(1)), src=0,
                                imm=imm & 0xFFFFFFFFFFFFFFFF
                                if -2**63 <= imm < 2**64 else imm)
     elif head == "-" or head.isdecimal():
@@ -311,16 +311,16 @@ def format_instruction(ins: Instruction, target_text=None) -> str:
         sign, off = ("-", -ins.offset) if ins.offset < 0 else ("+", ins.offset)
         return (f"r{ins.dst} = *({_WIDTH_FOR[ins.width]} *)"
                 f"(r{ins.src} {sign} {off})")
-    if k in (Kind.STORE, Kind.STORE48):
-        sign, off = ("-", -ins.offset) if ins.offset < 0 else ("+", ins.offset)
-        lhs = f"*({_WIDTH_FOR[ins.width]} *)(r{ins.dst} {sign} {off})"
-        rhs = f"r{ins.src}" if ins.src is not None else str(ins.imm)
-        return f"{lhs} = {rhs}"
-    raise AssertionError(f"unhandled kind {k}")
+    # the kinds left of those field_problem passes: a store or a store48
+    sign, off = ("-", -ins.offset) if ins.offset < 0 else ("+", ins.offset)
+    lhs = f"*({_WIDTH_FOR[ins.width]} *)(r{ins.dst} {sign} {off})"
+    rhs = f"r{ins.src}" if ins.src is not None else str(ins.imm)
+    return f"{lhs} = {rhs}"
 
 
 def format_asm(program: Program) -> str:
-    """Render a Program as assembly; parse_asm(format_asm(p)) == p."""
+    """Render a Program as assembly; parse_asm(format_asm(p)) == p for
+    every p that ``build_program`` built."""
     targets = {ins.target for ins in program.instructions if ins.kind in JUMP_KINDS}
     lines = []
     for m in program.maps:

@@ -32,6 +32,13 @@ def load_program(path: str) -> Program:
     return parse_asm(data.decode())
 
 
+def _count(text: str) -> int:
+    """An argparse type: an int that is not negative."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _pass_toggles(args) -> dict[str, bool]:
     return {name: not getattr(args, f"no_{name}") for name in PASS_NAMES}
 
@@ -246,17 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace", action="store_true",
                    help="print one line per executed row")
     r.add_argument("--report", choices=("text", "json"), default="text")
-    r.add_argument("--max-instructions", type=int, default=1_000_000)
+    r.add_argument("--max-instructions", type=_count, default=1_000_000)
     _add_pass_flags(r)
     r.set_defaults(fn=cmd_run)
 
     f = sub.add_parser("fuzz", help="differential fuzzing")
-    f.add_argument("--iterations", type=int, default=1000)
+    f.add_argument("--iterations", type=_count, default=1000)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--lanes", type=int, default=4)
     f.add_argument("--failures", help="write failing cases to this JSON file")
     f.add_argument("--no-minimize", action="store_true")
-    f.add_argument("--progress", type=int, default=0,
+    f.add_argument("--progress", type=_count, default=0,
                    help="print progress every N cases")
     _add_pass_flags(f)
     f.set_defaults(fn=cmd_fuzz)

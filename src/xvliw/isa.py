@@ -21,7 +21,9 @@ points of the opcode space given that the 32-bit conditional-jump class,
 atomics and local calls are rejected as unsupported.
 
 ``WIRE_FORMS``, the opcode table, is the one statement of the wire
-format: ``decode`` reads it and ``encode`` inverts it, one byte per form.
+format and of what builds: ``decode`` reads it, ``encode`` inverts it, one
+byte per form, and ``field_problem`` builds only the fields a form keeps,
+so every built program decodes back from its encoding.
 As the kernel verifier does ("uses reserved fields"), ``decode`` rejects
 ``neg`` and ``call`` with the X (register source) bit set, bytes ``0x8c``,
 ``0x8f`` and ``0x8d``, and a word with a nonzero field its form does not
@@ -339,41 +341,53 @@ def build_program(instructions, maps=(), states=None) -> Program:
 
 
 def field_problem(ins: Instruction) -> str | None:
-    """What is wrong with one instruction's own fields, or None: a register
-    outside r0-r10, a write to r10, a ``lddw`` src that ``decode`` would
-    refuse or an immediate outside [-2^63, 2^64); in any other kind an
-    immediate outside 32 signed bits, a form the opcode table
-    (``_ENCODINGS``) lacks or a register that form keeps left unset, or a
-    byte swap of other than 16, 32 or 64 bits. Targets are not checked.
-    Sound fields are marked ``checked`` and not checked again."""
+    """What is wrong with one instruction's own fields, or None. The keep
+    list of its form in the opcode table (``_ENCODINGS``) is the rule: a
+    kept register is set, a kept offset fits 16 signed bits and a kept
+    immediate 32 (a ``lddw``'s 64), and a field not kept is None or 0; a
+    jump keeps no offset, as its target carries it, and only a jump has a
+    target. Stated once here, what the table cannot say: registers run
+    r0-r10, r10 is read-only, a ``lddw`` src is 0 or a map fd, a byte swap
+    is of 16, 32 or 64 bits and an ALU3 op is one of ``ALU3_OPS``. A jump's
+    target is not checked. Sound fields are marked ``checked`` and not
+    checked again."""
     if ins.checked:
         return None
     k = ins.kind
-    if k is Kind.LOAD_IMM64 and ins.src not in (None, 0, PSEUDO_MAP_FD):
+    if k is Kind.LOAD_IMM64 and ins.src not in (0, PSEUDO_MAP_FD):
         return f"lddw src {ins.src} is neither 0 nor a map fd"
     for r in (ins.dst, ins.src, ins.src2):
         if r is not None and not 0 <= r < NUM_REGS:
             return f"register index {r} out of range"
-    # only a register an instruction writes through dst can be r10
-    if ins.dst == FRAME_REG and ins.kind in (
-            Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
-            Kind.LOAD, Kind.LOAD_IMM64, Kind.ALU_THREE_OP, Kind.LOAD48):
+    # a store or a branch only reads its dst; any other kind keeping one writes it
+    if ins.dst == FRAME_REG and k not in (Kind.STORE, Kind.STORE48, Kind.BRANCH):
         return "r10 is read-only"
     if k is Kind.LOAD_IMM64:
         if not -2**63 <= ins.imm < 2**64:
             return f"immediate {ins.imm} outside 64 bits"
     elif not -2**31 <= ins.imm < 2**31:
         return f"immediate {ins.imm} outside 32 bits"
-    else:
-        found = _ENCODINGS.get(key := _form(ins))
-        if found is None or k is Kind.ALU_THREE_OP and ins.op not in ALU3_OPS:
-            return (f"no {k.value} opcode for op {ins.op}, width {ins.width}"
-                    f" and {'a register' if key[3] else 'an immediate'} source")
-        for name in found[1]:
-            if name in ("dst", "src", "src2") and getattr(ins, name) is None:
-                return f"{k.value} without its {name} register"
-        if ins.op in ("be", "le") and ins.imm not in (16, 32, 64):
-            return f"{ins.op} of {ins.imm} bits"
+    found = _ENCODINGS.get(key := _form(ins))
+    if found is None or k is Kind.ALU_THREE_OP and ins.op not in ALU3_OPS:
+        return (f"no {k.value} opcode for op {ins.op}, width {ins.width}"
+                f" and {'a register' if key[3] else 'an immediate'} source")
+    _, keep, unset = found
+    if (ins.dst is None, ins.src is None, ins.src2 is None) != unset:
+        for name, empty in zip(("dst", "src", "src2"), unset):
+            if (getattr(ins, name) is None) is not empty:
+                return (f"{k.value} keeps no {name} register" if empty
+                        else f"{k.value} without its {name} register")
+    if ins.offset:
+        if "offset" not in keep or k in JUMP_KINDS:
+            return f"{k.value} keeps no offset"
+        if not -(1 << 15) <= ins.offset < 1 << 15:
+            return f"offset {ins.offset} outside 16 bits"
+    if ins.imm and "imm" not in keep:
+        return f"{k.value} keeps no immediate"
+    if ins.op in ("be", "le") and ins.imm not in (16, 32, 64):
+        return f"{ins.op} of {ins.imm} bits"
+    if ins.target is not None and k not in JUMP_KINDS:
+        return f"{k.value} keeps no target"
     _keep_checked(ins, True)
     return None
 
@@ -398,12 +412,13 @@ def successors(ins: Instruction, i: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 _WORD = struct.Struct("<BBhi")
+_LDDW = struct.Struct("<BBhIII")    # two words: the second keeps the imm's high half
 
 
 def _wire_forms() -> dict:
-    """Each accepted single-word opcode byte and its form ``(kind, op,
-    width, fields kept)``: the Instruction fields the word carries. No
-    form has two bytes; an ALU3's op is in the offset."""
+    """Each accepted opcode byte and its form ``(kind, op, width, fields
+    kept)``: the Instruction fields the word carries, a ``lddw``'s two
+    words together. No form has two bytes; an ALU3's op is in the offset."""
     forms = {}
 
     def form(opcode, kind, op, width, *keep):
@@ -414,6 +429,7 @@ def _wire_forms() -> dict:
     form(OP_LOAD48, Kind.LOAD48, None, 6, "dst", "src", "offset")
     form(OP_STORE48, Kind.STORE48, None, 6, "dst", "src", "offset")
     form(OP_EARLY_EXIT, Kind.EARLY_EXIT, None, None, "imm")
+    form(OP_LDDW, Kind.LOAD_IMM64, None, None, "dst", "src", "imm")
     for cls, width in ((CLS_ALU32, 32), (CLS_ALU64, 64)):
         for nib, name in enumerate(ALU_OPS):
             k, x = nib << 4 | cls, nib << 4 | BPF_X | cls
@@ -448,11 +464,13 @@ def _wire_forms() -> dict:
 
 
 WIRE_FORMS = _wire_forms()
-# the inverse: a register source (src2 on an ALU3) picks one of two forms
+# the inverse: a register source (src2 on an ALU3) picks one of two forms;
+# each also holds which of dst, src and src2 it leaves unset
 _ENCODINGS = {}
 for _opcode, (_kind, _op, _width, _keep) in WIRE_FORMS.items():
     _by_register = ("src2" if _kind is Kind.ALU_THREE_OP else "src") in _keep
-    _ENCODINGS[_kind, _op, _width, _by_register] = _opcode, _keep
+    _ENCODINGS[_kind, _op, _width, _by_register] = _opcode, _keep, tuple(
+        r not in _keep for r in ("dst", "src", "src2"))
 
 
 def decode(data: bytes) -> Program:
@@ -467,21 +485,14 @@ def decode(data: bytes) -> Program:
         index_of_word[word] = len(instrs)
         opcode, regs, off, imm = words[word]
         dst, src = regs & 0xF, regs >> 4
-        if opcode == OP_LDDW:
-            if off:
-                raise _reserved(len(instrs), opcode, "offset")
-            if word + 1 >= len(words):
-                raise DanglingLddwSecondHalf(len(instrs))
-            op2, regs2, off2, imm2 = words[word + 1]
-            if op2 != 0 or regs2 != 0 or off2 != 0:
+        if opcode == OP_LDDW:           # its second word: the imm's high half
+            if word + 1 == len(words) or words[word + 1][:3] != (0, 0, 0):
                 raise DanglingLddwSecondHalf(len(instrs))
             if src not in (0, PSEUDO_MAP_FD):
                 raise DecodeError(f"instruction {len(instrs)}: lddw src {src} "
                                   f"is neither 0 nor a map fd")
-            value = (imm & 0xFFFFFFFF) | ((imm2 & 0xFFFFFFFF) << 32)
-            instrs.append(Instruction(Kind.LOAD_IMM64, dst=dst, src=src, imm=value))
-            word += 2
-            continue
+            word += 1
+            imm = (imm & 0xFFFFFFFF) | ((words[word][3] & 0xFFFFFFFF) << 32)
         instrs.append(_decode_one(len(instrs), opcode, dst, src, off, imm))
         word += 1
 
@@ -504,8 +515,7 @@ def _decode_one(index, opcode, dst, src, off, imm):
     if form is None:
         raise UnknownOpcode(index, opcode)
     kind, op, width, keep = form
-    if (kind is Kind.CALL and src != 0                 # a call to local code
-            or op in ("be", "le") and imm not in (16, 32, 64)):
+    if kind is Kind.CALL and src != 0:                 # a call to local code
         raise UnknownOpcode(index, opcode)
     wire = {"dst": dst, "src": src, "offset": off, "imm": imm}
     if kind is Kind.ALU_THREE_OP:
@@ -526,10 +536,10 @@ def _reserved(index, opcode, name) -> DecodeError:
 
 def encode(program: Program) -> bytes:
     """Encode a Program back to wire-format bytes. decode(encode(p)) == p
-    when p has no maps, which the wire format does not carry.
-    Raises UnencodableInstruction for a field outside its signed wire
-    field: an immediate outside 32 bits (a lddw's 64-bit immediate
-    excepted), or a memory or branch word offset outside 16 bits."""
+    for a built p, regions aside: the wire carries no map definitions.
+    Raises UnencodableInstruction for an instruction ``field_problem``
+    refuses (in a Program made directly) and for a branch whose word
+    offset falls outside 16 bits."""
     instrs = program.instructions
     word_starts = []
     word = 0
@@ -539,11 +549,13 @@ def encode(program: Program) -> bytes:
 
     out = bytearray()
     for i, ins in enumerate(instrs):
+        problem = field_problem(ins)
+        if problem is not None:
+            raise UnencodableInstruction(f"instruction {i}: {problem}")
         if ins.kind is Kind.LOAD_IMM64:
-            lo = ins.imm & 0xFFFFFFFF
-            hi = (ins.imm >> 32) & 0xFFFFFFFF
-            out += _WORD.pack(OP_LDDW, _regs(ins.dst, ins.src or 0), 0, _s32(lo))
-            out += _WORD.pack(0, 0, 0, _s32(hi))
+            imm = ins.imm & 0xFFFFFFFFFFFFFFFF
+            out += _LDDW.pack(OP_LDDW, _regs(ins.dst, ins.src), 0,
+                              imm & 0xFFFFFFFF, 0, imm >> 32)
             continue
         if ins.kind in JUMP_KINDS:
             off = word_starts[ins.target] - word_starts[i] - 1
@@ -551,23 +563,12 @@ def encode(program: Program) -> bytes:
                 raise UnencodableInstruction(
                     f"instruction {i}: branch offset {off} words outside 16 bits")
             ins = rebuilt(ins, offset=off)
-        elif not -(1 << 15) <= ins.offset < 1 << 15:
-            raise UnencodableInstruction(
-                f"instruction {i}: offset {ins.offset} outside 16 bits")
-        if not -(1 << 31) <= ins.imm < 1 << 31:
-            raise UnencodableInstruction(
-                f"instruction {i}: immediate {ins.imm} outside 32 bits")
         out += _encode_one(ins)
     return bytes(out)
 
 
 def _regs(dst, src):
     return (dst or 0) | ((src or 0) << 4)
-
-
-def _s32(v):
-    v &= 0xFFFFFFFF
-    return v - (1 << 32) if v >= (1 << 31) else v
 
 
 def _form(ins: Instruction) -> tuple:
@@ -579,15 +580,10 @@ def _form(ins: Instruction) -> tuple:
 
 
 def _encode_one(ins: Instruction) -> bytes:
-    k = ins.kind
-    alu3 = k is Kind.ALU_THREE_OP
-    found = _ENCODINGS.get(_form(ins))
-    if found is None:                   # in a program built past field_problem
-        raise UnencodableInstruction(f"cannot encode {ins}")
-    opcode, keep = found
+    opcode, keep, _ = _ENCODINGS[_form(ins)]
     kept = {name: getattr(ins, name) or 0 for name in keep}
-    off = (ALU_NIBBLE[ins.op] << 8 | kept.get("src2", 0) if alu3
-           else kept.get("offset", 0))
+    off = (ALU_NIBBLE[ins.op] << 8 | kept.get("src2", 0)
+           if ins.kind is Kind.ALU_THREE_OP else kept.get("offset", 0))
     return _WORD.pack(opcode, _regs(kept.get("dst"), kept.get("src")), off,
                       kept.get("imm", 0))
 
@@ -854,16 +850,14 @@ def _io_sets(ins: Instruction) -> IoSets:
         return IoSets(1)
     if k is Kind.EARLY_EXIT:
         return IoSets(0, 1, 1)
-    if k is Kind.CALL:
-        helper = HELPERS.get(ins.imm)
-        if helper is None:
-            return IoSets(0b111110, 1 | MEMORY, 1)          # r1-r5
-        maps = extent(ins.region or SYM_MAPS)
-        reads = (1 << (helper.arity + 1)) - 2               # r1 to r<arity>
-        for tag in helper.reads:
-            reads |= maps if tag == "map" else extent((tag,))
-        writes = 1
-        for tag in helper.writes:
-            writes |= maps if tag == "map" else extent((tag,))
-        return IoSets(reads, writes, 1)
-    raise AssertionError(f"unhandled kind {k}")
+    helper = HELPERS.get(ins.imm)           # a call, the one kind left
+    if helper is None:
+        return IoSets(0b111110, 1 | MEMORY, 1)              # r1-r5
+    maps = extent(ins.region or SYM_MAPS)
+    reads = (1 << (helper.arity + 1)) - 2                   # r1 to r<arity>
+    for tag in helper.reads:
+        reads |= maps if tag == "map" else extent((tag,))
+    writes = 1
+    for tag in helper.writes:
+        writes |= maps if tag == "map" else extent((tag,))
+    return IoSets(reads, writes, 1)

@@ -112,6 +112,8 @@ class PacketContext:
     def __post_init__(self):
         if self.head_room < 0:
             raise ProgramError(f"head room {self.head_room} is negative")
+        if not 0 <= self.ingress_port <= MASK32:
+            raise ProgramError(f"ingress port {self.ingress_port} is not a u32")
         if self.head_room + len(self.data) > PACKET_BUFFER:
             raise ProgramError(f"head room {self.head_room} and a "
                                f"{len(self.data)}-byte packet exceed "
@@ -139,7 +141,7 @@ class PacketContext:
         if self._ctx[0] != key:
             data = self.data_addr & MASK32
             self._ctx = key, _CTX_RECORD(data, self.data_end_addr & MASK32,
-                                         data, self.ingress_port & MASK32)
+                                         data, self.ingress_port)
         return self._ctx[1]
 
 
@@ -586,9 +588,7 @@ def decode_step(ins: Instruction) -> tuple:
             step = ((_store_reg, STEP_STORE, None, mask) if off is None
                     else (_frame_store_reg, STEP_STORE, None, (mask, off)))
     elif k is Kind.BRANCH:
-        handler = (_BRANCH_IMM if ins.src is None else _BRANCH_REG).get(ins.op)
-        if handler is None:
-            raise AssertionError(f"bad branch op {ins.op}")
+        handler = (_BRANCH_IMM if ins.src is None else _BRANCH_REG)[ins.op]
         step = (handler, STEP_BRANCH, None,
                 sx32(ins.imm) if ins.src is None else None)
     elif k is Kind.JUMP_ALWAYS:
@@ -609,16 +609,12 @@ def decode_step(ins: Instruction) -> tuple:
         step = (_exit, STEP_EXIT, None, None)
     elif k is Kind.EARLY_EXIT:
         step = (_constant, STEP_EXIT, 0, sx32(ins.imm))
-    elif k is Kind.ALU_UNARY:
-        if ins.op == "neg":
-            step = (_neg, STEP_WRITE, ins.dst,
-                    MASK64 if ins.width == 64 else MASK32)
-        elif ins.op == "be":
-            step = (_be, STEP_WRITE, ins.dst, ins.imm)
-        else:
-            step = (_le, STEP_WRITE, ins.dst, (1 << ins.imm) - 1)
+    elif ins.op == "neg":               # the kind left: an ALU_UNARY
+        step = (_neg, STEP_WRITE, ins.dst, MASK64 if ins.width == 64 else MASK32)
+    elif ins.op == "be":
+        step = (_be, STEP_WRITE, ins.dst, ins.imm)
     else:
-        raise AssertionError(f"unhandled kind {k}")
+        step = (_le, STEP_WRITE, ins.dst, (1 << ins.imm) - 1)
     _keep_step(ins, step)
     return step
 

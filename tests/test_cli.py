@@ -229,6 +229,29 @@ def test_run_head_room_past_the_packet_buffer_fails(capsys):
                           "exceed 65536 bytes")
 
 
+@pytest.mark.parametrize("port", ["-1", str(1 << 32)])
+def test_run_port_outside_its_u32_field_fails(capsys, tmp_path, port):
+    """The context record's port field is a u32; these once ran as
+    4294967295 and 0, and the engines agreed."""
+    path = tmp_path / "port.s"
+    path.write_text("r2 = *(u32 *)(r1 + 12)\nr0 = r2\nexit\n")
+    rc, out, err = invoke(capsys, "run", str(path), "--port", port)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: ingress port {port} is not a u32\n"
+
+
+@pytest.mark.parametrize("argv", [("fuzz", "--iterations", "-3"),
+                                  ("fuzz", "--iterations", "2", "--progress", "-1"),
+                                  ("run", "corpus:drop_all", "--max-instructions",
+                                   "-1")])
+def test_a_negative_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "is negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [("compile", "corpus:drop_all", "--lanes", "9"),
                                   ("run", "corpus:drop_all", "--lanes", "0"),
                                   ("fuzz", "--iterations", "2", "--lanes", "9")])

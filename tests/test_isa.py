@@ -149,16 +149,13 @@ class TestEncode:
         (Instruction(Kind.STORE, width=4, dst=10, src=1, offset=1 << 15), "offset"),
     ])
     def test_field_outside_its_wire_width(self, ins, field):
-        """``build_program`` refuses an immediate outside 32 bits, so
-        ``encode`` sees one only in a program built directly."""
-        prog = Program((ins, Instruction(Kind.EXIT)))
-        if field == "immediate":
-            with pytest.raises(ProgramError, match="instruction 0: immediate"):
-                build_program(prog.instructions)
-        else:
-            prog = build_program(prog.instructions)
+        """``build_program`` refuses an immediate outside 32 bits and a
+        memory offset outside 16, so ``encode`` sees one only in a program
+        made directly, and refuses it there with the same message."""
+        with pytest.raises(ProgramError, match=f"instruction 0: {field}"):
+            build_program([ins, Instruction(Kind.EXIT)])
         with pytest.raises(UnencodableInstruction, match=f"instruction 0: {field}"):
-            encode(prog)
+            encode(Program((ins, Instruction(Kind.EXIT))))
 
     def test_branch_offset_outside_16_bits(self):
         far = [Instruction(Kind.JUMP_ALWAYS, target=(1 << 15) + 1),
@@ -171,7 +168,8 @@ class TestEncode:
         assert decode(encode(build_program(near))).instructions[0].target == 1 << 15
 
     def test_lddw_immediate_is_64_bits(self):
-        prog = build_program([Instruction(Kind.LOAD_IMM64, dst=1, imm=1 << 40),
+        prog = build_program([Instruction(Kind.LOAD_IMM64, dst=1, src=0,
+                                          imm=1 << 40),
                               Instruction(Kind.EXIT)])
         assert decode(encode(prog)).instructions[0].imm == 1 << 40
 
@@ -319,26 +317,26 @@ class TestProgramInvariants:
         wrote and ``decode`` then refused."""
         tail = [Instruction(Kind.MOV_REG, width=64, dst=0, src=1),
                 Instruction(Kind.EXIT)]
-        for src in range(2, 16):
+        for src in (None, *range(2, 16)):
             with pytest.raises(ProgramError, match=f"instruction 0: lddw src "
                                                    f"{src} is neither 0 nor a map fd"):
                 build_program([Instruction(Kind.LOAD_IMM64, dst=1, src=src,
                                            imm=7)] + tail)
-        for src in (None, 0, 1):
+        for src in (0, 1):
             prog = build_program([Instruction(Kind.LOAD_IMM64, dst=1, src=src,
                                               imm=7)] + tail)
-            again = decode(encode(prog))
-            assert again[0].imm == 7 and (again[0].src or 0) == (src or 0)
+            assert decode(encode(prog)) == prog
 
     def test_lddw_immediate_is_within_64_bits(self):
         tail = [Instruction(Kind.EXIT)]
         for imm in (2**64, -2**63 - 1):
             with pytest.raises(ProgramError, match=f"instruction 0: immediate "
                                                    f"{imm} outside 64 bits"):
-                build_program([Instruction(Kind.LOAD_IMM64, dst=0, imm=imm)]
-                              + tail)
+                build_program([Instruction(Kind.LOAD_IMM64, dst=0, src=0,
+                                           imm=imm)] + tail)
         for imm in (2**64 - 1, -2**63):
-            build_program([Instruction(Kind.LOAD_IMM64, dst=0, imm=imm)] + tail)
+            build_program([Instruction(Kind.LOAD_IMM64, dst=0, src=0, imm=imm)]
+                          + tail)
 
     @pytest.mark.parametrize("bad, message", [
         (Instruction(Kind.MOV_IMM, width=16, dst=0, imm=5),
@@ -359,14 +357,33 @@ class TestProgramInvariants:
          "be of 7 bits"),
         (Instruction(Kind.ALU_UNARY, op="be", width=64, dst=0, imm=128),
          "be of 128 bits"),
+        (Instruction(Kind.EXIT, dst=3), "exit keeps no dst register"),
+        (Instruction(Kind.CALL, dst=5, imm=1), "call keeps no dst register"),
+        (Instruction(Kind.ALU_UNARY, op="neg", width=64, dst=1, imm=9),
+         "alu_unary keeps no immediate"),
+        (Instruction(Kind.LOAD_IMM64, dst=1, src=0, imm=5, offset=3),
+         "load_imm64 keeps no offset"),
+        (Instruction(Kind.JUMP_ALWAYS, offset=9, target=1),
+         "jump_always keeps no offset"),
+        (Instruction(Kind.BRANCH, op="jeq", dst=1, src=2, imm=7, target=1),
+         "branch keeps no immediate"),
+        (Instruction(Kind.STORE, width=4, dst=10, src=1, offset=-8, imm=3),
+         "store keeps no immediate"),
+        (Instruction(Kind.MOV_IMM, width=64, dst=0, imm=1, target=0),
+         "mov_imm keeps no target"),
     ], ids=["mov16", "mov7", "mov_no_width", "alu_nope", "alu3_neg",
-            "branch_no_dst", "be7", "be128"])
+            "branch_no_dst", "be7", "be128", "exit_dst", "call_dst",
+            "neg_imm", "lddw_offset", "goto_offset", "jeq_reg_imm",
+            "store_reg_imm", "mov_target"])
     def test_an_instruction_is_a_form_the_opcode_table_writes(self, bad,
                                                               message):
         """Each of these once built: the moves ran as 32-bit ones and
         printed as ``w0 = 5``, the unknown op raised ``KeyError`` in
         ``decode_step``, the branch ``TypeError``, ``be 7``
-        ``OverflowError`` and ``be 128`` left a 128-bit value in r0."""
+        ``OverflowError`` and ``be 128`` left a 128-bit value in r0. Each
+        field the form does not keep (the last eight) ``encode`` dropped, so
+        the program did not decode back to itself. A jump's target carries
+        the jump: its offset stays 0 until ``encode`` writes one."""
         with pytest.raises(ProgramError, match=f"instruction 0: {message}"):
             build_program([bad, Instruction(Kind.EXIT)])
 

@@ -102,16 +102,22 @@ def _dump_text(text: str) -> str:
     return repr((vliw.lane_count, vliw.rows))
 
 
-def outcomes() -> dict[str, str]:
-    """Each text's name and outcome, in a fixed order."""
+def asm_texts(rng: random.Random) -> list[tuple[str, str]]:
+    """Each assembly text's name and text: the sources, then their
+    ``ASM_MUTANTS`` mutants drawn with ``rng``."""
     sources = [(f"corpus/{name}", CORPUS[name].source) for name in names()]
     sources += [(f"fuzz/{FUZZ_RUN_SEED}/{i}",
                  generate_case(case_seed(FUZZ_RUN_SEED, i)).program_text)
                 for i in range(FUZZ_CASES)]
-    rng = random.Random(MUTATION_SEED)
     texts = [text for _, text in sources]
-    asm = sources + [(f"asm-mutant/{i}", _mutate(rng, rng.choice(texts)))
-                     for i in range(ASM_MUTANTS)]
+    return sources + [(f"asm-mutant/{i}", _mutate(rng, rng.choice(texts)))
+                      for i in range(ASM_MUTANTS)]
+
+
+def outcomes() -> dict[str, str]:
+    """Each text's name and outcome, in a fixed order."""
+    rng = random.Random(MUTATION_SEED)
+    asm = asm_texts(rng)
     dumps = [compile_program(parse_asm(CORPUS[name].source),
                              LaneConstraints(lanes=DUMP_LANES))[0].dump()
              for name in names()]
@@ -192,11 +198,18 @@ def _surface(name):
                         for e in entries for endian, magic in forms], _mutate_bytes
 
 
-@pytest.mark.parametrize("name", ["bytecode", "map config", "hex packets", "pcap"])
-def test_every_mutant_of_a_surface_parses_or_raises_an_xvliw_error(name):
+def surface_inputs(name):
+    """A surface's parser and inputs: its valid ones, then their
+    ``SURFACE_MUTANTS`` mutants."""
     parse, valid, mutate = _surface(name)
     rng = random.Random(MUTATION_SEED)
-    inputs = valid + [mutate(rng, rng.choice(valid)) for _ in range(SURFACE_MUTANTS)]
+    return parse, valid + [mutate(rng, rng.choice(valid))
+                           for _ in range(SURFACE_MUTANTS)]
+
+
+@pytest.mark.parametrize("name", ["bytecode", "map config", "hex packets", "pcap"])
+def test_every_mutant_of_a_surface_parses_or_raises_an_xvliw_error(name):
+    parse, inputs = surface_inputs(name)
     results = [_outcome(lambda data: repr(parse(data)), data) for data in inputs]
     crashed = [(data, o) for data, o in zip(inputs, results) if o.startswith("!")]
     assert not crashed, f"{len(crashed)} inputs raised a non-XvliwError: {crashed[:3]}"

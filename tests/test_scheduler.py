@@ -323,6 +323,57 @@ class TestCodeMotion:
             o, _ = exec_sequential(prog, PacketContext(pkt), MapStore())
             assert (r.result.action, r.result.code) == (o.action, o.code)
 
+    DISPATCH = """
+      r6 = r1
+      r2 = *(u32 *)(r6 + 0)
+      r3 = *(u32 *)(r6 + 4)
+      r4 = r2
+      r4 += 20
+      if r4 > r3 goto drop
+      r5 = *(u8 *)(r2 + 3)
+      if r5 == 1 goto c0
+      if r5 == 2 goto c1
+      if r5 == 3 goto c2
+      r0 = 2
+      exit
+    c0:
+      r0 = 1
+      exit
+    c1:
+      r0 = 3
+      exit
+    c2:
+      r0 = 2
+      exit
+    drop:
+      r0 = 1
+      exit
+    """
+
+    @pytest.mark.parametrize("lanes", [2, 3, 4, 8])
+    def test_branch_pulling_pays_on_a_plain_dispatch_chain(self, lanes):
+        """A chain of compares on one loaded byte, with no spacer: one
+        branch is pulled, the schedule loses a row, and no packet takes
+        more cycles than without code motion (5/6/6/6 against 5/6/7/7)."""
+        prog = parse_asm(self.DISPATCH)
+        constraints = LaneConstraints(lanes=lanes)
+        vliw, rep = compile_program(prog, constraints)
+        plain, plain_rep = compile_program(prog, constraints,
+                                           enable_code_motion=False)
+        assert (rep.pulled_branches, len(vliw.rows)) == (1, 9)
+        assert (plain_rep.pulled_branches, len(plain.rows)) == (0, 10)
+        assert hazard_check(vliw) == []
+        cycles = []
+        for byte in (1, 2, 3, 9):
+            pkt = bytes([0, 0, 0, byte]) + bytes(60)
+            o, _ = exec_sequential(prog, PacketContext(pkt), MapStore())
+            runs = [exec_vliw(v, PacketContext(pkt), MapStore())[0]
+                    for v in (vliw, plain)]
+            for r in runs:
+                assert (r.result.action, r.result.code) == (o.action, o.code)
+            cycles.append(tuple(r.cycles for r in runs))
+        assert cycles == [(5, 5), (6, 6), (6, 7), (6, 7)]
+
     # Code motion between blocks that run different numbers of times. In
     # "header" and "single_block" the loop's "r2 = 7" was hoisted into the
     # entry block and ran once instead of once per iteration; in
