@@ -320,10 +320,7 @@ def build_program(instructions, maps=(), states=None) -> Program:
     if n == 0:
         raise ProgramError("empty program")
     for i, ins in enumerate(instrs):
-        problem = field_problem(ins)
-        if problem is None and ins.kind in JUMP_KINDS and \
-                (ins.target is None or not 0 <= ins.target < n):
-            problem = "branch target out of range"
+        problem = field_problem(ins) or target_problem(ins, n)
         if problem is not None:
             raise ProgramError(f"instruction {i}: {problem}")
     if states is None:
@@ -349,8 +346,8 @@ def field_problem(ins: Instruction) -> str | None:
     target. Stated once here, what the table cannot say: registers run
     r0-r10, r10 is read-only, a ``lddw`` src is 0 or a map fd, a byte swap
     is of 16, 32 or 64 bits and an ALU3 op is one of ``ALU3_OPS``. A jump's
-    target is not checked. Sound fields are marked ``checked`` and not
-    checked again."""
+    target is ``target_problem``'s. Sound fields are marked ``checked`` and
+    not checked again."""
     if ins.checked:
         return None
     k = ins.kind
@@ -389,6 +386,13 @@ def field_problem(ins: Instruction) -> str | None:
     if ins.target is not None and k not in JUMP_KINDS:
         return f"{k.value} keeps no target"
     _keep_checked(ins, True)
+    return None
+
+
+def target_problem(ins: Instruction, n: int) -> str | None:
+    """None when a jump's target indexes its ``n``-long program, else why."""
+    if ins.kind in JUMP_KINDS and (ins.target is None or not 0 <= ins.target < n):
+        return "branch target out of range"
     return None
 
 
@@ -537,9 +541,9 @@ def _reserved(index, opcode, name) -> DecodeError:
 def encode(program: Program) -> bytes:
     """Encode a Program back to wire-format bytes. decode(encode(p)) == p
     for a built p, regions aside: the wire carries no map definitions.
-    Raises UnencodableInstruction for an instruction ``field_problem``
-    refuses (in a Program made directly) and for a branch whose word
-    offset falls outside 16 bits."""
+    Raises UnencodableInstruction for an instruction ``field_problem`` or
+    ``target_problem`` refuses (in a Program made directly) and for a
+    branch whose word offset falls outside 16 bits."""
     instrs = program.instructions
     word_starts = []
     word = 0
@@ -549,7 +553,7 @@ def encode(program: Program) -> bytes:
 
     out = bytearray()
     for i, ins in enumerate(instrs):
-        problem = field_problem(ins)
+        problem = field_problem(ins) or target_problem(ins, len(instrs))
         if problem is not None:
             raise UnencodableInstruction(f"instruction {i}: {problem}")
         if ins.kind is Kind.LOAD_IMM64:

@@ -11,16 +11,16 @@ conflicts with.
 The core forwards a result only along the lane that produced it, and a
 row's branches take ascending lanes in program order (lane index is
 taken-branch priority). ``lane_row`` lanes one row under both rules.
-Code motion checks the first on the rows a change touched
-(``forwarding_ok``), and lays out a block with pulled branches on its
-own (``assign_lanes``). The final lanes come from one pass over the
-blocks in order, each block laned with the rows that can run right before
-it pinning its first row. A block whose pins cannot all be met gets one
-leading empty row, which no value forwards across. A back edge cannot be
-pinned ahead of time; when one forwards across lanes into the row it
-lands on (the first row at or after its target block, which code motion
-may have emptied), that row's block gets the empty row in place, which
-leaves every lane chosen so far valid.
+Code motion checks the first on the rows a move touched
+(``forwarding_ok``); branch pulling, which runs after every move, checks
+both by laying out the block it grows (``assign_lanes``). The final lanes
+come from one pass over the blocks in order, each block laned with the
+rows that can run right before it pinning its first row. A block whose
+pins cannot all be met gets one leading empty row, which no value
+forwards across. A back edge cannot be pinned ahead of time; when one
+forwards across lanes into the row it lands on (the first row at or after
+its target block, which code motion may have emptied), that row's block
+gets the empty row in place, which leaves every lane chosen so far valid.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
 from .errors import AsmSyntaxError, CompileError
-from .isa import JUMP_KINDS, Instruction, Kind, field_problem, io_sets
+from .isa import (JUMP_KINDS, Instruction, Kind, field_problem, io_sets,
+                  target_problem)
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,8 @@ def parse_dump(text: str, maps=()) -> VliwProgram:
         raise AsmSyntaxError(0, "empty schedule dump")
     for line_no, row in zip(row_lines, rows):
         for s in row:
-            if s is not None and s.instr.kind in JUMP_KINDS:
-                if s.instr.target is None or not 0 <= s.instr.target < len(rows):
-                    raise AsmSyntaxError(line_no, "branch row target out of range")
+            if s is not None and target_problem(s.instr, len(rows)):
+                raise AsmSyntaxError(line_no, "branch row target out of range")
     return VliwProgram(lane_count=lanes, rows=rows,
                        row_block=[-1] * len(rows), maps=tuple(maps))
 

@@ -31,6 +31,8 @@ and nothing is renamed. A speculative mover (one from a block that does
 not always run when its new block does) must write nothing that is live
 into a block where control leaves the path to its source, judged by the
 liveness of the schedules as code motion has transformed them so far.
+Branch pulling, the parallel branching, runs once every move is made, so
+no step changes a row of pulled branches after it is built.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .analysis import (
     liveness,
     walk_blocks,
 )
-from .isa import JUMP_KINDS, Kind, Program, io_sets
+from .isa import Kind, Program, io_sets
 from .regalloc import assign_lanes, forwarding_ok
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
@@ -76,10 +78,10 @@ def _schedule_structural(ddg, cp, program, budget):
     lifts as the row fills. The block's control instruction, its last,
     then takes the first row from the last one on that fits it."""
     preds, succs, raw = ddg.preds, ddg.succs, ddg.raw_preds
-    control = [n for n in ddg.nodes if program[n].is_control]
+    last = ddg.nodes[-1]
+    control = last if program[last].is_control else None
     unplaced = {n: len(preds[n]) for n in ddg.nodes}
-    ready = [(-cp[n], n) for n in ddg.nodes
-             if not unplaced[n] and not program[n].is_control]
+    ready = [(-cp[n], n) for n in ddg.nodes if not unplaced[n] and n != control]
     heapify(ready)
     placed_row: dict[int, int] = {}
     rows: list[list[int]] = []
@@ -89,7 +91,7 @@ def _schedule_structural(ddg, cp, program, budget):
         return len(rows[r]) < budget and (not prev or len(prev) == 1 and
                                           not any(prev & raw[m] for m in rows[r]))
 
-    remaining = len(ddg.nodes) - len(control)
+    remaining = len(ddg.nodes) - (control is not None)
     while remaining:
         r = len(rows)
         rows.append([])
@@ -106,22 +108,21 @@ def _schedule_structural(ddg, cp, program, budget):
         for n in rows[r]:
             for s in succs[n]:
                 unplaced[s] -= 1
-                if not unplaced[s] and not program[s].is_control:
+                if not unplaced[s] and s != control:
                     heappush(ready, (-cp[s], s))
         # empty when every ready node reads two producers of the row before
         remaining -= len(rows[r])
 
-    # its predecessors sit before ``r``, and it has no successor in the block
-    for n in control:
-        r = max([0, len(rows) - 1] + [placed_row[p] + 1 for p in preds[n]])
+    if control is not None:
+        # its predecessors sit before ``r``, and it has no successor in the block
+        r = max([0, len(rows) - 1] + [placed_row[p] + 1 for p in preds[control]])
         while True:
             if r == len(rows):
                 rows.append([])
-            if fits(n, r):
+            if fits(control, r):
                 break
             r += 1
-        rows[r].append(n)
-        placed_row[n] = r
+        rows[r].append(control)
     return rows
 
 
@@ -192,8 +193,7 @@ class CodeMotion:
         if not self.schedules[b].rows:
             return
         for cand, is_ctrl_eq, crossed in motion_sources(self.cfg, b):
-            if self.schedules[cand].rows:
-                self._move_from(b, cand, is_ctrl_eq, crossed)
+            self._move_from(b, cand, is_ctrl_eq, crossed)
 
     def _move_from(self, b, cand, is_ctrl_eq, crossed):
         """One scan of ``cand``'s rows in order, so a mover's DDG
@@ -259,7 +259,7 @@ class CodeMotion:
 
     def _current_live_in(self):
         """Live-in sets of the current schedules, each block's rows
-        flattened in order, recomputed after a move or branch pull."""
+        flattened in order, recomputed after a move."""
         if self._live_in is None:
             code = {bid: [s.instr for row in bs.rows for s in row]
                     for bid, bs in self.schedules.items()}
@@ -268,20 +268,16 @@ class CodeMotion:
 
     def _place(self, bs: BlockSchedule, slot: Slot) -> bool:
         """Add ``slot`` to the earliest row of b that follows every slot of
-        b it conflicts with, no later than b's control instruction, has
-        room, and keeps b's lanes assignable (``_keeps_lanes``); False, with
-        b unchanged, if there is none."""
+        b it conflicts with, has room, and keeps b's lanes assignable
+        (``_keeps_lanes``); False, with b unchanged, if there is none. No
+        row is added, so b's control instruction stays in its last row."""
         lanes = self.constraints.lanes
         earliest = 0
-        last_control = None
         for r, row in enumerate(bs.rows):
             for other in row:
                 if not bernstein_ok(other.instr, slot.instr):
                     earliest = r + 1
-                if other.instr.is_control:
-                    last_control = r
-        limit = last_control if last_control is not None else len(bs.rows) - 1
-        for r, row in enumerate(bs.rows[earliest:limit + 1], earliest):
+        for r, row in enumerate(bs.rows[earliest:], earliest):
             if len(row) < lanes:
                 row.append(slot)
                 if self._keeps_lanes(bs.rows, r):
@@ -292,10 +288,8 @@ class CodeMotion:
     def _keeps_lanes(self, rows, r: int) -> bool:
         """Whether a block's ``rows``, assignable before row ``r`` changed,
         still are: the forwarding rule on row ``r`` and the row after it.
-        A last row of pulled branches, whose lanes must also ascend, takes
-        ``assign_lanes`` over the whole block."""
-        if rows and sum(s.instr.kind in JUMP_KINDS for s in rows[-1]) > 1:
-            return assign_lanes(rows, self.constraints.lanes) is not None
+        Code motion asks this before any branch is pulled, so every row
+        holds at most one jump and the rule is exact."""
         return all(forwarding_ok(rows[t - 1], rows[t])
                    for t in (r, r + 1) if 0 < t < len(rows))
 
@@ -310,8 +304,9 @@ class CodeMotion:
     def _pull_branches(self, b: int):
         """Pull blocks b + 1, b + 2, ..., the fall-through of b and of each
         branch pulled, into b's last row while each is one branch reached
-        only from the block before it. A block gains movers only in its own
-        ``_pull_into``, which runs later, so its schedule is that branch."""
+        only from the block before it, its schedule still that branch alone
+        (its own ``_pull_into`` may have added movers), and b keeps an
+        assignment of lanes (``assign_lanes``)."""
         rows = self.schedules[b].rows
         end = self.program[self.cfg.blocks[b].end]
         if not rows or end.is_control and end.kind is not Kind.BRANCH:
@@ -320,16 +315,15 @@ class CodeMotion:
         for fb in range(b + 1, len(self.cfg.blocks)):
             fblk = self.cfg.blocks[fb]
             pulled = self.schedules[fb].rows
-            if len(last) >= self.constraints.lanes or \
-                    fblk.predecessors != (fb - 1,) or len(fblk) != 1 or \
+            if fblk.predecessors != (fb - 1,) or len(fblk) != 1 or \
                     self.program[fblk.start].kind is not Kind.BRANCH or \
-                    not pulled:
+                    [len(row) for row in pulled] != [1]:
                 return
             fslot = pulled[0][0]
             if not all(bernstein_ok(other.instr, fslot.instr) for other in last):
                 return
             last.append(fslot)
-            if not self._keeps_lanes(rows, len(rows) - 1):
+            if assign_lanes(rows, self.constraints.lanes) is None:
                 last.pop()
                 return
             self.schedules[fb].rows = []
@@ -338,11 +332,12 @@ class CodeMotion:
 
 def code_motion(schedules, cfg, constraints: LaneConstraints,
                 program: Program, ddgs):
-    """Move ready instructions upward from each block's ``motion_sources``;
-    pull trailing single-branch blocks up for parallel branching. Returns
-    (schedules, moved_log)."""
+    """Move ready instructions upward from each block's ``motion_sources``,
+    then, with every move made, pull trailing single-branch blocks up for
+    parallel branching. Returns (schedules, moved_log)."""
     cm = CodeMotion(schedules, cfg, constraints, program, ddgs)
     for blk in cfg.blocks:
         cm._pull_into(blk.id)
+    for blk in cfg.blocks:
         cm._pull_branches(blk.id)
     return schedules, cm.moved_log

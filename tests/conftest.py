@@ -373,6 +373,41 @@ def straight_line_source(rng: random.Random, size: int) -> str:
     return "\n".join(head + body[:size - 3] + tail) + "\n"
 
 
+_PULL_REGS = (0, 2, 3, 4, 5, 6, 7, 8, 9)    # r1 holds the context
+_PULL_ALU = ("+=", "-=", "&=", "|=", "^=")
+
+
+def pull_family_source(rng: random.Random) -> str:
+    """Assembly of one program shaped for branch pulling. Block C holds 1-7
+    ALU ops and then a chain of 2-4 ``if rX == k`` exits, each branch after
+    the first its own one-branch block, which C may pull into its last row.
+    C is placed before B, which dominates it: the entry sets a few
+    registers and jumps to B, whose 0-4 ALU ops run first and which jumps
+    to C, so code motion may move C's ops up into B. Exit i adds i + 1 to
+    r0, so the path taken shows in the result."""
+    def alu():
+        d, s = rng.choice(_PULL_REGS), rng.choice(_PULL_REGS)
+        roll = rng.random()
+        if roll < 0.3:
+            return f"r{d} = {rng.randint(0, 4)}"
+        if roll < 0.5:
+            return f"r{d} = r{s}"
+        op = rng.choice(_PULL_ALU)
+        return f"r{d} {op} " + (f"r{s}" if rng.random() < 0.5
+                                else str(rng.randint(0, 4)))
+
+    exits = rng.randint(2, 4)
+    lines = [f"r{r} = {rng.randint(0, 3)}"
+             for r in rng.sample(_PULL_REGS[1:], rng.randint(2, 6))]
+    lines += ["goto B", "C:"] + [alu() for _ in range(rng.randint(1, 7))]
+    lines += [f"if r{rng.choice(_PULL_REGS)} == {rng.randint(0, 3)} goto X{i}"
+              for i in range(exits)]
+    for i in range(exits):
+        lines += [f"X{i}:", f"r0 += {i + 1}", "exit"]
+    lines += ["B:"] + [alu() for _ in range(rng.randint(0, 4))] + ["goto C"]
+    return "\n".join(lines) + "\n"
+
+
 def rfc1071_sum16(data: bytes, seed: int = 0) -> int:
     """Reference internet checksum accumulator (16-bit ones' complement)."""
     if len(data) % 2:

@@ -435,13 +435,20 @@ class TestProgramInvariants:
         with pytest.raises(ProgramError, match="register index 11 out of range"):
             build_program([ins, Instruction(Kind.EXIT)])
 
-    @pytest.mark.parametrize("target", [-1, 2])
+    @pytest.mark.parametrize("target", [-1, 2, 7, None])
     @pytest.mark.parametrize("kind", [Kind.JUMP_ALWAYS, Kind.BRANCH], ids=str)
     def test_branch_target_in_range(self, kind, target):
+        """A jump's target indexes its program, for ``build_program`` and
+        for ``encode`` on a program made directly, where a target of None
+        or 7 raised ``TypeError`` or ``IndexError`` and one of -1 encoded a
+        jump to the last instruction."""
         jump = (Instruction(kind, target=target) if kind is Kind.JUMP_ALWAYS
                 else Instruction(kind, op="jeq", dst=1, imm=0, target=target))
         with pytest.raises(ProgramError, match="branch target out of range"):
             build_program([jump, Instruction(Kind.EXIT)])
+        with pytest.raises(UnencodableInstruction,
+                           match="instruction 0: branch target out of range"):
+            encode(Program((jump, Instruction(Kind.EXIT))))
 
 
     def test_reachable_code_may_not_fall_past_the_end(self):

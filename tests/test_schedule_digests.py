@@ -12,10 +12,12 @@ and says in its description which entries moved and why.
 
 prints ``name sha256`` lines over a wider set (the corpus at lanes 1-8,
 fuzz cases 0-299 at lanes 1, 2, 3, 4 and 8, straight-line blocks of
-seeds 4242 and 901 at those lanes, and the code-motion loop programs,
-``test_scheduler.TestCodeMotion.LOOPS``, at lanes 1-8: the only entries
-with a back edge). ``diff`` of its output from two commits proves a
-byte-identical claim beyond the golden entries.
+seeds 4242 and 901 at those lanes, the code-motion loop programs,
+``test_scheduler.TestCodeMotion.LOOPS``, at lanes 1-8, and the first 40
+programs of seed 1 of ``conftest.pull_family_source`` at lanes 1-8: the
+only entries with a back edge, the last ones where branch pulling fires).
+``diff`` of its output from two commits proves a byte-identical claim
+beyond the golden entries.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import sys
 from pathlib import Path
 
 import test_scheduler
-from conftest import straight_line_source
+from conftest import pull_family_source, straight_line_source
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
 from xvliw.corpus import CORPUS, names
@@ -40,6 +42,8 @@ BLOCK_SIZES = (200, 400)
 WIDE_FUZZ_CASES = 300
 WIDE_LANES = (1, 2, 3, 4, 8)
 WIDE_BLOCK_SEEDS = (BLOCK_SEED, 901)
+WIDE_PULL_SEED = 1
+WIDE_PULL_PROGRAMS = 40
 
 
 def _digest(source: str, lanes: int) -> str:
@@ -75,6 +79,11 @@ def wide_digests() -> dict[str, str]:
     for name, (source, _) in sorted(test_scheduler.TestCodeMotion.LOOPS.items()):
         for lanes in range(1, 9):
             out[f"loops/{name}/lanes{lanes}"] = _digest(source, lanes)
+    rng = random.Random(WIDE_PULL_SEED)
+    for i in range(WIDE_PULL_PROGRAMS):
+        text = pull_family_source(rng)
+        for lanes in range(1, 9):
+            out[f"pull/{WIDE_PULL_SEED}/{i}/lanes{lanes}"] = _digest(text, lanes)
     return out
 
 
