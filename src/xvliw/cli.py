@@ -49,7 +49,7 @@ def _add_pass_flags(sub):
                          dest=f"no_{name}", action="store_true",
                          help=f"disable the {name} pass")
     sub.add_argument("--no-code-motion", action="store_true",
-                     help="disable upward code motion")
+                     help="disable upward code motion and branch pulling")
 
 
 def _load_map_setup(args, program: Program):

@@ -1,10 +1,11 @@
 """The five-step compilation pipeline.
 
 peephole reduction -> per-block data-dependence graphs -> list scheduling
--> upward code motion -> program-wide lane assignment, producing the
-final multi-lane program plus a per-pass report. Registers stay as the
-source wrote them: code motion never renames, and judges a speculative
-move by the liveness of the schedules as it has transformed them so far.
+-> upward code motion -> program-wide lane assignment and branch pulling,
+producing the final multi-lane program plus a per-pass report. Registers
+stay as the source wrote them: code motion never renames, and judges a
+speculative move by the liveness of the schedules as it has transformed
+them so far. ``enable_code_motion`` turns off moves and branch pulls.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import build_ddg, program_cfg
-from .isa import Kind, Program, analysis_of
+from .isa import Program, analysis_of
 from .peephole import PASS_NAMES, peephole
 from .regalloc import assign_registers
 from .schedule import LaneConstraints
@@ -26,7 +27,7 @@ class CompileReport:
     vliw_rows: int
     static_ipc: float
     pass_deltas: dict[str, int] = field(default_factory=dict)
-    moved_instructions: int = 0
+    moved_instructions: int = 0     # code motion's moves and branch pulls
     pulled_branches: int = 0
     # always empty: nothing is renamed, but external readers of the
     # report (the benchmark's compile hook) still count this list
@@ -91,21 +92,19 @@ def compile_program(program: Program,
 
     moved_log: list = []
     if enable_code_motion:
-        schedules, moved_log = code_motion(schedules, cfg, constraints,
-                                           reduced, ddgs)
+        schedules, moved_log = code_motion(schedules, cfg, constraints, ddgs)
 
-    vliw, padding = assign_registers(schedules, cfg, constraints.lanes,
-                                     reduced.maps)
+    vliw, padding, pulled = assign_registers(
+        schedules, cfg, constraints.lanes, reduced.maps,
+        pull_branches=enable_code_motion)
 
-    pulled = sum(1 for (idx, _frm, _to) in moved_log
-                 if reduced[idx].kind is Kind.BRANCH)
     report = CompileReport(
         original_count=original_count,
         after_reduction_count=len(analysis_of(reduced).reachable),
         vliw_rows=vliw.row_count,
         static_ipc=vliw.static_ipc,
         pass_deltas=stats.as_dict(),
-        moved_instructions=len(moved_log),
+        moved_instructions=len(moved_log) + pulled,
         pulled_branches=pulled,
         padding_rows=padding,
         unreachable_dropped=unreachable,

@@ -131,7 +131,9 @@ for _name in ("ALU_BINARY", "ALU_UNARY", "MOV_IMM", "MOV_REG", "LOAD", "STORE",
     setattr(Kind, _name, Kind(_name))
 
 JUMP_KINDS = (Kind.BRANCH, Kind.JUMP_ALWAYS)
-CONTROL_KINDS = (*JUMP_KINDS, Kind.EXIT, Kind.EARLY_EXIT)
+# the kinds control never falls through from
+NO_FALL_THROUGH = (Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
+CONTROL_KINDS = (Kind.BRANCH, *NO_FALL_THROUGH)
 MEMORY_KINDS = (Kind.LOAD, Kind.STORE, Kind.LOAD48, Kind.STORE48)
 
 

@@ -10,26 +10,27 @@ conflicts with.
 
 The core forwards a result only along the lane that produced it, and a
 row's branches take ascending lanes in program order (lane index is
-taken-branch priority). ``lane_row`` lanes one row under both rules.
-Code motion checks the first on the rows a move touched
-(``forwarding_ok``); branch pulling, which runs after every move, checks
-both by laying out the block it grows (``assign_lanes``). The final lanes
-come from one pass over the blocks in order, each block laned with the
-rows that can run right before it pinning its first row. A block whose
-pins cannot all be met gets one leading empty row, which no value
-forwards across. A back edge cannot be pinned ahead of time; when one
-forwards across lanes into the row it lands on (the first row at or after
-its target block, which code motion may have emptied), that row's block
-gets the empty row in place, which leaves every lane chosen so far valid.
+taken-branch priority). ``lane_row`` lanes one row under both rules;
+code motion checks the first on the rows a move touched
+(``forwarding_ok``). The final lanes come from one pass over the blocks
+in order, each block laned with the rows that can run right before it
+pinning its first row. A block whose pins cannot all be met gets one
+leading empty row, which no value forwards across. Branches are pulled
+here too, the parallel branching: a pull is taken only when ``lane_row``
+lanes the grown row after the rows that run right before it. A back edge
+cannot be pinned ahead of time; when one forwards across lanes into the
+row it lands on (the first row at or after its target block, which code
+motion may have emptied), that row's block gets the empty row in place,
+which leaves every lane chosen so far valid.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, permutations
 
-from .analysis import ControlFlowGraph
+from .analysis import ControlFlowGraph, bernstein_ok
 from .errors import CompileError
-from .isa import JUMP_KINDS, Kind, io_sets, rebuilt
+from .isa import JUMP_KINDS, NO_FALL_THROUGH, Kind, io_sets, rebuilt
 from .schedule import BlockSchedule, Slot, VliwProgram, crossings
 
 
@@ -93,13 +94,45 @@ def forwarding_ok(prev: list[Slot], row: list[Slot]) -> bool:
     return True
 
 
+def _pull_branches(out: list, b: int, schedules, cfg: ControlFlowGraph,
+                   lanes: int, entry: list):
+    """Pull blocks b + 1, b + 2, ... into the last row of ``out``, the
+    laid rows of block b, whose last row falls through, and yield each
+    block pulled. A block is pulled while it is one branch reached only by
+    falling through from the block before (a jump to it from the row would
+    skip it), its schedule is that branch alone, the branch passes the
+    pairwise test against the row, and ``lane_row`` lanes the grown row
+    after the laid row before it, or after ``entry`` for a one-row block."""
+    row = [s for s in out[-1] if s]
+    preds = out[-2:-1] or entry
+    for fb in range(b + 1, len(cfg.blocks)):
+        fblk, rows = cfg.blocks[fb], schedules[fb].rows
+        if fblk.predecessors != (fb - 1,) or len(fblk) != 1 or \
+                [len(r) for r in rows] != [1] or \
+                rows[0][0].instr.kind is not Kind.BRANCH or \
+                any(s.instr.target == fblk.start for s in row):
+            return
+        slot = rows[0][0]
+        if not all(bernstein_ok(s.instr, slot.instr) for s in row):
+            return
+        row.append(Slot(slot.instr, slot.src_block, slot.src_index, True))
+        laned = lane_row(row, preds, lanes)
+        if laned is None:
+            return
+        out[-1] = laned
+        yield fb
+
+
 def assign_registers(schedules: dict[int, BlockSchedule],
-                     cfg: ControlFlowGraph, lanes: int, maps=()):
+                     cfg: ControlFlowGraph, lanes: int, maps=(),
+                     pull_branches: bool = True):
     """Assemble the final program with globally consistent lanes. Returns
-    (program, padding rows). A block's entry rows are forward jumps into
-    it and the previous row when that row falls through; a block emptied
-    by a branch pull passes them on. Jump targets become row indices once
-    every block is laid out.
+    (program, padding rows, branches pulled). A block's entry rows are
+    forward jumps into it and the previous row when that row falls
+    through; a block pulled into an earlier row passes them on. With
+    ``pull_branches``, each block laid out pulls branches into its last
+    row (``_pull_branches``). Jump targets become row indices once every
+    block is laid out.
 
     Only lanes are assigned; the name is kept for the callers that wrap
     it. Registers need no work: no row holds two writers of a register
@@ -107,10 +140,12 @@ def assign_registers(schedules: dict[int, BlockSchedule],
     laid: dict[int, list] = {}
     jumps_into: dict[int, list] = {blk.id: [] for blk in cfg.blocks}
     entry: list = []
-    padding = 0
+    padding = pulled = 0
     for blk in cfg.blocks:
-        rows = schedules[blk.id].rows
         entry += jumps_into[blk.id]
+        if blk.id in laid:                  # pulled into an earlier row
+            continue
+        rows = schedules[blk.id].rows
         out = assign_lanes(rows, lanes, entry)
         if out is None:
             padding += 1
@@ -120,6 +155,11 @@ def assign_registers(schedules: dict[int, BlockSchedule],
         laid[blk.id] = out
         if not out:
             continue
+        ends = any(s and s.instr.kind in NO_FALL_THROUGH for s in out[-1])
+        if pull_branches and not ends:
+            for fb in _pull_branches(out, blk.id, schedules, cfg, lanes, entry):
+                laid[fb] = []
+                pulled += 1
         last = out[-1]
         for target in {cfg.block_of(s.instr.target) for s in last
                        if s and s.instr.kind in JUMP_KINDS}:
@@ -131,8 +171,6 @@ def assign_registers(schedules: dict[int, BlockSchedule],
             if crossings(last, first[0]):
                 first.insert(0, [None] * lanes)
                 padding += 1
-        ends = any(s and s.instr.is_control and s.instr.kind is not Kind.BRANCH
-                   for s in last)
         entry = [] if ends else [last]
 
     start = dict(zip(laid, accumulate(map(len, laid.values()), initial=0)))
@@ -146,4 +184,4 @@ def assign_registers(schedules: dict[int, BlockSchedule],
 
     rows = [[s and placed(s) for s in row] for out in laid.values() for row in out]
     return VliwProgram(lane_count=lanes, rows=rows, row_block=row_block,
-                       maps=maps), padding
+                       maps=maps), padding, pulled

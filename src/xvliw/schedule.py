@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from .asm import format_instruction, parse_instruction
 from .errors import AsmSyntaxError, CompileError
-from .isa import (JUMP_KINDS, Instruction, Kind, field_problem, io_sets,
-                  target_problem)
+from .isa import (JUMP_KINDS, NO_FALL_THROUGH, Instruction, field_problem,
+                  io_sets, target_problem)
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,7 @@ def row_successors(vliw: VliwProgram, r: int) -> list[int]:
     unless the row jumps unconditionally or ends execution."""
     slots = vliw.row_slots(r)
     nexts = {s.instr.target for s in slots if s.instr.kind in JUMP_KINDS}
-    if not any(s.instr.kind in (Kind.JUMP_ALWAYS, Kind.EXIT, Kind.EARLY_EXIT)
-               for s in slots):
+    if not any(s.instr.kind in NO_FALL_THROUGH for s in slots):
         nexts.add(r + 1)
     return sorted(n for n in nexts if 0 <= n < len(vliw.rows))
 

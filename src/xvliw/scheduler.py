@@ -1,7 +1,7 @@
 """List scheduling and upward code motion.
 
 Scheduling is structural: it says which instructions share a row, and
-``regalloc`` chooses their lanes.
+``regalloc`` chooses their lanes and pulls branches into shared rows.
 
 Structural scheduling runs once per block, at the full lane width. It
 keeps a ready list (Gibbons & Muchnick, SIGPLAN '86): a count of unplaced
@@ -31,8 +31,6 @@ and nothing is renamed. A speculative mover (one from a block that does
 not always run when its new block does) must write nothing that is live
 into a block where control leaves the path to its source, judged by the
 liveness of the schedules as code motion has transformed them so far.
-Branch pulling, the parallel branching, runs once every move is made, so
-no step changes a row of pulled branches after it is built.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .analysis import (
     walk_blocks,
 )
 from .isa import Kind, Program, io_sets
-from .regalloc import assign_lanes, forwarding_ok
+from .regalloc import forwarding_ok
 from .schedule import BlockSchedule, LaneConstraints, Slot
 
 MOVABLE_PURE = (Kind.ALU_BINARY, Kind.ALU_UNARY, Kind.MOV_IMM, Kind.MOV_REG,
@@ -156,7 +154,8 @@ def motion_sources(cfg: ControlFlowGraph, b: int):
     block's successors that it dominates. A source in a loop ``b`` is not
     in, or the reverse, is left out, or its movers would run more or fewer
     times. ``crossed`` holds the blocks on a path from ``b`` to the source,
-    both excluded, the walk not going on past the source. When ``b`` and
+    both excluded: those a walk forward from ``b`` and one back from the
+    source reach, neither going on past the other. When ``b`` and
     the source share a loop, a block reached only that way (source -> ...
     -> ``b``) runs before the instruction both before and after the move,
     so it is not crossed."""
@@ -167,9 +166,10 @@ def motion_sources(cfg: ControlFlowGraph, b: int):
                             if cfg.dominates(c, s)}
     for s in sorted(sources):
         ahead = walk_blocks(cfg, b, stop={s})
-        if b in ahead or s in walk_blocks(cfg, s, stop={b}):
+        behind = walk_blocks(cfg, s, forward=False, stop={b})
+        if b in ahead or s in behind:
             continue
-        crossed = (ahead & walk_blocks(cfg, s, forward=False)) - {b, s}
+        crossed = (ahead & behind) - {b, s}
         yield s, s in equivalent, crossed
 
 
@@ -178,11 +178,10 @@ class CodeMotion:
     checked against every slot of the blocks it crosses and, if it is
     speculative, for liveness where control leaves the path to its source."""
 
-    def __init__(self, schedules, cfg, constraints, program, ddgs):
+    def __init__(self, schedules, cfg, constraints, ddgs):
         self.schedules: dict[int, BlockSchedule] = schedules
         self.cfg = cfg
         self.constraints = constraints
-        self.program = program
         self.ddgs = ddgs
         self.moved_log: list[tuple[int, int, int]] = []   # (src_index, from, to)
         self._live_in = None       # of the current schedules; None when stale
@@ -220,7 +219,9 @@ class CodeMotion:
                     continue
                 row.remove(slot)
                 moved_nodes.add(node)
-                self._record(slot, cand, b)
+                slot.moved = True
+                self._live_in = None
+                self.moved_log.append((node, cand, b))
         self._compact(self.schedules[cand])
 
     def _compact(self, bs: BlockSchedule):
@@ -288,56 +289,16 @@ class CodeMotion:
     def _keeps_lanes(self, rows, r: int) -> bool:
         """Whether a block's ``rows``, assignable before row ``r`` changed,
         still are: the forwarding rule on row ``r`` and the row after it.
-        Code motion asks this before any branch is pulled, so every row
-        holds at most one jump and the rule is exact."""
+        Branches are pulled only in the lane pass, so every row code motion
+        sees holds at most one jump and the rule is exact."""
         return all(forwarding_ok(rows[t - 1], rows[t])
                    for t in (r, r + 1) if 0 < t < len(rows))
 
-    def _record(self, slot: Slot, source: int, b: int):
-        """Log ``slot``'s move from block ``source`` into block ``b``."""
-        slot.moved = True
-        self._live_in = None
-        self.moved_log.append((slot.src_index, source, b))
 
-    # -- parallel branching -------------------------------------------------
-
-    def _pull_branches(self, b: int):
-        """Pull blocks b + 1, b + 2, ..., the fall-through of b and of each
-        branch pulled, into b's last row while each is one branch reached
-        only from the block before it, its schedule still that branch alone
-        (its own ``_pull_into`` may have added movers), and b keeps an
-        assignment of lanes (``assign_lanes``)."""
-        rows = self.schedules[b].rows
-        end = self.program[self.cfg.blocks[b].end]
-        if not rows or end.is_control and end.kind is not Kind.BRANCH:
-            return
-        last = rows[-1]
-        for fb in range(b + 1, len(self.cfg.blocks)):
-            fblk = self.cfg.blocks[fb]
-            pulled = self.schedules[fb].rows
-            if fblk.predecessors != (fb - 1,) or len(fblk) != 1 or \
-                    self.program[fblk.start].kind is not Kind.BRANCH or \
-                    [len(row) for row in pulled] != [1]:
-                return
-            fslot = pulled[0][0]
-            if not all(bernstein_ok(other.instr, fslot.instr) for other in last):
-                return
-            last.append(fslot)
-            if assign_lanes(rows, self.constraints.lanes) is None:
-                last.pop()
-                return
-            self.schedules[fb].rows = []
-            self._record(fslot, fb, b)
-
-
-def code_motion(schedules, cfg, constraints: LaneConstraints,
-                program: Program, ddgs):
-    """Move ready instructions upward from each block's ``motion_sources``,
-    then, with every move made, pull trailing single-branch blocks up for
-    parallel branching. Returns (schedules, moved_log)."""
-    cm = CodeMotion(schedules, cfg, constraints, program, ddgs)
+def code_motion(schedules, cfg, constraints: LaneConstraints, ddgs):
+    """Move ready instructions upward from each block's ``motion_sources``.
+    Returns (schedules, moved_log)."""
+    cm = CodeMotion(schedules, cfg, constraints, ddgs)
     for blk in cfg.blocks:
         cm._pull_into(blk.id)
-    for blk in cfg.blocks:
-        cm._pull_branches(blk.id)
     return schedules, cm.moved_log

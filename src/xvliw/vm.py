@@ -296,7 +296,6 @@ class MachineState:
     maps: MapStore
     regs: list[int] = field(default_factory=lambda: [0] * NUM_REGS)
     stack: bytearray = field(default_factory=lambda: bytearray(STACK_SIZE))
-    pc: int = 0
     redirect_target: int | None = None
 
     def __post_init__(self):
@@ -807,14 +806,12 @@ def exec_sequential(program: Program, packet: PacketContext, maps: MapStore,
             else:
                 if reg is not None:
                     regs[reg] = value
-                state.pc = pc
                 code = regs[0]
                 return XdpResult(result_action(code), code, packet.visible(),
                                  maps.snapshot(),
                                  redirect_target=state.redirect_target,
                                  trace=pcs), state
     except VmTrap as exc:
-        state.pc = pc
         return XdpResult(XDP_ABORTED, 0, packet.visible(), maps.snapshot(),
                          redirect_target=state.redirect_target, trace=pcs,
                          trapped=True, trap=str(exc)), state

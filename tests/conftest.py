@@ -408,6 +408,27 @@ def pull_family_source(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dispatch_chain_source(rng: random.Random) -> str:
+    """Assembly of one protocol-dispatch program: a packet bounds check
+    that drops short packets, a byte loaded from the packet into rX, and
+    a chain of 2-6 ``if rX == k goto Ci`` cases on it, each after the
+    first its own one-branch block, which the block before may pull into
+    its last row. Case i returns an action from 1-3, as does the
+    fall-through, so the case taken shows in the result."""
+    reg = rng.choice((3, 5, 7, 8, 9))
+    offset = rng.randint(0, 13)
+    cases = rng.sample(range(8), rng.randint(2, 6))
+    lines = ["r6 = r1", "r2 = *(u32 *)(r6 + 0)", "r4 = *(u32 *)(r6 + 4)",
+             "r1 = r2", f"r1 += {offset + 1}", "if r1 > r4 goto drop",
+             f"r{reg} = *(u8 *)(r2 + {offset})"]
+    lines += [f"if r{reg} == {k} goto C{i}" for i, k in enumerate(cases)]
+    lines += [f"r0 = {rng.randint(1, 3)}", "exit"]
+    for i in range(len(cases)):
+        lines += [f"C{i}:", f"r0 = {rng.randint(1, 3)}", "exit"]
+    lines += ["drop:", "r0 = 1", "exit"]
+    return "\n".join(lines) + "\n"
+
+
 def rfc1071_sum16(data: bytes, seed: int = 0) -> int:
     """Reference internet checksum accumulator (16-bit ones' complement)."""
     if len(data) % 2:

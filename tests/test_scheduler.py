@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 import xvliw.regalloc as regalloc_module
-from conftest import brute_force_min_rows, dependence_sets, pull_family_source
+from conftest import (brute_force_min_rows, dependence_sets,
+                      dispatch_chain_source, pull_family_source)
 from xvliw.analysis import build_ddg, build_program_cfg, program_cfg
 from xvliw.asm import parse_asm
 from xvliw.compiler import compile_program
@@ -159,7 +160,7 @@ class TestCodeMotion:
         ddgs = {b.id: build_ddg(b, prog) for b in cfg.blocks}
         schedules = {b.id: list_schedule(b, ddgs[b.id], cons, prog)
                      for b in cfg.blocks}
-        moved = code_motion(schedules, cfg, cons, prog, ddgs)[1]
+        moved = code_motion(schedules, cfg, cons, ddgs)[1]
         return prog, cfg, schedules, moved
 
     def test_no_candidates_unchanged(self):
@@ -418,6 +419,88 @@ class TestCodeMotion:
             for lanes in (2, 3, 4):
                 _assert_runs_like_the_oracle(program, lanes)
 
+    @staticmethod
+    def _family_program(index):
+        """Program ``index`` of ``pull_family_source`` seed 1."""
+        rng = random.Random(1)
+        for _ in range(index):
+            pull_family_source(rng)
+        return parse_asm(pull_family_source(rng))
+
+    def test_a_pull_is_judged_with_its_entry_rows(self):
+        """Family program 28 at 3 lanes. When a pull was judged on its
+        block alone, C took ``if r8 == 1`` beside ``r9 += 2`` on lane 2,
+        block 3 then pulled ``if r0 == 2`` beside ``if r9 == 1``, which
+        that producer pins to lane 2, and the lane pass padded block 3
+        (13 rows, 2 pulls, 1 pad). The pull into block 3 is now laid
+        after its real entry row and refused; the schedule stays at 13."""
+        program = self._family_program(28)
+        vliw, rep = compile_program(program, LaneConstraints(lanes=3))
+        assert (rep.vliw_rows, rep.pulled_branches, rep.padding_rows) == (13, 1, 0)
+        _assert_runs_like_the_oracle(program, 3)
+
+    @pytest.mark.parametrize("index, rows", [(24, 15), (34, 14)])
+    def test_a_pull_that_needs_a_pad_row_is_refused(self, index, rows):
+        """Family programs 24 and 34 at 2 lanes were one row longer (16
+        and 15 rows, 1 pull, 1 pad) when a one-row block's pull was judged
+        without its entry rows."""
+        program = self._family_program(index)
+        vliw, rep = compile_program(program, LaneConstraints(lanes=2))
+        assert (rep.vliw_rows, rep.pulled_branches, rep.padding_rows) == (rows, 1, 0)
+        _assert_runs_like_the_oracle(program, 2)
+
+    def test_pulls_lengthen_no_schedule(self, monkeypatch):
+        """The first 100 family programs and the first 50 dispatch chains
+        (``conftest.dispatch_chain_source``), both of seed 1, at lanes
+        1-8: no schedule has more rows with the lane pass's pulls than
+        with them off and every move made."""
+        family, chains = random.Random(1), random.Random(1)
+        programs = [parse_asm(pull_family_source(family)) for _ in range(100)]
+        programs += [parse_asm(dispatch_chain_source(chains)) for _ in range(50)]
+
+        def rows():
+            return [compile_program(p, LaneConstraints(lanes))[1].vliw_rows
+                    for p in programs for lanes in range(1, 9)]
+        pulled = rows()
+        monkeypatch.setattr(regalloc_module, "_pull_branches",
+                            lambda *args: ())
+        plain = rows()
+        assert all(a <= b for a, b in zip(pulled, plain))
+        assert sum(pulled) < sum(plain)
+
+    # Block 1 is "if r4 == 2" alone, reached only from block 0, whose
+    # branch jumps to it as well as falling through. Pulled beside that
+    # branch, it was skipped whenever the branch was taken: the packet
+    # with bytes 1, 2 exited with 1 where the interpreter exits with 2.
+    JUMP_TO_FALL_THROUGH = """
+      r2 = *(u32 *)(r1 + 0)
+      r3 = *(u8 *)(r2 + 0)
+      r4 = *(u8 *)(r2 + 1)
+      r7 = r3
+      r8 = r4
+      r9 = r8
+      r9 += r7
+      if r3 == 1 goto L
+    L:
+      if r4 == 2 goto Y
+      r0 = 1
+      exit
+    Y:
+      r0 = 2
+      exit
+    """
+
+    @pytest.mark.parametrize("lanes", range(1, 9))
+    def test_a_branch_jumped_to_is_not_pulled(self, lanes):
+        program = parse_asm(self.JUMP_TO_FALL_THROUGH)
+        vliw, rep = compile_program(program, LaneConstraints(lanes=lanes))
+        assert rep.pulled_branches == 0
+        for first, second in permutations(range(3), 2):
+            pkt = bytes([first, second]) + bytes(62)
+            r, _ = exec_vliw(vliw, PacketContext(pkt), MapStore())
+            o, _ = exec_sequential(program, PacketContext(pkt), MapStore())
+            assert compare_results(o, r.result) == (True, "equal"), pkt[:2]
+
     # Code motion between blocks that run different numbers of times. In
     # "header" and "single_block" the loop's "r2 = 7" was hoisted into the
     # entry block and ran once instead of once per iteration; in
@@ -488,12 +571,12 @@ class TestCodeMotion:
         real = compiler.assign_registers
         clashes = []
 
-        def checked(schedules, cfg, lanes, maps=()):
+        def checked(schedules, *args, **kwargs):
             for bs in schedules.values():
                 for row in bs.rows:
                     if writes_a_register_twice(s.instr for s in row):
                         clashes.append((text, [s.instr for s in row]))
-            return real(schedules, cfg, lanes, maps)
+            return real(schedules, *args, **kwargs)
 
         monkeypatch.setattr(compiler, "assign_registers", checked)
         sources = [generate_case(case_seed(20260810, i)).program_text
@@ -569,9 +652,9 @@ def _lane_row_by_search(slots, pred_rows, lanes):
 
 class TestIncrementalLaning:
     """Code motion judges a move by the forwarding rule alone, on the rows
-    it touched: every move is made before any branch is pulled, so no row
-    holds two jumps and the rule answers each question as a fresh
-    ``assign_lanes`` would. ``lane_row`` gathers its producers once. Each
+    it touched: branches are pulled only in the lane pass, so no row code
+    motion sees holds two jumps and the rule answers each question as a
+    fresh ``assign_lanes`` would. ``lane_row`` gathers its producers once. Each
     equals what it replaces."""
 
     def test_every_lane_answer_is_a_fresh_assign_lanes(self, monkeypatch):
